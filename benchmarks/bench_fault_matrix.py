@@ -44,8 +44,9 @@ if __package__ in (None, ""):  # running as a script without installation
     _bench = str(Path(__file__).resolve().parent)
     if _bench not in sys.path:
         sys.path.insert(0, _bench)
-
-from bench_streaming import canonical_watch_bytes, make_fleet_feed
+    from bench_streaming import canonical_watch_bytes, make_fleet_feed
+else:  # imported as benchmarks.bench_fault_matrix (``pytest benchmarks/``)
+    from .bench_streaming import canonical_watch_bytes, make_fleet_feed
 
 from repro import DopplerEngine, FaultPlan, SkuCatalog
 from repro.fleet import FleetEngine, SupervisionConfig, WatchConfig

@@ -656,7 +656,6 @@ def bench_live_loop(samples: list[dict[PerfDimension, float]], window: int) -> d
         "n_samples": len(samples),
         "observe_per_sec": len(samples) / seconds,
         "n_refreshes": live.n_refreshes,
-        "cache_hit_rate": live.cache.stats().hit_rate,
     }
 
 
@@ -715,7 +714,6 @@ def main(argv: list[str] | None = None) -> int:
     print(
         f"  observe {live_record['observe_per_sec']:>8.1f} samples/s"
         f"   refreshes {live_record['n_refreshes']}"
-        f"   curve-cache hit rate {live_record['cache_hit_rate']:.0%}"
     )
 
     cores = os.cpu_count() or 1

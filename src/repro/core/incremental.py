@@ -30,8 +30,9 @@ from ..telemetry.counters import PerfDimension
 from ..telemetry.streaming import parse_sample
 from ..telemetry.trace import PerformanceTrace
 from .throttling import (
-    ThrottlingEstimator,
     _violation_mask,
+    apply_iops_overrides,
+    capacity_matrix,
     demand_matrix,
     invert_latency,
 )
@@ -67,7 +68,23 @@ class IncrementalThrottlingEstimator:
         dimensions: tuple[PerfDimension, ...],
         window: int | None = None,
         iops_overrides: dict[str, float] | None = None,
+        capacities: np.ndarray | None = None,
     ) -> None:
+        """Bind the estimator to one candidate set and dimension tuple.
+
+        Args:
+            skus: Candidate SKUs.
+            dimensions: Performance dimensions evaluated jointly.
+            window: Sliding-window length in samples (None: unbounded).
+            iops_overrides: Per-SKU-name IOPS capacities (the MI
+                file-layout limit of paper Section 3.2 Step 2).
+            capacities: The override-free ``(n_skus, n_dims)`` capacity
+                matrix of ``skus`` over ``dimensions`` -- normally a
+                modeler's memoized one
+                (:meth:`~repro.core.ppm.PricePerformanceModeler.capacity_matrix_for`),
+                shared and never written.  Built from ``skus`` when
+                omitted.
+        """
         if not dimensions:
             raise ValueError("the estimator needs at least one dimension")
         if window is not None and window < 1:
@@ -77,10 +94,15 @@ class IncrementalThrottlingEstimator:
         self.window = window
         # Same capacity construction as the batch estimators, so the
         # two agree bit-for-bit on the violation predicate.
-        self._caps = ThrottlingEstimator._capacity_matrix(
-            list(skus), self.dimensions, iops_overrides
-        )
-        self._iops_overrides = dict(iops_overrides) if iops_overrides else None
+        if capacities is None:
+            capacities = capacity_matrix(list(self.skus), self.dimensions)
+        elif capacities.shape != (len(self.skus), len(self.dimensions)):
+            raise ValueError(
+                f"capacities of shape {capacities.shape} do not cover "
+                f"{len(self.skus)} SKUs x {len(self.dimensions)} dimensions"
+            )
+        self._base_caps = capacities
+        self._set_overrides(iops_overrides)
         self._invert = np.array([dim.lower_is_better for dim in self.dimensions])
         self._counts = np.zeros(len(self.skus), dtype=np.int64)
         self._ring = (
@@ -214,16 +236,20 @@ class IncrementalThrottlingEstimator:
                 "have been ingested; the counted violations are stale under "
                 "the new capacity matrix"
             )
-        self._caps = ThrottlingEstimator._capacity_matrix(
-            list(self.skus), self.dimensions, iops_overrides
-        )
-        self._iops_overrides = dict(iops_overrides) if iops_overrides else None
+        self._set_overrides(iops_overrides)
         self._counts[:] = 0
         if self._ring is not None:
             self._ring[:] = False
         self._n_seen = 0
         if trace is not None:
             self.ingest_trace(trace)
+
+    def _set_overrides(self, iops_overrides: dict[str, float] | None) -> None:
+        """Adopt IOPS overrides: a column write on a copy of the base caps."""
+        self._iops_overrides = dict(iops_overrides) if iops_overrides else None
+        self._caps = apply_iops_overrides(
+            self._base_caps, self.skus, self.dimensions, self._iops_overrides
+        )
 
     def _apply_row(self, violated: np.ndarray) -> None:
         if self._ring is not None:
@@ -285,9 +311,9 @@ class IncrementalThrottlingEstimator:
     def load_state(self, state: dict) -> None:
         """Adopt a :meth:`state_dict` snapshot; the inverse operation.
 
-        Rebuilds the capacity matrix from the snapshot's overrides, so
-        the restored estimator continues exactly where the source left
-        off -- including mid-stream MI layout rebases.
+        Re-applies the snapshot's overrides to this estimator's base
+        capacities, so the restored estimator continues exactly where
+        the source left off -- including mid-stream MI layout rebases.
 
         Raises:
             ValueError: If the snapshot's count/ring shapes disagree
@@ -312,11 +338,7 @@ class IncrementalThrottlingEstimator:
                     f"snapshot ring shape {ring.shape} does not match "
                     f"this estimator's {self._ring.shape}"
                 )
-        overrides = state["iops_overrides"]
-        self._caps = ThrottlingEstimator._capacity_matrix(
-            list(self.skus), self.dimensions, overrides
-        )
-        self._iops_overrides = dict(overrides) if overrides else None
+        self._set_overrides(state["iops_overrides"])
         self._counts = counts.copy()
         self._ring = None if ring is None else ring.copy()
         self._n_seen = int(state["n_seen"])

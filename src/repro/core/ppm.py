@@ -17,7 +17,7 @@ layout's summed IOPS as the GP IOPS limit.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -31,6 +31,7 @@ from .throttling import (
     EmpiricalThrottlingEstimator,
     ThrottlingEstimator,
     capacity_matrix,
+    demand_matrix,
 )
 
 __all__ = ["PricePerformanceModeler", "MiStoragePlan", "gp_iops_overrides"]
@@ -41,10 +42,12 @@ def gp_iops_overrides(
 ) -> dict[str, float]:
     """Step-2 IOPS overrides: GP SKUs inherit the layout's summed limit.
 
-    The single definition of the MI override policy (paper Section 3.2
-    Step 2), shared by curve construction and the live recommender's
-    drift-estimator sync -- the parity contract requires both to see
-    identical capacities, so neither may encode the rule privately.
+    The MI override policy (paper Section 3.2 Step 2) keyed by SKU
+    name, the form the live recommender's incremental estimator keeps
+    in its state.  Curve builders apply the same rule as a column
+    write over the GP-tier rows
+    (:meth:`_DeploymentCurveState.caps_with_gp_iops`); the parity
+    contract requires both to see identical capacities.
     """
     return {
         sku.name: plan.layout.total_iops
@@ -64,13 +67,13 @@ def _no_storage_fit_message(footprint: float) -> str:
 
 
 class _DeploymentCurveState:
-    """Precomputed per-deployment inputs of the columnar curve kernel.
+    """Precomputed per-deployment inputs of every curve builder.
 
     Built once per modeler and deployment: the candidate SKUs in
-    catalog (price) order plus the vectorized per-SKU attributes that
-    the batch path needs -- storage limits for the per-customer fit
-    mask, the GP-tier mask for MI IOPS overrides, and a memo of
-    capacity matrices per dimension tuple.
+    catalog (price) order plus the vectorized per-SKU attributes the
+    builders share -- storage limits for the per-customer fit mask,
+    the tier masks for MI IOPS overrides and the Business-Critical
+    restriction, and a memo of capacity matrices per dimension tuple.
     """
 
     def __init__(self, skus: Sequence[SkuSpec]) -> None:
@@ -90,13 +93,34 @@ class _DeploymentCurveState:
         self._caps_by_dims: dict[tuple[PerfDimension, ...], np.ndarray] = {}
 
     def caps_for(self, dimensions: tuple[PerfDimension, ...]) -> np.ndarray:
-        """Capacity matrix over all candidates, memoized per dim tuple."""
+        """Capacity matrix over all candidates, memoized per dim tuple.
+
+        The one place a capacity matrix is built from the catalog:
+        every curve build, live estimator and restore reads this memo.
+        """
         caps = self._caps_by_dims.get(dimensions)
         if caps is None:
             caps = capacity_matrix(list(self.skus), dimensions)
             caps.flags.writeable = False
             self._caps_by_dims[dimensions] = caps
         return caps
+
+    def caps_with_gp_iops(
+        self, dimensions: tuple[PerfDimension, ...], gp_iops: float | None
+    ) -> np.ndarray:
+        """:meth:`caps_for` with the MI Step-2 GP IOPS limit applied.
+
+        The override is a column write on a copy of the memoized
+        matrix (paper Section 3.2 Step 2: GP SKUs inherit the planned
+        file layout's summed IOPS); ``None`` means no override.
+        """
+        caps = self.caps_for(dimensions)
+        if gp_iops is None or PerfDimension.IOPS not in dimensions:
+            return caps
+        caps = caps.copy()
+        caps[self.gp_mask, dimensions.index(PerfDimension.IOPS)] = float(gp_iops)
+        return caps
+
 
 #: Quantile summarizing the IOPS/throughput demand checked in Step 1.
 _STEP1_DEMAND_QUANTILE = 0.99
@@ -170,9 +194,61 @@ class PricePerformanceModeler:
             ValueError: If no SKU can accommodate the workload's
                 storage footprint.
         """
-        if deployment is DeploymentType.SQL_DB:
-            return self._build_db_curve(trace)
-        return self._build_mi_curve(trace, file_sizes_gib, plan=mi_plan)
+        dims = self._curve_dimensions(trace, deployment)
+        plan = None
+        if deployment is DeploymentType.SQL_MI:
+            plan = mi_plan if mi_plan is not None else self.plan_mi_storage(trace, file_sizes_gib)
+        state = self._deployment_state(deployment)
+        caps = state.caps_with_gp_iops(
+            dims, plan.layout.total_iops if plan is not None else None
+        )
+        return self._fitted_curve(
+            state,
+            trace,
+            plan,
+            lambda fitted: self.estimator.probabilities_from_caps(
+                demand_matrix(trace, dims), caps[fitted]
+            ),
+        )
+
+    def build_curve_from_probabilities(
+        self,
+        trace: PerformanceTrace,
+        deployment: DeploymentType,
+        probabilities: np.ndarray,
+        mi_plan: "MiStoragePlan | None" = None,
+    ) -> PricePerformanceCurve:
+        """The curve of a trace whose probabilities are already known.
+
+        The live refresh path: an incremental estimator over the
+        deployment's :meth:`candidates` holds every candidate's
+        throttling probability for the current window, so only the
+        storage fit, the MI tier restriction and curve assembly remain
+        -- exactly the steps :meth:`build_curve` runs after its
+        estimate, so both return the same curve for the same
+        probabilities.
+
+        Args:
+            trace: The assessed window (storage footprint, entity id,
+                and the MI Step-1 plan when ``mi_plan`` is omitted).
+            deployment: Target deployment type.
+            probabilities: Throttling probability per candidate,
+                aligned with :meth:`candidates`.
+            mi_plan: Optional precomputed Step-1 plan for ``trace``.
+
+        Raises:
+            ValueError: If no SKU can accommodate the workload's
+                storage footprint.
+        """
+        plan = None
+        if deployment is DeploymentType.SQL_MI:
+            plan = mi_plan if mi_plan is not None else self.plan_mi_storage(trace)
+        return self._fitted_curve(
+            self._deployment_state(deployment),
+            trace,
+            plan,
+            lambda fitted: probabilities[fitted],
+        )
 
     def build_curves_batch(
         self,
@@ -229,59 +305,30 @@ class PricePerformanceModeler:
 
         results: list[PricePerformanceCurve | Exception | None] = [None] * n_traces
         state = self._deployment_state(deployment)
-        base_dims = (
-            DB_DIMENSIONS if deployment is DeploymentType.SQL_DB else MI_DIMENSIONS
-        )
-        fit_masks: list[np.ndarray | None] = [None] * n_traces
+        plans: list[MiStoragePlan | None] = [None] * n_traces
         groups: dict[tuple, list[int]] = {}
         for index, trace in enumerate(traces):
             try:
-                dims = tuple(dim for dim in base_dims if dim in trace)
-                if not dims:
-                    raise ValueError(
-                        f"trace has none of the {deployment.short_name} "
-                        "performance dimensions"
-                    )
-                iops_override: float | None = None
+                dims = self._curve_dimensions(trace, deployment)
+                gp_iops: float | None = None
                 if deployment is DeploymentType.SQL_MI:
                     sizes = sizes_per_trace[index]
-                    plan = self.plan_mi_storage(
-                        trace, list(sizes) if sizes else None
-                    )
-                    iops_override = plan.layout.total_iops
-                footprint = self._storage_footprint(trace)
-                mask = state.max_data_size_gb >= footprint
-                if not mask.any():
-                    raise ValueError(_no_storage_fit_message(footprint))
-                if deployment is DeploymentType.SQL_MI and not plan.gp_allowed:
-                    mask = mask & state.bc_mask
-                    if not mask.any():
-                        raise ValueError("no MI SKU satisfies the storage requirement")
-                fit_masks[index] = mask
-                groups.setdefault((dims, iops_override), []).append(index)
+                    plan = self.plan_mi_storage(trace, list(sizes) if sizes else None)
+                    plans[index] = plan
+                    gp_iops = plan.layout.total_iops
+                groups.setdefault((dims, gp_iops), []).append(index)
             except Exception as exc:  # noqa: BLE001 - per-customer containment
                 results[index] = exc
 
-        for (dims, iops_override), indices in groups.items():
-            caps = state.caps_for(dims)
-            if iops_override is not None and PerfDimension.IOPS in dims:
-                caps = caps.copy()
-                caps[state.gp_mask, dims.index(PerfDimension.IOPS)] = float(
-                    iops_override
-                )
+        for (dims, gp_iops), indices in groups.items():
             probabilities = self.estimator.probabilities_batch_from_caps(
-                [traces[i].demand_matrix(dims) for i in indices], caps
+                [traces[i].demand_matrix(dims) for i in indices],
+                state.caps_with_gp_iops(dims, gp_iops),
             )
             for row, index in zip(probabilities, indices):
-                fitted = np.flatnonzero(fit_masks[index]).tolist()
                 try:
-                    # Candidate subsets inherit catalog (price) order,
-                    # so the trusted sorted-input constructor applies.
-                    results[index] = PricePerformanceCurve.from_price_ordered(
-                        [state.skus[j] for j in fitted],
-                        [state.monthly_prices[j] for j in fitted],
-                        row[fitted],
-                        entity_id=traces[index].entity_id,
+                    results[index] = self._fitted_curve(
+                        state, traces[index], plans[index], row.__getitem__
                     )
                 except Exception as exc:  # noqa: BLE001 - per-customer containment
                     results[index] = exc
@@ -303,14 +350,24 @@ class PricePerformanceModeler:
     # ------------------------------------------------------------------
     # Capacity-matrix sharing (fleet shared-memory data plane)
     # ------------------------------------------------------------------
+    def candidates(self, deployment: DeploymentType) -> tuple[SkuSpec, ...]:
+        """The deployment's candidate SKUs in catalog (price) order.
+
+        The row order of :meth:`capacity_matrix_for` and of the
+        probabilities :meth:`build_curve_from_probabilities` takes.
+        """
+        return self._deployment_state(deployment).skus
+
     def capacity_matrix_for(
         self, deployment: DeploymentType, dimensions: tuple[PerfDimension, ...]
     ) -> np.ndarray:
         """The memoized candidate capacity matrix for a dimension tuple.
 
-        Public accessor over the columnar state's memo, used by the
-        fleet arena publisher to export capacities into shared memory
-        exactly as the batch kernel would build them.
+        Public accessor over the columnar state's memo (read-only, no
+        IOPS overrides), used by the fleet arena publisher to export
+        capacities into shared memory exactly as the batch kernel
+        would build them, and by live estimators as their base
+        capacities.
         """
         return self._deployment_state(deployment).caps_for(dimensions)
 
@@ -397,68 +454,63 @@ class PricePerformanceModeler:
         )
 
     # ------------------------------------------------------------------
-    # DB path
-    # ------------------------------------------------------------------
-    def _build_db_curve(self, trace: PerformanceTrace) -> PricePerformanceCurve:
-        dimensions = tuple(dim for dim in DB_DIMENSIONS if dim in trace)
-        if not dimensions:
-            raise ValueError("trace has none of the DB performance dimensions")
-        candidates = self.catalog.for_deployment(DeploymentType.SQL_DB)
-        candidates = self._fit_storage(candidates, trace)
-        skus = list(candidates)
-        probabilities = self.estimator.probabilities(trace, skus, dimensions)
-        return PricePerformanceCurve.from_probabilities(
-            skus, probabilities, entity_id=trace.entity_id
-        )
-
-    # ------------------------------------------------------------------
-    # MI path (two-step procedure, paper Section 3.2)
-    # ------------------------------------------------------------------
-    def _build_mi_curve(
-        self,
-        trace: PerformanceTrace,
-        file_sizes_gib: list[float] | None,
-        plan: MiStoragePlan | None = None,
-    ) -> PricePerformanceCurve:
-        dimensions = tuple(dim for dim in MI_DIMENSIONS if dim in trace)
-        if not dimensions:
-            raise ValueError("trace has none of the MI performance dimensions")
-        if plan is None:
-            plan = self.plan_mi_storage(trace, file_sizes_gib)
-
-        candidates = self.catalog.for_deployment(DeploymentType.SQL_MI)
-        candidates = self._fit_storage(candidates, trace)
-        if not plan.gp_allowed:
-            candidates = candidates.for_tier(ServiceTier.BUSINESS_CRITICAL)
-        skus = list(candidates)
-        if not skus:
-            raise ValueError("no MI SKU satisfies the storage requirement")
-
-        # Step 2: GP SKUs inherit the file layout's summed IOPS limit.
-        overrides = gp_iops_overrides(skus, plan)
-        probabilities = self.estimator.probabilities(
-            trace, skus, dimensions, iops_overrides=overrides
-        )
-        return PricePerformanceCurve.from_probabilities(
-            skus, probabilities, entity_id=trace.entity_id
-        )
-
-    # ------------------------------------------------------------------
     # Shared helpers
     # ------------------------------------------------------------------
+    @staticmethod
+    def _curve_dimensions(
+        trace: PerformanceTrace, deployment: DeploymentType
+    ) -> tuple[PerfDimension, ...]:
+        """The deployment's curve dimensions present in the trace.
+
+        DB curves use up to six dimensions, MI curves four (paper
+        Section 3.2).
+        """
+        base = DB_DIMENSIONS if deployment is DeploymentType.SQL_DB else MI_DIMENSIONS
+        dims = tuple(dim for dim in base if dim in trace)
+        if not dims:
+            raise ValueError(
+                f"trace has none of the {deployment.short_name} performance dimensions"
+            )
+        return dims
+
+    def _fitted_curve(
+        self,
+        state: _DeploymentCurveState,
+        trace: PerformanceTrace,
+        plan: MiStoragePlan | None,
+        probabilities_of: Callable[[list[int]], np.ndarray],
+    ) -> PricePerformanceCurve:
+        """Fit the candidates to the trace, then assemble its curve.
+
+        The one assembly path of every curve builder (single trace,
+        columnar batch, live refresh): keep the candidates that hold
+        the data at 100 % (storage is never negotiable), restrict MI to
+        Business Critical when the Step-1 layout misses the IOPS
+        coverage, and assemble the survivors -- already in catalog
+        (price) order -- with the probabilities ``probabilities_of``
+        returns for their candidate indices.
+        """
+        footprint = self._storage_footprint(trace)
+        mask = state.max_data_size_gb >= footprint
+        if not mask.any():
+            raise ValueError(_no_storage_fit_message(footprint))
+        if plan is not None and not plan.gp_allowed:
+            mask &= state.bc_mask
+            if not mask.any():
+                raise ValueError("no MI SKU satisfies the storage requirement")
+        fitted = np.flatnonzero(mask).tolist()
+        return PricePerformanceCurve.from_price_ordered(
+            [state.skus[j] for j in fitted],
+            [state.monthly_prices[j] for j in fitted],
+            probabilities_of(fitted),
+            entity_id=trace.entity_id,
+        )
+
     @staticmethod
     def _storage_footprint(trace: PerformanceTrace) -> float:
         if PerfDimension.STORAGE in trace:
             return trace[PerfDimension.STORAGE].max()
         return 1.0
-
-    def _fit_storage(self, candidates: SkuCatalog, trace: PerformanceTrace) -> SkuCatalog:
-        """Drop SKUs that cannot hold the data at 100 % (never negotiable)."""
-        footprint = self._storage_footprint(trace)
-        fitted = candidates.fitting_storage(footprint)
-        if not len(fitted):
-            raise ValueError(_no_storage_fit_message(footprint))
-        return fitted
 
     @staticmethod
     def _io_demand(trace: PerformanceTrace) -> tuple[float, float]:

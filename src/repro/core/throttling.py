@@ -39,6 +39,7 @@ __all__ = [
     "DEFAULT_KERNEL_MEMORY_CAP_MB",
     "KERNEL_KINDS",
     "LATENCY_FLOOR",
+    "apply_iops_overrides",
     "batch_violation_counts",
     "capacity_matrix",
     "capacity_vector",
@@ -358,21 +359,58 @@ def capacity_matrix(
     every estimator (batch, incremental, columnar), so the violation
     predicate agrees bit-for-bit across paths.  ``iops_overrides``
     replaces the IOPS capacity per SKU name -- the MI file-layout
-    limit of paper Section 3.2 Step 2.
+    limit of paper Section 3.2 Step 2 (:func:`apply_iops_overrides`).
     """
-    rows = []
-    for sku in skus:
-        limits = sku.limits
-        if iops_overrides and sku.name in iops_overrides:
-            limits = limits.with_iops(iops_overrides[sku.name])
-        rows.append(capacity_vector(limits, dimensions))
-    return np.asarray(rows, dtype=float)
+    caps = np.asarray([capacity_vector(sku.limits, dimensions) for sku in skus], dtype=float)
+    return apply_iops_overrides(caps, skus, dimensions, iops_overrides)
+
+
+def apply_iops_overrides(
+    caps: np.ndarray,
+    skus: Sequence[SkuSpec],
+    dimensions: tuple[PerfDimension, ...],
+    iops_overrides: dict[str, float] | None,
+) -> np.ndarray:
+    """``caps`` with per-SKU-name IOPS capacities written into a copy.
+
+    ``caps`` is a :func:`capacity_matrix` of ``skus`` over
+    ``dimensions`` and is never modified (memoized matrices are shared
+    read-only); without overrides, or without an IOPS column, it is
+    returned as is.
+    """
+    if not iops_overrides or PerfDimension.IOPS not in dimensions:
+        return caps
+    caps = caps.copy()
+    column = dimensions.index(PerfDimension.IOPS)
+    for row, sku in enumerate(skus):
+        if sku.name in iops_overrides:
+            caps[row, column] = iops_overrides[sku.name]
+    return caps
 
 
 class ThrottlingEstimator(abc.ABC):
-    """Estimates ``P_n(SKU_i)`` from a trace for a batch of SKUs."""
+    """Estimates ``P_n(SKU_i)`` from a trace for a batch of SKUs.
+
+    Subclasses implement :meth:`probabilities_from_caps`, the estimate
+    against an already-built capacity matrix: curve builders pass the
+    deployment's memoized capacities
+    (:meth:`~repro.core.ppm.PricePerformanceModeler.capacity_matrix_for`)
+    so no estimate rebuilds them from the catalog.
+    """
 
     @abc.abstractmethod
+    def probabilities_from_caps(
+        self, demands: np.ndarray, caps: np.ndarray
+    ) -> np.ndarray:
+        """Throttling probability per capacity row, each in ``[0, 1]``.
+
+        Args:
+            demands: ``(n_samples, n_dims)`` demand matrix
+                (:func:`demand_matrix`).
+            caps: ``(n_skus, n_dims)`` capacity matrix whose columns
+                align with ``demands``.
+        """
+
     def probabilities(
         self,
         trace: PerformanceTrace,
@@ -390,6 +428,12 @@ class ThrottlingEstimator(abc.ABC):
                 IOPS capacity -- the MI file-layout limit of paper
                 Section 3.2 Step 2.
         """
+        if not skus:
+            return np.zeros(0)
+        return self.probabilities_from_caps(
+            demand_matrix(trace, dimensions),
+            capacity_matrix(list(skus), tuple(dimensions), iops_overrides),
+        )
 
     def probability(
         self,
@@ -432,14 +476,6 @@ class ThrottlingEstimator(abc.ABC):
             ]
         )
 
-    @staticmethod
-    def _capacity_matrix(
-        skus: list[SkuSpec],
-        dimensions: tuple[PerfDimension, ...],
-        iops_overrides: dict[str, float] | None,
-    ) -> np.ndarray:
-        return capacity_matrix(skus, dimensions, iops_overrides)
-
 
 @dataclass(frozen=True)
 class EmpiricalThrottlingEstimator(ThrottlingEstimator):
@@ -462,13 +498,6 @@ class EmpiricalThrottlingEstimator(ThrottlingEstimator):
 
     memory_cap_mb: float = DEFAULT_KERNEL_MEMORY_CAP_MB
 
-    def probabilities(self, trace, skus, dimensions, iops_overrides=None):
-        if not skus:
-            return np.zeros(0)
-        demands = demand_matrix(trace, dimensions)
-        caps = self._capacity_matrix(skus, dimensions, iops_overrides)
-        return self.probabilities_from_caps(demands, caps)
-
     def probabilities_from_caps(
         self, demands: np.ndarray, caps: np.ndarray
     ) -> np.ndarray:
@@ -479,7 +508,7 @@ class EmpiricalThrottlingEstimator(ThrottlingEstimator):
     def probabilities_batch(self, traces, skus, dimensions, iops_overrides=None):
         if not traces:
             return np.zeros((0, len(skus)))
-        caps = self._capacity_matrix(list(skus), tuple(dimensions), iops_overrides)
+        caps = capacity_matrix(list(skus), tuple(dimensions), iops_overrides)
         return self.probabilities_batch_from_caps(
             [demand_matrix(trace, dimensions) for trace in traces], caps
         )
@@ -518,14 +547,10 @@ class CopulaThrottlingEstimator(ThrottlingEstimator):
     n_draws: int = 4096
     seed: int = 0
 
-    def probabilities(self, trace, skus, dimensions, iops_overrides=None):
+    def probabilities_from_caps(self, demands, caps):
         from ..ml.copula import GaussianCopulaModel
 
-        if not skus:
-            return np.zeros(0)
-        demands = demand_matrix(trace, dimensions)
         model = GaussianCopulaModel.fit(demands)
-        caps = self._capacity_matrix(skus, dimensions, iops_overrides)
         return np.array(
             [
                 model.exceedance_probability(row, n_draws=self.n_draws, rng=self.seed)
@@ -549,10 +574,6 @@ class KdeThrottlingEstimator(ThrottlingEstimator):
 
     bandwidth_scale: float = 1.0
 
-    def probabilities(self, trace, skus, dimensions, iops_overrides=None):
-        if not skus:
-            return np.zeros(0)
-        demands = demand_matrix(trace, dimensions)
+    def probabilities_from_caps(self, demands, caps):
         kde = GaussianKde.fit(demands, bandwidth_scale=self.bandwidth_scale)
-        caps = self._capacity_matrix(skus, dimensions, iops_overrides)
         return np.array([kde.exceedance_probability(row) for row in caps])

@@ -251,7 +251,7 @@ class AssessmentPipeline:
         ingests one counter sample at a time and re-assesses only on
         drift.  Extra keyword arguments pass through to
         :class:`~repro.streaming.live.LiveRecommender` (drift
-        threshold, warm-up length, shared curve cache, dimensions).
+        threshold, warm-up length, dimensions, profile mode).
         """
         return LiveRecommender(
             self.engine,

@@ -25,7 +25,6 @@ from .cache import (
     CurveCache,
     CurveCacheStats,
     catalog_signature,
-    combine_cache_stats,
     trace_fingerprint,
 )
 from .config import CheckpointConfig, SupervisionConfig, WatchConfig
@@ -64,7 +63,6 @@ __all__ = [
     "ThreadBackend",
     "ProcessBackend",
     "make_backend",
-    "combine_cache_stats",
     "ShardRing",
     "RebalancePolicy",
     "LoadImbalancePolicy",

@@ -39,11 +39,10 @@ worker busy seconds) and per-customer sample counts, and a pluggable
 :class:`~repro.fleet.rebalance.RebalancePolicy` may order customer
 migrations, hot-customer pins or a pool resize at tick boundaries.
 Execution follows one protocol on every backend: drain all in-flight
-ticks, ``snapshot_state`` each moving customer on its source shard
-(releasing its watch-scoped curve-cache entries there), re-route on
-the ring, ``restore_state`` on the target shard.  The serial and
-thread backends move state as in-process bookkeeping; the process
-backend does the real handoff over its worker queues.  Because a
+ticks, ``snapshot_state`` each moving customer on its source shard,
+re-route on the ring, ``restore_state`` on the target shard.  The
+serial and thread backends move state as in-process bookkeeping; the
+process backend does the real handoff over its worker queues.  Because a
 customer's samples are never in flight while its state moves and the
 reorder buffer works on global sequence numbers, the merged update
 stream stays byte-identical to the serial backend's across any
@@ -83,6 +82,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Literal
 
 from ..catalog.models import DeploymentType
 from ..store.persistence import CustomerStateRecord
+from ..streaming.live import LiveRecommender
 from .arena import (
     ChunkPublisher,
     ResultFrame,
@@ -330,7 +330,6 @@ class ShardAssessmentConfig:
     min_refresh_samples: int
     refreshes_only: bool
     profile_mode: str
-    cache_size: int
     #: Resolved data-plane choice (see ``WatchConfig.zero_copy``):
     #: True routes tick microbatches, result columns and state
     #: handoffs through the shared-memory tick plane.  Only the
@@ -338,11 +337,8 @@ class ShardAssessmentConfig:
     zero_copy: bool = False
 
     def __post_init__(self) -> None:
-        # Imported lazily for the same cycle reason as _WatchShard;
         # LiveRecommender.validate_config is the single source of
         # truth for these constraints and their messages.
-        from ..streaming.live import LiveRecommender
-
         LiveRecommender.validate_config(
             self.window,
             self.min_refresh_samples,
@@ -351,44 +347,49 @@ class ShardAssessmentConfig:
         )
 
 
+class _NoCurveCache:
+    """All-zero counters for readers of a watch shard's ``cache.stats()``.
+
+    Live refreshes build their curves from the incremental window
+    counts, so shards memoize no curves.  The attribute stays readable
+    for one release -- the perfbench serve workload reads it -- and
+    reports what :meth:`FleetEngine.watch_cache_stats
+    <repro.fleet.engine.FleetEngine.watch_cache_stats>` does.
+    """
+
+    def stats(self) -> CurveCacheStats:
+        return CurveCacheStats(hits=0, misses=0, evictions=0, size=0)
+
+
 class _WatchShard:
     """One worker's share of a fleet watch: live state plus quarantine.
 
     Owns every :class:`~repro.streaming.live.LiveRecommender` routed to
-    it, the shard's watch-scoped curve cache, and the per-customer
-    quarantine set.  Processes its samples strictly in feed order, so
-    per-customer update sequences -- including the
-    quarantine-after-failure containment contract -- are identical to
-    the serial loop's regardless of how many shards a watch runs.
+    it and the per-customer quarantine set.  Processes its samples
+    strictly in feed order, so per-customer update sequences --
+    including the quarantine-after-failure containment contract -- are
+    identical to the serial loop's regardless of how many shards a
+    watch runs.
 
     Implements the :class:`~repro.store.StatePersistence` protocol
     (shared with the serving tier's observe shards):
     :meth:`snapshot_records` freezes customer state non-destructively
     for checkpoints, :meth:`restore_records` adopts records with epoch
     validation.  Migration composes the same surface: :meth:`extract`
-    is a destructive snapshot that also releases the departing
-    customers' watch-scoped curve-cache entries (tracked per customer
-    in ``customer_keys``), and :meth:`install` aliases
-    ``restore_records`` on the target shard, where the next refresh
-    rebuilds and re-counts the curves.
+    is a destructive snapshot, and :meth:`install` aliases
+    ``restore_records`` on the target shard.
     """
 
-    def __init__(self, config: ShardAssessmentConfig) -> None:
-        # Imported here, not at module top: live assessment builds on
-        # the fleet curve cache, keeping the import one-directional.
-        from ..streaming.live import LiveRecommender
-        from .cache import CurveCache
+    cache = _NoCurveCache()
 
-        self._live_cls = LiveRecommender
+    def __init__(self, config: ShardAssessmentConfig) -> None:
         self.config = config
-        self.cache = CurveCache(config.cache_size)
         self.recommenders: dict[str, object] = {}
         self.quarantined: set[str] = set()
-        self.customer_keys: dict[str, set] = {}
 
     def _new_live(self, customer_id: str, deployment, dimensions=None):
         config = self.config
-        return self._live_cls(
+        return LiveRecommender(
             config.engine,
             deployment,
             window=config.window,
@@ -396,7 +397,6 @@ class _WatchShard:
             dimensions=dimensions,
             drift_threshold=config.drift_threshold,
             min_refresh_samples=config.min_refresh_samples,
-            cache=self.cache,
             entity_id=customer_id,
             profile_mode=config.profile_mode,
         )
@@ -430,7 +430,6 @@ class _WatchShard:
             except Exception as exc:  # noqa: BLE001 - one bad feed must not kill the fleet
                 self.quarantined.add(sample.customer_id)
                 self.recommenders.pop(sample.customer_id, None)
-                self.cache.evict_many(self.customer_keys.pop(sample.customer_id, ()))
                 emissions.append(
                     (
                         seq,
@@ -442,10 +441,6 @@ class _WatchShard:
                     )
                 )
                 continue
-            if update.refreshed and live.last_curve_key is not None:
-                self.customer_keys.setdefault(sample.customer_id, set()).add(
-                    live.last_curve_key
-                )
             if update.refreshed or not config.refreshes_only:
                 emissions.append(
                     (seq, FleetLiveUpdate(customer_id=sample.customer_id, update=update))
@@ -479,19 +474,13 @@ class _WatchShard:
     def extract(self, customer_ids: "Iterable[str]") -> list[CustomerStateRecord]:
         """Freeze and remove departing customers' state for handoff.
 
-        Curve-cache entries the customers built here are released
-        (:meth:`~repro.fleet.cache.CurveCache.evict_many`), so a
-        migrated or evicted customer's footprint leaves with it; the
-        adopting side rebuilds and counts its curves on the next
-        refresh.  Customers this shard has never seen produce no
-        record.
+        Customers this shard has never seen produce no record.
         """
         records: list[CustomerStateRecord] = []
         for customer_id in customer_ids:
             quarantined = customer_id in self.quarantined
             self.quarantined.discard(customer_id)
             live = self.recommenders.pop(customer_id, None)
-            self.cache.evict_many(self.customer_keys.pop(customer_id, ()))
             if live is not None:
                 records.append(CustomerStateRecord(customer_id, live.snapshot_state()))
             elif quarantined:
@@ -1032,7 +1021,6 @@ class _WatchPool(ABC):
         self.config = config
         self.supervisor: "_WatchSupervisor | None" = None
         self.n_forced_stops = 0
-        self._retired_stats: list[CurveCacheStats] = []
         self._pending: deque[_PendingTick] = deque()
 
     @property
@@ -1152,7 +1140,7 @@ class _WatchPool(ABC):
 
     @abstractmethod
     def retire_shard(self, shard_id: int) -> None:
-        """Take an emptied shard offline, keeping its cache counters."""
+        """Take an emptied shard offline."""
 
     @abstractmethod
     def replace_shard(self, shard_id: int) -> None:
@@ -1173,17 +1161,13 @@ class _WatchPool(ABC):
         """
 
     def finish(self) -> None:
-        """Graceful end-of-feed handshake (collect remaining stats)."""
+        """Graceful end-of-feed handshake (workers acknowledge the stop)."""
 
     def abort(self) -> None:
         """Hard teardown after an abandoned or failed stream."""
 
-    @abstractmethod
-    def stats(self) -> tuple[CurveCacheStats, ...]:
-        """Per-shard watch-scoped cache counters (retired shards first)."""
-
     def close(self) -> None:
-        """Release pool resources; called exactly once, after stats."""
+        """Release pool resources; called exactly once, at watch end."""
 
 
 class _InlinePool(_WatchPool):
@@ -1260,22 +1244,15 @@ class _InlinePool(_WatchPool):
         self._shards[shard_id] = _WatchShard(self.config)
 
     def retire_shard(self, shard_id: int) -> None:
-        self._retired_stats.append(self._shards.pop(shard_id).cache.stats())
+        del self._shards[shard_id]
 
     def replace_shard(self, shard_id: int) -> None:
-        # The failed incarnation's cache counters die with it, exactly
-        # as a dead process worker's would.
         self._shards[shard_id] = _WatchShard(self.config)
 
     def replay_tick(
         self, shard_id: int, tick_id: int, batch: list
     ) -> tuple[list, float]:
         return self._shards[shard_id].process(batch)
-
-    def stats(self) -> tuple[CurveCacheStats, ...]:
-        return tuple(self._retired_stats) + tuple(
-            self._shards[shard_id].cache.stats() for shard_id in sorted(self._shards)
-        )
 
 
 class _ThreadShardPool(_WatchPool):
@@ -1392,7 +1369,7 @@ class _ThreadShardPool(_WatchPool):
     def retire_shard(self, shard_id: int) -> None:
         self._executors.pop(shard_id).shutdown(wait=True)
         self._release_events.pop(shard_id).set()
-        self._retired_stats.append(self._shards.pop(shard_id).cache.stats())
+        del self._shards[shard_id]
 
     def replace_shard(self, shard_id: int) -> None:
         # Wake any parked injected-fault task so the abandoned thread
@@ -1410,11 +1387,6 @@ class _ThreadShardPool(_WatchPool):
             self._shards[shard_id].process, batch
         )
         return future.result()
-
-    def stats(self) -> tuple[CurveCacheStats, ...]:
-        return tuple(self._retired_stats) + tuple(
-            self._shards[shard_id].cache.stats() for shard_id in sorted(self._shards)
-        )
 
     def close(self) -> None:
         for released in self._release_events.values():
@@ -1463,7 +1435,7 @@ _BATCH_WORKER_FNS = {
     "recommend": _recommend_chunk_in_worker,
 }
 
-#: Stop sentinel for streaming workers (triggers the stats handshake).
+#: Stop sentinel for streaming workers (acknowledged with ``stopped``).
 _STOP = None
 
 
@@ -1488,8 +1460,8 @@ def _watch_worker_main(
       :class:`~repro.fleet.arena.ResultFrame`, ``("extracted",
       worker_id, request_id, records_or_frame)``, ``("installed",
       worker_id, request_id)``, ``("snapshotted", worker_id,
-      request_id, records_or_frame)``, ``("stats", worker_id,
-      cache_stats)`` on graceful stop, or ``("error", worker_id,
+      request_id, records_or_frame)``, ``("stopped", worker_id)`` on
+      graceful stop, or ``("error", worker_id,
       details)`` on any failure the shard's per-customer containment
       did not absorb.
 
@@ -1517,7 +1489,7 @@ def _watch_worker_main(
         while True:
             message = in_queue.get()
             if message is _STOP:
-                out_queue.put(("stats", worker_id, shard.cache.stats()))
+                out_queue.put(("stopped", worker_id))
                 return
             kind = message[0]
             if kind == "tick":
@@ -1582,7 +1554,7 @@ class _ProcessShardPool(_WatchPool):
     reorders them into feed order.  Migration records (picklable
     ``LiveAssessmentState`` snapshots) travel the same queues via the
     extract/install handshakes; pool growth spawns a fresh worker and
-    shrink runs the stop/stats handshake on the retiring one.
+    shrink runs the stop handshake on the retiring one.
     """
 
     volatile = True
@@ -1594,7 +1566,6 @@ class _ProcessShardPool(_WatchPool):
         self._workers: dict[int, object] = {}
         self._in_queues: dict[int, object] = {}
         self._closed_queues: list = []
-        self._final_stats: list[CurveCacheStats] = []
         self._request_id = 0
         # The zero-copy streaming plane: parent-owned double-buffered
         # ring slots per shard, reused across every tick of the watch.
@@ -1842,13 +1813,12 @@ class _ProcessShardPool(_WatchPool):
             message = self._receive({shard_id})
             if message[0] == "error":
                 raise _WorkerFailure([message[1]], "error", message[2])
-            if message[0] == "stats" and message[1] == shard_id:
+            if message[0] == "stopped" and message[1] == shard_id:
                 break
             raise RuntimeError(
                 f"fleet watch worker {message[1]} sent unexpected "
                 f"{message[0]!r} during retirement"
             )
-        self._retired_stats.append(message[2])
         self._reap(self._workers.pop(shard_id))
         queue = self._in_queues.pop(shard_id)
         self._closed_queues.append(queue)
@@ -1913,26 +1883,18 @@ class _ProcessShardPool(_WatchPool):
         for shard_id in sorted(self._workers):
             self._in_queues[shard_id].put(_STOP)
         owing = set(self._workers)
-        collected: dict[int, CurveCacheStats] = {}
         while owing:
             message = self._receive(owing)
             if message[0] == "error":
                 raise _WorkerFailure([message[1]], "error", message[2])
-            if message[0] == "stats":
+            if message[0] == "stopped":
                 owing.discard(message[1])
-                collected[message[1]] = message[2]
-        self._final_stats = [collected[shard_id] for shard_id in sorted(collected)]
 
     def abort(self) -> None:
         # Abandoned or failed stream: tear the pool down hard; shard
         # state is not recoverable anyway.
         for worker in self._workers.values():
             worker.terminate()
-
-    def stats(self) -> tuple[CurveCacheStats, ...]:
-        # Shards torn down after an abandoned watch never report and
-        # are absent, matching the documented watch_stats contract.
-        return tuple(self._retired_stats) + tuple(self._final_stats)
 
     def close(self) -> None:
         for worker in self._workers.values():
@@ -2315,7 +2277,6 @@ class ExecutionBackend(ABC):
         if max_workers is not None and max_workers <= 0:
             raise ValueError(f"max_workers must be positive, got {max_workers!r}")
         self.max_workers = max_workers
-        self._watch_stats: tuple[CurveCacheStats, ...] = ()
         self._rebalance_stats: WatchRebalanceStats | None = None
         self._supervision_stats: WatchSupervisionStats | None = None
 
@@ -2597,19 +2558,9 @@ class ExecutionBackend(ABC):
         finally:
             if not completed:
                 pool.abort()
-            self._watch_stats = pool.stats()
             self._rebalance_stats = coordinator.stats()
             self._supervision_stats = supervisor.stats(pool)
             pool.close()
-
-    def watch_stats(self) -> tuple[CurveCacheStats, ...]:
-        """Per-shard watch-scoped curve-cache counters of the last watch.
-
-        Populated when the watch generator finishes (exhausted, closed,
-        or failed); retired shards report at retirement, and shards
-        torn down after an abandoned process watch are absent.
-        """
-        return self._watch_stats
 
     def watch_rebalance_stats(self) -> WatchRebalanceStats | None:
         """Rebalancing account of the last watch (None before any watch)."""

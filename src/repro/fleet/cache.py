@@ -26,7 +26,6 @@ __all__ = [
     "CurveCache",
     "CurveCacheStats",
     "catalog_signature",
-    "combine_cache_stats",
     "curve_cache_key",
     "trace_fingerprint",
 ]
@@ -95,9 +94,9 @@ def curve_cache_key(
     """The canonical cache key for one curve construction.
 
     Every consumer of a shared :class:`CurveCache` (the fleet runner's
-    batch passes, live recommenders watching the same fleet) must
-    build keys through this single function, or identical curves
-    silently stop pooling between them.
+    per-customer and columnar batch paths) must build keys through
+    this single function, or identical curves silently stop pooling
+    between them.
     """
     return (
         trace_fingerprint(trace),
@@ -121,9 +120,6 @@ class CurveCacheStats:
             ``misses - duplicate_builds`` is the number of genuinely
             distinct curve constructions, so fleet hit-rate reports
             stay truthful under concurrency.
-        released: Entries dropped deliberately via :meth:`~CurveCache.evict_many`
-            -- a migrated or quarantined customer's curves leaving
-            with it -- as opposed to capacity ``evictions``.
     """
 
     hits: int
@@ -131,7 +127,6 @@ class CurveCacheStats:
     evictions: int
     size: int
     duplicate_builds: int = 0
-    released: int = 0
 
     @property
     def hit_rate(self) -> float:
@@ -142,30 +137,6 @@ class CurveCacheStats:
     def unique_misses(self) -> int:
         """Misses that built a key no other thread was building."""
         return self.misses - self.duplicate_builds
-
-
-def combine_cache_stats(stats: Iterable[CurveCacheStats]) -> CurveCacheStats:
-    """Fold per-shard cache counters into one fleet-wide view.
-
-    Sharded streaming passes keep one watch-scoped cache per worker
-    (curves never cross process boundaries), so watch-level accounting
-    is the component-wise sum.  Curve keys embed the entity id, so
-    distinct customers never share entries and the summed hit/miss
-    counters equal what one shared cache would have counted; only
-    ``evictions`` can differ (per-shard caches have more total
-    capacity than one shared cache of the same size).
-    """
-    totals = CurveCacheStats(hits=0, misses=0, evictions=0, size=0)
-    for entry in stats:
-        totals = CurveCacheStats(
-            hits=totals.hits + entry.hits,
-            misses=totals.misses + entry.misses,
-            evictions=totals.evictions + entry.evictions,
-            size=totals.size + entry.size,
-            duplicate_builds=totals.duplicate_builds + entry.duplicate_builds,
-            released=totals.released + entry.released,
-        )
-    return totals
 
 
 class CurveCache:
@@ -186,7 +157,6 @@ class CurveCache:
         self._misses = 0
         self._evictions = 0
         self._duplicate_builds = 0
-        self._released = 0
         self._building: dict[Hashable, int] = {}
 
     def get_or_build(
@@ -315,27 +285,6 @@ class CurveCache:
             for key in keys:
                 self._release_building(key)
 
-    def evict_many(self, keys: Iterable[Hashable]) -> int:
-        """Deliberately drop entries; the migration-release primitive.
-
-        When a customer's live state leaves a shard (rebalance
-        migration, quarantine), its watch-scoped curves must leave the
-        source cache with it -- the target shard rebuilds and counts
-        them on the customer's next refresh.  Absent keys are ignored
-        (the customer may never have refreshed here).
-
-        Returns:
-            Entries actually dropped; also accumulated in
-            :attr:`CurveCacheStats.released`.
-        """
-        with self._lock:
-            released = 0
-            for key in keys:
-                if self._entries.pop(key, None) is not None:
-                    released += 1
-            self._released += released
-        return released
-
     def clear(self) -> None:
         with self._lock:
             self._entries.clear()
@@ -348,7 +297,6 @@ class CurveCache:
                 evictions=self._evictions,
                 size=len(self._entries),
                 duplicate_builds=self._duplicate_builds,
-                released=self._released,
             )
 
     def __len__(self) -> int:
@@ -361,12 +309,12 @@ class CurveCache:
     def __getstate__(self) -> dict:
         """Picklable view: entries and counters, never the lock.
 
-        Lets cache-holding objects (a :class:`LiveRecommender`, a
-        saved assessment) pickle wholesale for explicit handoff; the
-        sharded fleet watch itself never ships caches -- each worker
-        builds its own.  A clone starts with the source's entries and
-        counters but no in-flight build markers: builds running in the
-        source process's threads mean nothing to the clone.
+        Lets cache-holding objects pickle wholesale for explicit
+        handoff; process-pool workers never receive the parent's
+        cache -- each builds its own.  A clone starts with the
+        source's entries and counters but no in-flight build markers:
+        builds running in the source process's threads mean nothing to
+        the clone.
         """
         with self._lock:
             state = self.__dict__.copy()

@@ -20,6 +20,7 @@ property the scale benchmarks assert.
 
 from __future__ import annotations
 
+import warnings
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
@@ -30,6 +31,8 @@ from ..core.matching import GroupObservation, GroupScoreModel
 from ..core.profiler import GroupKey
 from ..core.throttling import KERNEL_KINDS, numba_available, use_kernel
 from ..core.types import CloudCustomerRecord, DopplerRecommendation
+from ..streaming.drift import DEFAULT_DRIFT_THRESHOLD
+from ..streaming.live import DEFAULT_MIN_REFRESH_SAMPLES
 from ..telemetry.counters import PerfDimension
 from ..telemetry.trace import PerformanceTrace
 from .backends import (
@@ -45,7 +48,6 @@ from .cache import (
     CurveCache,
     CurveCacheStats,
     catalog_signature,
-    combine_cache_stats,
     curve_cache_key,
 )
 from .config import WatchConfig
@@ -541,7 +543,6 @@ class FleetEngine:
                 "install the repro[numba] extra or use kernel='auto'"
             )
         self._runner = _FleetRunner(self.engine, CurveCache(self.cache_size), self.columnar)
-        self._last_watch_stats: tuple[CurveCacheStats, ...] | None = None
         self._last_rebalance_stats: WatchRebalanceStats | None = None
         self._last_supervision_stats: WatchSupervisionStats | None = None
 
@@ -683,13 +684,9 @@ class FleetEngine:
         to the serial backend's across any migration schedule.
         :meth:`watch_rebalance_stats` accounts for what happened.
 
-        Live assessments share one watch-scoped memoized curve cache
-        per shard -- drifted windows fingerprint freshly, so live
-        entries rarely re-hit, and keeping them out of the batch
-        pass's cache stops a fleet-wide feed from evicting genuinely
-        reusable batch curves.  After the watch finishes,
-        :meth:`watch_cache_stats` exposes the shard-aggregated
-        counters.
+        Live assessments build their refresh curves from their
+        incremental window counts, so a watch neither reads nor fills
+        the batch pass's curve cache.
 
         Per-customer failures follow the fleet containment contract:
         a customer whose assessment raises (e.g. no SKU holds their
@@ -777,11 +774,6 @@ class FleetEngine:
         caller has already folded the backend-dependent auto default;
         None (serving tier, tests) means the pickle plane.
         """
-        # Imported here, not at module top: streaming builds on the
-        # fleet curve cache, so a top-level import would be circular.
-        from ..streaming.drift import DEFAULT_DRIFT_THRESHOLD
-        from ..streaming.live import DEFAULT_MIN_REFRESH_SAMPLES
-
         drift_threshold = config.drift_threshold
         if drift_threshold is None:
             drift_threshold = DEFAULT_DRIFT_THRESHOLD
@@ -798,7 +790,6 @@ class FleetEngine:
                 config.refreshes_only if refreshes_only is None else refreshes_only
             ),
             profile_mode=config.profile_mode,
-            cache_size=self.cache_size,
             zero_copy=bool(zero_copy),
         )
 
@@ -840,7 +831,6 @@ class FleetEngine:
                 supervision,
             )
         finally:
-            self._last_watch_stats = backend_obj.watch_stats()
             self._last_rebalance_stats = backend_obj.watch_rebalance_stats()
             self._last_supervision_stats = backend_obj.watch_supervision_stats()
 
@@ -854,17 +844,22 @@ class FleetEngine:
         return self._runner.cache.stats()
 
     def watch_cache_stats(self) -> CurveCacheStats | None:
-        """Watch-scoped curve-cache counters of the last finished watch.
+        """Deprecated: watches no longer keep a curve cache.
 
-        Aggregated over the watch's shards (every backend reports one
-        counter set per shard; curve keys embed the customer id, so
-        the sums match what the serial backend's single shared cache
-        counts).  None until a watch has finished; shards torn down
-        mid-stream (an abandoned process watch) are not included.
+        Live refreshes build their curves from the incremental window
+        counts, so there is nothing to count.  Returns all-zero
+        counters once a watch has finished and None before, as the
+        watch-scoped cache did, for one release.
         """
-        if self._last_watch_stats is None:
+        warnings.warn(
+            "FleetEngine.watch_cache_stats() is deprecated: watches no longer "
+            "keep a curve cache, so its counters are always zero",
+            DeprecationWarning,
+            stacklevel=2,
+        )
+        if self._last_rebalance_stats is None:
             return None
-        return combine_cache_stats(self._last_watch_stats)
+        return CurveCacheStats(hits=0, misses=0, evictions=0, size=0)
 
     def watch_supervision_stats(self) -> WatchSupervisionStats | None:
         """Self-healing account of the last finished watch.

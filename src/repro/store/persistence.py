@@ -107,8 +107,8 @@ class StatePersistence(Protocol):
     ``snapshot_records`` must be non-destructive and called only at
     drained tick boundaries so that snapshots never race in-flight
     assessment work; ``restore_records`` must validate epochs (a
-    restore onto fresher state raises) and re-register curve-cache
-    bookkeeping exactly as live creation would.
+    restore onto fresher state raises) and rebuild live state exactly
+    as live creation would.
     """
 
     def snapshot_records(

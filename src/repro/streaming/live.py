@@ -5,11 +5,12 @@ service loop.  Per sample it does only cheap work -- ring-buffer
 ingestion plus an O(n_skus * n_dims) incremental estimate update --
 and it re-runs the full pipeline (curve construction, profiling,
 group-matched selection) only when the incremental estimates have
-drifted from the ones the current recommendation was built on.  Curve
-construction goes through a memoized
-:class:`~repro.fleet.cache.CurveCache`, so re-assessing an unchanged
-window (an explicit refresh between samples, a replayed feed) costs a
-lookup; a drift refresh on a moved window is a genuine rebuild.
+drifted from the ones the current recommendation was built on.  A
+refresh builds its curve from those same estimates -- the estimator's
+window counts divided by the window length, bit-for-bit the batch
+statistic -- so it never re-scans the window for throttling; it only
+fits the candidates to the window's storage footprint and assembles
+the curve, against capacities memoized once per engine and deployment.
 
 The result is a recommendation stream whose freshness is bounded by
 the drift threshold while per-sample cost stays flat in the window
@@ -19,6 +20,7 @@ against rebuild-per-sample.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 from typing import Literal, Mapping
 
@@ -26,8 +28,8 @@ from ..catalog.models import DeploymentType
 from ..core.engine import DopplerEngine
 from ..core.incremental import IncrementalThrottlingEstimator
 from ..core.ppm import gp_iops_overrides
+from ..core.throttling import EmpiricalThrottlingEstimator
 from ..core.types import DopplerRecommendation
-from ..fleet.cache import CurveCache, catalog_signature, curve_cache_key
 from ..telemetry.counters import DB_DIMENSIONS, MI_DIMENSIONS, PerfDimension
 from ..telemetry.streaming import (
     DEFAULT_STREAM_WINDOW,
@@ -38,7 +40,6 @@ from ..telemetry.timeseries import DEFAULT_SAMPLE_INTERVAL_MINUTES
 from .drift import DEFAULT_DRIFT_THRESHOLD, DriftDetector, DriftReport
 
 __all__ = [
-    "DEFAULT_LIVE_CACHE_SIZE",
     "DEFAULT_MIN_REFRESH_SAMPLES",
     "LiveAssessmentState",
     "LiveRecommender",
@@ -51,11 +52,6 @@ __all__ = [
 #: hours at the DMA cadence, enough for the profiler's summary
 #: statistics to mean anything.
 DEFAULT_MIN_REFRESH_SAMPLES = 12
-
-#: Default curve-cache capacity of one live assessment.  Live windows
-#: fingerprint freshly after every drift, so only repeated windows
-#: ever hit; a small cache captures those without hoarding memory.
-DEFAULT_LIVE_CACHE_SIZE = 32
 
 
 @dataclass(frozen=True)
@@ -91,7 +87,7 @@ class LiveAssessmentState:
     The worker-handoff unit: everything one customer's assessment has
     accumulated -- window ring buffers, violation counts, the drift
     rebase point, streaming profile stats, the recommendation in
-    force -- *without* the engine or curve cache it runs against.  A
+    force -- *without* the engine it runs against.  A
     receiving worker constructs an identically configured
     :class:`LiveRecommender` around its own engine and calls
     :meth:`LiveRecommender.restore_state`; the restored loop continues
@@ -158,17 +154,15 @@ class LiveRecommender:
         deployment: Target deployment type.
         builder: The sliding-window trace ingester.
         estimator: The incremental throttling estimator driving drift
-            detection.  For MI targets each refresh folds the planned
-            file layout's GP IOPS limit into the estimator's capacity
-            matrix when the layout changed (one window replay per
-            change), so drift detection and the two-step MI procedure
-            agree on capacities between refreshes.
+            detection and, with the paper's empirical estimator, each
+            refresh's curve.  It tracks every candidate of the
+            deployment against the engine's memoized capacity matrix.
+            For MI targets each refresh folds the planned file layout's
+            GP IOPS limit into the estimator's capacities when the
+            layout changed (one window replay per change), so drift
+            detection and the two-step MI procedure agree on
+            capacities between refreshes.
         detector: The drift detector gating refreshes.
-        cache: Memoized curve store.  Drifted windows have fresh
-            fingerprints, so entries only pay off for repeated windows
-            (explicit refreshes, replayed feeds); a small private
-            cache is the default, and sharing one across live
-            assessments mainly bounds their collective footprint.
         min_refresh_samples: Warm-up length before the first
             recommendation.
         profile_mode: ``exact`` re-profiles the window snapshot on
@@ -179,6 +173,9 @@ class LiveRecommender:
             summarizers, within the quantile sketch's documented rank
             error for thresholding.  Requires a summarizer with
             ``supports_streaming``.
+
+    ``cache`` is deprecated and ignored: refreshes no longer build
+    curves by re-scanning the window, so there is nothing to memoize.
     """
 
     def __init__(
@@ -190,15 +187,23 @@ class LiveRecommender:
         dimensions: tuple[PerfDimension, ...] | None = None,
         drift_threshold: float = DEFAULT_DRIFT_THRESHOLD,
         min_refresh_samples: int = DEFAULT_MIN_REFRESH_SAMPLES,
-        cache: CurveCache | None = None,
+        cache: object = None,
         entity_id: str = "live",
         profile_mode: Literal["exact", "streaming"] = "exact",
     ) -> None:
         self.validate_config(window, min_refresh_samples, profile_mode, engine.summarizer)
-        if dimensions is None:
-            dimensions = (
-                DB_DIMENSIONS if deployment is DeploymentType.SQL_DB else MI_DIMENSIONS
+        if cache is not None:
+            warnings.warn(
+                "LiveRecommender(cache=...) is deprecated and ignored: refreshes "
+                "build curves from the incremental window counts, with nothing "
+                "to memoize",
+                DeprecationWarning,
+                stacklevel=2,
             )
+        curve_dimensions = (
+            DB_DIMENSIONS if deployment is DeploymentType.SQL_DB else MI_DIMENSIONS
+        )
+        dimensions = tuple(dimensions) if dimensions is not None else curve_dimensions
         self.engine = engine
         self.deployment = deployment
         self.min_refresh_samples = min_refresh_samples
@@ -211,18 +216,26 @@ class LiveRecommender:
         # Curve construction filters candidates per snapshot (storage
         # fit, MI tiers); the estimator tracks the full deployment
         # candidate set so drift covers every SKU a refresh could rank.
-        candidates = list(engine.catalog.for_deployment(deployment))
+        ppm = engine.ppm
+        candidates = ppm.candidates(deployment)
         self.estimator = IncrementalThrottlingEstimator(
-            candidates, dimensions, window=window
+            list(candidates),
+            dimensions,
+            window=window,
+            capacities=ppm.capacity_matrix_for(deployment, dimensions),
         )
-        self._candidates = tuple(candidates)
+        self._candidates = candidates
         self._sku_names = tuple(sku.name for sku in candidates)
+        # The window counts are the curve's statistic only when the
+        # engine estimates empirically over the same dimensions; any
+        # other estimator, or a tracked dimension the curve leaves
+        # out, makes a refresh re-scan the window through build_curve.
+        self._curve_from_counts = isinstance(
+            ppm.estimator, EmpiricalThrottlingEstimator
+        ) and set(dimensions) <= set(curve_dimensions)
         self.detector = DriftDetector(threshold=drift_threshold)
-        self.cache = cache if cache is not None else CurveCache(DEFAULT_LIVE_CACHE_SIZE)
-        self._catalog_signature = catalog_signature(engine.catalog)
         self._recommendation: DopplerRecommendation | None = None
         self._n_refreshes = 0
-        self._last_curve_key: tuple | None = None
         self._state_epoch = 0
         self.profile_mode = profile_mode
         self._profile_columns: tuple[tuple[int, StreamingSeriesStats], ...] = ()
@@ -315,32 +328,35 @@ class LiveRecommender:
     def refresh(self) -> DopplerRecommendation:
         """Run the full assessment on the current window, now.
 
-        Rebases drift detection on the estimates the new curve was
-        built from, so subsequent drift means "the world moved since
-        this recommendation".  For MI targets the refresh also folds
-        the planned file layout's GP IOPS limit into the incremental
-        estimator whenever the layout changed (MI streaming parity:
-        drift detection sees the same capacity matrix the curve was
-        built with, at the cost of one window replay per layout
-        change).
+        The curve comes from the incremental estimates -- the same
+        ``counts / n_window`` statistic a batch build computes, so the
+        curve equals ``engine.ppm.build_curve(builder.snapshot(),
+        deployment)`` point for point without re-scanning the window
+        (which only happens for a non-empirical engine estimator or a
+        tracked dimension outside the deployment's curve dimensions).
+        Rebases drift detection on those estimates, so subsequent
+        drift means "the world moved since this recommendation".  For
+        MI targets the refresh first folds the planned file layout's
+        GP IOPS limit into the incremental estimator whenever the
+        layout changed (MI streaming parity: drift detection and the
+        curve see the same capacities, at the cost of one window
+        replay per layout change).
         """
         trace = self.builder.snapshot()
+        ppm = self.engine.ppm
         mi_plan = None
         if self.deployment is DeploymentType.SQL_MI:
             # Plan Step-1 storage once per refresh: the override sync
             # and the curve build below share the same plan.
-            mi_plan = self.engine.ppm.plan_mi_storage(trace)
+            mi_plan = ppm.plan_mi_storage(trace)
             self._sync_mi_overrides(trace, mi_plan)
-        key = curve_cache_key(
-            trace, self.deployment.value, None, self._catalog_signature
-        )
-        curve = self.cache.get_or_build(
-            key,
-            lambda: self.engine.ppm.build_curve(
-                trace, self.deployment, mi_plan=mi_plan
-            ),
-        )
-        self._last_curve_key = key
+        probabilities = self.estimator.probabilities()
+        if self._curve_from_counts:
+            curve = ppm.build_curve_from_probabilities(
+                trace, self.deployment, probabilities, mi_plan=mi_plan
+            )
+        else:
+            curve = ppm.build_curve(trace, self.deployment, mi_plan=mi_plan)
         profile = None
         if self.profile_mode == "streaming":
             profile = self.engine.profiler_for(self.deployment).profile_streaming(
@@ -349,9 +365,7 @@ class LiveRecommender:
         self._recommendation = self.engine.recommend(
             trace, self.deployment, curve=curve, profile=profile
         )
-        self.detector.rebase_vector(
-            self._sku_names, self.estimator.probabilities()
-        )
+        self.detector.rebase_vector(self._sku_names, probabilities)
         self._n_refreshes += 1
         return self._recommendation
 
@@ -368,9 +382,8 @@ class LiveRecommender:
         """Freeze the assessment's mutable state for handoff.
 
         Everything the loop has accumulated, deep-copied and
-        picklable, *without* the engine or curve cache (workers bring
-        their own).  The whole recommender object also pickles
-        directly -- the curve cache drops only its lock -- but that
+        picklable, *without* the engine (workers bring their own).
+        The whole recommender object also pickles directly, but that
         ships a private copy of the engine with every customer;
         snapshot/restore is the cheap per-customer handoff.
         """
@@ -396,8 +409,8 @@ class LiveRecommender:
 
         The receiving recommender must be constructed with the same
         deployment, window, dimensions and profile mode as the source
-        (the snapshot carries them for verification); engine and curve
-        cache are this instance's own.
+        (the snapshot carries them for verification); the engine is
+        this instance's own.
 
         Restores are additionally *epoch-guarded* for migration
         safety: each restore leaves this recommender one epoch past
@@ -449,7 +462,6 @@ class LiveRecommender:
         self._recommendation = state.recommendation
         self._n_refreshes = state.n_refreshes
         self._state_epoch = state.epoch + 1
-        self._last_curve_key = None  # curves stayed with the source's cache
 
     # ------------------------------------------------------------------
     # Introspection
@@ -463,18 +475,6 @@ class LiveRecommender:
     def n_refreshes(self) -> int:
         """Full re-assessments performed so far."""
         return self._n_refreshes
-
-    @property
-    def last_curve_key(self) -> tuple | None:
-        """Cache key of the most recent refresh's curve, if any.
-
-        What shard-scoped cache accounting hangs on: the fleet watch
-        records each refreshed key against its customer so a migration
-        can release exactly that customer's entries on the source
-        shard.  Reset on restore -- entries never migrate; the target
-        rebuilds them.
-        """
-        return self._last_curve_key
 
     @property
     def state_epoch(self) -> int:

@@ -216,22 +216,6 @@ class TestWatchParity:
         )
         assert one == serial
 
-    @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
-    def test_watch_cache_accounting_survives_sharding(self, backend, small_catalog):
-        fleet = FleetEngine(engine=DopplerEngine(catalog=small_catalog), backend="serial")
-        feed = interleaved_feed(6, 16, seed=64)
-        assert fleet.watch_cache_stats() is None  # no watch yet
-        updates = list(
-            fleet.watch_fleet(feed, config=WATCH_CONFIG.replace(backend=backend, max_workers=3))
-        )
-        stats = fleet.watch_cache_stats()
-        # Every refresh built (or looked up) a curve in a watch-scoped
-        # cache; aggregated counters must cover all of them.
-        assert stats is not None
-        assert stats.hits + stats.misses == len(updates)
-        # The batch cache stays untouched by watches.
-        assert fleet.cache_stats().misses == 0
-
     def test_abandoned_process_watch_tears_down(self, small_catalog):
         fleet = FleetEngine(engine=DopplerEngine(catalog=small_catalog), backend="serial")
         feed = interleaved_feed(4, 16, seed=65)

@@ -230,6 +230,7 @@ class TestMigrationParity:
         stats = fleet.watch_rebalance_stats()
         assert stats.final_n_shards == 2
         assert stats.n_resizes == 2
+        assert stats.n_migrations > 0
 
     @pytest.mark.parametrize("backend,workers", BACKENDS)
     def test_streaming_profile_mode_survives_migration(
@@ -343,45 +344,6 @@ class TestWatchAccounting:
         assert stats.events == ()
         assert stats.final_n_shards == 3
         assert sum(count for _, count in stats.samples_by_shard) == len(feed)
-
-    @pytest.mark.parametrize("backend,workers", BACKENDS)
-    def test_cache_entries_release_on_source_and_rebuild_on_target(
-        self, backend, workers, small_catalog
-    ):
-        """Migrated customers' curves leave the source shard's cache.
-
-        The watch-scoped accounting contract: entries release on the
-        source (counted in ``released``), every emission still pairs
-        with exactly one lookup, and the aggregate keeps covering the
-        whole stream after any schedule.
-        """
-        fleet = FleetEngine(engine=DopplerEngine(catalog=small_catalog), backend="serial")
-        feed = interleaved_feed(6, 24, seed=94)
-        # Move everyone somewhere late in the feed, after refreshes
-        # populated the source caches.
-        schedule = {
-            6: RebalanceDecision(resize_to=max(2, workers or 2)),
-            8: RebalanceDecision(
-                migrations=tuple(
-                    Migration(f"cust-{index}", index % 2) for index in range(6)
-                )
-            ),
-        }
-        updates = list(
-            fleet.watch_fleet(
-                feed,
-                config=WATCH_CONFIG.replace(
-                    backend=backend,
-                    max_workers=workers,
-                    rebalance=ScheduledRebalancePolicy(schedule=schedule),
-                    tick_samples=4,
-                ),
-            )
-        )
-        stats = fleet.watch_cache_stats()
-        assert stats.released > 0
-        assert stats.hits + stats.misses == len(updates)
-        assert fleet.watch_rebalance_stats().n_migrations > 0
 
     def test_on_rebalance_sees_resolved_sources(self, small_catalog):
         from repro.fleet import ShardRing
@@ -656,14 +618,3 @@ class TestStateEpochs:
             target.observe(sample)
         with pytest.raises(ValueError, match="stale live state snapshot"):
             target.restore_state(stale)  # epoch 0 onto an epoch-1 recommender
-
-    def test_restore_resets_curve_key_tracking(self, small_catalog):
-        engine = DopplerEngine(catalog=small_catalog)
-        rng = np.random.default_rng(72)
-        source = self.fresh(engine)
-        for sample in live_samples(12, rng):
-            source.observe(sample)
-        assert source.last_curve_key is not None  # refreshed at least once
-        target = self.fresh(engine)
-        target.restore_state(source.snapshot_state())
-        assert target.last_curve_key is None  # curves stayed with the source
