@@ -10,17 +10,10 @@ recommendation throughput at several fleet sizes along three paths:
   pre-columnar reference path), and
 * **parallel** (columnar over the thread/process pool).
 
-Two further sections compare substrates rather than algorithms:
-
-* **zero-copy vs pickle** -- the process backend's fit+recommend pass
-  with the shared-memory data plane on and off.  On a >= 4-core
-  machine the zero-copy pass must deliver at least
-  ``--min-zero-copy-speedup`` (default 1.5x) the pickled throughput,
-  and ``/dev/shm`` must end the pass exactly as it started.
-* **compiled vs numpy kernel** -- the violation-counting kernels of
-  :mod:`repro.core.throttling`, timed head-to-head when numba is
-  installed (byte-identical counts asserted) and recorded as
-  numpy-only otherwise.
+A further **zero-copy** section times one cold process-backend
+fit+recommend pass per size, which always ships its chunks through the
+shared-memory data plane; its recommendations must match serial and
+``/dev/shm`` must end the pass exactly as it started.
 
 Every pass must produce byte-identical recommendations (the fleet
 determinism contract, asserted here), and on a full run the columnar
@@ -39,9 +32,7 @@ commits by ``benchmarks/perf_trend.py``).
 
 Exit status: 1 when any pass is not byte-identical or leaks arena
 segments, 2 when the parallel speedup misses the threshold on a
-multi-core machine, 3 when the columnar speedup misses the threshold,
-4 when the zero-copy speedup misses its threshold on a >= 4-core
-machine.
+multi-core machine, 3 when the columnar speedup misses the threshold.
 """
 
 from __future__ import annotations
@@ -64,12 +55,6 @@ if __package__ in (None, ""):  # running as a script without installation
 
 from repro import DopplerEngine, FleetCustomer, FleetEngine, SkuCatalog
 from repro.catalog import DeploymentType
-from repro.core.throttling import (
-    numba_available,
-    resolve_kernel,
-    use_kernel,
-    violation_counts,
-)
 from repro.fleet import FleetRecommendation, summarize_fleet
 from repro.fleet.arena import leaked_segments
 from repro.simulation import FleetConfig, simulate_fleet
@@ -171,69 +156,16 @@ def fit_fitted_engine(
 
 
 def process_pass(
-    records, customers, catalog: SkuCatalog, workers: int, zero_copy: bool
+    records, customers, catalog: SkuCatalog, workers: int
 ) -> tuple[bytes, float]:
     """One cold process-backend fit+recommend pass; (result bytes, seconds)."""
     fleet = FleetEngine(
-        engine=DopplerEngine(catalog=catalog),
-        backend="process",
-        max_workers=workers,
-        zero_copy=zero_copy,
+        engine=DopplerEngine(catalog=catalog), backend="process", max_workers=workers
     )
     start = time.perf_counter()
     fleet.fit_fleet(records)
     results = list(fleet.recommend_fleet(customers))
     return canonical_bytes(results), time.perf_counter() - start
-
-
-def time_kernel(demands, caps, repeats: int = 5) -> float:
-    """Best-of-``repeats`` seconds for one violation_counts evaluation."""
-    best = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        violation_counts(demands, caps)
-        best = min(best, time.perf_counter() - start)
-    return best
-
-
-def kernel_section(seed: int) -> tuple[dict, bool, list[str]]:
-    """Compiled-vs-numpy kernel comparison; (record, identity_ok, lines)."""
-    rng = np.random.default_rng(seed)
-    demands = rng.uniform(0.0, 120.0, size=(4096, 6))
-    caps = rng.uniform(30.0, 100.0, size=(32, 6))
-    use_kernel("numpy")
-    numpy_counts = violation_counts(demands, caps)
-    numpy_seconds = time_kernel(demands, caps)
-    record: dict = {
-        "numba_available": numba_available(),
-        "problem": "4096x6 demands vs 32x6 caps",
-        "numpy_evals_per_sec": 1.0 / numpy_seconds,
-    }
-    identity_ok = True
-    lines = []
-    if numba_available():
-        use_kernel("numba")
-        numba_counts = violation_counts(demands, caps)  # includes JIT warm-up
-        identity_ok = numba_counts.tobytes() == numpy_counts.tobytes()
-        numba_seconds = time_kernel(demands, caps)
-        record["numba_evals_per_sec"] = 1.0 / numba_seconds
-        record["numba_speedup"] = numpy_seconds / numba_seconds
-        record["identical_counts"] = identity_ok
-        lines.append(
-            f"kernel  numpy {1.0 / numpy_seconds:>8.1f} evals/s  "
-            f"numba {1.0 / numba_seconds:>8.1f} evals/s  "
-            f"speedup {numpy_seconds / numba_seconds:.2f}x  identical={identity_ok}"
-        )
-    else:
-        lines.append(
-            f"kernel  numpy {1.0 / numpy_seconds:>8.1f} evals/s  "
-            "(numba not installed; compiled path skipped)"
-        )
-    use_kernel("auto")
-    record["auto_resolution"] = resolve_kernel()
-    lines.append(f"kernel  auto resolves to {record['auto_resolution']!r} here")
-    use_kernel("numpy")
-    return record, identity_ok, lines
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -271,12 +203,6 @@ def main(argv: list[str] | None = None) -> int:
         type=float,
         default=3.0,
         help="required columnar/per-customer serial fit+recommend speedup (default: 3.0)",
-    )
-    parser.add_argument(
-        "--min-zero-copy-speedup",
-        type=float,
-        default=1.5,
-        help="required zero-copy/pickle process fit+recommend speedup on >= 4 cores (default: 1.5)",
     )
     parser.add_argument("--seed", type=int, default=2022)
     args = parser.parse_args(argv)
@@ -325,7 +251,6 @@ def main(argv: list[str] | None = None) -> int:
     failed_identity = False
     failed_speedup = False
     failed_columnar = False
-    failed_zero_copy = False
     # The data plane needs a real pool to be exercised at all; on a
     # single-core box the engine would otherwise degrade to serial.
     zero_copy_workers = max(2, workers)
@@ -364,24 +289,14 @@ def main(argv: list[str] | None = None) -> int:
             columnar_fit_seconds + columnar_seconds
         )
         shm_before = leaked_segments()
-        pickle_blob, pickle_seconds = process_pass(
-            records, customers, catalog, zero_copy_workers, zero_copy=False
-        )
         zero_copy_blob, zero_copy_seconds = process_pass(
-            records, customers, catalog, zero_copy_workers, zero_copy=True
+            records, customers, catalog, zero_copy_workers
         )
-        identical_zero_copy = (
-            pickle_blob == columnar_blob and zero_copy_blob == columnar_blob
-        )
+        identical_zero_copy = zero_copy_blob == columnar_blob
         shm_clean = leaked_segments() == shm_before
-        zero_copy_speedup = (
-            pickle_seconds / zero_copy_seconds if zero_copy_seconds else 0.0
-        )
         zero_copy_line = (
-            f"n={size:>6}  process fit+rec  pickle {size / pickle_seconds:>8.1f} cust/s "
-            f"({pickle_seconds:.2f}s)  zero-copy {size / zero_copy_seconds:>8.1f} cust/s "
-            f"({zero_copy_seconds:.2f}s)  speedup {zero_copy_speedup:.2f}x  "
-            f"identical={identical_zero_copy}  shm-clean={shm_clean}"
+            f"n={size:>6}  process fit+rec  zero-copy {size / zero_copy_seconds:>8.1f} cust/s "
+            f"({zero_copy_seconds:.2f}s)  identical={identical_zero_copy}  shm-clean={shm_clean}"
         )
         print(zero_copy_line)
         lines.append(zero_copy_line)
@@ -407,9 +322,7 @@ def main(argv: list[str] | None = None) -> int:
                 "parallel_speedup": parallel_speedup,
                 "identical_columnar": identical_columnar,
                 "identical_parallel": identical_parallel,
-                "pickle_process_cust_per_sec": size / pickle_seconds,
                 "zero_copy_cust_per_sec": size / zero_copy_seconds,
-                "zero_copy_speedup": zero_copy_speedup,
                 "identical_zero_copy": identical_zero_copy,
                 "shm_clean": shm_clean,
                 "n_recommended": summary.n_recommended,
@@ -425,29 +338,13 @@ def main(argv: list[str] | None = None) -> int:
                 failed_speedup = True
             if columnar_speedup < args.min_columnar_speedup:
                 failed_columnar = True
-            if cores >= 4 and zero_copy_speedup < args.min_zero_copy_speedup:
-                failed_zero_copy = True
 
     if cores < 2:
         note = f"single-core machine: {args.min_speedup:.1f}x parallel gate not applicable"
         print(note)
         lines.append(note)
-    if cores < 4:
-        note = (
-            f"{cores}-core machine: {args.min_zero_copy_speedup:.1f}x zero-copy "
-            "gate not applicable (needs >= 4 cores)"
-        )
-        print(note)
-        lines.append(note)
     if args.smoke:
         lines.append("smoke mode: speedup gates skipped (timing noise on shared CI runners)")
-
-    kernel_record, kernel_identity_ok, kernel_lines = kernel_section(args.seed)
-    for kernel_line in kernel_lines:
-        print(kernel_line)
-    lines.extend(kernel_lines)
-    if not kernel_identity_ok:
-        failed_identity = True
 
     record = {
         "benchmark": "fleet",
@@ -459,9 +356,7 @@ def main(argv: list[str] | None = None) -> int:
         "cores": cores,
         "min_speedup": args.min_speedup,
         "min_columnar_speedup": args.min_columnar_speedup,
-        "min_zero_copy_speedup": args.min_zero_copy_speedup,
         "zero_copy_workers": zero_copy_workers,
-        "kernel": kernel_record,
         "fit": {
             "n_records": len(records),
             "per_customer_records_per_sec": len(records) / per_customer_fit_seconds,
@@ -478,7 +373,7 @@ def main(argv: list[str] | None = None) -> int:
     if failed_identity:
         print(
             "FAIL: passes are not byte-identical (columnar/per-customer/parallel/"
-            "zero-copy/kernel) or arena segments leaked",
+            "zero-copy) or arena segments leaked",
             file=sys.stderr,
         )
         return 1
@@ -496,14 +391,6 @@ def main(argv: list[str] | None = None) -> int:
             file=sys.stderr,
         )
         return 3
-    if failed_zero_copy:
-        print(
-            f"FAIL: zero-copy fit+recommend speedup below "
-            f"{args.min_zero_copy_speedup:.1f}x over the pickled process path "
-            f"on a {cores}-core machine",
-            file=sys.stderr,
-        )
-        return 4
     return 0
 
 

@@ -53,13 +53,10 @@ asserting the update streams are byte-identical, that resuming from
 the store's last checkpoint reproduces the baseline tail exactly, and
 (non-smoke) that the checkpointing tax stays within the 10% budget.
 
-Also benchmarks the **zero-copy tick plane**
-(``WatchConfig(zero_copy=True)``): the same process-sharded feed runs
-with tick batches pickled through the queues and again with
-microbatches packed into double-buffered shared-memory ring arenas
-and numeric results returned as columns.  Both runs must stay
-byte-identical to serial and leave ``/dev/shm`` clean; on machines
-with >= 4 real cores the plane must beat queue pickling by 1.5x.
+Also benchmarks the **zero-copy tick plane** the process watch always
+runs on: microbatches packed into double-buffered shared-memory ring
+arenas and numeric results returned as columns.  The run must stay
+byte-identical to serial and leave ``/dev/shm`` clean.
 
 Exit status: 1 when incremental and batch probabilities disagree,
 2 when the estimator speedup misses the threshold, 3 when streaming
@@ -70,8 +67,7 @@ skewed-feed run diverges from serial or rebalancing misses its
 speedup gate, 7 when the checkpointed watch diverges from the
 memory-only run, resume breaks byte-identity, or the checkpoint
 overhead exceeds the 10% budget, 8 when the zero-copy watch diverges
-from serial, leaks shared-memory segments, or misses its speedup
-gate.
+from serial or leaks shared-memory segments.
 """
 
 from __future__ import annotations
@@ -589,17 +585,15 @@ def bench_checkpoint_overhead(
 def bench_zero_copy_watch(
     n_customers: int, samples_each: int, window: int, seed: int, n_workers: int
 ) -> dict:
-    """Arena-backed tick plane vs queue pickling on the process watch.
+    """The process watch on its arena-backed tick plane.
 
-    The same interleaved feed runs three times: serial (the identity
-    reference), process sharding with the plane disabled (every tick
-    batch and result pickled through the queues), and process sharding
-    with ``zero_copy=True`` (microbatches packed into double-buffered
-    shared-memory ring arenas, numeric results returned as columns;
-    only small descriptors cross the queues).  Asserts both parallel
-    streams byte-match serial and that the arena registry is empty
-    after both drains -- the perf claim never gets to trade against
-    hygiene or identity.
+    The same interleaved feed runs twice: serial (the identity
+    reference) and process sharding, whose microbatches are packed
+    into double-buffered shared-memory ring arenas and whose numeric
+    results return as columns (only small descriptors cross the
+    queues).  Records whether the process stream byte-matches serial
+    and whether the arena registry is empty after the drain -- the
+    throughput figure never gets to trade against hygiene or identity.
     """
     from repro.fleet.arena import leaked_segments
 
@@ -608,34 +602,24 @@ def bench_zero_copy_watch(
     feed = make_fleet_feed(n_customers, samples_each, seed)
     watch_config = WatchConfig(window=window, min_refresh_samples=min(12, window))
 
-    def run(zero_copy: bool) -> tuple[bytes, float]:
-        start = time.perf_counter()
-        updates = list(
-            fleet.watch_fleet(
-                feed,
-                config=watch_config.replace(
-                    backend="process", max_workers=n_workers, zero_copy=zero_copy
-                ),
-            )
-        )
-        return canonical_watch_bytes(updates), time.perf_counter() - start
-
     start = time.perf_counter()
     serial_blob = canonical_watch_bytes(fleet.watch_fleet(feed, config=watch_config))
     serial_seconds = time.perf_counter() - start
-    pickle_blob, pickle_seconds = run(False)
-    zero_copy_blob, zero_copy_seconds = run(True)
+    start = time.perf_counter()
+    zero_copy_blob = canonical_watch_bytes(
+        fleet.watch_fleet(
+            feed, config=watch_config.replace(backend="process", max_workers=n_workers)
+        )
+    )
+    zero_copy_seconds = time.perf_counter() - start
     return {
         "n_customers": n_customers,
         "samples_each": samples_each,
         "window": window,
         "n_workers": n_workers,
         "serial_customers_per_sec": n_customers / serial_seconds,
-        "pickle_customers_per_sec": n_customers / pickle_seconds,
         "zero_copy_customers_per_sec": n_customers / zero_copy_seconds,
         "zero_copy_observe_per_sec": len(feed) / zero_copy_seconds,
-        "speedup_vs_pickle": pickle_seconds / zero_copy_seconds,
-        "identical_pickle": pickle_blob == serial_blob,
         "identical_zero_copy": zero_copy_blob == serial_blob,
         "shm_clean": leaked_segments() == [],
     }
@@ -767,16 +751,15 @@ def main(argv: list[str] | None = None) -> int:
     zc_workers = max(2, min(4, cores))
     print(
         f"Zero-copy tick plane: {zc_customers} customers x {zc_samples_each} "
-        f"samples, queue pickling vs arena plane at {zc_workers} process workers ..."
+        f"samples at {zc_workers} process workers ..."
     )
     zero_copy_record = bench_zero_copy_watch(
         zc_customers, zc_samples_each, window=12, seed=args.seed, n_workers=zc_workers
     )
     print(
-        f"  pickle {zero_copy_record['pickle_customers_per_sec']:>8.1f} cust/s"
-        f"   zero-copy {zero_copy_record['zero_copy_customers_per_sec']:>8.1f} cust/s"
-        f"   speedup {zero_copy_record['speedup_vs_pickle']:.2f}x"
-        f"   identical={zero_copy_record['identical_pickle'] and zero_copy_record['identical_zero_copy']}"
+        f"  zero-copy {zero_copy_record['zero_copy_customers_per_sec']:>8.1f} cust/s"
+        f"   {zero_copy_record['zero_copy_observe_per_sec']:>8.1f} obs/s"
+        f"   identical={zero_copy_record['identical_zero_copy']}"
         f"   shm_clean={zero_copy_record['shm_clean']}"
     )
 
@@ -886,15 +869,10 @@ def main(argv: list[str] | None = None) -> int:
         return 7
     # Zero-copy identity and hygiene block in every mode: the arena
     # plane must be invisible in the output and in /dev/shm.
-    if not (
-        zero_copy_record["identical_pickle"]
-        and zero_copy_record["identical_zero_copy"]
-        and zero_copy_record["shm_clean"]
-    ):
+    if not (zero_copy_record["identical_zero_copy"] and zero_copy_record["shm_clean"]):
         print(
             "FAIL: zero-copy watch broke the identity/hygiene contract "
-            f"(identical_pickle={zero_copy_record['identical_pickle']}, "
-            f"identical_zero_copy={zero_copy_record['identical_zero_copy']}, "
+            f"(identical_zero_copy={zero_copy_record['identical_zero_copy']}, "
             f"shm_clean={zero_copy_record['shm_clean']})",
             file=sys.stderr,
         )
@@ -944,17 +922,6 @@ def main(argv: list[str] | None = None) -> int:
             file=sys.stderr,
         )
         return 6
-    # Zero-copy payoff gate: the arena plane must beat queue pickling
-    # by 1.5x at 4 workers.  Only meaningful with real cores -- on a
-    # starved box both runs serialize on the same CPU.
-    if cores >= 4 and zero_copy_record["speedup_vs_pickle"] < 1.5:
-        print(
-            f"FAIL: zero-copy watch speedup "
-            f"{zero_copy_record['speedup_vs_pickle']:.2f}x at {zc_workers} workers "
-            f"is below the 1.5x threshold on a {cores}-core machine",
-            file=sys.stderr,
-        )
-        return 8
     # Durable-watch budget: checkpointing at the default cadence may
     # cost at most 10% of memory-only throughput.
     if checkpoint_record["overhead_fraction"] > 0.10:

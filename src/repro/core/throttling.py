@@ -37,7 +37,6 @@ __all__ = [
     "CopulaThrottlingEstimator",
     "KdeThrottlingEstimator",
     "DEFAULT_KERNEL_MEMORY_CAP_MB",
-    "KERNEL_KINDS",
     "LATENCY_FLOOR",
     "apply_iops_overrides",
     "batch_violation_counts",
@@ -45,9 +44,6 @@ __all__ = [
     "capacity_vector",
     "demand_matrix",
     "invert_latency",
-    "numba_available",
-    "resolve_kernel",
-    "use_kernel",
     "violation_counts",
 ]
 
@@ -56,139 +52,6 @@ __all__ = [
 #: inside typical L3/working-set budgets while leaving chunks large
 #: enough that the per-chunk Python overhead stays negligible.
 DEFAULT_KERNEL_MEMORY_CAP_MB = 64.0
-
-#: Valid violation-kernel selectors: the vectorized numpy kernel, the
-#: numba-compiled scalar loop (optional dependency), or a one-shot
-#: measured fit-probe per process picking whichever is faster here.
-KERNEL_KINDS: tuple[str, ...] = ("numpy", "numba", "auto")
-
-# Per-process kernel selection state.  ``_REQUESTED`` is what the last
-# ``use_kernel`` call asked for; ``_RESOLVED`` memoizes what "auto"
-# measured (selection is per process: worker pools re-run the probe in
-# their own interpreter).  Both kernels count the *same* comparisons,
-# so the counts -- and every probability derived from them -- are
-# byte-identical regardless of which one runs; the selector is purely
-# a speed decision and never a correctness one.
-_REQUESTED_KERNEL = "numpy"
-_AUTO_RESOLVED: str | None = None
-_NUMBA_COUNTS = None  # compiled single-trace kernel, memoized per process
-
-
-def numba_available() -> bool:
-    """Whether the optional numba dependency is importable."""
-    try:
-        import numba  # noqa: F401
-    except ImportError:
-        return False
-    return True
-
-
-def use_kernel(kind: str) -> str:
-    """Select the process-wide violation kernel; returns the resolution.
-
-    ``"numpy"`` and ``"numba"`` force their kernel (``"numba"`` raises
-    immediately when the dependency is absent -- install the
-    ``repro[numba]`` extra); ``"auto"`` resolves to whichever kernel a
-    one-shot measured probe finds faster in this process, falling back
-    to numpy cleanly when numba is not installed.  The resolution is
-    returned so callers can log it.
-    """
-    global _REQUESTED_KERNEL
-    if kind not in KERNEL_KINDS:
-        raise ValueError(
-            f"unknown violation kernel {kind!r}; choose one of "
-            + ", ".join(repr(option) for option in KERNEL_KINDS)
-        )
-    if kind == "numba" and not numba_available():
-        raise ValueError(
-            "violation kernel 'numba' requested but numba is not installed; "
-            "install the repro[numba] extra or use kernel='auto'"
-        )
-    _REQUESTED_KERNEL = kind
-    return resolve_kernel()
-
-
-def resolve_kernel() -> str:
-    """The kernel that will actually run: ``"numpy"`` or ``"numba"``."""
-    if _REQUESTED_KERNEL == "numpy":
-        return "numpy"
-    if _REQUESTED_KERNEL == "numba":
-        return "numba"
-    return _resolve_auto()
-
-
-def _numba_kernel():
-    """Build (once per process) the numba-compiled violation counter.
-
-    A sku-major scalar loop with an early break per sample: no boolean
-    temporaries at all, so the memory cap of the numpy kernel is moot.
-    The comparisons are exactly the numpy kernel's ``demand > cap``
-    per dimension, OR-ed per sample, summed in int64 -- identical
-    counts, bit for bit.
-    """
-    global _NUMBA_COUNTS
-    if _NUMBA_COUNTS is None:
-        from numba import njit
-
-        @njit(cache=False, fastmath=False)
-        def _counts(demands, caps):  # pragma: no cover - compiled
-            n_samples, n_dims = demands.shape
-            n_skus = caps.shape[0]
-            out = np.zeros(n_skus, dtype=np.int64)
-            for i in range(n_skus):
-                violated = 0
-                for t in range(n_samples):
-                    for d in range(n_dims):
-                        if demands[t, d] > caps[i, d]:
-                            violated += 1
-                            break
-                out[i] = violated
-            return out
-
-        _NUMBA_COUNTS = _counts
-    return _NUMBA_COUNTS
-
-
-def _resolve_auto() -> str:
-    """One-shot measured fit-probe: time both kernels on synthetic data.
-
-    Polynesia-style substrate selection: the same algorithm exists on
-    two specialized substrates, and the cheaper one *here* -- this
-    interpreter, this machine, this BLAS/LLVM pairing -- wins.  The
-    probe compiles the numba kernel first (warm-up, excluded from the
-    timing), then takes the best of three runs for each kernel on a
-    representative ``(2048 samples x 6 dims) x 32 skus`` problem.  The
-    verdict is memoized for the life of the process.
-    """
-    global _AUTO_RESOLVED
-    if _AUTO_RESOLVED is not None:
-        return _AUTO_RESOLVED
-    if not numba_available():
-        _AUTO_RESOLVED = "numpy"
-        return _AUTO_RESOLVED
-    import time
-
-    rows = np.linspace(0.0, 1.0, 2048 * 6).reshape(2048, 6)
-    caps = np.linspace(0.2, 0.8, 32 * 6).reshape(32, 6)
-    try:
-        compiled = _numba_kernel()
-        compiled(rows, caps)  # JIT warm-up: compilation must not bias the probe
-    except Exception:  # noqa: BLE001 - a broken numba install falls back cleanly
-        _AUTO_RESOLVED = "numpy"
-        return _AUTO_RESOLVED
-
-    def best_of(fn, n: int = 3) -> float:
-        best = float("inf")
-        for _ in range(n):
-            start = time.perf_counter()
-            fn(rows, caps)
-            best = min(best, time.perf_counter() - start)
-        return best
-
-    numpy_time = best_of(lambda d, c: _violation_mask(d, c).sum(axis=1, dtype=np.int64))
-    numba_time = best_of(compiled)
-    _AUTO_RESOLVED = "numba" if numba_time < numpy_time else "numpy"
-    return _AUTO_RESOLVED
 
 
 def demand_matrix(
@@ -247,14 +110,7 @@ def violation_counts(
     ``violated.any(axis=2).mean(axis=1)`` (bool sums are exact in
     int64/float64 far beyond any realistic trace length), so chunking
     never changes a probability.
-
-    Under ``use_kernel("numba")`` (or an ``"auto"`` probe that picked
-    it) the count comes from the compiled scalar loop instead: the
-    same comparisons with no boolean temporaries, so the memory cap is
-    irrelevant there and the counts stay identical.
     """
-    if resolve_kernel() == "numba":
-        return _numba_kernel()(demands, caps)
     n_skus = caps.shape[0]
     counts = np.zeros(n_skus, dtype=np.int64)
     chunk = _chunk_samples(n_skus, caps.shape[1], memory_cap_mb)
@@ -289,13 +145,6 @@ def batch_violation_counts(
     """
     n_skus = caps.shape[0]
     counts = np.empty((len(demand_blocks), n_skus), dtype=np.int64)
-    if resolve_kernel() == "numba":
-        # The compiled loop has no boolean temp to bound, so greedy
-        # packing buys nothing: one call per trace, identical counts.
-        kernel = _numba_kernel()
-        for index, block in enumerate(demand_blocks):
-            counts[index] = kernel(block, caps)
-        return counts
     budget = _chunk_samples(n_skus, caps.shape[1], memory_cap_mb)
     group: list[int] = []
     group_samples = 0

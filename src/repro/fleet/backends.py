@@ -286,13 +286,6 @@ class BatchJob:
             initializers (workers rebuild private runners from it).
         cache_size: Curve-cache capacity per runner.
         columnar: Whether shard bodies run the columnar batch kernel.
-        kernel: Violation-kernel selector installed in every worker
-            (``numpy``/``numba``/``auto``; see
-            :func:`repro.core.throttling.use_kernel`).
-        zero_copy: Ship chunks through the shared-memory data plane
-            (:mod:`repro.fleet.arena`) instead of pickling trace
-            arrays.  Only the process backend reads this -- the serial
-            and thread backends already share the parent's memory.
     """
 
     task: str
@@ -300,8 +293,6 @@ class BatchJob:
     engine: "DopplerEngine"
     cache_size: int
     columnar: bool
-    kernel: str = "numpy"
-    zero_copy: bool = False
 
     def local_fn(self) -> Callable:
         """The parent-side chunk body for serial/thread execution."""
@@ -330,11 +321,6 @@ class ShardAssessmentConfig:
     min_refresh_samples: int
     refreshes_only: bool
     profile_mode: str
-    #: Resolved data-plane choice (see ``WatchConfig.zero_copy``):
-    #: True routes tick microbatches, result columns and state
-    #: handoffs through the shared-memory tick plane.  Only the
-    #: process pool reads it; in-address-space pools ignore it.
-    zero_copy: bool = False
 
     def __post_init__(self) -> None:
         # LiveRecommender.validate_config is the single source of
@@ -558,8 +544,8 @@ class _WatchCoordinator:
         self._track_last_seen = checkpoint is not None and checkpoint.max_resident is not None
         # Delta-checkpoint dirty set: customers whose live state may
         # have moved since the last checkpoint.  Only maintained when a
-        # delta-mode checkpoint config is attached.
-        self._track_dirty = checkpoint is not None and checkpoint.delta
+        # checkpoint config is attached.
+        self._track_dirty = checkpoint is not None
         self._dirty: set[str] = set()
         self._last_seen: dict[str, int] = {}
         self._seen_counter = 0
@@ -814,28 +800,23 @@ class _WatchCoordinator:
         tick state.  The store write is one transaction -- a crash
         mid-checkpoint leaves the previous checkpoint intact.
 
-        In delta mode (the config default) only dirty customers --
-        those routed, quarantined, migrated or readmitted since the
-        last checkpoint -- are snapshot and re-written; everyone
-        else's last-stored row is already current, so resumes see the
-        full fleet while a mostly-idle fleet's checkpoint shrinks to
-        its active minority.
+        Only dirty customers -- those routed, quarantined, migrated or
+        readmitted since the last checkpoint -- are snapshot and
+        re-written; everyone else's last-stored row is already
+        current, so resumes see the full fleet while a mostly-idle
+        fleet's checkpoint shrinks to its active minority.
         """
         assert self.checkpoint_config is not None and self.store is not None
         records: list[CustomerStateRecord] = []
-        if self._track_dirty:
-            wanted_by_shard: dict[int, list[str]] = {}
-            for customer_id in self._dirty:
-                shard_id = self._routes.get(customer_id)
-                if shard_id is not None:
-                    wanted_by_shard.setdefault(shard_id, []).append(customer_id)
-            for shard_id in self.ring.shard_ids:
-                wanted = wanted_by_shard.get(shard_id)
-                if wanted:
-                    records.extend(pool.snapshot_shard(shard_id, sorted(wanted)))
-        else:
-            for shard_id in self.ring.shard_ids:
-                records.extend(pool.snapshot_shard(shard_id))
+        wanted_by_shard: dict[int, list[str]] = {}
+        for customer_id in self._dirty:
+            shard_id = self._routes.get(customer_id)
+            if shard_id is not None:
+                wanted_by_shard.setdefault(shard_id, []).append(customer_id)
+        for shard_id in self.ring.shard_ids:
+            wanted = wanted_by_shard.get(shard_id)
+            if wanted:
+                records.extend(pool.snapshot_shard(shard_id, sorted(wanted)))
         self.store.checkpoint(
             tick_id=tick_id,
             n_consumed=n_consumed,
@@ -1401,33 +1382,25 @@ class _ThreadShardPool(_WatchPool):
 _WORKER_RUNNER = None
 
 
-def _init_batch_worker(
-    engine: "DopplerEngine", cache_size: int, columnar: bool, kernel: str = "numpy"
-) -> None:
+def _init_batch_worker(engine: "DopplerEngine", cache_size: int, columnar: bool) -> None:
     """Pool initializer: one private runner (engine + cache) per worker."""
     global _WORKER_RUNNER
-    from ..core.throttling import use_kernel
     from .cache import CurveCache
     from .engine import _FleetRunner
 
-    use_kernel(kernel)  # per-process state; ``auto`` probes on first use
     _WORKER_RUNNER = _FleetRunner(engine, CurveCache(cache_size), columnar)
 
 
-def _fit_chunk_in_worker(chunk, exclude_over_provisioned: bool):
+def _fit_chunk_in_worker(chunk: ShmChunk, exclude_over_provisioned: bool):
     assert _WORKER_RUNNER is not None, "worker pool not initialized"
-    if isinstance(chunk, ShmChunk):
-        with chunk.mapped(_WORKER_RUNNER.engine.ppm) as records:
-            return _WORKER_RUNNER.fit_chunk(records, exclude_over_provisioned)
-    return _WORKER_RUNNER.fit_chunk(chunk, exclude_over_provisioned)
+    with chunk.mapped(_WORKER_RUNNER.engine.ppm) as records:
+        return _WORKER_RUNNER.fit_chunk(records, exclude_over_provisioned)
 
 
-def _recommend_chunk_in_worker(chunk):
+def _recommend_chunk_in_worker(chunk: ShmChunk):
     assert _WORKER_RUNNER is not None, "worker pool not initialized"
-    if isinstance(chunk, ShmChunk):
-        with chunk.mapped(_WORKER_RUNNER.engine.ppm) as customers:
-            return _WORKER_RUNNER.recommend_chunk(customers)
-    return _WORKER_RUNNER.recommend_chunk(chunk)
+    with chunk.mapped(_WORKER_RUNNER.engine.ppm) as customers:
+        return _WORKER_RUNNER.recommend_chunk(customers)
 
 
 _BATCH_WORKER_FNS = {
@@ -1447,8 +1420,8 @@ def _watch_worker_main(
     Message protocol (all tuples, kind first):
 
     * parent -> worker: ``("tick", tick_id, batch, directive)`` where
-      ``batch`` is a plain list or an arena
-      :class:`~repro.fleet.arena.TickFrame` (zero-copy watches) and
+      ``batch`` is an arena :class:`~repro.fleet.arena.TickFrame`, or
+      a plain list when the supervisor replays a tick, and
       ``directive`` is ``None`` or an injected-fault order
       (``("kill",)``, ``("delay", seconds)``, ``("drop",)``),
       ``("extract", request_id, customer_ids[, frame_spec])``,
@@ -1465,11 +1438,11 @@ def _watch_worker_main(
       details)`` on any failure the shard's per-customer containment
       did not absorb.
 
-    On the zero-copy plane, a tick frame whose slot generation no
-    longer matches (the parent recycled the buffer under this worker
-    -- only possible if the worker fell pathologically behind the
-    in-flight window) raises and surfaces as an ``error`` reply, which
-    the supervisor treats like any worker failure: restore and replay.
+    A tick frame whose slot generation no longer matches (the parent
+    recycled the buffer under this worker -- only possible if the
+    worker fell pathologically behind the in-flight window) raises and
+    surfaces as an ``error`` reply, which the supervisor treats like
+    any worker failure: restore and replay.
     Handoff replies fall back to plain pickled records whenever the
     offered frame is too small; the frame is an optimization, never a
     correctness dependency.
@@ -1567,11 +1540,11 @@ class _ProcessShardPool(_WatchPool):
         self._in_queues: dict[int, object] = {}
         self._closed_queues: list = []
         self._request_id = 0
-        # The zero-copy streaming plane: parent-owned double-buffered
-        # ring slots per shard, reused across every tick of the watch.
+        # The streaming data plane: parent-owned double-buffered ring
+        # slots per shard, reused across every tick of the watch.
         # Workers only attach, so any worker death leaks nothing and
         # close() restores a clean /dev/shm.
-        self._plane = TickPlane(config.window) if config.zero_copy else None
+        self._plane = TickPlane(config.window)
         for shard_id in range(n_shards):
             self.add_shard(shard_id)
 
@@ -1583,14 +1556,12 @@ class _ProcessShardPool(_WatchPool):
         self, tick_id: int, by_shard: dict[int, list], directives: dict[int, tuple]
     ) -> None:
         for shard_id, batch in by_shard.items():
-            if self._plane is not None:
-                # Safe to repack this parity's slot: with the two-tick
-                # in-flight window, the prior same-parity tick has
-                # fully drained (its reply was decoded) before this
-                # submit can run.
-                batch = self._plane.pack_tick(shard_id, tick_id, batch)
+            # Safe to repack this parity's slot: with the two-tick
+            # in-flight window, the prior same-parity tick has fully
+            # drained (its reply was decoded) before this submit runs.
+            frame = self._plane.pack_tick(shard_id, tick_id, batch)
             self._in_queues[shard_id].put(
-                ("tick", tick_id, batch, directives.get(shard_id))
+                ("tick", tick_id, frame, directives.get(shard_id))
             )
         self._pending.append(
             _PendingTick(tick_id, by_shard, deadline=self._tick_deadline())
@@ -1729,15 +1700,15 @@ class _ProcessShardPool(_WatchPool):
     ) -> list[CustomerStateRecord]:
         """Run one extract/snapshot handshake, framed when possible.
 
-        With the plane on and a known record count, the parent offers
-        a one-shot scratch segment sized by the per-record bound; the
-        worker packs numpy state payloads into it (or replies plain if
-        they overflow -- correctness never depends on the frame).  The
+        With a known record count, the parent offers a one-shot
+        scratch segment sized by the per-record bound; the worker
+        packs numpy state payloads into it (or replies plain if they
+        overflow -- correctness never depends on the frame).  The
         scratch segment is parent-owned and released here either way.
         """
         self._request_id += 1
         spec = None
-        if self._plane is not None and customer_ids is not None:
+        if customer_ids is not None:
             spec = self._plane.offer_frame(len(customer_ids))
             message = (kind, self._request_id, customer_ids, spec)
         else:
@@ -1766,7 +1737,7 @@ class _ProcessShardPool(_WatchPool):
         self._request_id += 1
         frame_segment = None
         payload = records
-        if self._plane is not None and records:
+        if records:
             framed = self._plane.publish_records(records)
             if framed is not None:
                 payload, frame_segment = framed
@@ -1822,8 +1793,7 @@ class _ProcessShardPool(_WatchPool):
         self._reap(self._workers.pop(shard_id))
         queue = self._in_queues.pop(shard_id)
         self._closed_queues.append(queue)
-        if self._plane is not None:
-            self._plane.drop_shard(shard_id)
+        self._plane.drop_shard(shard_id)
 
     def replace_shard(self, shard_id: int) -> None:
         worker = self._workers.pop(shard_id, None)
@@ -1902,11 +1872,10 @@ class _ProcessShardPool(_WatchPool):
         for queue in (*self._in_queues.values(), *self._closed_queues, self._out_queue):
             queue.close()
             queue.cancel_join_thread()
-        if self._plane is not None:
-            # Workers only ever attach to plane segments, so tearing
-            # the plane down after the reap leaves /dev/shm clean even
-            # when workers died by SIGKILL.
-            self._plane.close()
+        # Workers only ever attach to plane segments, so tearing the
+        # plane down after the reap leaves /dev/shm clean even when
+        # workers died by SIGKILL.
+        self._plane.close()
 
 
 class _WatchSupervisor:
@@ -2302,13 +2271,13 @@ class ExecutionBackend(ABC):
     ) -> Iterator[list]:
         """Submission-ordered streaming with a bounded in-flight window.
 
-        With a ``publisher`` attached (process backend, zero-copy
-        plane) each chunk is packed into shared memory at submission
-        -- the bounded window therefore also bounds live segments --
-        and its segments are released as its result is yielded.  The
-        ``finally`` force-closes whatever is still published, so a
-        broken pool, a raising chunk or an abandoned stream all leave
-        ``/dev/shm`` clean.
+        With a ``publisher`` attached (process backend) each chunk is
+        packed into shared memory at submission -- the bounded window
+        therefore also bounds live segments -- and its segments are
+        released as its result is yielded.  The ``finally``
+        force-closes whatever is still published, so a broken pool, a
+        raising chunk or an abandoned stream all leave ``/dev/shm``
+        clean.
         """
         max_inflight = self.n_workers * INFLIGHT_PER_WORKER
         pending: deque[tuple[Future, object]] = deque()
@@ -2619,12 +2588,12 @@ class ProcessBackend(ExecutionBackend):
 
     Batch chunks run on a :class:`ProcessPoolExecutor` whose workers
     hold private runners (curves are cheaper to rebuild than to ship).
-    With ``job.zero_copy`` set, chunk payloads travel through the
-    shared-memory data plane (:mod:`repro.fleet.arena`): trace arrays,
-    demand matrices and capacity matrices are published into arena
-    segments by the parent and mapped -- not deserialized -- by the
-    workers; only descriptors cross the executor queues.  Streaming
-    runs on persistent :mod:`multiprocessing` workers (see
+    Chunk payloads travel through the shared-memory data plane
+    (:mod:`repro.fleet.arena`): trace arrays, demand matrices and
+    capacity matrices are published into arena segments by the parent
+    and mapped -- not deserialized -- by the workers; only descriptors
+    cross the executor queues.  Streaming runs on persistent
+    :mod:`multiprocessing` workers (see
     :class:`_ProcessShardPool`); migrated live state is the one
     exception to "state never crosses" -- it ships as picklable
     snapshots over the same queues the ticks use.
@@ -2636,11 +2605,9 @@ class ProcessBackend(ExecutionBackend):
         executor = ProcessPoolExecutor(
             max_workers=self.n_workers,
             initializer=_init_batch_worker,
-            initargs=(job.engine, job.cache_size, job.columnar, job.kernel),
+            initargs=(job.engine, job.cache_size, job.columnar),
         )
-        publisher = (
-            ChunkPublisher(job.engine.ppm, job.task) if job.zero_copy else None
-        )
+        publisher = ChunkPublisher(job.engine.ppm, job.task)
         yield from self._pump(
             executor, _BATCH_WORKER_FNS[job.task], chunks, extra, publisher
         )

@@ -25,7 +25,8 @@ API surface.
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass
+import warnings
+from dataclasses import InitVar, dataclass
 from typing import TYPE_CHECKING, Callable, Literal
 
 from ..faults import FaultPlan
@@ -157,24 +158,30 @@ class CheckpointConfig:
             the cap are evicted to the store and transparently
             restored if they show up in the feed again; None keeps
             everything resident.
-        delta: Checkpoint only customers whose state may have moved
-            since the previous checkpoint (routed a sample, was
-            quarantined, migrated or readmitted).  The store keeps
-            every other customer's last-written row, so a resume still
-            sees the whole fleet; on a mostly-idle fleet the per-
-            checkpoint write shrinks to the active minority.  Set
-            False to re-write the full fleet every time (the pre-delta
-            behaviour).
+
+    Each checkpoint writes only customers whose state may have moved
+    since the previous one (routed a sample, was quarantined, migrated
+    or readmitted).  The store keeps every other customer's
+    last-written row, so a resume still sees the whole fleet; on a
+    mostly-idle fleet the per-checkpoint write shrinks to the active
+    minority.  ``delta`` is deprecated and ignored.
     """
 
     store: "FleetStore"
     every_ticks: int = DEFAULT_CHECKPOINT_EVERY_TICKS
     max_resident: int | None = None
-    delta: bool = True
+    delta: InitVar[bool | None] = None
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, delta: bool | None) -> None:
         from ..store import FleetStore as _FleetStore
 
+        if delta is not None:
+            warnings.warn(
+                "CheckpointConfig(delta=...) is deprecated and ignored: "
+                "checkpoints always write only the customers that changed",
+                DeprecationWarning,
+                stacklevel=3,
+            )
         if not isinstance(self.store, _FleetStore):
             raise ValueError(f"store must be a FleetStore, got {self.store!r}")
         if self.every_ticks < 1:
@@ -223,15 +230,10 @@ class WatchConfig:
             failure detection and recovery; None means the defaults
             (supervision is always on -- a dead process worker is
             restored and replayed rather than aborting the watch).
-        zero_copy: Route streaming microbatches, result columns and
-            state handoffs through the shared-memory tick plane
-            (:mod:`repro.fleet.arena`) instead of pickling them across
-            worker queues.  ``None`` (the default) auto-enables on the
-            process backend -- the only backend with a process
-            boundary to cross -- and stays off elsewhere; serial and
-            thread backends ignore the flag (they share an address
-            space already).  Output is byte-identical either way; this
-            is purely a data-plane choice.
+
+    ``zero_copy`` is deprecated and ignored: the process backend always
+    routes ticks, result columns and state handoffs through the
+    shared-memory tick plane (:mod:`repro.fleet.arena`).
     """
 
     window: int = DEFAULT_STREAM_WINDOW
@@ -247,9 +249,16 @@ class WatchConfig:
     tick_samples: int | None = None
     checkpoint: CheckpointConfig | None = None
     supervision: SupervisionConfig | None = None
-    zero_copy: bool | None = None
+    zero_copy: InitVar[bool | None] = None
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, zero_copy: bool | None) -> None:
+        if zero_copy is not None:
+            warnings.warn(
+                "WatchConfig(zero_copy=...) is deprecated and ignored: the "
+                "process backend always uses the shared-memory tick plane",
+                DeprecationWarning,
+                stacklevel=3,
+            )
         # Engine-independent validation happens here so a bad config
         # fails where it is built; engine-dependent checks (backend
         # name, window vs. warm-up, summarizer streaming support) stay
@@ -269,10 +278,6 @@ class WatchConfig:
         if self.supervision is not None and not isinstance(self.supervision, SupervisionConfig):
             raise ValueError(
                 f"supervision must be a SupervisionConfig or None, got {self.supervision!r}"
-            )
-        if self.zero_copy is not None and not isinstance(self.zero_copy, bool):
-            raise ValueError(
-                f"zero_copy must be True, False or None (auto), got {self.zero_copy!r}"
             )
 
     def replace(self, **changes) -> "WatchConfig":

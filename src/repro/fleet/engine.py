@@ -22,14 +22,13 @@ from __future__ import annotations
 
 import warnings
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
 
 from ..catalog.models import DeploymentType
 from ..core.engine import DopplerEngine
 from ..core.matching import GroupObservation, GroupScoreModel
 from ..core.profiler import GroupKey
-from ..core.throttling import KERNEL_KINDS, numba_available, use_kernel
 from ..core.types import CloudCustomerRecord, DopplerRecommendation
 from ..streaming.drift import DEFAULT_DRIFT_THRESHOLD
 from ..streaming.live import DEFAULT_MIN_REFRESH_SAMPLES
@@ -38,7 +37,6 @@ from ..telemetry.trace import PerformanceTrace
 from .backends import (
     BatchJob,
     FleetBackend,
-    ProcessBackend,
     ShardAssessmentConfig,
     WatchSupervisionStats,
     make_backend,
@@ -502,20 +500,11 @@ class FleetEngine:
             chunk) instead of the per-customer loop.  Results are
             byte-identical either way; the flag exists so benchmarks
             and regression tests can compare the two paths.
-        kernel: Violation-kernel selector (``"numpy"``, ``"numba"`` or
-            ``"auto"``).  ``auto`` -- the default -- runs a one-shot
-            measured fit-probe per process (parent and every pool
-            worker decide for themselves) and falls back to numpy
-            cleanly when numba is absent; ``"numba"`` raises at
-            construction when the optional dependency is missing.
-            Counts are byte-identical on either kernel, so this is
-            purely a speed knob.
-        zero_copy: Ship process-backend chunks through the
-            shared-memory data plane (:mod:`repro.fleet.arena`)
-            instead of pickling trace arrays across worker queues.
-            Ignored by the serial and thread backends, which already
-            share the parent's memory.  Results are byte-identical
-            either way.
+
+    ``kernel`` and ``zero_copy`` are deprecated and ignored: numpy is
+    the only violation kernel, and the process backend always ships
+    chunks through the shared-memory data plane
+    (:mod:`repro.fleet.arena`).
     """
 
     engine: DopplerEngine
@@ -524,24 +513,25 @@ class FleetEngine:
     chunk_size: int | None = None
     cache_size: int = DEFAULT_CACHE_SIZE
     columnar: bool = True
-    kernel: str = "auto"
-    zero_copy: bool = True
+    kernel: InitVar[str | None] = None
+    zero_copy: InitVar[bool | None] = None
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, kernel: str | None, zero_copy: bool | None) -> None:
+        if kernel is not None:
+            warnings.warn(
+                "FleetEngine(kernel=...) is deprecated and ignored: numpy is "
+                "the only violation kernel",
+                DeprecationWarning,
+                stacklevel=3,
+            )
+        if zero_copy is not None:
+            warnings.warn(
+                "FleetEngine(zero_copy=...) is deprecated and ignored: the "
+                "process backend always uses the shared-memory data plane",
+                DeprecationWarning,
+                stacklevel=3,
+            )
         make_backend(self.backend, self.max_workers)  # validate both up front
-        # Validate the kernel selection eagerly (same contract as the
-        # backend name) without touching the process-global selector --
-        # that only moves when a pass actually runs.
-        if self.kernel not in KERNEL_KINDS:
-            raise ValueError(
-                f"unknown violation kernel {self.kernel!r}; choose one of "
-                + ", ".join(repr(option) for option in KERNEL_KINDS)
-            )
-        if self.kernel == "numba" and not numba_available():
-            raise ValueError(
-                "violation kernel 'numba' requested but numba is not installed; "
-                "install the repro[numba] extra or use kernel='auto'"
-            )
         self._runner = _FleetRunner(self.engine, CurveCache(self.cache_size), self.columnar)
         self._last_rebalance_stats: WatchRebalanceStats | None = None
         self._last_supervision_stats: WatchSupervisionStats | None = None
@@ -636,7 +626,6 @@ class FleetEngine:
         to :meth:`recommend_fleet` over the same customers (both end
         in the same ``_finish_recommendation`` tail).
         """
-        use_kernel(self.kernel)
         return self._runner.recommend_chunk(list(customers))
 
     def summary_report(self, customers: Iterable[FleetCustomer]) -> FleetSummary:
@@ -735,16 +724,9 @@ class FleetEngine:
             config.backend if config.backend is not None else self.backend,
             config.max_workers if config.max_workers is not None else self.max_workers,
         )
-        # zero_copy=None auto-resolves per backend: only the process
-        # backend has a process boundary the shared-memory tick plane
-        # can short-circuit; serial/thread share an address space.
-        zero_copy = config.zero_copy
-        if zero_copy is None:
-            zero_copy = isinstance(backend_obj, ProcessBackend)
-        shard_config = self._shard_config(config, zero_copy=zero_copy)
         return self._run_watch(
             backend_obj,
-            shard_config,
+            self._shard_config(config),
             samples,
             config.rebalance,
             config.on_rebalance,
@@ -758,7 +740,6 @@ class FleetEngine:
         self,
         config: WatchConfig,
         refreshes_only: bool | None = None,
-        zero_copy: bool | None = None,
     ) -> ShardAssessmentConfig:
         """Resolve a public config into the internal per-shard form.
 
@@ -770,9 +751,6 @@ class FleetEngine:
         serving tier fail fast on a bad config.  ``refreshes_only``
         overrides the config's flag when given (the serving tier
         forces it off: every observe call needs an answer).
-        ``zero_copy`` is the *resolved* data-plane choice -- the
-        caller has already folded the backend-dependent auto default;
-        None (serving tier, tests) means the pickle plane.
         """
         drift_threshold = config.drift_threshold
         if drift_threshold is None:
@@ -790,7 +768,6 @@ class FleetEngine:
                 config.refreshes_only if refreshes_only is None else refreshes_only
             ),
             profile_mode=config.profile_mode,
-            zero_copy=bool(zero_copy),
         )
 
     @staticmethod
@@ -905,18 +882,11 @@ class FleetEngine:
         # as the process-scaling baseline.
         name = self.backend if self._effective_workers() > 1 else "serial"
         backend_obj = make_backend(name, self.max_workers)
-        # Install the kernel selection in this process too: the serial
-        # and thread backends run chunk bodies right here, and even a
-        # process pass builds parent-side curves (cache misses during
-        # result handling).  Pool workers select in their initializer.
-        use_kernel(self.kernel)
         job = BatchJob(
             task=task,
             runner=self._runner,
             engine=self.engine,
             cache_size=self.cache_size,
             columnar=self.columnar,
-            kernel=self.kernel,
-            zero_copy=self.zero_copy,
         )
         return backend_obj.map_chunks(job, chunks, *extra)

@@ -240,9 +240,9 @@ class CheckpointRecord:
     """A durable stream position a watch can resume from.
 
     ``n_customers`` counts the customer rows *written by this
-    checkpoint* -- under delta checkpointing that is the dirty subset,
-    not the fleet; ``n_state_bytes`` sums their encoded state blobs
-    (the quantity delta mode exists to shrink).
+    checkpoint* -- a watch writes only the dirty subset, not the
+    fleet; ``n_state_bytes`` sums their encoded state blobs (the
+    quantity delta checkpointing exists to shrink).
     """
 
     checkpoint_id: int

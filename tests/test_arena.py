@@ -1,14 +1,12 @@
-"""Shared-memory data plane and compiled violation kernel.
+"""Shared-memory data plane of the process backend.
 
-Two contracts under test.  First, the arena lifecycle
-(:mod:`repro.fleet.arena`): every segment the parent publishes is
-unlinked exactly once -- on normal drain, on an abandoned stream, and
-after a SIGKILL'd worker -- so ``/dev/shm`` ends every pass exactly as
-it started.  Second, kernel neutrality (:mod:`repro.core.throttling`):
-``kernel="numpy"``, ``"numba"`` and ``"auto"`` are speed decisions
-only; violation counts, and every recommendation derived from them,
-are byte-identical across kernels, with ``"auto"`` falling back to
-numpy cleanly when numba is not installed.
+The arena lifecycle (:mod:`repro.fleet.arena`): every segment the
+parent publishes is unlinked exactly once -- on normal drain, on an
+abandoned stream, and after a SIGKILL'd worker -- so ``/dev/shm`` ends
+every pass exactly as it started.  The plane is how the process
+backend always runs: the retired ``FleetEngine(kernel=...,
+zero_copy=...)`` arguments warn, change nothing in the output, and
+never route a pass around the plane.
 """
 
 from __future__ import annotations
@@ -16,6 +14,7 @@ from __future__ import annotations
 import os
 import pickle
 import signal
+import warnings
 from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
@@ -23,15 +22,6 @@ import pytest
 
 from repro.catalog import DeploymentType, SkuCatalog
 from repro.core import DopplerEngine
-from repro.core import throttling
-from repro.core.throttling import (
-    KERNEL_KINDS,
-    batch_violation_counts,
-    numba_available,
-    resolve_kernel,
-    use_kernel,
-    violation_counts,
-)
 from repro.fleet import FleetCustomer, FleetEngine
 from repro.fleet.arena import (
     ArenaRegistry,
@@ -62,14 +52,6 @@ def customers(records):
         FleetCustomer.from_record(record, customer_id=f"c{index:03d}")
         for index, record in enumerate(records)
     ]
-
-
-@pytest.fixture()
-def numpy_kernel():
-    """Pin the numpy kernel and restore the selector state afterwards."""
-    use_kernel("numpy")
-    yield
-    use_kernel("numpy")
 
 
 def result_key(result):
@@ -203,7 +185,7 @@ class TestChunkRoundTrip:
 # End-to-end lifecycle through the process backend
 # ----------------------------------------------------------------------
 class TestZeroCopyLifecycle:
-    def test_zero_copy_recommend_matches_pickle_and_serial(
+    def test_zero_copy_recommend_matches_serial(
         self, module_catalog, records, customers
     ):
         baseline = leaked_segments()
@@ -212,16 +194,10 @@ class TestZeroCopyLifecycle:
         )
         serial.fit_fleet(records)
         expected = [result_key(r) for r in serial.recommend_fleet(customers)]
-        for zero_copy in (False, True):
-            fleet = FleetEngine(
-                engine=serial.engine,
-                backend="process",
-                max_workers=2,
-                chunk_size=3,
-                zero_copy=zero_copy,
-            )
-            got = [result_key(r) for r in fleet.recommend_fleet(customers)]
-            assert got == expected, f"zero_copy={zero_copy} diverged from serial"
+        fleet = FleetEngine(
+            engine=serial.engine, backend="process", max_workers=2, chunk_size=3
+        )
+        assert [result_key(r) for r in fleet.recommend_fleet(customers)] == expected
         assert leaked_segments() == baseline
 
     def test_abandoned_stream_leaks_nothing(self, module_catalog, records, customers):
@@ -231,7 +207,6 @@ class TestZeroCopyLifecycle:
             backend="process",
             max_workers=2,
             chunk_size=3,
-            zero_copy=True,
         )
         fleet.fit_fleet(records)
         stream = fleet.recommend_fleet(customers)
@@ -266,7 +241,6 @@ class TestZeroCopyLifecycle:
             backend="process",
             max_workers=2,
             chunk_size=3,
-            zero_copy=True,
         )
         fleet.fit_fleet(records)
         monkeypatch.setattr(arena, "_rebuild_item", rebuild_then_die)
@@ -276,97 +250,62 @@ class TestZeroCopyLifecycle:
 
 
 # ----------------------------------------------------------------------
-# Kernel selection
+# Retired knobs
 # ----------------------------------------------------------------------
-class TestKernelSelection:
-    def test_unknown_kernel_message_lists_choices(self, numpy_kernel):
-        with pytest.raises(ValueError) as excinfo:
-            use_kernel("fortran")
-        message = str(excinfo.value)
-        assert "unknown violation kernel 'fortran'" in message
-        for kind in KERNEL_KINDS:
-            assert repr(kind) in message
+class TestRetiredKnobs:
+    """``kernel`` and ``zero_copy`` warn, then change nothing."""
 
-    def test_auto_resolves_cleanly_without_numba(self, numpy_kernel):
-        use_kernel("auto")
-        resolved = resolve_kernel()
-        if numba_available():
-            assert resolved in ("numpy", "numba")
-        else:
-            assert resolved == "numpy"
-
-    @pytest.mark.skipif(numba_available(), reason="numba installed")
-    def test_explicit_numba_without_dependency_raises(self, numpy_kernel):
-        with pytest.raises(ValueError, match="numba is not installed"):
-            use_kernel("numba")
-
-    def test_fleet_engine_validates_kernel_eagerly(self, module_catalog):
-        with pytest.raises(ValueError, match="unknown violation kernel"):
-            FleetEngine(engine=DopplerEngine(catalog=module_catalog), kernel="simd")
-        if not numba_available():
-            with pytest.raises(ValueError, match="numba is not installed"):
-                FleetEngine(engine=DopplerEngine(catalog=module_catalog), kernel="numba")
-
-    def test_engine_validation_does_not_flip_process_kernel(self, module_catalog):
-        use_kernel("numpy")
-        FleetEngine(engine=DopplerEngine(catalog=module_catalog), kernel="auto")
-        assert throttling._REQUESTED_KERNEL == "numpy"
-
-
-AVAILABLE_KERNELS = ("numpy", "numba") if numba_available() else ("numpy",)
-
-
-class TestKernelByteIdentity:
-    @pytest.fixture()
-    def problem(self):
-        rng = np.random.default_rng(5)
-        demands = rng.uniform(0.0, 120.0, size=(512, 6))
-        caps = rng.uniform(30.0, 100.0, size=(24, 6))
-        return demands, caps
-
-    @pytest.mark.parametrize("kernel", AVAILABLE_KERNELS)
-    def test_violation_counts_identical_across_kernels(
-        self, kernel, problem, numpy_kernel
-    ):
-        demands, caps = problem
-        use_kernel("numpy")
-        reference = violation_counts(demands, caps)
-        use_kernel(kernel)
-        counts = violation_counts(demands, caps)
-        assert counts.dtype == reference.dtype
-        assert counts.tobytes() == reference.tobytes()
-
-    @pytest.mark.parametrize("kernel", AVAILABLE_KERNELS)
-    def test_batch_counts_identical_across_kernels(self, kernel, problem, numpy_kernel):
-        rng = np.random.default_rng(11)
-        blocks = [
-            rng.uniform(0.0, 120.0, size=(n, 6)) for n in (64, 200, 512, 31)
-        ]
-        _, caps = problem
-        use_kernel("numpy")
-        reference = batch_violation_counts(blocks, caps)
-        use_kernel(kernel)
-        counts = batch_violation_counts(blocks, caps)
-        assert counts.tobytes() == reference.tobytes()
-
-    @pytest.mark.parametrize("kernel", ["auto"] + list(AVAILABLE_KERNELS))
-    def test_recommendations_identical_across_kernels(
-        self, kernel, module_catalog, records, customers, numpy_kernel
-    ):
-        use_kernel("numpy")
-        reference_fleet = FleetEngine(
-            engine=DopplerEngine(catalog=module_catalog), backend="serial"
-        )
-        reference_fleet.fit_fleet(records)
-        expected = [result_key(r) for r in reference_fleet.recommend_fleet(customers)]
-        fleet = FleetEngine(
-            engine=DopplerEngine(catalog=module_catalog),
-            backend="serial",
-            kernel=kernel,
-        )
+    @pytest.fixture(scope="class")
+    def expected(self, module_catalog, records, customers):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the defaults never warn
+            fleet = FleetEngine(
+                engine=DopplerEngine(catalog=module_catalog), backend="serial"
+            )
         fleet.fit_fleet(records)
-        got = [result_key(r) for r in fleet.recommend_fleet(customers)]
-        assert got == expected
+        return [result_key(r) for r in fleet.recommend_fleet(customers)]
+
+    @pytest.mark.parametrize("kernel", ["numba", "auto", "numpy"])
+    def test_kernel_argument_warns_and_is_ignored(
+        self, kernel, module_catalog, records, customers, expected
+    ):
+        with pytest.warns(DeprecationWarning, match="kernel"):
+            fleet = FleetEngine(
+                engine=DopplerEngine(catalog=module_catalog),
+                backend="serial",
+                kernel=kernel,
+            )
+        fleet.fit_fleet(records)
+        assert [result_key(r) for r in fleet.recommend_fleet(customers)] == expected
+
+    def test_zero_copy_opt_out_still_publishes_chunks(
+        self, monkeypatch, module_catalog, records, customers, expected
+    ):
+        """``zero_copy=False`` no longer selects a pickled process path."""
+        from repro.fleet import backends as backends_module
+
+        published = []
+        original = backends_module.ChunkPublisher
+
+        class CountingPublisher(original):
+            def __init__(self, ppm, task):
+                published.append(task)
+                super().__init__(ppm, task)
+
+        monkeypatch.setattr(backends_module, "ChunkPublisher", CountingPublisher)
+        baseline = leaked_segments()
+        with pytest.warns(DeprecationWarning, match="zero_copy"):
+            fleet = FleetEngine(
+                engine=DopplerEngine(catalog=module_catalog),
+                backend="process",
+                max_workers=2,
+                chunk_size=3,
+                zero_copy=False,
+            )
+        fleet.fit_fleet(records)
+        assert [result_key(r) for r in fleet.recommend_fleet(customers)] == expected
+        assert published == ["fit", "recommend"]
+        assert leaked_segments() == baseline
 
 
 # ----------------------------------------------------------------------

@@ -37,6 +37,34 @@ def checkpointed(store, **changes):
     return WATCH.replace(checkpoint=CheckpointConfig(store=store, **changes))
 
 
+def idle_tail_feed(n_customers, n_warm=16, n_tail=32):
+    """Every customer streams ``n_warm`` samples, then only cust-0 goes on."""
+    from repro.fleet import FleetSample
+
+    from .test_fleet_backends import live_samples
+
+    rng = np.random.default_rng(3)
+    streams = {
+        f"cust-{i}": live_samples(n_warm + n_tail, rng, scale=1.0 + 0.3 * i)
+        for i in range(n_customers)
+    }
+    return [
+        FleetSample(customer_id=cid, values=streams[cid][pos])
+        for pos in range(n_warm)
+        for cid in streams
+    ] + [
+        FleetSample(customer_id="cust-0", values=streams["cust-0"][pos])
+        for pos in range(n_warm, n_warm + n_tail)
+    ]
+
+
+def checkpoint_rows(store):
+    """``(n_customers, n_state_bytes)`` per checkpoint, oldest first."""
+    return store._conn.execute(
+        "SELECT n_customers, n_state_bytes FROM checkpoints ORDER BY checkpoint_id"
+    ).fetchall()
+
+
 def run_killed(fleet, feed, config, n_consume):
     """Run a checkpointed watch and kill it after ``n_consume`` updates."""
     consumed = []
@@ -188,66 +216,36 @@ class TestOutputInvariance:
         """Satellite contract: delta checkpoints write the active minority.
 
         A fleet where every customer streams for a warm-up phase and
-        then all but one go idle: full checkpoints keep re-writing all
-        six customers forever, delta checkpoints shrink to the single
+        then all but one go idle: checkpoints shrink to the single
         active one -- in rows and in bytes -- while the store still
         holds (and can resume) the whole fleet.
         """
-        from repro.fleet import CheckpointConfig, FleetSample
-
-        from .test_fleet_backends import live_samples
-
-        n_customers, n_warm, n_tail = 6, 16, 32
-        rng = np.random.default_rng(3)
-        streams = {
-            f"cust-{i}": live_samples(n_warm + n_tail, rng, scale=1.0 + 0.3 * i)
-            for i in range(n_customers)
-        }
-        feed = [
-            FleetSample(customer_id=cid, values=streams[cid][pos])
-            for pos in range(n_warm)
-            for cid in streams
-        ] + [
-            FleetSample(customer_id="cust-0", values=streams["cust-0"][pos])
-            for pos in range(n_warm, n_warm + n_tail)
-        ]
+        n_customers = 6
+        feed = idle_tail_feed(n_customers)
         baseline = list(make_fleet(small_catalog).watch_fleet(feed, config=WATCH))
-
-        def run(path, delta):
-            store = FleetStore(str(tmp_path / path))
-            config = WATCH.replace(
-                checkpoint=CheckpointConfig(store=store, every_ticks=1, delta=delta)
+        delta_store = FleetStore(str(tmp_path / "delta.db"))
+        stream = list(
+            make_fleet(small_catalog).watch_fleet(
+                feed, config=checkpointed(delta_store, every_ticks=1)
             )
-            stream = list(make_fleet(small_catalog).watch_fleet(feed, config=config))
-            assert canonical_updates(stream) == canonical_updates(baseline)
-            rows = store._conn.execute(
-                "SELECT n_customers, n_state_bytes FROM checkpoints"
-                " ORDER BY checkpoint_id"
-            ).fetchall()
-            return store, rows
-
-        full_store, full_rows = run("full.db", delta=False)
-        delta_store, delta_rows = run("delta.db", delta=True)
-        # Full mode re-writes the whole fleet at every checkpoint.
-        assert all(n == n_customers for n, _ in full_rows)
-        # Delta mode: the warm phase still writes everyone, the idle
-        # tail shrinks to the lone active customer -- and the bytes
-        # shrink with the rows.
+        )
+        assert canonical_updates(stream) == canonical_updates(baseline)
+        delta_rows = checkpoint_rows(delta_store)
+        # The warm phase still writes everyone, the idle tail shrinks
+        # to the lone active customer -- and the bytes shrink with the
+        # rows.
         first_customers, first_bytes = delta_rows[0]
         tail_customers, tail_bytes = delta_rows[-1]
         assert first_customers == n_customers
         assert tail_customers == 1
         assert 0 < tail_bytes < first_bytes
-        assert tail_bytes < full_rows[-1][1]
         # The idle majority was skipped, not lost: the store holds the
         # whole fleet and resumes it byte-identically.
         assert delta_store.customer_counts()[0] == n_customers
         resumed = list(
             make_fleet(small_catalog).watch_fleet(
                 feed,
-                config=WATCH.replace(
-                    checkpoint=CheckpointConfig(store=delta_store, every_ticks=1)
-                ),
+                config=checkpointed(delta_store, every_ticks=1),
                 resume_from=delta_store,
             )
         )
@@ -255,8 +253,32 @@ class TestOutputInvariance:
         assert canonical_updates(resumed) == canonical_updates(
             baseline[checkpoint.n_emitted :]
         )
-        full_store.close()
         delta_store.close()
+
+    def test_retired_delta_flag_warns_and_changes_nothing(
+        self, small_catalog, tmp_path
+    ):
+        """``CheckpointConfig(delta=False)`` no longer selects full writes."""
+        feed = idle_tail_feed(6)
+        default_store = FleetStore(str(tmp_path / "default.db"))
+        retired_store = FleetStore(str(tmp_path / "retired.db"))
+        with pytest.warns(DeprecationWarning, match="delta"):
+            retired = CheckpointConfig(store=retired_store, every_ticks=1, delta=False)
+        default_stream = list(
+            make_fleet(small_catalog).watch_fleet(
+                feed, config=checkpointed(default_store, every_ticks=1)
+            )
+        )
+        retired_stream = list(
+            make_fleet(small_catalog).watch_fleet(
+                feed, config=WATCH.replace(checkpoint=retired)
+            )
+        )
+        assert canonical_updates(retired_stream) == canonical_updates(default_stream)
+        assert checkpoint_rows(retired_store) == checkpoint_rows(default_store)
+        assert checkpoint_rows(retired_store)[-1][0] == 1  # still delta writes
+        default_store.close()
+        retired_store.close()
 
     def test_rebalance_events_land_in_the_store(self, small_catalog):
         feed = interleaved_feed(6, 24, seed=8)

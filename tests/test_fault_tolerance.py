@@ -606,7 +606,6 @@ class TestZeroCopyFaultHygiene:
         config = WATCH.replace(
             backend="process",
             max_workers=3,
-            zero_copy=True,
             supervision=supervised(FaultPlan(kill_worker=((1, 1),))),
         )
         assert canonical_updates(fleet.watch_fleet(feed, config=config)) == baseline
@@ -625,7 +624,6 @@ class TestZeroCopyFaultHygiene:
         config = WATCH.replace(
             backend="process",
             max_workers=3,
-            zero_copy=True,
             supervision=supervised(
                 FaultPlan(kill_worker=kills), max_restarts=1, snapshot_every_ticks=1
             ),

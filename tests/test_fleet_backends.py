@@ -598,10 +598,7 @@ class TestZeroCopyTickPlane:
         serial = canonical_updates(fleet.watch_fleet(feed, config=WATCH_CONFIG))
         zero_copy = canonical_updates(
             fleet.watch_fleet(
-                feed,
-                config=WATCH_CONFIG.replace(
-                    backend="process", max_workers=3, zero_copy=True
-                ),
+                feed, config=WATCH_CONFIG.replace(backend="process", max_workers=3)
             )
         )
         assert zero_copy == serial
@@ -616,10 +613,7 @@ class TestZeroCopyTickPlane:
             fleet.watch_fleet(
                 feed,
                 config=WATCH_CONFIG.replace(
-                    backend="process",
-                    max_workers=3,
-                    refreshes_only=False,
-                    zero_copy=True,
+                    backend="process", max_workers=3, refreshes_only=False
                 ),
             )
         )
@@ -639,27 +633,26 @@ class TestZeroCopyTickPlane:
         monkeypatch.setattr(backends_module, "TickPlane", CountingPlane)
         fleet = FleetEngine(engine=DopplerEngine(catalog=small_catalog), backend="serial")
         feed = interleaved_feed(3, 8, seed=72)
-        list(
+        default = canonical_updates(
             fleet.watch_fleet(
                 feed, config=WATCH_CONFIG.replace(backend="process", max_workers=2)
             )
         )
-        assert len(created) == 1  # auto-enabled, allocated once per watch
-        list(
-            fleet.watch_fleet(
-                feed,
-                config=WATCH_CONFIG.replace(
-                    backend="process", max_workers=2, zero_copy=False
-                ),
+        assert len(created) == 1  # allocated once per watch
+        # The retired opt-out warns and selects no second path: the
+        # watch still allocates exactly one plane, same stream.
+        with pytest.warns(DeprecationWarning, match="zero_copy"):
+            opted_out = WATCH_CONFIG.replace(
+                backend="process", max_workers=2, zero_copy=False
             )
-        )
-        assert len(created) == 1  # opt-out respected
+        assert canonical_updates(fleet.watch_fleet(feed, config=opted_out)) == default
+        assert len(created) == 2
         list(
             fleet.watch_fleet(
                 feed, config=WATCH_CONFIG.replace(backend="thread", max_workers=2)
             )
         )
-        assert len(created) == 1  # same-address-space backends never pay
+        assert len(created) == 2  # same-address-space backends never pay
 
     def test_migration_during_watch_rides_state_frames(self, small_catalog):
         from repro.fleet.rebalance import Migration, RebalanceDecision, ScheduledRebalancePolicy
@@ -680,7 +673,6 @@ class TestZeroCopyTickPlane:
                 config=WATCH_CONFIG.replace(
                     backend="process",
                     max_workers=3,
-                    zero_copy=True,
                     tick_samples=4,
                     rebalance=ScheduledRebalancePolicy(schedule=schedule),
                 ),
@@ -699,9 +691,7 @@ class TestZeroCopyTickPlane:
         list(
             fleet.watch_fleet(
                 feed,
-                config=WATCH_CONFIG.replace(
-                    backend="process", max_workers=2, zero_copy=True
-                ),
+                config=WATCH_CONFIG.replace(backend="process", max_workers=2),
             )
         )
         assert leaked_segments() == baseline
@@ -715,7 +705,7 @@ class TestZeroCopyTickPlane:
         stream = fleet.watch_fleet(
             feed,
             config=WATCH_CONFIG.replace(
-                backend="process", max_workers=2, zero_copy=True, refreshes_only=False
+                backend="process", max_workers=2, refreshes_only=False
             ),
         )
         next(stream)
