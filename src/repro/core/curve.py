@@ -13,7 +13,6 @@ genuine ranking across many throttling levels).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -38,9 +37,11 @@ class CurveShape(enum.Enum):
 class CurvePoint(NamedTuple):
     """One SKU's position on a price-performance curve.
 
-    A named tuple rather than a dataclass: fleet-scale passes create
-    hundreds of points per customer, and tuple construction is the
-    cheapest immutable record Python offers.
+    A curve stores arrays, not points: a point is built on demand when
+    it is read (:meth:`PricePerformanceCurve.point_at`, iteration), so
+    a fleet pass pays for one point per customer -- the selected SKU --
+    rather than one per candidate.  The numeric fields are plain Python
+    floats.
 
     Attributes:
         sku: The cloud target.
@@ -58,33 +59,58 @@ class CurvePoint(NamedTuple):
     score: float
 
 
-@dataclass(frozen=True)
 class PricePerformanceCurve:
     """A monotone price-performance ranking of candidate SKUs.
 
+    Array-backed: the curve holds a candidate tuple -- for curves the
+    modeler builds, the deployment's candidate tuple, shared by every
+    curve of that deployment -- plus read-only arrays aligned by price
+    rank: each point's index into the candidates, its monthly price,
+    its raw throttling probability and its monotone score.  Points are
+    built on demand and never cached.  Curves are immutable values
+    (cached curves are shared between customers): two curves are equal
+    when their points and entity ids are.
+
     Attributes:
-        points: Curve points sorted by monthly price ascending; the
-            ``score`` field is monotone non-decreasing.
         entity_id: The assessed workload's identifier.
     """
 
-    points: tuple[CurvePoint, ...]
-    entity_id: str = "unnamed"
+    __slots__ = ("_candidates", "_index", "_prices", "_raw", "_scores", "entity_id")
 
-    def __post_init__(self) -> None:
-        if not self.points:
+    def __init__(self, points: Sequence[CurvePoint], entity_id: str = "unnamed") -> None:
+        """A curve over explicit points.
+
+        Args:
+            points: Curve points sorted by monthly price ascending,
+                with a monotone non-decreasing ``score``.
+            entity_id: Workload identifier for reports.
+
+        Raises:
+            ValueError: If ``points`` is empty, unsorted by price or
+                not monotone in score.
+        """
+        points = tuple(points)
+        if not points:
             raise ValueError("a price-performance curve needs at least one point")
-        prices = [point.monthly_price for point in self.points]
-        if any(b < a for a, b in zip(prices, prices[1:])):
+        prices = np.array([point.monthly_price for point in points], dtype=float)
+        if np.any(prices[1:] < prices[:-1]):
             raise ValueError("curve points must be sorted by price ascending")
-        scores = [point.score for point in self.points]
-        if any(b < a - 1e-12 for a, b in zip(scores, scores[1:])):
+        scores = np.array([point.score for point in points], dtype=float)
+        if np.any(scores[1:] < scores[:-1] - 1e-12):
             raise ValueError("curve scores must be monotone non-decreasing")
+        self._adopt(
+            tuple(point.sku for point in points),
+            np.arange(len(points)),
+            prices,
+            np.array([point.throttling_probability for point in points], dtype=float),
+            scores,
+            entity_id,
+        )
 
     @classmethod
     def from_probabilities(
         cls,
-        skus: list[SkuSpec],
+        skus: Sequence[SkuSpec],
         probabilities: np.ndarray,
         entity_id: str = "unnamed",
     ) -> "PricePerformanceCurve":
@@ -105,83 +131,179 @@ class PricePerformanceCurve:
             raise ValueError(
                 f"expected {len(skus)} probabilities, got shape {probabilities.shape}"
             )
-        if probabilities.size and (
-            probabilities.min() < -1e-9 or probabilities.max() > 1.0 + 1e-9
-        ):
-            raise ValueError("throttling probabilities must lie in [0, 1]")
-        prices = np.array([sku.monthly_price for sku in skus])
+        prices = np.array([sku.monthly_price for sku in skus], dtype=float)
         vcores = np.array([sku.vcores for sku in skus])
         # Stable (price, vcores) ordering; lexsort keys are applied
         # last-key-primary and each pass is stable, so ties preserve
         # input order exactly like sorted() with a key tuple.
         order = np.lexsort((vcores, prices))
-        raw = np.clip(probabilities[order], 0.0, 1.0)
-        scores = np.maximum.accumulate(1.0 - raw)
-        points = tuple(
-            CurvePoint(
-                sku=skus[index],
-                monthly_price=float(prices[index]),
-                throttling_probability=float(raw[rank]),
-                score=float(scores[rank]),
-            )
-            for rank, index in enumerate(order)
+        return cls._assemble(
+            tuple(skus), order, prices[order], probabilities[order], entity_id
         )
-        return cls(points=points, entity_id=entity_id)
 
     @classmethod
     def from_price_ordered(
         cls,
-        skus: Sequence[SkuSpec],
+        candidates: Sequence[SkuSpec],
         monthly_prices: Sequence[float],
         probabilities: np.ndarray,
         entity_id: str = "unnamed",
+        index: Sequence[int] | None = None,
     ) -> "PricePerformanceCurve":
         """Trusted fast constructor for already-price-ordered SKUs.
 
-        The columnar fleet kernel's assembly path: the caller
-        guarantees ``skus`` are sorted by (monthly price, vCores) --
-        catalog order is -- and supplies the precomputed monthly
-        prices, so the per-curve sort and per-point price property
-        lookups of :meth:`from_probabilities` disappear.  Produces
-        bit-identical curves to :meth:`from_probabilities` for such
-        input (same clip, same running-max), and skips re-validating
-        the ordering the caller established (``__post_init__``-less
-        construction); misuse with unsorted SKUs is on the caller.
+        The curve builders' assembly path: the caller guarantees
+        ``candidates`` are sorted by (monthly price, vCores) -- catalog
+        order is -- and supplies their precomputed monthly prices, so
+        the sort and the per-SKU price lookups of
+        :meth:`from_probabilities` disappear.  Produces bit-identical
+        curves to :meth:`from_probabilities` for such input (same clip,
+        same running max) and skips re-validating the ordering the
+        caller established; misuse with unsorted SKUs is on the caller.
+
+        Args:
+            candidates: Price-ordered SKUs; kept by reference, so
+                curves over one deployment share its candidate tuple.
+            monthly_prices: Prices aligned with ``candidates``.
+            probabilities: ``P_n(SKU_i)`` aligned with the curve's
+                SKUs (``index`` order).
+            entity_id: Workload identifier for reports.
+            index: Ascending positions of the curve's SKUs in
+                ``candidates``; all of them when omitted.
         """
-        probabilities = np.asarray(probabilities, dtype=float)
+        if index is None:
+            index = np.arange(len(candidates))
+        else:
+            index = np.array(index, dtype=np.intp)
+        return cls._assemble(
+            candidates,
+            index,
+            np.asarray(monthly_prices, dtype=float)[index],
+            np.asarray(probabilities, dtype=float),
+            entity_id,
+        )
+
+    @classmethod
+    def _assemble(
+        cls,
+        candidates: Sequence[SkuSpec],
+        index: np.ndarray,
+        prices: np.ndarray,
+        probabilities: np.ndarray,
+        entity_id: str,
+    ) -> "PricePerformanceCurve":
+        """The one curve assembly: clip, then a running max of ``1 - P``."""
         if probabilities.size and (
             probabilities.min() < -1e-9 or probabilities.max() > 1.0 + 1e-9
         ):
             raise ValueError("throttling probabilities must lie in [0, 1]")
-        raw = np.clip(probabilities, 0.0, 1.0)
-        scores = np.maximum.accumulate(1.0 - raw)
-        points = tuple(
-            CurvePoint(sku, price, probability, score)
-            for sku, price, probability, score in zip(
-                skus, monthly_prices, raw.tolist(), scores.tolist()
-            )
-        )
-        if not points:
+        if not len(index):
             raise ValueError("a price-performance curve needs at least one point")
+        raw = np.clip(probabilities, 0.0, 1.0)
+        return cls._from_fields(
+            candidates, index, prices, raw, np.maximum.accumulate(1.0 - raw), entity_id
+        )
+
+    @classmethod
+    def _from_fields(
+        cls, candidates, index, prices, raw, scores, entity_id
+    ) -> "PricePerformanceCurve":
+        """A curve over trusted fields; also the unpickling constructor."""
         curve = object.__new__(cls)
-        object.__setattr__(curve, "points", points)
-        object.__setattr__(curve, "entity_id", entity_id)
+        curve._adopt(candidates, index, prices, raw, scores, entity_id)
         return curve
+
+    def _adopt(self, candidates, index, prices, raw, scores, entity_id) -> None:
+        """Set the fields, freezing the arrays the curve now owns."""
+        for name, value in (
+            ("_candidates", candidates),
+            ("_index", index),
+            ("_prices", prices),
+            ("_raw", raw),
+            ("_scores", scores),
+            ("entity_id", entity_id),
+        ):
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
+            object.__setattr__(self, name, value)
+
+    # ------------------------------------------------------------------
+    # Value semantics
+    # ------------------------------------------------------------------
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, PricePerformanceCurve):
+            return NotImplemented
+        return self.entity_id == other.entity_id and self.points == other.points
+
+    def __hash__(self) -> int:
+        return hash((self.points, self.entity_id))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(points={self.points!r}, entity_id={self.entity_id!r})"
+
+    def __reduce__(self):
+        fields = (self._candidates, self._index, self._prices, self._raw, self._scores)
+        return (type(self)._from_fields, (*fields, self.entity_id))
+
+    def __setstate__(self, state: dict) -> None:
+        """Adopt a pickle of the earlier points-backed curve.
+
+        Checkpoints stored before curves were array-backed pickled the
+        dataclass fields ``points`` and ``entity_id``.
+        """
+        legacy = PricePerformanceCurve(state["points"], state["entity_id"])
+        for name in self.__slots__:
+            object.__setattr__(self, name, getattr(legacy, name))
 
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
+    @property
+    def points(self) -> tuple[CurvePoint, ...]:
+        """Every point, cheapest first, built on each access."""
+        candidates = self._candidates
+        return tuple(
+            CurvePoint(candidates[position], price, probability, score)
+            for position, price, probability, score in zip(
+                self._index.tolist(),
+                self._prices.tolist(),
+                self._raw.tolist(),
+                self._scores.tolist(),
+            )
+        )
+
+    def point_at(self, rank: int) -> CurvePoint:
+        """The point at a price rank (0 = cheapest, -1 = priciest).
+
+        Raises:
+            IndexError: If ``rank`` is outside the curve.
+        """
+        return CurvePoint(
+            self._candidates[self._index[rank]],
+            float(self._prices[rank]),
+            float(self._raw[rank]),
+            float(self._scores[rank]),
+        )
+
     def __len__(self) -> int:
-        return len(self.points)
+        return len(self._index)
 
     def __iter__(self):
         return iter(self.points)
 
     def scores(self) -> np.ndarray:
-        return np.array([point.score for point in self.points])
+        """Monotone scores by price rank (read-only)."""
+        return self._scores
 
     def prices(self) -> np.ndarray:
-        return np.array([point.monthly_price for point in self.points])
+        """Monthly prices by price rank (read-only)."""
+        return self._prices
 
     def point_for(self, sku_name: str) -> CurvePoint:
         """The curve point of a given SKU.
@@ -189,14 +311,23 @@ class PricePerformanceCurve:
         Raises:
             KeyError: If the SKU is not on this curve.
         """
-        for point in self.points:
-            if point.sku.name == sku_name:
-                return point
+        return self.point_at(self.position_of(sku_name))
+
+    def position_of(self, sku_name: str) -> int:
+        """Rank of a SKU on the curve (0 = cheapest).
+
+        Raises:
+            KeyError: If the SKU is not on this curve.
+        """
+        candidates = self._candidates
+        for rank, position in enumerate(self._index.tolist()):
+            if candidates[position].name == sku_name:
+                return rank
         raise KeyError(sku_name)
 
     def shape(self) -> CurveShape:
         """Classify into flat / simple / complex (paper Section 5.1)."""
-        scores = self.scores()
+        scores = self._scores
         all_full = np.all(scores >= 1.0 - _SHAPE_TOLERANCE)
         if all_full:
             return CurveShape.FLAT
@@ -212,33 +343,17 @@ class PricePerformanceCurve:
     # ------------------------------------------------------------------
     def cheapest_full_performance(self) -> CurvePoint | None:
         """Cheapest point with (near-)zero throttling, or None."""
-        for point in self.points:
-            if point.score >= 1.0 - _SHAPE_TOLERANCE:
-                return point
-        return None
+        return self.cheapest_at_least(1.0 - _SHAPE_TOLERANCE)
 
     def cheapest_at_least(self, score: float) -> CurvePoint | None:
         """Cheapest point whose score reaches ``score``, or None."""
-        for point in self.points:
-            if point.score >= score:
-                return point
-        return None
-
-    def position_of(self, sku_name: str) -> int:
-        """Rank of a SKU on the curve (0 = cheapest).
-
-        Raises:
-            KeyError: If the SKU is not on this curve.
-        """
-        for index, point in enumerate(self.points):
-            if point.sku.name == sku_name:
-                return index
-        raise KeyError(sku_name)
+        reached = np.flatnonzero(self._scores >= score)
+        return self.point_at(int(reached[0])) if reached.size else None
 
     def render_ascii(self, width: int = 60, height: int = 12) -> str:
         """Plain-text rendering for the resource-use dashboard."""
-        prices = self.prices()
-        scores = self.scores()
+        prices = self._prices
+        scores = self._scores
         lo, hi = prices.min(), prices.max()
         span = hi - lo if hi > lo else 1.0
         grid = [[" "] * width for _ in range(height)]
@@ -252,3 +367,4 @@ class PricePerformanceCurve:
         lines.append("    +" + "-" * width)
         lines.append(f"     ${lo:,.0f}/mo{' ' * max(1, width - 20)}${hi:,.0f}/mo")
         return "\n".join(lines)
+

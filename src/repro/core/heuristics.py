@@ -106,7 +106,7 @@ def performance_threshold(
         raise ValueError(f"gamma must be in [0, 1], got {gamma!r}")
     point = curve.cheapest_at_least(gamma)
     if point is None:
-        point = curve.points[-1]
+        point = curve.point_at(-1)
         detail = f"no SKU reaches score {gamma:g}; best available"
     else:
         detail = f"first SKU with score >= {gamma:g}"

@@ -2,11 +2,10 @@
 
 :class:`~repro.core.throttling.EmpiricalThrottlingEstimator` answers
 "what fraction of time points violate each SKU's capacity" by
-materializing the full ``(n_skus, n_samples, n_dims)`` broadcast on
-every call -- exact, but O(n_skus * n_samples * n_dims) per
-evaluation.  Under continuous telemetry that cost is paid per *sample*
-if recommendations must stay fresh, turning a linear stream into a
-quadratic bill.
+rescanning the whole trace on every call -- exact, but O(n_samples)
+kernel work per evaluation.  Under continuous telemetry that cost is
+paid per *sample* if recommendations must stay fresh, turning a
+linear stream into a quadratic bill.
 
 :class:`IncrementalThrottlingEstimator` maintains the same statistic
 online: per-SKU running violation counts over a bounded sliding
@@ -30,11 +29,12 @@ from ..telemetry.counters import PerfDimension
 from ..telemetry.streaming import parse_sample
 from ..telemetry.trace import PerformanceTrace
 from .throttling import (
-    _violation_mask,
     apply_iops_overrides,
     capacity_matrix,
     demand_matrix,
     invert_latency,
+    violation_counts,
+    violation_rows,
 )
 
 __all__ = ["IncrementalThrottlingEstimator"]
@@ -167,28 +167,25 @@ class IncrementalThrottlingEstimator:
 
         Equivalent to feeding the samples through :meth:`update` one
         by one, but the dominant cases never drop to a Python loop:
-        unbounded windows accumulate in one sum, and batches at least
-        as long as the window replace the ring wholesale (everything
-        older ages out anyway).
+        unbounded windows add the batch kernel's counts, and batches
+        at least as long as the window replace the ring wholesale with
+        the kernel's unpacked rows (everything older ages out anyway).
         """
         demands = demand_matrix(trace, self.dimensions)
-        # Dimension-major kernel shared with the batch estimators: two
-        # 2-D temps instead of the (n_samples, n_skus, n_dims) 3-D
-        # broadcast, bit-identical comparisons.
-        violated = _violation_mask(demands, self._caps).T
-        n_rows = len(violated)
+        n_rows = demands.shape[0]
         if self._ring is None:
-            self._counts += violated.sum(axis=0, dtype=np.int64)
+            self._counts += violation_counts(demands, self._caps)
             self._n_seen += n_rows
             return
         if n_rows >= self.window:
-            tail = violated[-self.window :]
+            tail = violation_rows(demands[-self.window :], self._caps)
             start = self._n_seen + n_rows - self.window
             slots = np.arange(start, start + self.window) % self.window
             self._ring[slots] = tail
             self._counts = tail.sum(axis=0, dtype=np.int64)
             self._n_seen += n_rows
             return
+        violated = violation_rows(demands, self._caps)
         for row in violated:  # partial batch: merge with surviving state
             self._apply_row(row)
 

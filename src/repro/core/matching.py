@@ -134,17 +134,18 @@ class GroupScoreModel:
     ) -> CurvePoint:
         """Pick the optimal SKU for a profiled customer (eqs. (4)-(6)).
 
-        Scans the monotone curve for the point whose throttling
-        probability is closest to the group target without exceeding
-        it; ties resolve to the cheapest SKU.  If nothing satisfies the
-        constraint, the overall closest point is returned.
+        Scans the monotone curve's scores for the point whose
+        throttling probability is closest to the group target without
+        exceeding it; ties (gaps within 1e-12) resolve to the cheapest
+        SKU.  If nothing satisfies the constraint, the overall closest
+        point is returned.  Only the chosen point is built.
         """
         target = self.target_probability(group_key)
-        feasible_best: CurvePoint | None = None
+        feasible_rank: int | None = None
         feasible_gap = float("inf")
-        overall_best = curve.points[0]
+        overall_rank = 0
         overall_gap = float("inf")
-        for point in curve.points:
+        for rank, score in enumerate(curve.scores().tolist()):
             # Selection deliberately runs in monotone score space, NOT
             # raw throttling_probability (which training and reporting
             # use): a lifted point's 1 - score is an exact float copy
@@ -153,15 +154,15 @@ class GroupScoreModel:
             # cannot be steered to a more expensive, less performant
             # target.  Raw-probability selection would let a dominated
             # point win on gap alone.
-            probability = 1.0 - point.score
+            probability = 1.0 - score
             gap = abs(probability - target)
             if gap < overall_gap - 1e-12:
                 overall_gap = gap
-                overall_best = point
+                overall_rank = rank
             if probability <= target + 1e-12 and gap < feasible_gap - 1e-12:
                 feasible_gap = gap
-                feasible_best = point
-        return feasible_best if feasible_best is not None else overall_best
+                feasible_rank = rank
+        return curve.point_at(overall_rank if feasible_rank is None else feasible_rank)
 
     def describe(self) -> str:
         """Table-3-style rendering of the learned group scores."""

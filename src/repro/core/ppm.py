@@ -78,9 +78,7 @@ class _DeploymentCurveState:
 
     def __init__(self, skus: Sequence[SkuSpec]) -> None:
         self.skus: tuple[SkuSpec, ...] = tuple(skus)
-        self.monthly_prices: tuple[float, ...] = tuple(
-            sku.monthly_price for sku in self.skus
-        )
+        self.monthly_prices = np.array([sku.monthly_price for sku in self.skus])
         self.max_data_size_gb = np.array(
             [sku.limits.max_data_size_gb for sku in self.skus]
         )
@@ -262,9 +260,10 @@ class PricePerformanceModeler:
         per-deployment capacity matrix is built once (memoized on the
         modeler), customers are grouped by their evaluated dimension
         tuple (and, for MI, by the planned file layout's IOPS
-        override), each group's demand rows flow through one chunked
-        broadcast, and the per-customer storage fit reduces to a
-        vectorized mask over precomputed SKU storage limits.
+        override), each group's demand rows flow through shared
+        chunks of the bitset violation kernel, and the per-customer
+        storage fit reduces to a vectorized mask over precomputed SKU
+        storage limits.
 
         The results are byte-identical to calling :meth:`build_curve`
         per trace -- same probabilities (per-SKU estimates are
@@ -478,7 +477,7 @@ class PricePerformanceModeler:
         state: _DeploymentCurveState,
         trace: PerformanceTrace,
         plan: MiStoragePlan | None,
-        probabilities_of: Callable[[list[int]], np.ndarray],
+        probabilities_of: Callable[[np.ndarray], np.ndarray],
     ) -> PricePerformanceCurve:
         """Fit the candidates to the trace, then assemble its curve.
 
@@ -498,12 +497,13 @@ class PricePerformanceModeler:
             mask &= state.bc_mask
             if not mask.any():
                 raise ValueError("no MI SKU satisfies the storage requirement")
-        fitted = np.flatnonzero(mask).tolist()
+        fitted = np.flatnonzero(mask)
         return PricePerformanceCurve.from_price_ordered(
-            [state.skus[j] for j in fitted],
-            [state.monthly_prices[j] for j in fitted],
+            state.skus,
+            state.monthly_prices,
             probabilities_of(fitted),
             entity_id=trace.entity_id,
+            index=fitted,
         )
 
     @staticmethod

@@ -45,13 +45,19 @@ __all__ = [
     "demand_matrix",
     "invert_latency",
     "violation_counts",
+    "violation_rows",
 ]
 
-#: Upper bound on the transient ``(n_skus, chunk, n_dims)`` boolean
-#: broadcast the empirical kernel materializes.  64 MB keeps the temp
-#: inside typical L3/working-set budgets while leaving chunks large
-#: enough that the per-chunk Python overhead stays negligible.
+#: Upper bound on the violation kernel's transient working set (the
+#: padded demand columns, the level comparisons, the packed level words
+#: and the per-SKU bitsets of one chunk).  64 MB keeps it inside typical
+#: working-set budgets while leaving chunks large enough that the
+#: per-chunk Python overhead stays negligible.
 DEFAULT_KERNEL_MEMORY_CAP_MB = 64.0
+
+#: Samples per bitset word.  Every trace is padded to a multiple of it,
+#: so no word ever holds samples of two traces.
+_WORD_SAMPLES = 64
 
 
 def demand_matrix(
@@ -71,28 +77,123 @@ def demand_matrix(
     return trace.demand_matrix(tuple(dimensions))
 
 
-def _chunk_samples(n_skus: int, n_dims: int, memory_cap_mb: float) -> int:
-    """Samples per broadcast so the bool temp stays under the cap."""
-    if memory_cap_mb <= 0:
-        raise ValueError(f"memory cap must be positive, got {memory_cap_mb!r}")
-    per_sample = max(1, n_skus * n_dims)  # one byte per bool element
-    return max(1, int(memory_cap_mb * 1024 * 1024) // per_sample)
+class _CapacityLevels:
+    """A capacity matrix as distinct levels per dimension.
 
+    A catalog has few distinct capacities per dimension (SQL DB: 97
+    levels over 276 SKUs x 6 dimensions), so the kernel compares each
+    demand column only against its dimension's sorted distinct levels
+    and lets every SKU gather the level rows it sits on.
 
-def _violation_mask(demands: np.ndarray, caps: np.ndarray) -> np.ndarray:
-    """``(n_skus, n_samples)`` any-dimension violation mask.
-
-    Evaluated dimension-major: one 2-D comparison per dimension OR-ed
-    into the output, which is ~3x faster than materializing the 3-D
-    ``(n_skus, n_samples, n_dims)`` broadcast and reducing over the
-    strided last axis, and keeps the transient footprint at two 2-D
-    boolean arrays.  Exactly the same comparisons, so the mask is
-    bit-identical to ``(demands[None] > caps[:, None]).any(axis=2)``.
+    Attributes:
+        levels: Sorted distinct capacities, one array per dimension.
+        rows: ``(n_skus, n_dims)`` index of each SKU's level among all
+            dimensions' levels stacked in order.
     """
-    out = demands[:, 0][None, :] > caps[:, 0][:, None]
-    for column in range(1, caps.shape[1]):
-        out |= demands[:, column][None, :] > caps[:, column][:, None]
-    return out
+
+    def __init__(self, caps: np.ndarray) -> None:
+        self.levels: list[np.ndarray] = []
+        self.rows = np.empty(caps.shape, dtype=np.intp)
+        offset = 0
+        for column in range(caps.shape[1]):
+            levels, inverse = np.unique(caps[:, column], return_inverse=True)
+            self.levels.append(levels)
+            self.rows[:, column] = inverse + offset
+            offset += len(levels)
+        self.n_levels = offset
+
+    def words_per_chunk(self, memory_cap_mb: float) -> int:
+        """Bitset words per kernel chunk so the transients fit the cap.
+
+        Per 64-sample word a chunk holds the padded demand columns
+        (8 bytes per dimension and sample), one dimension's level
+        comparisons (one byte per level and sample), the packed level
+        words, and per SKU its bitset, one gathered level row and a
+        popcount byte.  A chunk is never smaller than one word.
+        """
+        if memory_cap_mb <= 0:
+            raise ValueError(f"memory cap must be positive, got {memory_cap_mb!r}")
+        n_skus, n_dims = self.rows.shape
+        widest = max((len(levels) for levels in self.levels), default=0)
+        per_word = (
+            _WORD_SAMPLES * (8 * n_dims + widest) + 8 * self.n_levels + 17 * n_skus
+        )
+        return max(1, int(memory_cap_mb * 1024 * 1024) // per_word)
+
+    def violation_words(self, blocks: Sequence[np.ndarray]) -> np.ndarray:
+        """``(n_skus, n_words)`` uint64 any-dimension violation bitsets.
+
+        Each block of ``(n_i, n_dims)`` demands starts on a fresh word
+        and is padded to a whole word with ``-inf``, which violates no
+        capacity.  Bit ``t`` of a block's bits (``np.packbits`` order)
+        is set iff some dimension's demand at sample ``t`` exceeds the
+        SKU's capacity: exactly
+        ``(demands[None] > caps[:, None]).any(axis=2)``, packed.
+        """
+        n_words = [-(-block.shape[0] // _WORD_SAMPLES) for block in blocks]
+        columns = np.full(
+            (self.rows.shape[1], sum(n_words) * _WORD_SAMPLES), -np.inf
+        )
+        start = 0
+        for block, words in zip(blocks, n_words):
+            columns[:, start : start + block.shape[0]] = block.T
+            start += words * _WORD_SAMPLES
+        packed = np.empty((self.n_levels, columns.shape[1] // 8), dtype=np.uint8)
+        row = 0
+        for column, levels in zip(columns, self.levels):
+            packed[row : row + len(levels)] = np.packbits(
+                column > levels[:, None], axis=1
+            )
+            row += len(levels)
+        level_words = packed.view(np.uint64)
+        violated = level_words[self.rows[:, 0]]
+        for dim in range(1, self.rows.shape[1]):
+            violated |= level_words[self.rows[:, dim]]
+        return violated
+
+
+def _bitset_counts(
+    demand_blocks: Sequence[np.ndarray], caps: np.ndarray, memory_cap_mb: float
+) -> np.ndarray:
+    """``(n_traces, n_skus)`` violation counts: the one violation kernel.
+
+    Traces are packed greedily into chunks of at most the cap's word
+    budget; a trace longer than the budget is cut into word-aligned
+    pieces that are counted separately and summed.  A chunk's counts
+    are popcounts summed per piece over its word offsets.
+    """
+    levels = _CapacityLevels(caps)
+    budget = levels.words_per_chunk(memory_cap_mb)
+    counts = np.zeros((len(demand_blocks), caps.shape[0]), dtype=np.int64)
+    owners: list[int] = []
+    pieces: list[np.ndarray] = []
+    offsets: list[int] = []
+    n_words = 0
+
+    def flush() -> None:
+        nonlocal n_words
+        if pieces:
+            popcounts = np.bitwise_count(levels.violation_words(pieces))
+            sums = np.add.reduceat(popcounts, offsets, axis=1, dtype=np.int64)
+            np.add.at(counts, owners, sums.T)
+            owners.clear()
+            pieces.clear()
+            offsets.clear()
+            n_words = 0
+
+    step = budget * _WORD_SAMPLES
+    for index, block in enumerate(demand_blocks):
+        for start in range(0, block.shape[0], step):
+            piece = block[start : start + step]
+            words = -(-piece.shape[0] // _WORD_SAMPLES)
+            if n_words + words > budget:
+                flush()
+            owners.append(index)
+            pieces.append(piece)
+            offsets.append(n_words)
+            n_words += words
+    flush()
+    return counts
 
 
 def violation_counts(
@@ -100,24 +201,19 @@ def violation_counts(
     caps: np.ndarray,
     memory_cap_mb: float = DEFAULT_KERNEL_MEMORY_CAP_MB,
 ) -> np.ndarray:
-    """Per-SKU count of samples violating any dimension, chunked.
+    """Per-SKU count of samples violating any dimension.
 
-    The hot inner kernel of the empirical estimator: evaluates
+    The hot inner kernel of the empirical estimator: counts
     ``any_dim(demand > capacity)`` over an ``(n_samples, n_dims)``
-    demand matrix and an ``(n_skus, n_dims)`` capacity matrix without
-    ever materializing more than ``memory_cap_mb`` of boolean temp.
+    demand matrix and an ``(n_skus, n_dims)`` capacity matrix with the
+    bitset kernel, never holding more than ``memory_cap_mb`` of
+    transients (a longer trace is counted in word-aligned chunks).
     Counting integers and dividing once is bit-identical to
-    ``violated.any(axis=2).mean(axis=1)`` (bool sums are exact in
+    ``violated.any(axis=2).mean(axis=1)`` (integer sums are exact in
     int64/float64 far beyond any realistic trace length), so chunking
     never changes a probability.
     """
-    n_skus = caps.shape[0]
-    counts = np.zeros(n_skus, dtype=np.int64)
-    chunk = _chunk_samples(n_skus, caps.shape[1], memory_cap_mb)
-    for start in range(0, demands.shape[0], chunk):
-        block = demands[start : start + chunk]
-        counts += _violation_mask(block, caps).sum(axis=1, dtype=np.int64)
-    return counts
+    return _bitset_counts([demands], caps, memory_cap_mb)[0]
 
 
 def batch_violation_counts(
@@ -127,55 +223,32 @@ def batch_violation_counts(
 ) -> np.ndarray:
     """Violation counts for many traces against one capacity matrix.
 
-    The columnar fleet kernel: stacks several traces' demand matrices
-    into shared broadcasts (so the per-trace Python/numpy dispatch
-    overhead amortizes across the fleet) while still respecting the
-    boolean-temp memory cap.  Traces are packed greedily into
-    broadcast groups; a single trace longer than the cap falls back to
-    the chunked single-trace kernel.
+    The columnar fleet kernel: the traces share word-padded chunks
+    (so the per-trace numpy dispatch overhead amortizes across the
+    fleet) while the chunk transients stay under the memory cap.
 
     Args:
         demand_blocks: Per-trace ``(n_i, n_dims)`` demand matrices,
             all sharing one dimension order aligned with ``caps``.
         caps: ``(n_skus, n_dims)`` capacity matrix.
-        memory_cap_mb: Bound on the transient boolean broadcast.
+        memory_cap_mb: Bound on the kernel's transient bytes.
 
     Returns:
         ``(n_traces, n_skus)`` int64 violation counts.
     """
-    n_skus = caps.shape[0]
-    counts = np.empty((len(demand_blocks), n_skus), dtype=np.int64)
-    budget = _chunk_samples(n_skus, caps.shape[1], memory_cap_mb)
-    group: list[int] = []
-    group_samples = 0
+    return _bitset_counts(demand_blocks, caps, memory_cap_mb)
 
-    def flush() -> None:
-        nonlocal group, group_samples
-        if not group:
-            return
-        stacked = np.concatenate([demand_blocks[i] for i in group], axis=0)
-        violated = _violation_mask(stacked, caps)
-        # Segment sums on the shared mask (np.add.reduceat on bool
-        # computes logical OR, not counts, so slice-sum instead).
-        start = 0
-        for index in group:
-            end = start + demand_blocks[index].shape[0]
-            counts[index] = violated[:, start:end].sum(axis=1, dtype=np.int64)
-            start = end
-        group, group_samples = [], 0
 
-    for index, block in enumerate(demand_blocks):
-        n = block.shape[0]
-        if n > budget:  # one oversized trace: chunk it on its own
-            flush()
-            counts[index] = violation_counts(block, caps, memory_cap_mb)
-            continue
-        if group_samples + n > budget:
-            flush()
-        group.append(index)
-        group_samples += n
-    flush()
-    return counts
+def violation_rows(demands: np.ndarray, caps: np.ndarray) -> np.ndarray:
+    """``(n_samples, n_skus)`` boolean any-dimension violation rows.
+
+    The bitset kernel's words unpacked one row per sample, the layout
+    of the incremental estimator's window ring.  The result itself is
+    ``n_samples * n_skus`` bytes, so the kernel runs unchunked.
+    """
+    bits = _CapacityLevels(caps).violation_words([demands]).view(np.uint8)
+    rows = np.unpackbits(bits, axis=1, count=demands.shape[0])
+    return rows.view(bool).T
 
 
 def capacity_vector(
@@ -311,7 +384,7 @@ class ThrottlingEstimator(abc.ABC):
 
         The base implementation is a plain per-trace loop -- correct
         for every estimator; :class:`EmpiricalThrottlingEstimator`
-        overrides it with stacked chunked broadcasts.
+        overrides it with the batched bitset kernel.
 
         Returns:
             ``(n_traces, n_skus)`` probabilities.
@@ -335,14 +408,13 @@ class EmpiricalThrottlingEstimator(ThrottlingEstimator):
     violating time points.  Exact with respect to the empirical joint
     distribution, O(n_samples * n_dims) per SKU, no tuning knobs.
 
-    Both the single-trace and the batch path run the chunked columnar
-    kernel, so the ``(n_skus, n_samples, n_dims)`` boolean temp never
-    exceeds ``memory_cap_mb`` -- long traces against large catalogs
-    stay memory-bounded without changing a single probability bit.
+    Both the single-trace and the batch path run the chunked bitset
+    kernel, so its transients never exceed ``memory_cap_mb`` -- long
+    traces against large catalogs stay memory-bounded without changing
+    a single probability bit.
 
     Attributes:
-        memory_cap_mb: Bound on the kernel's transient boolean
-            broadcast.
+        memory_cap_mb: Bound on the kernel's transient bytes.
     """
 
     memory_cap_mb: float = DEFAULT_KERNEL_MEMORY_CAP_MB
@@ -370,8 +442,8 @@ class EmpiricalThrottlingEstimator(ThrottlingEstimator):
         The columnar fast path used by
         :meth:`~repro.core.ppm.PricePerformanceModeler.build_curves_batch`:
         the capacity matrix is built once per fleet pass and the
-        demand rows of every customer flow through stacked chunked
-        broadcasts.
+        demand rows of every customer flow through shared kernel
+        chunks.
         """
         counts = batch_violation_counts(demand_blocks, caps, self.memory_cap_mb)
         lengths = np.array([block.shape[0] for block in demand_blocks], dtype=np.int64)

@@ -73,7 +73,7 @@ class ServerlessAdvisor:
         curve = ppm.build_curve(trace, DeploymentType.SQL_DB)
         provisioned_point = curve.cheapest_at_least(1.0 - _ADEQUATE_THROTTLING)
         if provisioned_point is None:
-            provisioned_point = curve.points[-1]
+            provisioned_point = curve.point_at(-1)
 
         evaluations = [evaluate_serverless(trace, offer) for offer in self.offers]
         adequate = [

@@ -224,8 +224,8 @@ class _FleetRunner:
 
     With ``columnar`` enabled (the default) each shard runs through
     the batch curve kernel: one cache key-batch probe, one
-    per-deployment capacity matrix, stacked chunked broadcasts for
-    every cache-missing customer
+    per-deployment capacity matrix, shared chunks of the bitset
+    violation kernel for every cache-missing customer
     (:meth:`~repro.core.ppm.PricePerformanceModeler.build_curves_batch`).
     Results are byte-identical to the per-customer path -- the
     property the fleet-scale benchmark asserts.
@@ -619,7 +619,7 @@ class FleetEngine:
         The low-latency sibling of :meth:`recommend_fleet`, built for
         online microbatching (:mod:`repro.serve`): the whole batch
         runs as a single columnar chunk through the parent's runner --
-        one batched cache probe, one capacity-matrix broadcast per
+        one batched cache probe, one violation-kernel pass per
         deployment -- with no sharding, no pool hand-off and no
         iterator protocol between caller and results.  Shares the
         fleet's batch curve cache, and produces byte-identical results

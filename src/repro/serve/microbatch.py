@@ -4,7 +4,7 @@ The serving tier's throughput lever: individual awaiting requests
 coalesce into bounded batches that run through the engine's columnar
 chunk kernels (:meth:`~repro.fleet.engine.FleetEngine.recommend_batch`,
 :meth:`_WatchShard.process <repro.fleet.backends._WatchShard.process>`),
-amortizing cache probes and capacity-matrix broadcasts exactly the way
+amortizing cache probes and violation-kernel passes exactly the way
 the offline fleet pass does.
 
 A batch flushes on whichever trigger fires first:

@@ -93,9 +93,9 @@ class ExpertChoiceModel:
             rng: Seed or generator.
         """
         generator = resolve_rng(rng)
-        points = curve.points
         if over_provisioned:
             return self._over_provisioned_choice(curve, generator)
+        points = curve.points
 
         tolerance = self.throttling_tolerance(negotiable_flags, generator)
         chosen_index = self._tolerance_optimal_index(points, tolerance)
@@ -130,5 +130,5 @@ class ExpertChoiceModel:
         base_rank = curve.position_of(full.sku.name) if full is not None else 0
         low, high = self.over_provision_rank_range
         extra = int(generator.integers(low, high + 1))
-        rank = min(base_rank + extra, len(curve.points) - 1)
-        return curve.points[rank]
+        rank = min(base_rank + extra, len(curve) - 1)
+        return curve.point_at(rank)

@@ -134,8 +134,8 @@ def simulate_sku_change_customers(
         before_curve = ppm.build_curve(before_trace, DeploymentType.SQL_DB)
         after_curve = ppm.build_curve(after_trace, DeploymentType.SQL_DB)
 
-        before_point = before_curve.cheapest_full_performance() or before_curve.points[-1]
-        after_point = after_curve.cheapest_full_performance() or after_curve.points[-1]
+        before_point = before_curve.cheapest_full_performance() or before_curve.point_at(-1)
+        after_point = after_curve.cheapest_full_performance() or after_curve.point_at(-1)
         customers.append(
             SkuChangeCustomer(
                 before_trace=before_trace,

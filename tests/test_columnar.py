@@ -14,6 +14,7 @@ from repro.core.throttling import (
     capacity_matrix,
     demand_matrix,
     violation_counts,
+    violation_rows,
 )
 from repro.fleet import FleetCustomer, FleetEngine
 from repro.simulation import FleetConfig, simulate_fleet
@@ -32,7 +33,8 @@ positive = st.floats(min_value=1e-3, max_value=1e4, allow_nan=False)
 
 @st.composite
 def random_trace(draw, index: int = 0):
-    n = draw(st.integers(min_value=2, max_value=60))
+    # Up to 200 samples: traces cross the kernel's 64-sample words.
+    n = draw(st.integers(min_value=1, max_value=200))
     rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
     return make_trace(
         np.abs(rng.normal(4.0, 3.0, n)) + 1e-3,
@@ -56,6 +58,113 @@ def random_skus(draw):
             )
         )
     return skus
+
+
+def reference_counts(demands: np.ndarray, caps: np.ndarray) -> np.ndarray:
+    """The violation predicate itself, with no kernel in between."""
+    return (demands[None] > caps[:, None]).any(axis=2).sum(axis=1)
+
+
+#: Trace lengths around the kernel's 64-sample word boundaries.
+WORD_EDGES = (1, 63, 64, 65, 128, 129)
+
+#: Caps small enough that a 0.01 MB cap chunks every few words and a
+#: 0.001 MB cap chunks every word (one 64-sample word per chunk).
+CAPS = (64.0, 0.01, 0.001)
+
+#: Three dimensions whose SKUs share levels: rows 0/1 share column 0,
+#: rows 1/2 column 1, rows 0/2/3 column 2.  The -1.0 level makes the
+#: padding value matter: a trace padded with zeros would count there.
+SHARED_LEVEL_CAPS = np.array(
+    [
+        [1.0, 10.0, -1.0],
+        [1.0, 20.0, 5.0],
+        [2.0, 20.0, -1.0],
+        [3.0, 30.0, -1.0],
+        [2.0, 10.0, 5.0],
+    ]
+)
+
+
+def tied_demands(n: int, seed: int) -> np.ndarray:
+    """``(n, 3)`` demands mostly sitting exactly on a capacity level."""
+    rng = np.random.default_rng(seed)
+    levels = [np.unique(SHARED_LEVEL_CAPS[:, dim]) for dim in range(3)]
+    columns = []
+    for dim, column_levels in enumerate(levels):
+        on_level = rng.choice(column_levels, size=n)
+        jitter = rng.choice([-0.5, 0.0, 0.0, 0.5], size=n)
+        columns.append(on_level + jitter)
+    return np.column_stack(columns)
+
+
+class TestBitsetKernel:
+    """The bitset kernel against the plain predicate at word edges."""
+
+    @pytest.mark.parametrize("memory_cap_mb", CAPS)
+    @pytest.mark.parametrize("n", WORD_EDGES)
+    def test_single_trace_matches_reference(self, n, memory_cap_mb):
+        demands = tied_demands(n, seed=n)
+        np.testing.assert_array_equal(
+            violation_counts(demands, SHARED_LEVEL_CAPS, memory_cap_mb),
+            reference_counts(demands, SHARED_LEVEL_CAPS),
+        )
+
+    @pytest.mark.parametrize("memory_cap_mb", CAPS)
+    def test_mixed_lengths_never_share_a_word(self, memory_cap_mb):
+        """Adjacent traces alternate all-violating and never-violating.
+
+        A trace not padded to a whole word, or a count summed over the
+        wrong word offsets, would leak one trace's bits into the next.
+        """
+        blocks = []
+        for index, n in enumerate(WORD_EDGES * 2):
+            level = 100.0 if index % 2 == 0 else -5.0
+            blocks.append(np.full((n, 3), level))
+            blocks.append(tied_demands(n, seed=index))
+        counts = batch_violation_counts(blocks, SHARED_LEVEL_CAPS, memory_cap_mb)
+        expected = np.stack([reference_counts(b, SHARED_LEVEL_CAPS) for b in blocks])
+        np.testing.assert_array_equal(counts, expected)
+
+    def test_demand_equal_to_capacity_is_not_a_violation(self):
+        caps = SHARED_LEVEL_CAPS
+        for n in WORD_EDGES:
+            at_level = np.tile(caps[1], (n, 1))
+            counts = violation_counts(at_level, caps)
+            assert counts[1] == 0
+            np.testing.assert_array_equal(counts, reference_counts(at_level, caps))
+            just_above = np.nextafter(at_level, np.inf)
+            assert violation_counts(just_above, caps)[1] == n
+
+    def test_empty_trace_counts_zero(self):
+        blocks = [tied_demands(65, seed=1), np.empty((0, 3)), tied_demands(3, seed=2)]
+        counts = batch_violation_counts(blocks, SHARED_LEVEL_CAPS)
+        assert not counts[1].any()
+        np.testing.assert_array_equal(
+            counts[[0, 2]],
+            np.stack([reference_counts(blocks[i], SHARED_LEVEL_CAPS) for i in (0, 2)]),
+        )
+
+    @pytest.mark.parametrize("n", (0, *WORD_EDGES))
+    def test_violation_rows_unpack_reference_rows(self, n):
+        demands = tied_demands(n, seed=n)
+        rows = violation_rows(demands, SHARED_LEVEL_CAPS)
+        expected = (demands[None] > SHARED_LEVEL_CAPS[:, None]).any(axis=2).T
+        assert rows.dtype == bool
+        np.testing.assert_array_equal(rows, expected)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        traces=st.lists(random_trace(), min_size=1, max_size=5),
+        skus=random_skus(),
+        memory_cap_mb=st.sampled_from(CAPS),
+    )
+    def test_random_traces_match_reference(self, traces, skus, memory_cap_mb):
+        caps = capacity_matrix(skus, DIMS3)
+        blocks = [demand_matrix(t, DIMS3) for t in traces]
+        counts = batch_violation_counts(blocks, caps, memory_cap_mb)
+        for block, row in zip(blocks, counts):
+            np.testing.assert_array_equal(row, reference_counts(block, caps))
 
 
 class TestColumnarKernelProperties:

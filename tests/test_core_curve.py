@@ -1,11 +1,16 @@
 """Unit tests for price-performance curves."""
 
+import copyreg
+import pickle
+
 import numpy as np
 import pytest
 
-from repro.core import CurveShape, PricePerformanceCurve
+from repro.catalog import DeploymentType
+from repro.core import CurvePoint, CurveShape, PricePerformanceCurve
+from repro.core.ppm import PricePerformanceModeler
 
-from .conftest import make_sku
+from .conftest import full_trace, make_sku
 
 
 def curve_from(probs, vcores=(2, 4, 8, 16)):
@@ -45,6 +50,137 @@ class TestConstruction:
         good = curve_from([0.5, 0.0, 0.0, 0.0])
         with pytest.raises(ValueError, match="sorted"):
             PricePerformanceCurve(points=tuple(reversed(good.points)))
+
+    def test_non_monotone_points_rejected(self):
+        points = list(curve_from([0.5, 0.2, 0.0, 0.0]).points)
+        points[1] = points[1]._replace(score=0.1)
+        with pytest.raises(ValueError, match="monotone"):
+            PricePerformanceCurve(points=tuple(points))
+
+    def test_points_constructor_round_trips(self):
+        curve = curve_from([0.5, 0.7, 0.0, 0.0])
+        rebuilt = PricePerformanceCurve(points=curve.points, entity_id=curve.entity_id)
+        assert rebuilt == curve
+        assert rebuilt.points == curve.points
+
+
+def per_point_construction(skus, probabilities):
+    """Points as curves built them before they were array-backed."""
+    probabilities = np.asarray(probabilities, dtype=float)
+    prices = np.array([sku.monthly_price for sku in skus])
+    vcores = np.array([sku.vcores for sku in skus])
+    order = np.lexsort((vcores, prices))
+    raw = np.clip(probabilities[order], 0.0, 1.0)
+    scores = np.maximum.accumulate(1.0 - raw)
+    return tuple(
+        CurvePoint(
+            sku=skus[index],
+            monthly_price=float(prices[index]),
+            throttling_probability=float(raw[rank]),
+            score=float(scores[rank]),
+        )
+        for rank, index in enumerate(order)
+    )
+
+
+class TestArrayBacked:
+    SKUS = [make_sku(v) for v in (8, 2, 16, 4, 32)]
+    PROBS = [0.1, 0.6, 0.0, 0.7, 1.0 + 1e-10]
+
+    def curve(self, entity_id="unnamed"):
+        return PricePerformanceCurve.from_probabilities(
+            self.SKUS, np.array(self.PROBS), entity_id=entity_id
+        )
+
+    def test_points_equal_per_point_construction(self):
+        curve = self.curve()
+        expected = per_point_construction(self.SKUS, self.PROBS)
+        assert curve.points == expected
+        assert tuple(curve) == expected
+        assert tuple(curve.point_at(rank) for rank in range(len(curve))) == expected
+        assert curve.point_at(-1) == expected[-1]
+        assert curve.points is not curve.points  # built per access, not cached
+
+    def test_price_ordered_assembly_matches_sorting_constructor(self):
+        ordered = sorted(self.SKUS, key=lambda sku: (sku.monthly_price, sku.vcores))
+        prices = [sku.monthly_price for sku in ordered]
+        probs = np.array([0.6, 0.7, 0.1, 0.0, 0.3])
+        full = PricePerformanceCurve.from_price_ordered(ordered, prices, probs, "e")
+        assert full == PricePerformanceCurve.from_probabilities(ordered, probs, "e")
+        index = [0, 2, 3]
+        subset = PricePerformanceCurve.from_price_ordered(
+            ordered, prices, probs[index], "e", index=index
+        )
+        expected = PricePerformanceCurve.from_probabilities(
+            [ordered[i] for i in index], probs[index], "e"
+        )
+        assert subset == expected
+        assert [point.sku for point in subset] == [ordered[i] for i in index]
+
+    def test_point_fields_are_python_floats(self, small_catalog):
+        """Digests format values with ``!r``; numpy 2 reprs np.float64 apart."""
+        modeled = PricePerformanceModeler(small_catalog).build_curve(
+            full_trace(n=100, cpu_level=3.0), DeploymentType.SQL_DB
+        )
+        for curve in (self.curve(), modeled):
+            points = [
+                *curve.points,
+                curve.point_at(0),
+                curve.point_for(curve.point_at(1).sku.name),
+                curve.cheapest_at_least(0.0),
+            ]
+            for point in points:
+                for value in point[1:]:
+                    assert type(value) is float
+                    assert "np." not in repr(value)
+
+    def test_stored_arrays_are_read_only(self):
+        curve = self.curve()
+        for array in (curve.scores(), curve.prices()):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 0.5
+        with pytest.raises(AttributeError):
+            curve.entity_id = "other"
+
+    def test_pickle_round_trip_keeps_value_and_read_only_arrays(self):
+        curve = self.curve("pickled")
+        clone = pickle.loads(pickle.dumps(curve))
+        assert clone == curve
+        assert hash(clone) == hash(curve)
+        assert clone.points == curve.points
+        assert clone.entity_id == "pickled"
+        assert not clone.scores().flags.writeable
+        assert not clone.prices().flags.writeable
+
+    def test_equality_is_by_value(self):
+        curve = self.curve()
+        twin = self.curve()
+        assert curve == twin and curve is not twin
+        assert hash(curve) == hash(twin)
+        assert curve != self.curve("other")
+        probs = list(self.PROBS)
+        probs[0] = 0.2
+        assert curve != PricePerformanceCurve.from_probabilities(self.SKUS, np.array(probs))
+        assert curve != curve.points
+
+    def test_points_pickle_of_earlier_curves_restores(self):
+        """Checkpoints pickled before curves were array-backed hold points.
+
+        The earlier frozen dataclass pickled as a bare instance plus its
+        field dict, which unpickling hands to ``__setstate__``.
+        """
+        curve = self.curve()
+        state = {"points": curve.points, "entity_id": "legacy"}
+
+        class EarlierCurve:
+            def __reduce__(self):
+                return (copyreg._reconstructor, (PricePerformanceCurve, object, None), state)
+
+        restored = pickle.loads(pickle.dumps(EarlierCurve()))
+        assert type(restored) is PricePerformanceCurve
+        assert restored == PricePerformanceCurve(curve.points, entity_id="legacy")
+        assert not restored.scores().flags.writeable
 
 
 class TestShapes:

@@ -7,6 +7,7 @@ from repro.core import (
     CustomerProfiler,
     GroupObservation,
     GroupScoreModel,
+    GroupStatistics,
     PricePerformanceCurve,
     group_key_to_label,
 )
@@ -161,6 +162,38 @@ class TestGroupScoreModel:
         curve = curve_from([0.9, 0.8, 0.7, 0.6, 0.5])
         point = model.recommend(curve, (1, 1, 1))  # nothing <= 0.002
         assert point.sku.vcores == 32  # closest overall
+
+    @staticmethod
+    def model_targeting(p_mean):
+        stats = GroupStatistics(p_mean=p_mean, p_std=0.0, count=1)
+        return GroupScoreModel(groups={(0, 0, 0): stats}, fallback=stats)
+
+    def test_recommend_near_ties_resolve_to_the_cheapest(self):
+        """Gaps within 1e-12 of the best so far never displace it.
+
+        The 0.1 point (rank 3) is exactly on target, but ranks 1 and 2
+        are within 1e-12 of it and cheaper: the scan keeps rank 1.  An
+        argmin over the gaps would pick rank 3.
+        """
+        model = self.model_targeting(0.1)
+        curve = curve_from([0.5, 0.1 + 4e-13, 0.1 + 2e-13, 0.1, 0.0])
+        assert model.recommend(curve, (0, 0, 0)).sku.vcores == 4
+
+    def test_recommend_tie_rule_compares_with_the_best_so_far(self):
+        """Consecutive gaps 0.8e-12 apart: only a 1e-12 gain moves the pick.
+
+        Nothing is feasible (every point throttles > 1e-12 above the
+        target), so the overall rule decides.  Against the best so far
+        rank 2 (3.4e-12 vs 5.0e-12) wins and rank 3 (2.6e-12 vs
+        3.4e-12) does not; comparing with the previous point instead
+        would keep rank 0, and an argmin would take rank 3.
+        """
+        model = self.model_targeting(0.1)
+        gaps = np.array([5.0, 4.2, 3.4, 2.6]) * 1e-12
+        curve = curve_from(0.1 + gaps, vcores=(2, 4, 8, 16))
+        point = model.recommend(curve, (0, 0, 0))
+        assert point.sku.vcores == 8
+        assert point == curve.points[2]
 
     def test_fit_rejects_empty(self):
         with pytest.raises(ValueError):

@@ -212,12 +212,14 @@ class TestIncrementalEstimator:
 
     def test_ingest_trace_equals_update_loop_and_keeps_ring_aligned(self):
         rng = np.random.default_rng(14)
-        samples = random_samples(50, rng, scale=3.0)
-        collector = StreamingTraceBuilder(DIMS, window=50)
+        # Longer than two 64-sample kernel words, so the unpacked ring
+        # rows cross word boundaries.
+        samples = random_samples(150, rng, scale=3.0)
+        collector = StreamingTraceBuilder(DIMS, window=150)
         collector.extend(samples)
         trace = collector.snapshot()
         follow_up = random_samples(10, rng, scale=1.5)
-        for window in (None, 8, 50, 64):  # fast paths and the merge loop
+        for window in (None, 8, 64, 100, 200):  # fast paths and the merge loop
             fast = IncrementalThrottlingEstimator(self.SKUS, DIMS, window=window)
             fast.ingest_trace(trace)
             slow = IncrementalThrottlingEstimator(self.SKUS, DIMS, window=window)
