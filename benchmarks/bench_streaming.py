@@ -536,6 +536,7 @@ def bench_checkpoint_overhead(
         durable_seconds = float("inf")
         durable_blob = b""
         n_checkpoints = 0
+        state_bytes_per_customer = 0.0
         for repeat in range(repeats):
             store = FleetStore(str(Path(tmp_dir) / f"bench_fleet_{repeat}.db"))
             durable_config = watch_config.replace(
@@ -547,6 +548,9 @@ def bench_checkpoint_overhead(
             if seconds < durable_seconds:
                 durable_seconds, durable_blob = seconds, blob
             n_checkpoints = store.checkpoint_count()
+            latest = store.latest_checkpoint()
+            if latest is not None and latest.n_customers:
+                state_bytes_per_customer = latest.n_state_bytes / latest.n_customers
             store.close()
 
         # Kill-and-resume identity on a fresh store: consume 60% of the
@@ -577,6 +581,9 @@ def bench_checkpoint_overhead(
         "checkpointed_customers_per_sec": n_customers / durable_seconds,
         "overhead_fraction": durable_seconds / baseline_seconds - 1.0,
         "n_checkpoints": n_checkpoints,
+        # Mean encoded state blob of the last checkpoint's customers:
+        # what each checkpoint persists per customer.
+        "state_bytes_per_customer": state_bytes_per_customer,
         "identical": durable_blob == baseline_blob,
         "resume_identical": resumed_blob == tail_blob,
     }
@@ -785,6 +792,7 @@ def main(argv: list[str] | None = None) -> int:
         f"   checkpointed {checkpoint_record['checkpointed_customers_per_sec']:>8.1f} cust/s"
         f"   overhead {checkpoint_record['overhead_fraction']:+.1%}"
         f"   checkpoints {checkpoint_record['n_checkpoints']}"
+        f"   state {checkpoint_record['state_bytes_per_customer']:,.0f} B/customer"
         f"   identical={checkpoint_record['identical']}"
         f"   resume={checkpoint_record['resume_identical']}"
     )

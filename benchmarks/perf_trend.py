@@ -4,13 +4,14 @@
 ``bench_serving.py`` emit ``BENCH_<name>.json`` records in a shared
 shape (a ``benchmark`` discriminator plus nested sections whose
 throughput metrics end in ``_per_sec``, latency percentiles in
-``_ms``, and recovery depths in ``_ticks``).  This tool diffs two
+``_ms``, recovery depths in ``_ticks``, and persisted sizes in
+``_bytes`` or ``_bytes_per_<unit>``).  This tool diffs two
 directories of such records -- typically the previous CI run's
 artifact against the current one -- and flags every metric that
 regressed by more than the threshold (default 20 %): a throughput
 drop for ``_per_sec`` leaves, an *increase* for the lower-is-better
-``_ms`` and ``_ticks`` leaves.  Floors-file entries for ``_ms`` and
-``_ticks`` metrics are ceilings rather than floors.
+``_ms``, ``_ticks`` and ``_bytes`` leaves.  Floors-file entries for
+lower-is-better metrics are ceilings rather than floors.
 
 Two levels of enforcement:
 
@@ -69,10 +70,28 @@ LATENCY_SUFFIX = "_ms"
 #: ceilings.
 TICKS_SUFFIX = "_ticks"
 
+#: Metric-name marker of a lower-is-better size leaf: a key ending in
+#: ``_bytes``, or a per-unit size such as ``state_bytes_per_customer``
+#: (``_bytes_per_sec`` stays a higher-is-better rate).  Increases
+#: regress; floors entries are ceilings.
+BYTES_MARKER = "_bytes"
+
+
+def is_size(metric: str) -> bool:
+    """Whether a metric path's leaf is a persisted size (``_bytes``)."""
+    leaf = metric.rsplit(".", 1)[-1]
+    if leaf.endswith(METRIC_SUFFIX):
+        return False
+    return leaf.endswith(BYTES_MARKER) or f"{BYTES_MARKER}_per_" in leaf
+
 
 def lower_is_better(metric: str) -> bool:
     """Whether a dotted metric path carries a lower-is-better contract."""
-    return metric.endswith(LATENCY_SUFFIX) or metric.endswith(TICKS_SUFFIX)
+    return (
+        metric.endswith(LATENCY_SUFFIX)
+        or metric.endswith(TICKS_SUFFIX)
+        or is_size(metric)
+    )
 
 
 def load_records(directory: Path) -> dict[str, dict]:
@@ -94,10 +113,10 @@ def collect_metrics(record, prefix: str = "") -> dict[str, float]:
     """Flatten a record to ``{dotted.path: value}`` enforceable leaves.
 
     Only numeric leaves whose key ends in ``_per_sec``
-    (higher-is-better throughput), ``_ms`` (lower-is-better latency)
-    or ``_ticks`` (lower-is-better recovery depth) participate in the
-    trend: counters, flags and derived ratios carry no directional
-    contract.  Lists recurse with their index in the path, so
+    (higher-is-better throughput), ``_ms`` (lower-is-better latency),
+    ``_ticks`` (lower-is-better recovery depth) or names a ``_bytes``
+    size (lower-is-better) participate in the trend: counters, flags
+    and derived ratios carry no directional contract.  Lists recurse with their index in the path, so
     per-size fleet sections stay distinguishable.
     """
     metrics: dict[str, float] = {}
@@ -109,11 +128,7 @@ def collect_metrics(record, prefix: str = "") -> dict[str, float]:
             elif (
                 isinstance(value, (int, float))
                 and not isinstance(value, bool)
-                and (
-                    str(key).endswith(METRIC_SUFFIX)
-                    or str(key).endswith(LATENCY_SUFFIX)
-                    or str(key).endswith(TICKS_SUFFIX)
-                )
+                and (str(key).endswith(METRIC_SUFFIX) or lower_is_better(str(key)))
             ):
                 metrics[path] = float(value)
     elif isinstance(record, list):
@@ -176,7 +191,7 @@ def check_floors(
     absent leaf) is a violation: floors exist so a regression cannot
     slip through, and a benchmark that silently stopped reporting is
     the most complete regression there is.  For lower-is-better
-    ``_ms`` and ``_ticks`` metrics the pinned value is a *ceiling*:
+    ``_ms``, ``_ticks`` and ``_bytes`` metrics the pinned value is a *ceiling*:
     the violation fires when the current value exceeds it.  Smoke and
     full runs share the
     floors file, so pin floors from the *smoke* configuration CI

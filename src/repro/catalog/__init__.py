@@ -6,7 +6,7 @@ billing interface and a generated 200+-SKU catalog standing in for the
 proprietary Azure price sheet (see DESIGN.md section 2).
 """
 
-from .catalog import SkuCatalog
+from .catalog import SkuCatalog, catalog_signature
 from .generator import DB_VCORE_LADDER, MI_VCORE_LADDER, default_catalog_skus, generate_skus
 from .models import (
     HOURS_PER_MONTH,
@@ -34,6 +34,7 @@ from .storage import (
 
 __all__ = [
     "SkuCatalog",
+    "catalog_signature",
     "DB_VCORE_LADDER",
     "MI_VCORE_LADDER",
     "default_catalog_skus",

@@ -10,13 +10,14 @@ curve's x axis).
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .generator import default_catalog_skus
 from .models import DeploymentType, ServiceTier, SkuSpec
 
-__all__ = ["SkuCatalog"]
+__all__ = ["SkuCatalog", "catalog_signature"]
 
 
 @dataclass(frozen=True)
@@ -109,3 +110,35 @@ class SkuCatalog:
 
     def names(self) -> Sequence[str]:
         return [sku.name for sku in self.skus]
+
+
+def catalog_signature(catalog: SkuCatalog) -> str:
+    """Stable content hash of a catalog: every field a SKU pickles.
+
+    Two catalogs share a signature only if they hold the same SKUs
+    field for field -- deployment, tier, hardware, every resource
+    limit, price and name, compared by ``repr`` so even ``2`` and
+    ``2.0`` differ.  The catalog's own (price, vCores, name) order is
+    a function of that content, so it needs no re-sort.
+
+    The signature keys both the fleet curve cache and the candidate
+    tuples curves pickle by reference
+    (:func:`~repro.core.curve.intern_candidates`), so it must not
+    change between processes or releases that read each other's
+    pickles: a changed signature makes stored by-reference curves
+    unresolvable.
+    """
+    text = "\n".join(
+        repr(
+            (
+                sku.name,
+                sku.deployment.value,
+                sku.tier.value,
+                sku.hardware.value,
+                sku.price_per_hour,
+                sku.limits.__getstate__(),
+            )
+        )
+        for sku in catalog.skus
+    )
+    return hashlib.blake2b(text.encode("utf-8"), digest_size=16).hexdigest()

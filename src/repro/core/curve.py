@@ -19,11 +19,39 @@ import numpy as np
 
 from ..catalog.models import SkuSpec
 
-__all__ = ["CurvePoint", "CurveShape", "PricePerformanceCurve"]
+__all__ = ["CurvePoint", "CurveShape", "PricePerformanceCurve", "intern_candidates"]
 
 #: Scores within this tolerance of the extremes count as exactly 0/1
 #: for shape classification.
 _SHAPE_TOLERANCE = 0.005
+
+#: Candidate tuples curves pickle by reference, by content key.  The
+#: table is module-level because unpickling has no caller to hand a
+#: context through; it is content-addressed and insert-only, so
+#: concurrent builders agree on one tuple per key and no caller sees
+#: another's entries except as equal values.
+_INTERNED: dict[tuple[str, str], tuple[SkuSpec, ...]] = {}
+#: The key of each interned tuple, by identity.  Interned tuples live
+#: for the process, so their ids are never reused.
+_KEY_OF: dict[int, tuple[str, str]] = {}
+
+
+def intern_candidates(
+    key: tuple[str, str], candidates: Sequence[SkuSpec]
+) -> tuple[SkuSpec, ...]:
+    """The one candidate tuple of ``key``, interning ``candidates`` first.
+
+    Curves whose candidates are an interned tuple pickle the key
+    instead of the SKUs (:class:`PricePerformanceCurve`), so the key
+    must identify the content: the modeler uses its catalog's
+    :func:`~repro.catalog.catalog_signature` plus the deployment.  The
+    first tuple interned under a key wins; later callers get it back.
+    """
+    if not candidates:
+        return ()
+    interned = _INTERNED.setdefault(key, tuple(candidates))
+    _KEY_OF[id(interned)] = key
+    return interned
 
 
 class CurveShape(enum.Enum):
@@ -70,6 +98,16 @@ class PricePerformanceCurve:
     built on demand and never cached.  Curves are immutable values
     (cached curves are shared between customers): two curves are equal
     when their points and entity ids are.
+
+    Pickling: a curve over an interned candidate tuple
+    (:func:`intern_candidates` -- every modeler-built curve) pickles
+    the tuple's content key with its arrays, not the SKUs; unpickling
+    resolves the key against the receiving process's table, which any
+    :class:`~repro.core.ppm.PricePerformanceModeler` over the same
+    catalog fills when it is built or unpickled.  An unknown key
+    raises :class:`LookupError`.  Every other curve -- explicit
+    points, :meth:`from_probabilities` over ad-hoc SKUs -- pickles its
+    SKUs by value.
 
     Attributes:
         entity_id: The assessed workload's identifier.
@@ -247,9 +285,36 @@ class PricePerformanceCurve:
     def __repr__(self) -> str:
         return f"{type(self).__name__}(points={self.points!r}, entity_id={self.entity_id!r})"
 
+    @classmethod
+    def _from_reference(
+        cls, key, index, prices, raw, scores, entity_id
+    ) -> "PricePerformanceCurve":
+        """The unpickling constructor of curves pickled by reference.
+
+        Stored blobs name this constructor by its import path
+        (``repro.core.curve.PricePerformanceCurve._from_reference``),
+        as they name :meth:`_from_fields`: both are part of the stored
+        format and must keep their names and signatures.
+
+        Raises:
+            LookupError: If no candidate tuple is interned under
+                ``key`` in this process.
+        """
+        candidates = _INTERNED.get(key)
+        if candidates is None:
+            raise LookupError(
+                f"no candidate set is interned under {key!r}; build a "
+                "PricePerformanceModeler over the same catalog before "
+                "unpickling curves that reference it"
+            )
+        return cls._from_fields(candidates, index, prices, raw, scores, entity_id)
+
     def __reduce__(self):
-        fields = (self._candidates, self._index, self._prices, self._raw, self._scores)
-        return (type(self)._from_fields, (*fields, self.entity_id))
+        fields = (self._index, self._prices, self._raw, self._scores, self.entity_id)
+        key = _KEY_OF.get(id(self._candidates))
+        if key is not None:
+            return (type(self)._from_reference, (key, *fields))
+        return (type(self)._from_fields, (self._candidates, *fields))
 
     def __setstate__(self, state: dict) -> None:
         """Adopt a pickle of the earlier points-backed curve.

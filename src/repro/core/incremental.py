@@ -289,32 +289,54 @@ class IncrementalThrottlingEstimator:
     # Snapshot / restore (worker handoff)
     # ------------------------------------------------------------------
     def state_dict(self) -> dict:
-        """Picklable snapshot of the window state and capacity overrides.
+        """Picklable snapshot of the window counts and capacity overrides.
 
-        Configuration (SKU set, dimensions, window length) is not
-        included: restore targets must be constructed with matching
-        parameters.  Overrides *are* included, since they move at run
-        time (:meth:`rebase_capacity`).
+        The violation ring is not included: it is a pure function of
+        the window's samples and the capacity matrix, so
+        :meth:`load_state` rebuilds it from the window trace, and the
+        per-SKU ``counts`` check the rebuild.  Configuration (SKU set,
+        dimensions) is not included either: restore targets must be
+        constructed with matching parameters.  The window length is,
+        to check that; overrides are too, since they move at run time
+        (:meth:`rebase_capacity`).
         """
         return {
             "n_seen": self._n_seen,
+            "window": self.window,
             "counts": self._counts.copy(),
-            "ring": None if self._ring is None else self._ring.copy(),
             "iops_overrides": dict(self._iops_overrides)
             if self._iops_overrides
             else None,
         }
 
-    def load_state(self, state: dict) -> None:
+    def load_state(
+        self, state: dict, window_trace: PerformanceTrace | None = None
+    ) -> None:
         """Adopt a :meth:`state_dict` snapshot; the inverse operation.
 
         Re-applies the snapshot's overrides to this estimator's base
-        capacities, so the restored estimator continues exactly where
-        the source left off -- including mid-stream MI layout rebases.
+        capacities, then rebuilds a bounded window's violation ring
+        with one :func:`~repro.core.throttling.violation_rows` pass
+        over ``window_trace`` -- the window's samples in chronological
+        order, normally the live trace builder's snapshot -- in the
+        slots this estimator's own ``n_seen`` assigns them (which
+        differ from the builder's after a :meth:`rebase_capacity`).
+        The restored estimator continues exactly where the source left
+        off, mid-stream MI layout rebases included.  Snapshots that
+        still carry a ``ring`` (written before rings were rebuilt)
+        adopt it as stored.
+
+        Args:
+            state: A :meth:`state_dict` snapshot.
+            window_trace: The samples inside the window; needed when a
+                bounded window holds samples and the snapshot carries
+                no ring.
 
         Raises:
-            ValueError: If the snapshot's count/ring shapes disagree
-                with this estimator's SKU set or window.
+            ValueError: If the snapshot's shapes or windowing disagree
+                with this estimator, the window trace is missing or of
+                the wrong length, or the rebuilt ring's per-SKU counts
+                differ from the snapshot's.
         """
         counts = np.asarray(state["counts"], dtype=np.int64)
         if counts.shape != self._counts.shape:
@@ -322,55 +344,109 @@ class IncrementalThrottlingEstimator:
                 f"snapshot tracks {counts.shape[0]} SKUs; this estimator "
                 f"tracks {self._counts.shape[0]}"
             )
-        ring = state["ring"]
-        if (ring is None) != (self._ring is None):
+        if "ring" in state:
+            ring = state["ring"]
+            bounded = ring is not None
+        else:
+            ring = None
+            bounded = state["window"] is not None
+        if bounded != (self._ring is not None):
             raise ValueError(
                 "snapshot and estimator disagree on windowing "
                 "(bounded vs unbounded)"
             )
         if ring is not None:
-            ring = np.asarray(ring, dtype=bool)
+            ring = np.array(ring, dtype=bool)
             if ring.shape != self._ring.shape:
                 raise ValueError(
                     f"snapshot ring shape {ring.shape} does not match "
                     f"this estimator's {self._ring.shape}"
                 )
+        elif bounded and state["window"] != self.window:
+            raise ValueError(
+                f"snapshot window {state['window']} does not match "
+                f"this estimator's {self.window}"
+            )
+        n_seen = int(state["n_seen"])
         self._set_overrides(state["iops_overrides"])
+        if bounded and ring is None:
+            ring = self._rebuild_ring(n_seen, window_trace)
+            if not np.array_equal(ring.sum(axis=0, dtype=np.int64), counts):
+                raise ValueError(
+                    "snapshot counts disagree with the violation ring rebuilt "
+                    "from the window samples; the snapshot or the window is "
+                    "corrupt"
+                )
         self._counts = counts.copy()
-        self._ring = None if ring is None else ring.copy()
-        self._n_seen = int(state["n_seen"])
+        self._ring = ring
+        self._n_seen = n_seen
+
+    def _rebuild_ring(
+        self, n_seen: int, window_trace: PerformanceTrace | None
+    ) -> np.ndarray:
+        """The violation ring of a window whose samples are ``window_trace``."""
+        ring = np.zeros((self.window, len(self.skus)), dtype=bool)
+        n_window = min(n_seen, self.window)
+        if n_window == 0:
+            return ring
+        if window_trace is None:
+            raise ValueError(
+                "restoring a windowed estimator needs the window's samples "
+                "to rebuild its violation ring"
+            )
+        demands = demand_matrix(window_trace, self.dimensions)
+        if demands.shape[0] != n_window:
+            raise ValueError(
+                f"window trace holds {demands.shape[0]} samples; the snapshot's "
+                f"window holds {n_window}"
+            )
+        slots = np.arange(n_seen - n_window, n_seen) % self.window
+        ring[slots] = violation_rows(demands, self._caps)
+        return ring
 
     @staticmethod
     def state_arrays(state: dict, arrays: list[np.ndarray]) -> dict:
         """Flatten a :meth:`state_dict` into numpy payloads + skeleton.
 
-        The counts vector and the (potentially multi-megabyte)
-        violation ring land in ``arrays`` for the zero-copy handoff;
-        the overrides dict stays pickled -- it is a handful of floats.
-        :meth:`state_from_arrays` is the exact inverse.
+        The counts vector lands in ``arrays`` for the array-framed
+        handoff (and a stored ring, for snapshots that still carry
+        one); the overrides dict stays pickled -- it is a handful of
+        floats.  :meth:`state_from_arrays` is the exact inverse.
         """
         base = len(arrays)
         arrays.append(np.asarray(state["counts"], dtype=np.int64))
-        ring = state["ring"]
-        if ring is not None:
-            arrays.append(np.asarray(ring, dtype=bool))
-        return {
+        skeleton = {
             "n_seen": state["n_seen"],
-            "has_ring": ring is not None,
             "iops_overrides": state["iops_overrides"],
             "base": base,
         }
+        if "ring" in state:
+            ring = state["ring"]
+            if ring is not None:
+                arrays.append(np.asarray(ring, dtype=bool))
+            skeleton["has_ring"] = ring is not None
+        else:
+            skeleton["window"] = state["window"]
+        return skeleton
 
     @staticmethod
     def state_from_arrays(skeleton: dict, arrays: list[np.ndarray]) -> dict:
         """Rebuild a :meth:`state_dict` from framed arrays (copies out)."""
         base = skeleton["base"]
+        counts = np.array(arrays[base], dtype=np.int64)
+        if "has_ring" in skeleton:  # framed before rings were rebuilt
+            return {
+                "n_seen": skeleton["n_seen"],
+                "counts": counts,
+                "ring": np.array(arrays[base + 1], dtype=bool)
+                if skeleton["has_ring"]
+                else None,
+                "iops_overrides": skeleton["iops_overrides"],
+            }
         return {
             "n_seen": skeleton["n_seen"],
-            "counts": np.array(arrays[base], dtype=np.int64),
-            "ring": np.array(arrays[base + 1], dtype=bool)
-            if skeleton["has_ring"]
-            else None,
+            "window": skeleton["window"],
+            "counts": counts,
             "iops_overrides": skeleton["iops_overrides"],
         }
 

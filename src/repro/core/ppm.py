@@ -21,12 +21,12 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ..catalog.catalog import SkuCatalog
+from ..catalog.catalog import SkuCatalog, catalog_signature
 from ..catalog.models import DeploymentType, ServiceTier, SkuSpec
 from ..catalog.storage import IOPS_THROUGHPUT_COVERAGE, FileLayout, plan_file_layout
 from ..telemetry.counters import DB_DIMENSIONS, MI_DIMENSIONS, PerfDimension
 from ..telemetry.trace import PerformanceTrace
-from .curve import PricePerformanceCurve
+from .curve import PricePerformanceCurve, intern_candidates
 from .throttling import (
     EmpiricalThrottlingEstimator,
     ThrottlingEstimator,
@@ -150,6 +150,13 @@ class MiStoragePlan:
 class PricePerformanceModeler:
     """Builds price-performance curves from counters and a catalog.
 
+    Each deployment's candidate tuple is interned under the content
+    key (catalog signature, deployment) when the modeler is built and
+    when it is unpickled, so the curves it builds pickle their
+    candidates by reference and any process holding a modeler over
+    the same catalog -- fork or spawn workers, a resume -- resolves
+    them (:class:`~repro.core.curve.PricePerformanceCurve`).
+
     Attributes:
         catalog: All candidate SKUs (both deployments; filtered per
             call).
@@ -159,6 +166,30 @@ class PricePerformanceModeler:
 
     catalog: SkuCatalog
     estimator: ThrottlingEstimator = field(default_factory=EmpiricalThrottlingEstimator)
+
+    def __post_init__(self) -> None:
+        self._intern_candidates()
+
+    def _intern_candidates(self) -> None:
+        """Intern every deployment's candidate tuple under its content key."""
+        signature = catalog_signature(self.catalog)
+        object.__setattr__(self, "_signature", signature)
+        object.__setattr__(
+            self,
+            "_candidates",
+            {
+                deployment: intern_candidates(
+                    (signature, deployment.value),
+                    self.catalog.for_deployment(deployment).skus,
+                )
+                for deployment in DeploymentType
+            },
+        )
+
+    @property
+    def catalog_signature(self) -> str:
+        """:func:`~repro.catalog.catalog_signature` of :attr:`catalog`."""
+        return self._signature
 
     # ------------------------------------------------------------------
     # Public API
@@ -423,14 +454,20 @@ class PricePerformanceModeler:
             object.__setattr__(self, "_columnar_state", cache)
         state = cache.get(deployment)
         if state is None:
-            state = _DeploymentCurveState(self.catalog.for_deployment(deployment))
+            state = _DeploymentCurveState(self._candidates[deployment])
             cache[deployment] = state
         return state
 
     def __getstate__(self) -> dict:
         state = dict(self.__dict__)
-        state.pop("_columnar_state", None)
+        for derived in ("_columnar_state", "_candidates", "_signature"):
+            state.pop(derived, None)
         return state
+
+    def __setstate__(self, state: dict) -> None:
+        for name, value in state.items():
+            object.__setattr__(self, name, value)
+        self._intern_candidates()
 
     def plan_mi_storage(
         self,

@@ -18,7 +18,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable, Hashable, Iterable
 
-from ..catalog.catalog import SkuCatalog
+from ..catalog.catalog import catalog_signature  # re-exported: part of every cache key
 from ..core.curve import PricePerformanceCurve
 from ..telemetry.trace import PerformanceTrace
 
@@ -59,29 +59,6 @@ def trace_fingerprint(trace: PerformanceTrace) -> str:
         feed(dimension.name.encode("ascii"))
         feed(repr(float(series.start_minute)).encode("ascii"))
         feed(series.values.tobytes())
-    return digest.hexdigest()
-
-
-def catalog_signature(catalog: SkuCatalog) -> str:
-    """Stable hash of a SKU set (names, prices and resource limits).
-
-    A cache entry is only valid for the catalog its curve was built
-    against, so the signature is part of every cache key.  It is
-    computed once per fleet runner: the wrapped engine's catalog is
-    treated as immutable for the runner's lifetime (swapping catalogs
-    mid-campaign requires a fresh :class:`FleetEngine`); the signature
-    exists to keep keys distinct should several engines ever share a
-    cache.
-    """
-    digest = hashlib.blake2b(digest_size=8)
-    for sku in sorted(catalog, key=lambda s: s.name):
-        for part in (
-            sku.name.encode("utf-8"),
-            repr(float(sku.price_per_hour)).encode("ascii"),
-            repr(sku.limits).encode("utf-8"),
-        ):
-            digest.update(len(part).to_bytes(8, "little"))
-            digest.update(part)
     return digest.hexdigest()
 
 

@@ -25,8 +25,7 @@ API surface.
 from __future__ import annotations
 
 import dataclasses
-import warnings
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Literal
 
 from ..faults import FaultPlan
@@ -164,24 +163,16 @@ class CheckpointConfig:
     or readmitted).  The store keeps every other customer's
     last-written row, so a resume still sees the whole fleet; on a
     mostly-idle fleet the per-checkpoint write shrinks to the active
-    minority.  ``delta`` is deprecated and ignored.
+    minority.
     """
 
     store: "FleetStore"
     every_ticks: int = DEFAULT_CHECKPOINT_EVERY_TICKS
     max_resident: int | None = None
-    delta: InitVar[bool | None] = None
 
-    def __post_init__(self, delta: bool | None) -> None:
+    def __post_init__(self) -> None:
         from ..store import FleetStore as _FleetStore
 
-        if delta is not None:
-            warnings.warn(
-                "CheckpointConfig(delta=...) is deprecated and ignored: "
-                "checkpoints always write only the customers that changed",
-                DeprecationWarning,
-                stacklevel=3,
-            )
         if not isinstance(self.store, _FleetStore):
             raise ValueError(f"store must be a FleetStore, got {self.store!r}")
         if self.every_ticks < 1:
@@ -231,9 +222,9 @@ class WatchConfig:
             (supervision is always on -- a dead process worker is
             restored and replayed rather than aborting the watch).
 
-    ``zero_copy`` is deprecated and ignored: the process backend always
-    routes ticks, result columns and state handoffs through the
-    shared-memory tick plane (:mod:`repro.fleet.arena`).
+    The process backend always routes ticks, result columns and state
+    handoffs through the shared-memory tick plane
+    (:mod:`repro.fleet.arena`).
     """
 
     window: int = DEFAULT_STREAM_WINDOW
@@ -249,16 +240,8 @@ class WatchConfig:
     tick_samples: int | None = None
     checkpoint: CheckpointConfig | None = None
     supervision: SupervisionConfig | None = None
-    zero_copy: InitVar[bool | None] = None
 
-    def __post_init__(self, zero_copy: bool | None) -> None:
-        if zero_copy is not None:
-            warnings.warn(
-                "WatchConfig(zero_copy=...) is deprecated and ignored: the "
-                "process backend always uses the shared-memory tick plane",
-                DeprecationWarning,
-                stacklevel=3,
-            )
+    def __post_init__(self) -> None:
         # Engine-independent validation happens here so a bad config
         # fails where it is built; engine-dependent checks (backend
         # name, window vs. warm-up, summarizer streaming support) stay

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import warnings
 from collections import Counter
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
 
 from ..catalog.models import DeploymentType
@@ -45,7 +45,6 @@ from .cache import (
     DEFAULT_CACHE_SIZE,
     CurveCache,
     CurveCacheStats,
-    catalog_signature,
     curve_cache_key,
 )
 from .config import WatchConfig
@@ -237,7 +236,7 @@ class _FleetRunner:
         self.engine = engine
         self.cache = cache
         self.columnar = columnar
-        self._catalog_signature = catalog_signature(engine.catalog)
+        self._catalog_signature = engine.ppm.catalog_signature
 
     def build_curve(
         self,
@@ -501,10 +500,8 @@ class FleetEngine:
             byte-identical either way; the flag exists so benchmarks
             and regression tests can compare the two paths.
 
-    ``kernel`` and ``zero_copy`` are deprecated and ignored: numpy is
-    the only violation kernel, and the process backend always ships
-    chunks through the shared-memory data plane
-    (:mod:`repro.fleet.arena`).
+    The process backend always ships chunks through the shared-memory
+    data plane (:mod:`repro.fleet.arena`).
     """
 
     engine: DopplerEngine
@@ -513,24 +510,8 @@ class FleetEngine:
     chunk_size: int | None = None
     cache_size: int = DEFAULT_CACHE_SIZE
     columnar: bool = True
-    kernel: InitVar[str | None] = None
-    zero_copy: InitVar[bool | None] = None
 
-    def __post_init__(self, kernel: str | None, zero_copy: bool | None) -> None:
-        if kernel is not None:
-            warnings.warn(
-                "FleetEngine(kernel=...) is deprecated and ignored: numpy is "
-                "the only violation kernel",
-                DeprecationWarning,
-                stacklevel=3,
-            )
-        if zero_copy is not None:
-            warnings.warn(
-                "FleetEngine(zero_copy=...) is deprecated and ignored: the "
-                "process backend always uses the shared-memory data plane",
-                DeprecationWarning,
-                stacklevel=3,
-            )
+    def __post_init__(self) -> None:
         make_backend(self.backend, self.max_workers)  # validate both up front
         self._runner = _FleetRunner(self.engine, CurveCache(self.cache_size), self.columnar)
         self._last_rebalance_stats: WatchRebalanceStats | None = None

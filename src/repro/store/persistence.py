@@ -124,10 +124,17 @@ def encode_state(state: "LiveAssessmentState") -> bytes:
     Reuses the zero-copy plane's array framing: the snapshot is split
     into a small pickled skeleton plus raw ndarray payloads
     (:func:`~repro.streaming.live.flatten_state`), so the numpy bulk
-    -- ring buffers, violation ring, sketch blocks -- serializes via
-    pickle's out-of-band buffer path instead of opcode-by-opcode
-    object traversal.  Checkpoint encode and the streaming handoff
-    thereby share one framing (and one set of byte-identity gates).
+    -- window sample buffers, violation counts, sketch blocks --
+    serializes via pickle's out-of-band buffer path instead of
+    opcode-by-opcode object traversal.  Checkpoint encode and the
+    streaming handoff thereby share one framing (and one set of
+    byte-identity gates).
+
+    A blob holds only what cannot be derived: no violation ring (the
+    restore rebuilds it from the window samples) and no candidate SKUs
+    (the recommendation's curve names its catalog slice by content
+    key), so :func:`decode_state` needs an engine over the same
+    catalog in the decoding process.
     """
     from ..streaming.live import flatten_state
 
@@ -146,7 +153,9 @@ def decode_state(blob: bytes, *, customer_id: str = "?") -> "LiveAssessmentState
 
     Reads both the array-framed format (``DSF1`` prefix) and legacy
     plain pickles, so stores written before the framing landed keep
-    restoring.
+    restoring, as do blobs that still carry a violation ring or a
+    curve pickled by value.  A curve whose catalog key is not interned
+    in this process (no engine over that catalog) is corruption too.
     """
     from ..streaming.live import unflatten_state
 

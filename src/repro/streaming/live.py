@@ -20,7 +20,6 @@ against rebuild-per-sample.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Literal, Mapping
 
@@ -85,13 +84,20 @@ class LiveAssessmentState:
     """Picklable snapshot of one live assessment's mutable state.
 
     The worker-handoff unit: everything one customer's assessment has
-    accumulated -- window ring buffers, violation counts, the drift
-    rebase point, streaming profile stats, the recommendation in
-    force -- *without* the engine it runs against.  A
-    receiving worker constructs an identically configured
-    :class:`LiveRecommender` around its own engine and calls
-    :meth:`LiveRecommender.restore_state`; the restored loop continues
-    the stream exactly where the source left off.
+    accumulated that cannot be derived -- the window's samples,
+    per-SKU violation counts, the drift rebase point, streaming
+    profile stats, the recommendation in force -- *without* the engine
+    it runs against.  A receiving worker constructs an identically
+    configured :class:`LiveRecommender` around its own engine and
+    calls :meth:`LiveRecommender.restore_state`; the restored loop
+    continues the stream exactly where the source left off.
+
+    Derivable state stays out: the estimator's violation ring is
+    rebuilt on restore from the window samples and the capacity
+    matrix (the counts check the rebuild), and the recommendation's
+    curve pickles its candidate SKUs by catalog reference.  Reading a
+    snapshot therefore needs an engine over the same catalog in the
+    reading process.
 
     The sharded fleet watch does not ship state in steady operation
     (sticky routing keeps each customer on one worker for a watch's
@@ -173,9 +179,6 @@ class LiveRecommender:
             summarizers, within the quantile sketch's documented rank
             error for thresholding.  Requires a summarizer with
             ``supports_streaming``.
-
-    ``cache`` is deprecated and ignored: refreshes no longer build
-    curves by re-scanning the window, so there is nothing to memoize.
     """
 
     def __init__(
@@ -187,19 +190,10 @@ class LiveRecommender:
         dimensions: tuple[PerfDimension, ...] | None = None,
         drift_threshold: float = DEFAULT_DRIFT_THRESHOLD,
         min_refresh_samples: int = DEFAULT_MIN_REFRESH_SAMPLES,
-        cache: object = None,
         entity_id: str = "live",
         profile_mode: Literal["exact", "streaming"] = "exact",
     ) -> None:
         self.validate_config(window, min_refresh_samples, profile_mode, engine.summarizer)
-        if cache is not None:
-            warnings.warn(
-                "LiveRecommender(cache=...) is deprecated and ignored: refreshes "
-                "build curves from the incremental window counts, with nothing "
-                "to memoize",
-                DeprecationWarning,
-                stacklevel=2,
-            )
         curve_dimensions = (
             DB_DIMENSIONS if deployment is DeploymentType.SQL_DB else MI_DIMENSIONS
         )
@@ -446,7 +440,11 @@ class LiveRecommender:
             )
         self.builder.load_state(state.builder)
         self.builder.entity_id = state.entity_id
-        self.estimator.load_state(state.estimator)
+        # Snapshots carry no violation ring: the estimator rebuilds it
+        # from the window the builder now holds, so the builder goes first.
+        self.estimator.load_state(
+            state.estimator, self.builder.snapshot() if self.builder.n_seen else None
+        )
         self.detector.load_state(state.detector)
         if self.profile_mode == "streaming":
             snapshot_stats = dict(state.profile_stats)
@@ -498,11 +496,12 @@ def flatten_state(state: LiveAssessmentState, arrays: list) -> dict:
     """Split a :class:`LiveAssessmentState` into arrays + skeleton.
 
     The zero-copy handoff's harvest pass: every numpy payload in the
-    snapshot -- ring buffers, the violation ring, sketch blocks, deque
-    columns, the drift baseline -- is appended to ``arrays`` (to ride
-    a shared-memory frame as raw bytes), and the returned skeleton
-    holds only scalars, small strings/enums and array indices, cheap
-    to pickle.  :func:`unflatten_state` is the exact inverse:
+    snapshot -- the window's sample buffers, violation counts, sketch
+    blocks, deque columns, the drift baseline -- is appended to
+    ``arrays`` (to ride a shared-memory frame as raw bytes), and the
+    returned skeleton holds only scalars, small strings/enums, array
+    indices and the recommendation (whose curve pickles its
+    candidates by catalog reference), cheap to pickle.  :func:`unflatten_state` is the exact inverse:
     ``unflatten_state(flatten_state(s, a), a)`` reproduces ``s``
     byte-identically, which the handoff test suite pins on every
     migration/restore/checkpoint path.

@@ -125,7 +125,7 @@ class StreamingSeriesStats:
         if sketch_compression is not None:
             sketch_kwargs["compression"] = sketch_compression
         self._sketch = MergingQuantileSketch(window=self.window, **sketch_kwargs)
-        self._ring = np.empty(self.window, dtype=float)
+        self._ring = np.zeros(self.window, dtype=float)
         self._n_seen = 0
         self._sum = 0.0
         self._sum_sq = 0.0
@@ -359,7 +359,7 @@ class StreamingTraceBuilder:
         self.window = int(window)
         self.interval_minutes = float(interval_minutes)
         self.entity_id = entity_id
-        self._buffers = {dim: np.empty(self.window, dtype=float) for dim in self.dimensions}
+        self._buffers = {dim: np.zeros(self.window, dtype=float) for dim in self.dimensions}
         self._n_seen = 0
 
     # ------------------------------------------------------------------

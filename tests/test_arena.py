@@ -5,8 +5,8 @@ parent publishes is unlinked exactly once -- on normal drain, on an
 abandoned stream, and after a SIGKILL'd worker -- so ``/dev/shm`` ends
 every pass exactly as it started.  The plane is how the process
 backend always runs: the retired ``FleetEngine(kernel=...,
-zero_copy=...)`` arguments warn, change nothing in the output, and
-never route a pass around the plane.
+zero_copy=...)`` arguments are rejected, so no pass can be routed
+around the plane.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ from __future__ import annotations
 import os
 import pickle
 import signal
-import warnings
 from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
@@ -253,59 +252,25 @@ class TestZeroCopyLifecycle:
 # Retired knobs
 # ----------------------------------------------------------------------
 class TestRetiredKnobs:
-    """``kernel`` and ``zero_copy`` warn, then change nothing."""
-
-    @pytest.fixture(scope="class")
-    def expected(self, module_catalog, records, customers):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # the defaults never warn
-            fleet = FleetEngine(
-                engine=DopplerEngine(catalog=module_catalog), backend="serial"
-            )
-        fleet.fit_fleet(records)
-        return [result_key(r) for r in fleet.recommend_fleet(customers)]
+    """``kernel`` and ``zero_copy`` are gone: passing either is a TypeError."""
 
     @pytest.mark.parametrize("kernel", ["numba", "auto", "numpy"])
-    def test_kernel_argument_warns_and_is_ignored(
-        self, kernel, module_catalog, records, customers, expected
-    ):
-        with pytest.warns(DeprecationWarning, match="kernel"):
-            fleet = FleetEngine(
+    def test_kernel_argument_is_rejected(self, kernel, module_catalog):
+        with pytest.raises(TypeError, match="kernel"):
+            FleetEngine(
                 engine=DopplerEngine(catalog=module_catalog),
                 backend="serial",
                 kernel=kernel,
             )
-        fleet.fit_fleet(records)
-        assert [result_key(r) for r in fleet.recommend_fleet(customers)] == expected
 
-    def test_zero_copy_opt_out_still_publishes_chunks(
-        self, monkeypatch, module_catalog, records, customers, expected
-    ):
-        """``zero_copy=False`` no longer selects a pickled process path."""
-        from repro.fleet import backends as backends_module
-
-        published = []
-        original = backends_module.ChunkPublisher
-
-        class CountingPublisher(original):
-            def __init__(self, ppm, task):
-                published.append(task)
-                super().__init__(ppm, task)
-
-        monkeypatch.setattr(backends_module, "ChunkPublisher", CountingPublisher)
-        baseline = leaked_segments()
-        with pytest.warns(DeprecationWarning, match="zero_copy"):
-            fleet = FleetEngine(
+    def test_zero_copy_argument_is_rejected(self, module_catalog):
+        with pytest.raises(TypeError, match="zero_copy"):
+            FleetEngine(
                 engine=DopplerEngine(catalog=module_catalog),
                 backend="process",
                 max_workers=2,
-                chunk_size=3,
                 zero_copy=False,
             )
-        fleet.fit_fleet(records)
-        assert [result_key(r) for r in fleet.recommend_fleet(customers)] == expected
-        assert published == ["fit", "recommend"]
-        assert leaked_segments() == baseline
 
 
 # ----------------------------------------------------------------------

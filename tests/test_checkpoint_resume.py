@@ -255,30 +255,10 @@ class TestOutputInvariance:
         )
         delta_store.close()
 
-    def test_retired_delta_flag_warns_and_changes_nothing(
-        self, small_catalog, tmp_path
-    ):
-        """``CheckpointConfig(delta=False)`` no longer selects full writes."""
-        feed = idle_tail_feed(6)
-        default_store = FleetStore(str(tmp_path / "default.db"))
-        retired_store = FleetStore(str(tmp_path / "retired.db"))
-        with pytest.warns(DeprecationWarning, match="delta"):
-            retired = CheckpointConfig(store=retired_store, every_ticks=1, delta=False)
-        default_stream = list(
-            make_fleet(small_catalog).watch_fleet(
-                feed, config=checkpointed(default_store, every_ticks=1)
-            )
-        )
-        retired_stream = list(
-            make_fleet(small_catalog).watch_fleet(
-                feed, config=WATCH.replace(checkpoint=retired)
-            )
-        )
-        assert canonical_updates(retired_stream) == canonical_updates(default_stream)
-        assert checkpoint_rows(retired_store) == checkpoint_rows(default_store)
-        assert checkpoint_rows(retired_store)[-1][0] == 1  # still delta writes
-        default_store.close()
-        retired_store.close()
+    def test_retired_delta_flag_is_rejected(self, small_catalog):
+        """``CheckpointConfig(delta=...)`` is gone: checkpoints are always delta."""
+        with pytest.raises(TypeError, match="delta"):
+            CheckpointConfig(store=FleetStore(), every_ticks=1, delta=False)
 
     def test_rebalance_events_land_in_the_store(self, small_catalog):
         feed = interleaved_feed(6, 24, seed=8)

@@ -183,6 +183,134 @@ class TestArrayBacked:
         assert not restored.scores().flags.writeable
 
 
+class TestPicklingByReference:
+    """Modeler curves pickle their candidates by catalog key, others by value."""
+
+    @staticmethod
+    def by_reference(blob: bytes) -> bool:
+        return b"_from_reference" in blob and b"_from_fields" not in blob
+
+    def test_modeler_curves_pickle_the_catalog_key(self, small_catalog):
+        ppm = PricePerformanceModeler(small_catalog)
+        curve = ppm.build_curve(full_trace(n=100, cpu_level=3.0), DeploymentType.SQL_DB)
+        blob = pickle.dumps(curve)
+        assert self.by_reference(blob)
+        assert ppm.catalog_signature.encode() in blob
+        assert b"SkuSpec" not in blob
+        clone = pickle.loads(blob)
+        assert clone == curve
+        assert clone._candidates is ppm.candidates(DeploymentType.SQL_DB)
+        assert not clone.scores().flags.writeable
+
+    def test_modelers_over_equal_catalogs_share_one_tuple(self, small_catalog):
+        from repro.catalog import SkuCatalog
+
+        first = PricePerformanceModeler(small_catalog)
+        copied = SkuCatalog.from_skus(pickle.loads(pickle.dumps(small_catalog.skus)))
+        second = PricePerformanceModeler(copied)
+        unpickled = pickle.loads(pickle.dumps(first))
+        for deployment in DeploymentType:
+            shared = first.candidates(deployment)
+            assert second.candidates(deployment) is shared
+            assert unpickled.candidates(deployment) is shared
+
+    def test_catalogs_differing_in_any_field_get_distinct_keys(self, small_catalog):
+        import dataclasses
+
+        from repro.catalog import HardwareGeneration, SkuCatalog, catalog_signature
+
+        base = catalog_signature(small_catalog)
+        first, *rest = small_catalog.skus
+        variants = [
+            dataclasses.replace(first, price_per_hour=first.price_per_hour + 0.01),
+            dataclasses.replace(first, hardware=HardwareGeneration.PREMIUM_SERIES),
+            dataclasses.replace(
+                first, limits=first.limits.with_iops(first.limits.max_data_iops + 1)
+            ),
+            dataclasses.replace(
+                first,
+                limits=dataclasses.replace(
+                    first.limits, min_io_latency_ms=first.limits.min_io_latency_ms + 1
+                ),
+            ),
+        ]
+        signatures = {
+            catalog_signature(SkuCatalog.from_skus([variant, *rest]))
+            for variant in variants
+        }
+        assert base not in signatures and len(signatures) == len(variants)
+
+    def test_point_curves_round_trip_by_value(self):
+        curve = curve_from([0.3, 0.1, 0.0, 0.0])
+        explicit = PricePerformanceCurve(curve.points, entity_id="explicit")
+        for value in (curve, explicit):
+            blob = pickle.dumps(value)
+            assert b"_from_fields" in blob and b"_from_reference" not in blob
+            assert pickle.loads(blob) == value
+
+    def test_ad_hoc_skus_over_catalog_specs_round_trip_by_value(self, small_catalog):
+        ppm = PricePerformanceModeler(small_catalog)
+        skus = list(ppm.candidates(DeploymentType.SQL_DB))  # a new sequence
+        curve = PricePerformanceCurve.from_probabilities(skus, np.linspace(0.5, 0.0, len(skus)))
+        blob = pickle.dumps(curve)
+        assert b"_from_fields" in blob and b"_from_reference" not in blob
+        assert pickle.loads(blob) == curve
+
+    def test_unknown_key_raises_lookup_error_naming_it(self):
+        curve = curve_from([0.2, 0.0, 0.0, 0.0])
+        fields = (curve._index, curve._prices, curve._raw, curve._scores, "x")
+        key = ("0" * 32, "SQL_DB")
+        with pytest.raises(LookupError, match="0" * 32):
+            PricePerformanceCurve._from_reference(key, *fields)
+
+    def test_fresh_interpreter_resolves_after_unpickling_an_engine(self, tmp_path):
+        """Unpickling an engine interns its catalog in a new process.
+
+        Before the engine arrives, the by-reference curve cannot
+        resolve; after it, the curve equals the sender's.
+        """
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        from repro.catalog import SkuCatalog
+        from repro.core import DopplerEngine
+
+        engine = DopplerEngine(catalog=SkuCatalog.default())
+        curve = engine.ppm.build_curve(
+            full_trace(n=100, cpu_level=3.0), DeploymentType.SQL_DB
+        )
+        (tmp_path / "engine.pkl").write_bytes(pickle.dumps(engine))
+        (tmp_path / "curve.pkl").write_bytes(pickle.dumps(curve))
+        (tmp_path / "points.pkl").write_bytes(pickle.dumps((curve.points, curve.entity_id)))
+        script = (
+            "import pickle, sys\n"
+            "from pathlib import Path\n"
+            "sys.path.insert(0, sys.argv[1])\n"
+            "folder = Path(sys.argv[2])\n"
+            "try:\n"
+            "    pickle.loads((folder / 'curve.pkl').read_bytes())\n"
+            "except LookupError:\n"
+            "    pass\n"
+            "else:\n"
+            "    sys.exit('resolved without an engine')\n"
+            "pickle.loads((folder / 'engine.pkl').read_bytes())\n"
+            "curve = pickle.loads((folder / 'curve.pkl').read_bytes())\n"
+            "points, entity_id = pickle.loads((folder / 'points.pkl').read_bytes())\n"
+            "assert curve.points == points and curve.entity_id == entity_id\n"
+            "print('resolved', len(curve))\n"
+        )
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        result = subprocess.run(
+            [sys.executable, "-c", script, src, str(tmp_path)],
+            capture_output=True,
+            text=True,
+            env={"PATH": "/usr/bin:/bin"},
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == f"resolved {len(curve)}"
+
+
 class TestShapes:
     def test_flat(self):
         assert curve_from([0.0, 0.0, 0.0, 0.0]).shape() is CurveShape.FLAT

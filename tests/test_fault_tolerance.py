@@ -318,6 +318,59 @@ class TestCorruptionQuarantine:
         assert "corrupt_state" in quarantines[-1].detail  # JSON detail blob
         store.close()
 
+    def test_unresolvable_curve_key_quarantines_one_customer_on_resume(
+        self, small_catalog, tmp_path
+    ):
+        """A blob naming a catalog no engine here holds is corruption.
+
+        Curves pickle their candidates by catalog key; a key this
+        process never interned (another catalog's) fails that one
+        customer's decode, and the resume quarantines just that
+        customer while the rest continue byte-identically.
+        """
+        feed = interleaved_feed(4, 24, seed=6)
+        baseline = list(make_fleet(small_catalog).watch_fleet(feed, config=WATCH))
+        store = FleetStore(str(tmp_path / "foreign.db"))
+        config = WATCH.replace(checkpoint=CheckpointConfig(store=store, every_ticks=2))
+        fleet = make_fleet(small_catalog)
+        consumed = []
+        stream = fleet.watch_fleet(feed, config=config)
+        try:
+            for update in stream:
+                consumed.append(update)
+                if len(consumed) >= len(baseline) // 2:
+                    break
+        finally:
+            stream.close()
+        signature = fleet.engine.ppm.catalog_signature.encode()
+        (blob,) = store._conn.execute(
+            "SELECT state FROM customers WHERE customer_id = 'cust-1'"
+        ).fetchone()
+        assert signature in blob
+        with store._conn:
+            store._conn.execute(
+                "UPDATE customers SET state = ? WHERE customer_id = 'cust-1'",
+                (blob.replace(signature, b"0" * len(signature)),),
+            )
+        with pytest.raises(StoreCorruptionError, match="interned"):
+            store.load_customer_state("cust-1")
+        n_emitted = store.require_checkpoint().n_emitted
+        resumed = list(
+            make_fleet(small_catalog).watch_fleet(feed, config=config, resume_from=store)
+        )
+        quarantined = {
+            event.customer_id
+            for event in store.events()
+            if event.kind == "quarantine" and "corrupt_state" in event.detail
+        }
+        assert quarantined == {"cust-1"}
+        tail = [u for u in baseline[n_emitted:] if u.customer_id != "cust-1"]
+        assert canonical_updates(
+            [u for u in resumed if u.customer_id != "cust-1"]
+        ) == canonical_updates(tail)
+        assert any(u.customer_id != "cust-1" for u in resumed)
+        store.close()
+
     def test_corrupt_customer_state_returns_false_for_unknown(self, tmp_path):
         store = FleetStore(str(tmp_path / "empty.db"))
         assert store.corrupt_customer_state("nobody") is False

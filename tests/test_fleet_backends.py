@@ -318,6 +318,44 @@ class TestLiveStateHandoff:
         assert target.n_refreshes == reference.n_refreshes
         assert target.builder.entity_id == source.builder.entity_id
 
+    @pytest.mark.parametrize("n_head", [0, 5, 16, 37])
+    def test_restore_rebuilds_the_violation_ring(self, n_head, small_catalog):
+        """Empty, partial, exactly full and wrapped windows (window 16)."""
+        engine = DopplerEngine(catalog=small_catalog)
+        rng = np.random.default_rng(74)
+        feed = live_samples(37, rng) + live_samples(20, rng, scale=4.0)
+
+        def fresh():
+            return LiveRecommender(
+                engine, DeploymentType.SQL_DB, window=16, min_refresh_samples=8
+            )
+
+        expected = self.outcome(self.drive(fresh(), feed))
+        source = fresh()
+        head = self.drive(source, feed[:n_head])
+        state = pickle.loads(pickle.dumps(source.snapshot_state()))
+        assert "ring" not in state.estimator
+        target = fresh()
+        target.restore_state(state)
+        np.testing.assert_array_equal(target.estimator._ring, source.estimator._ring)
+        np.testing.assert_array_equal(target.estimator._counts, source.estimator._counts)
+        resumed = head + self.drive(target, feed[n_head:])
+        assert self.outcome(resumed) == expected
+
+    def test_tampered_counts_fail_the_restore(self, small_catalog):
+        engine = DopplerEngine(catalog=small_catalog)
+        live = LiveRecommender(
+            engine, DeploymentType.SQL_DB, window=16, min_refresh_samples=8
+        )
+        self.drive(live, live_samples(20, np.random.default_rng(75)))
+        state = live.snapshot_state()
+        state.estimator["counts"][-1] += 1
+        target = LiveRecommender(
+            engine, DeploymentType.SQL_DB, window=16, min_refresh_samples=8
+        )
+        with pytest.raises(ValueError, match="counts disagree"):
+            target.restore_state(state)
+
     def test_snapshot_is_frozen_against_further_updates(self, small_catalog):
         engine = DopplerEngine(catalog=small_catalog)
         live = LiveRecommender(
@@ -639,20 +677,16 @@ class TestZeroCopyTickPlane:
             )
         )
         assert len(created) == 1  # allocated once per watch
-        # The retired opt-out warns and selects no second path: the
-        # watch still allocates exactly one plane, same stream.
-        with pytest.warns(DeprecationWarning, match="zero_copy"):
-            opted_out = WATCH_CONFIG.replace(
-                backend="process", max_workers=2, zero_copy=False
-            )
-        assert canonical_updates(fleet.watch_fleet(feed, config=opted_out)) == default
-        assert len(created) == 2
+        assert default == canonical_updates(fleet.watch_fleet(feed, config=WATCH_CONFIG))
+        # The retired opt-out is gone: there is no second path to select.
+        with pytest.raises(TypeError, match="zero_copy"):
+            WATCH_CONFIG.replace(backend="process", max_workers=2, zero_copy=False)
         list(
             fleet.watch_fleet(
                 feed, config=WATCH_CONFIG.replace(backend="thread", max_workers=2)
             )
         )
-        assert len(created) == 2  # same-address-space backends never pay
+        assert len(created) == 1  # same-address-space backends never pay
 
     def test_migration_during_watch_rides_state_frames(self, small_catalog):
         from repro.fleet.rebalance import Migration, RebalanceDecision, ScheduledRebalancePolicy

@@ -11,8 +11,8 @@ tuple rather than per customer and per refresh.
 
 from __future__ import annotations
 
+import pickle
 import sys
-import warnings
 from collections import Counter
 
 import numpy as np
@@ -190,6 +190,56 @@ class TestRefreshFallback:
         assert from_counts.points != engine.ppm.build_curve(trace, MI).points
 
 
+class TestRestoreAfterRebase:
+    def test_restored_ring_aligns_on_the_estimator_after_a_layout_change(
+        self, default_catalog
+    ):
+        """A snapshot taken after an MI rebase restores and continues exactly.
+
+        The rebase restarts the estimator's ``n_seen`` at the window
+        length while the builder keeps counting, so the rebuilt ring
+        must take the estimator's slots, not the builder's.
+        """
+        engine = DopplerEngine(catalog=default_catalog)
+
+        def fresh():
+            return LiveRecommender(
+                engine,
+                MI,
+                window=16,
+                min_refresh_samples=8,
+                dimensions=MI_DIMENSIONS + (PerfDimension.STORAGE,),
+            )
+
+        def outcome(update):
+            rec = update.recommendation
+            return (
+                update.n_seen,
+                update.refreshed,
+                rec.curve.points if rec else None,
+                repr(rec.expected_throttling) if rec else None,
+            )
+
+        # Data grows 3 GiB per sample: the layout moves P10 -> P15 at a
+        # refresh that is not a multiple of the window.
+        feed = mi_feed(96, seed=2, iops_levels=(300.0, 600.0), storage=(100.0, 3.0))
+        reference = fresh()
+        expected = [outcome(reference.observe(sample)) for sample in feed]
+        source = fresh()
+        head = [outcome(source.observe(sample)) for sample in feed[:64]]
+        assert source.estimator.n_seen % 16 != source.builder.n_seen % 16
+        state = pickle.loads(pickle.dumps(source.snapshot_state()))
+        assert "ring" not in state.estimator
+        target = fresh()
+        target.restore_state(state)
+        np.testing.assert_array_equal(target.estimator._ring, source.estimator._ring)
+        np.testing.assert_array_equal(target.estimator._counts, source.estimator._counts)
+        assert target.estimator.n_seen == source.estimator.n_seen
+        assert target.estimator.iops_overrides == source.estimator.iops_overrides
+        tail = [outcome(target.observe(sample)) for sample in feed[64:]]
+        assert head + tail == expected
+
+
 class TestCapacityBuilds:
     def test_onboard_and_restore_build_each_matrix_once(self, default_catalog, monkeypatch):
         builds = []
@@ -270,17 +320,7 @@ class TestDeprecations:
         # Watches never touch the batch pass's curve cache either.
         assert fleet.cache_stats().misses == 0
 
-    def test_live_recommender_cache_argument_warns_and_is_ignored(self, small_catalog):
+    def test_live_recommender_cache_argument_is_rejected(self, small_catalog):
         engine = DopplerEngine(catalog=small_catalog)
-        with pytest.warns(DeprecationWarning, match="cache"):
-            live = LiveRecommender(
-                engine, DB, window=16, min_refresh_samples=8, cache=object()
-            )
-        assert not hasattr(live, "cache")
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            plain = LiveRecommender(engine, DB, window=16, min_refresh_samples=8)
-        for sample in live_samples(16, np.random.default_rng(8)):
-            ours, theirs = live.observe(sample), plain.observe(sample)
-            assert (ours.n_seen, ours.refreshed) == (theirs.n_seen, theirs.refreshed)
-        assert live.recommendation.curve.points == plain.recommendation.curve.points
+        with pytest.raises(TypeError, match="cache"):
+            LiveRecommender(engine, DB, window=16, min_refresh_samples=8, cache=object())

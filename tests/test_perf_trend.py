@@ -40,6 +40,18 @@ def latency_record(name: str, p95_ms: float, smoke: bool = False) -> dict:
     }
 
 
+def size_record(name: str, state_bytes: float, smoke: bool = False) -> dict:
+    return {
+        "benchmark": name,
+        "smoke": smoke,
+        "checkpoint": {
+            "state_bytes_per_customer": state_bytes,
+            "n_checkpoints": 4,
+            "written_bytes_per_sec": 1000.0,
+        },
+    }
+
+
 def recovery_record(name: str, mttr_ticks: float, smoke: bool = False) -> dict:
     return {
         "benchmark": name,
@@ -72,6 +84,16 @@ class TestCollectMetrics:
     def test_ticks_leaves_participate_too(self):
         metrics = collect_metrics(recovery_record("x", 2.5))
         assert metrics == {"recovery.mttr_ticks": 2.5}
+
+    def test_bytes_leaves_participate_as_lower_is_better(self):
+        metrics = collect_metrics(size_record("x", 23312.0))
+        assert metrics == {
+            "checkpoint.state_bytes_per_customer": 23312.0,
+            "checkpoint.written_bytes_per_sec": 1000.0,
+        }
+        assert lower_is_better("checkpoint.state_bytes_per_customer")
+        assert lower_is_better("store.n_state_bytes")
+        assert not lower_is_better("checkpoint.written_bytes_per_sec")  # a rate
 
 
 class TestCompareRecords:
@@ -126,6 +148,17 @@ class TestCompareRecords:
         assert [metric for metric, *_ in regressions] == ["s:recovery.mttr_ticks"]
         shallower = {"s": recovery_record("s", 1.0)}  # improvement
         regressions, _ = compare_records(baseline, shallower, threshold=0.2)
+        assert regressions == []
+
+    def test_bytes_increase_is_the_regression(self):
+        baseline = {"s": size_record("s", 23312.0)}
+        bigger = {"s": size_record("s", 55533.0)}  # curves pickled by value again
+        regressions, _ = compare_records(baseline, bigger, threshold=0.2)
+        assert [metric for metric, *_ in regressions] == [
+            "s:checkpoint.state_bytes_per_customer"
+        ]
+        smaller = {"s": size_record("s", 6000.0)}  # improvement
+        regressions, _ = compare_records(baseline, smaller, threshold=0.2)
         assert regressions == []
 
 
@@ -198,6 +231,15 @@ class TestFloors:
         assert check_floors(shallow, floors) == []
         deep = {"streaming": recovery_record("streaming", 20.0)}
         violations = check_floors(deep, floors)
+        assert len(violations) == 1
+        assert "above the absolute ceiling" in violations[0]
+
+    def test_bytes_floor_is_a_ceiling(self):
+        floors = {"streaming": {"checkpoint.state_bytes_per_customer": 32768.0}}
+        lean = {"streaming": size_record("streaming", 23312.0)}
+        assert check_floors(lean, floors) == []
+        bloated = {"streaming": size_record("streaming", 55533.0)}
+        violations = check_floors(bloated, floors)
         assert len(violations) == 1
         assert "above the absolute ceiling" in violations[0]
 
@@ -280,13 +322,11 @@ class TestBlockingBenchmarks:
         assert "closed_loop.requests_per_sec" in floors["serving"]
         assert "closed_loop.p95_ms" in floors["serving"]
         assert "recovery.mttr_ticks" in floors["streaming"]  # fault-matrix ceiling
+        # Persisted bytes per checkpointed customer: a size ceiling.
+        assert "checkpoint.state_bytes_per_customer" in floors["streaming"]
         for metric_floors in floors.values():
             for metric, floor in metric_floors.items():
-                assert (
-                    metric.endswith("_per_sec")
-                    or metric.endswith("_ms")
-                    or metric.endswith("_ticks")
-                )
+                assert metric.endswith("_per_sec") or lower_is_better(metric)
                 assert floor > 0
 
 

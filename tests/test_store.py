@@ -31,9 +31,10 @@ from repro.store import (
 )
 from repro.store.fleetstore import _MIGRATIONS
 from repro.streaming import LiveRecommender
-from repro.telemetry import PerfDimension
 
 from .test_fleet_backends import live_samples
+
+DB = DeploymentType.SQL_DB
 
 
 def make_state(small_catalog, entity_id="cust-0", n_samples=12, seed=0):
@@ -617,6 +618,118 @@ class TestStateFrameEncoding:
             from repro.store.persistence import decode_state
 
             decode_state(blob[: len(blob) // 2], customer_id="cust-9")
+
+
+# ----------------------------------------------------------------------
+# Derivable state: no ring, curves by catalog reference, older blobs
+# ----------------------------------------------------------------------
+class TestDerivableState:
+    def test_blob_holds_no_ring_and_references_the_catalog(self, small_catalog):
+        from repro.store.persistence import encode_state
+
+        state = make_state(small_catalog)
+        blob = encode_state(state)
+        assert "ring" not in state.estimator
+        assert b"has_ring" not in blob  # the estimator frame carries no ring
+        # The curve names its candidate tuple instead of pickling it.
+        assert b"_from_reference" in blob and b"_from_fields" not in blob
+
+    def test_pre_change_blob_restores_and_continues_identically(self, default_catalog):
+        """A blob stored before rings were rebuilt still resumes exactly.
+
+        ``tests/data/live_state_w24_legacy.bin`` was written by commit
+        1884422, whose snapshots carried the violation ring and pickled
+        curves by value::
+
+            mkdir -p /tmp/repro-1884422
+            git archive 1884422 src | tar -x -C /tmp/repro-1884422
+            PYTHONPATH=/tmp/repro-1884422/src python tests/legacy_state_fixture.py
+        """
+        from repro.store.persistence import decode_state
+
+        from .legacy_state_fixture import (
+            FIXTURE,
+            N_HEAD,
+            WINDOW,
+            fixture_feed,
+            fixture_recommender,
+        )
+
+        blob = FIXTURE.read_bytes()
+        assert len(blob) <= 64 * 1024
+        assert b"_from_fields" in blob and b"_from_reference" not in blob
+        engine = DopplerEngine(catalog=default_catalog)
+        state = decode_state(blob, customer_id="legacy-cust")
+        assert state.window == WINDOW
+        assert state.estimator["ring"].shape == (WINDOW, len(engine.ppm.candidates(DB)))
+        assert state.recommendation is not None
+
+        def outcome(update):
+            rec = update.recommendation
+            return (
+                update.n_seen,
+                update.refreshed,
+                rec.curve.points if rec else None,
+                repr(rec.expected_throttling) if rec else None,
+            )
+
+        feed = fixture_feed()
+        reference = fixture_recommender(engine)
+        expected = [outcome(reference.observe(sample)) for sample in feed]
+        restored = fixture_recommender(engine)
+        restored.restore_state(state)
+        assert restored.builder.n_seen == N_HEAD
+        np.testing.assert_array_equal(
+            restored.estimator._ring, state.estimator["ring"]
+        )
+        tail = [outcome(restored.observe(sample)) for sample in feed[N_HEAD:]]
+        assert tail == expected[N_HEAD:]
+        # Re-encoded, the same state drops the ring and the SKUs.
+        from repro.store.persistence import encode_state
+
+        assert len(encode_state(restored.snapshot_state())) < len(blob) // 2
+
+    @pytest.mark.parametrize("profile_mode", ["exact", "streaming"])
+    def test_identical_streams_encode_identical_bytes(self, profile_mode, small_catalog):
+        """A partly filled window stores no leftover heap bytes.
+
+        Window slots no sample reached yet are zeros, so two
+        identically fed assessments write byte-identical blobs
+        whatever memory the process reused for their buffers.
+        """
+        from repro.store.persistence import encode_state
+
+        engine = DopplerEngine(catalog=small_catalog)
+        feed = live_samples(20, np.random.default_rng(5))
+        blobs = []
+        for fill in (1.5, -2.5):
+            # Free a few window-sized buffers holding ``fill``, so a
+            # fresh uninitialized allocation would be handed them back.
+            dirty = [np.full(64, fill) for _ in range(32)]
+            del dirty
+            live = LiveRecommender(
+                engine,
+                DB,
+                window=64,
+                min_refresh_samples=8,
+                profile_mode=profile_mode,
+            )
+            for sample in feed:
+                live.observe(sample)
+            blobs.append(encode_state(live.snapshot_state()))
+        assert blobs[0] == blobs[1]
+
+    def test_unknown_catalog_key_is_a_corruption_error(self, small_catalog):
+        from repro.store.persistence import decode_state, encode_state
+
+        state = make_state(small_catalog)
+        signature = DopplerEngine(catalog=small_catalog).ppm.catalog_signature
+        blob = encode_state(state)
+        assert signature.encode() in blob
+        foreign = blob.replace(signature.encode(), b"f" * len(signature))
+        with pytest.raises(StoreCorruptionError, match="cust-7.*interned") as caught:
+            decode_state(foreign, customer_id="cust-7")
+        assert isinstance(caught.value.__cause__, LookupError)
 
 
 # ----------------------------------------------------------------------

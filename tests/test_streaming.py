@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -282,6 +284,121 @@ class TestIncrementalEstimator:
             estimator.update({CPU: 1.0, LATENCY: 1.0})
         with pytest.raises(ValueError, match="non-finite"):
             estimator.update({CPU: float("inf"), MEMORY: 1.0, LATENCY: 1.0})
+
+
+# ----------------------------------------------------------------------
+# Snapshot / restore: the violation ring is rebuilt, not stored
+# ----------------------------------------------------------------------
+class TestEstimatorRingRebuild:
+    """``state_dict`` drops the ring; ``load_state`` rebuilds it bit for bit.
+
+    The ring is a pure function of the window's samples and the
+    capacity matrix, so a restore replays the window through the
+    violation kernel into the slots the estimator's own ``n_seen``
+    assigns, and the stored per-SKU counts check the rebuild.
+    """
+
+    SKUS = [make_sku(v, name=f"sku-{v}") for v in (2, 4, 8, 16)]
+    WINDOW = 16
+
+    def stream(self, n, seed, window=WINDOW):
+        rng = np.random.default_rng(seed)
+        samples = random_samples(n, rng, scale=2.5)
+        builder = StreamingTraceBuilder(DIMS, window=window or 1)
+        estimator = IncrementalThrottlingEstimator(self.SKUS, DIMS, window=window)
+        for sample in samples:
+            builder.append(sample)
+            estimator.update(sample)
+        return builder, estimator, random_samples(40, rng, scale=2.5)
+
+    def restored(self, estimator, builder, window=WINDOW):
+        state = pickle.loads(pickle.dumps(estimator.state_dict()))
+        assert "ring" not in state
+        target = IncrementalThrottlingEstimator(self.SKUS, DIMS, window=window)
+        target.load_state(state, builder.snapshot() if builder.n_seen else None)
+        return target
+
+    def assert_continues_identically(self, source, target, follow_up):
+        np.testing.assert_array_equal(target._ring, source._ring)
+        np.testing.assert_array_equal(target._counts, source._counts)
+        assert target.n_seen == source.n_seen
+        for sample in follow_up:
+            source.update(sample)
+            target.update(sample)
+            np.testing.assert_array_equal(target.probabilities(), source.probabilities())
+        np.testing.assert_array_equal(target._ring, source._ring)
+
+    @pytest.mark.parametrize("n_seen", [0, 5, WINDOW, 2 * WINDOW + 5])
+    def test_restore_rebuilds_ring_at_every_fill_level(self, n_seen):
+        """Empty, below the window, exactly full, and wrapped past it."""
+        builder, source, follow_up = self.stream(n_seen, seed=30 + n_seen)
+        target = self.restored(source, builder)
+        if n_seen > self.WINDOW:
+            # Wrapped: the newest sample does not sit in the last slot,
+            # so a slot-order rebuild is distinguishable from a
+            # chronological one.
+            assert (n_seen - 1) % self.WINDOW != self.WINDOW - 1
+        self.assert_continues_identically(source, target, follow_up)
+
+    def test_restore_after_rebase_aligns_on_the_estimator_n_seen(self):
+        """After an MI rebase estimator and builder positions differ."""
+        builder, source, follow_up = self.stream(2 * self.WINDOW + 3, seed=40)
+        # A layout change replays the window: n_seen restarts at the
+        # window length while the builder keeps counting.
+        source.rebase_capacity({"sku-2": 1e9}, builder.snapshot())
+        for sample in follow_up[:5]:
+            builder.append(sample)
+            source.update(sample)
+        assert source.n_seen % self.WINDOW != builder.n_seen % self.WINDOW
+        target = self.restored(source, builder)
+        assert target.iops_overrides == {"sku-2": 1e9}
+        self.assert_continues_identically(source, target, follow_up[5:])
+
+    def test_unbounded_estimator_restores_counts(self):
+        builder, source, follow_up = self.stream(30, seed=41, window=None)
+        state = pickle.loads(pickle.dumps(source.state_dict()))
+        assert state["window"] is None and "ring" not in state
+        target = IncrementalThrottlingEstimator(self.SKUS, DIMS, window=None)
+        target.load_state(state)
+        assert target._ring is None
+        for sample in follow_up:
+            source.update(sample)
+            target.update(sample)
+        np.testing.assert_array_equal(target.probabilities(), source.probabilities())
+        bounded = IncrementalThrottlingEstimator(self.SKUS, DIMS, window=self.WINDOW)
+        with pytest.raises(ValueError, match="bounded vs unbounded"):
+            bounded.load_state(state)
+
+    def test_tampered_counts_are_rejected(self):
+        builder, source, _ = self.stream(2 * self.WINDOW + 3, seed=42)
+        state = source.state_dict()
+        state["counts"][0] += 1
+        target = IncrementalThrottlingEstimator(self.SKUS, DIMS, window=self.WINDOW)
+        with pytest.raises(ValueError, match="counts disagree"):
+            target.load_state(state, builder.snapshot())
+
+    def test_window_samples_are_required_and_checked(self):
+        builder, source, _ = self.stream(7, seed=43)
+        state = source.state_dict()
+        target = IncrementalThrottlingEstimator(self.SKUS, DIMS, window=self.WINDOW)
+        with pytest.raises(ValueError, match="window's samples"):
+            target.load_state(state)
+        builder.append(random_samples(1, np.random.default_rng(0))[0])
+        with pytest.raises(ValueError, match="8 samples"):
+            target.load_state(state, builder.snapshot())
+        wider = IncrementalThrottlingEstimator(self.SKUS, DIMS, window=2 * self.WINDOW)
+        with pytest.raises(ValueError, match="window"):
+            wider.load_state(state, builder.snapshot())
+
+    def test_stored_ring_of_earlier_snapshots_still_loads(self):
+        """Snapshots written before the rebuild carry the ring itself."""
+        builder, source, follow_up = self.stream(2 * self.WINDOW + 3, seed=44)
+        state = source.state_dict()
+        del state["window"]
+        state["ring"] = source._ring.copy()
+        target = IncrementalThrottlingEstimator(self.SKUS, DIMS, window=self.WINDOW)
+        target.load_state(state)
+        self.assert_continues_identically(source, target, follow_up)
 
 
 # ----------------------------------------------------------------------
