@@ -94,7 +94,6 @@ def scenarios() -> list[dict]:
     kill_1 = FaultPlan(kill_worker=((1, 1),))
     return [
         {"name": "kill_serial", "backend": "serial", "faults": FaultPlan(kill_worker=((0, 1),))},
-        {"name": "kill_thread", "backend": "thread", "faults": kill_1},
         {"name": "kill_process", "backend": "process", "faults": kill_1},
         {
             "name": "drop_process",

@@ -1,21 +1,16 @@
-"""Fleet-scale throughput benchmark: columnar vs per-customer vs parallel.
+"""Fleet-scale throughput benchmark: columnar vs per-customer.
 
 Generates synthetic customer populations with :mod:`repro.workloads`,
 then measures the :class:`~repro.fleet.engine.FleetEngine` fit +
-recommendation throughput at several fleet sizes along three paths:
+recommendation throughput at several fleet sizes along the two batch
+paths (every batch pass runs in the calling process):
 
-* **columnar** (serial backend, the default batch kernel: one
-  capacity matrix and one curve-cache key-batch per chunk),
-* **per-customer** (serial backend with ``columnar=False`` -- the
-  pre-columnar reference path), and
-* **parallel** (columnar over the thread/process pool).
+* **columnar** (the default batch kernel: one capacity matrix and one
+  curve-cache key-batch per chunk), and
+* **per-customer** (``columnar=False`` -- the pre-columnar reference
+  path).
 
-A further **zero-copy** section times one cold process-backend
-fit+recommend pass per size, which always ships its chunks through the
-shared-memory data plane; its recommendations must match serial and
-``/dev/shm`` must end the pass exactly as it started.
-
-Every pass must produce byte-identical recommendations (the fleet
+Both paths must produce byte-identical recommendations (the fleet
 determinism contract, asserted here), and on a full run the columnar
 path must deliver at least ``--min-columnar-speedup`` (default 3x)
 the per-customer fit+recommend throughput.
@@ -30,9 +25,8 @@ Emits a machine-readable perf record to
 ``BENCH_streaming.json``; uploaded as a CI artifact and diffed across
 commits by ``benchmarks/perf_trend.py``).
 
-Exit status: 1 when any pass is not byte-identical or leaks arena
-segments, 2 when the parallel speedup misses the threshold on a
-multi-core machine, 3 when the columnar speedup misses the threshold.
+Exit status: 1 when the two paths are not byte-identical, 3 when the
+columnar speedup misses the threshold.
 """
 
 from __future__ import annotations
@@ -56,7 +50,6 @@ if __package__ in (None, ""):  # running as a script without installation
 from repro import DopplerEngine, FleetCustomer, FleetEngine, SkuCatalog
 from repro.catalog import DeploymentType
 from repro.fleet import FleetRecommendation, summarize_fleet
-from repro.fleet.arena import leaked_segments
 from repro.simulation import FleetConfig, simulate_fleet
 from repro.telemetry import PerfDimension
 from repro.workloads import (
@@ -155,19 +148,6 @@ def fit_fitted_engine(
     return fleet, time.perf_counter() - start
 
 
-def process_pass(
-    records, customers, catalog: SkuCatalog, workers: int
-) -> tuple[bytes, float]:
-    """One cold process-backend fit+recommend pass; (result bytes, seconds)."""
-    fleet = FleetEngine(
-        engine=DopplerEngine(catalog=catalog), backend="process", max_workers=workers
-    )
-    start = time.perf_counter()
-    fleet.fit_fleet(records)
-    results = list(fleet.recommend_fleet(customers))
-    return canonical_bytes(results), time.perf_counter() - start
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -181,23 +161,10 @@ def main(argv: list[str] | None = None) -> int:
         help="tiny fast run for CI: small fleet, short traces, no speedup gates",
     )
     parser.add_argument(
-        "--backend",
-        choices=("thread", "process"),
-        default="process",
-        help="parallel backend to compare against serial (default: process)",
-    )
-    parser.add_argument("--workers", type=int, default=None, help="parallel pool size")
-    parser.add_argument(
         "--train-size", type=int, default=160, help="simulated training-fleet size"
     )
     parser.add_argument("--duration-days", type=float, default=7.0)
     parser.add_argument("--interval-minutes", type=float, default=30.0)
-    parser.add_argument(
-        "--min-speedup",
-        type=float,
-        default=2.0,
-        help="required parallel/serial speedup on >= 2 cores (default: 2.0)",
-    )
     parser.add_argument(
         "--min-columnar-speedup",
         type=float,
@@ -220,11 +187,7 @@ def main(argv: list[str] | None = None) -> int:
         sizes, duration, interval, train_size = [16], 2.0, 60.0, 24
 
     cores = os.cpu_count() or 1
-    workers = args.workers or cores
-    lines = [
-        f"fleet-scale benchmark: backend={args.backend} workers={workers} "
-        f"cores={cores} trace={duration:g}d@{interval:g}min",
-    ]
+    lines = [f"fleet-scale benchmark: cores={cores} trace={duration:g}d@{interval:g}min"]
 
     catalog = SkuCatalog.default()
     print(f"Training on {train_size} simulated migrated customers (both paths) ...")
@@ -249,11 +212,7 @@ def main(argv: list[str] | None = None) -> int:
     lines.append(fit_line)
 
     failed_identity = False
-    failed_speedup = False
     failed_columnar = False
-    # The data plane needs a real pool to be exercised at all; on a
-    # single-core box the engine would otherwise degrade to serial.
-    zero_copy_workers = max(2, workers)
     size_records = []
     for size in sizes:
         print(f"Generating {size} synthetic customers ...")
@@ -267,47 +226,21 @@ def main(argv: list[str] | None = None) -> int:
         per_customer_results = list(per_customer_fleet.recommend_fleet(customers))
         per_customer_seconds = time.perf_counter() - start
 
-        parallel_engine = FleetEngine(
-            engine=columnar_fleet.engine, backend=args.backend, max_workers=workers
-        )
-        start = time.perf_counter()
-        parallel_results = list(parallel_engine.recommend_fleet(customers))
-        parallel_seconds = time.perf_counter() - start
-
         columnar_blob = canonical_bytes(columnar_results)
         per_customer_blob = canonical_bytes(per_customer_results)
-        parallel_blob = canonical_bytes(parallel_results)
         identical_columnar = columnar_blob == per_customer_blob
-        identical_parallel = columnar_blob == parallel_blob
         digest = hashlib.sha256(columnar_blob).hexdigest()[:16]
-        parallel_speedup = (
-            columnar_seconds / parallel_seconds if parallel_seconds else 0.0
-        )
         # The acceptance metric: whole-pass (fit + recommend) speedup
         # of the columnar path over the per-customer path.
         columnar_speedup = (per_customer_fit_seconds + per_customer_seconds) / (
             columnar_fit_seconds + columnar_seconds
         )
-        shm_before = leaked_segments()
-        zero_copy_blob, zero_copy_seconds = process_pass(
-            records, customers, catalog, zero_copy_workers
-        )
-        identical_zero_copy = zero_copy_blob == columnar_blob
-        shm_clean = leaked_segments() == shm_before
-        zero_copy_line = (
-            f"n={size:>6}  process fit+rec  zero-copy {size / zero_copy_seconds:>8.1f} cust/s "
-            f"({zero_copy_seconds:.2f}s)  identical={identical_zero_copy}  shm-clean={shm_clean}"
-        )
-        print(zero_copy_line)
-        lines.append(zero_copy_line)
-
         summary = summarize_fleet(columnar_results)
         line = (
             f"n={size:>6}  per-customer {size / per_customer_seconds:>8.1f} cust/s "
             f"({per_customer_seconds:.2f}s)  columnar {size / columnar_seconds:>8.1f} cust/s "
             f"({columnar_seconds:.2f}s)  columnar-speedup(fit+rec) {columnar_speedup:.2f}x  "
-            f"parallel {size / parallel_seconds:>8.1f} cust/s speedup {parallel_speedup:.2f}x  "
-            f"identical={identical_columnar and identical_parallel}  sha256[:16]={digest}  "
+            f"identical={identical_columnar}  sha256[:16]={digest}  "
             f"recommended={summary.n_recommended} failed={summary.n_failed}"
         )
         print(line)
@@ -317,32 +250,17 @@ def main(argv: list[str] | None = None) -> int:
                 "n_customers": size,
                 "per_customer_cust_per_sec": size / per_customer_seconds,
                 "columnar_cust_per_sec": size / columnar_seconds,
-                "parallel_cust_per_sec": size / parallel_seconds,
                 "columnar_fit_plus_recommend_speedup": columnar_speedup,
-                "parallel_speedup": parallel_speedup,
                 "identical_columnar": identical_columnar,
-                "identical_parallel": identical_parallel,
-                "zero_copy_cust_per_sec": size / zero_copy_seconds,
-                "identical_zero_copy": identical_zero_copy,
-                "shm_clean": shm_clean,
                 "n_recommended": summary.n_recommended,
                 "n_failed": summary.n_failed,
             }
         )
-        if not (identical_columnar and identical_parallel and identical_zero_copy):
+        if not identical_columnar:
             failed_identity = True
-        if not shm_clean:
-            failed_identity = True
-        if not args.smoke:
-            if cores >= 2 and parallel_speedup < args.min_speedup:
-                failed_speedup = True
-            if columnar_speedup < args.min_columnar_speedup:
-                failed_columnar = True
+        if not args.smoke and columnar_speedup < args.min_columnar_speedup:
+            failed_columnar = True
 
-    if cores < 2:
-        note = f"single-core machine: {args.min_speedup:.1f}x parallel gate not applicable"
-        print(note)
-        lines.append(note)
     if args.smoke:
         lines.append("smoke mode: speedup gates skipped (timing noise on shared CI runners)")
 
@@ -351,12 +269,8 @@ def main(argv: list[str] | None = None) -> int:
         "timestamp": time.time(),
         "python": platform.python_version(),
         "smoke": args.smoke,
-        "backend": args.backend,
-        "workers": workers,
         "cores": cores,
-        "min_speedup": args.min_speedup,
         "min_columnar_speedup": args.min_columnar_speedup,
-        "zero_copy_workers": zero_copy_workers,
         "fit": {
             "n_records": len(records),
             "per_customer_records_per_sec": len(records) / per_customer_fit_seconds,
@@ -372,18 +286,10 @@ def main(argv: list[str] | None = None) -> int:
 
     if failed_identity:
         print(
-            "FAIL: passes are not byte-identical (columnar/per-customer/parallel/"
-            "zero-copy) or arena segments leaked",
+            "FAIL: the columnar and per-customer passes are not byte-identical",
             file=sys.stderr,
         )
         return 1
-    if failed_speedup:
-        print(
-            f"FAIL: parallel speedup below {args.min_speedup:.1f}x on a "
-            f"{cores}-core machine",
-            file=sys.stderr,
-        )
-        return 2
     if failed_columnar:
         print(
             f"FAIL: columnar fit+recommend speedup below "

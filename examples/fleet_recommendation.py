@@ -31,8 +31,10 @@ def main() -> None:
     population = simulate_fleet(config, catalog, rng=2022)
     records = [customer.record for customer in population]
 
-    # 2. One batched training pass: per-customer curve building fans
-    #    out over the backend, group aggregation happens centrally.
+    # 2. One batched training pass: curves are built chunk by chunk
+    #    through the columnar kernel, then observations are averaged
+    #    per negotiability group.  Batch passes always run in this
+    #    process; ``backend`` only picks the default for watches.
     fleet = FleetEngine(engine=DopplerEngine(catalog=catalog), backend="serial")
     fit_report = fleet.fit_fleet(records)
     print(

@@ -378,7 +378,7 @@ class PricePerformanceModeler:
             return exc
 
     # ------------------------------------------------------------------
-    # Capacity-matrix sharing (fleet shared-memory data plane)
+    # Candidate and capacity accessors
     # ------------------------------------------------------------------
     def candidates(self, deployment: DeploymentType) -> tuple[SkuSpec, ...]:
         """The deployment's candidate SKUs in catalog (price) order.
@@ -394,52 +394,10 @@ class PricePerformanceModeler:
         """The memoized candidate capacity matrix for a dimension tuple.
 
         Public accessor over the columnar state's memo (read-only, no
-        IOPS overrides), used by the fleet arena publisher to export
-        capacities into shared memory exactly as the batch kernel
-        would build them, and by live estimators as their base
+        IOPS overrides), used by live estimators as their base
         capacities.
         """
         return self._deployment_state(deployment).caps_for(dimensions)
-
-    def has_capacity_matrix(
-        self, deployment: DeploymentType, dimensions: tuple[PerfDimension, ...]
-    ) -> bool:
-        """Whether the matrix for this tuple is already memoized."""
-        return dimensions in self._deployment_state(deployment)._caps_by_dims
-
-    def adopt_capacity_matrix(
-        self,
-        deployment: DeploymentType,
-        dimensions: tuple[PerfDimension, ...],
-        caps: np.ndarray,
-    ) -> None:
-        """Seed the capacity memo with a parent-published matrix.
-
-        The zero-copy rehydration hook: a process-pool worker installs
-        the capacity matrix its parent exported over shared memory so
-        the batch kernel skips rebuilding it from the catalog.  The
-        caller asserts the matrix equals what :meth:`caps_for` would
-        compute (the publisher exports from a sibling modeler's memo,
-        which guarantees it).  An already-memoized tuple is left
-        untouched.
-
-        Raises:
-            ValueError: If the matrix shape does not match the
-                deployment's candidate set.
-        """
-        state = self._deployment_state(deployment)
-        if dimensions in state._caps_by_dims:
-            return
-        expected = (len(state.skus), len(dimensions))
-        if caps.shape != expected:
-            raise ValueError(
-                f"capacity matrix for {deployment.short_name} over "
-                f"{len(dimensions)} dimensions must have shape {expected}, "
-                f"got {caps.shape}"
-            )
-        caps = np.ascontiguousarray(caps, dtype=np.float64)
-        caps.flags.writeable = False
-        state._caps_by_dims[dimensions] = caps
 
     def _deployment_state(self, deployment: DeploymentType) -> _DeploymentCurveState:
         """Columnar candidate state, memoized per deployment.

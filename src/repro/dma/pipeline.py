@@ -14,6 +14,7 @@ dashboard together and also exposes the baseline strategy side-by-side
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -184,7 +185,7 @@ class AssessmentPipeline:
     def assess_fleet(
         self,
         customers: Iterable[FleetCustomer],
-        backend: FleetBackend = "serial",
+        backend: FleetBackend | None = None,
         max_workers: int | None = None,
         chunk_size: int | None = None,
     ) -> FleetAssessmentResult:
@@ -193,16 +194,23 @@ class AssessmentPipeline:
         Each customer's raw trace goes through the standard
         preprocessing module, then the whole cleaned population runs
         through one batched :class:`~repro.fleet.engine.FleetEngine`
-        pass over this pipeline's engine.
+        pass over this pipeline's engine, in this process.
 
         Args:
             customers: The fleet to assess (any iterable; consumed
                 lazily through the preprocessing step).
-            backend: Fleet execution backend; ``serial`` by default so
-                DMA-embedded runs stay single-process unless asked.
-            max_workers: Pool size for parallel backends.
-            chunk_size: Customers per shard (automatic when omitted).
+            backend: Deprecated and ignored: fleet batch passes always
+                run in the parent, so it selects nothing.
+            max_workers: Deprecated and ignored, like ``backend``.
+            chunk_size: Customers per chunk (automatic when omitted).
         """
+        if backend is not None or max_workers is not None:
+            warnings.warn(
+                "assess_fleet(backend=..., max_workers=...) is deprecated and "
+                "ignored: fleet batch passes always run in the parent",
+                DeprecationWarning,
+                stacklevel=2,
+            )
         short_windows: dict[str, float] = {}
 
         def preprocessed() -> Iterable[FleetCustomer]:
@@ -221,10 +229,7 @@ class AssessmentPipeline:
                 )
 
         fleet_engine = FleetEngine(
-            engine=self.engine,
-            backend=backend,
-            max_workers=max_workers,
-            chunk_size=chunk_size,
+            engine=self.engine, backend="serial", chunk_size=chunk_size
         )
         raw_results = tuple(fleet_engine.recommend_fleet(preprocessed()))
         results = tuple(

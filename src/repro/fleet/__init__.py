@@ -1,14 +1,16 @@
 """Fleet-scale batch and streaming recommendation.
 
 Scales Doppler from one workload to whole customer populations:
-sharded, parallel, curve-memoizing batch passes with streaming results
-and campaign-level summary reports, plus an elastic live fleet watch
-that shards customers' streaming assessments across the same
-execution backends (:mod:`repro.fleet.backends`) with sticky
-per-customer routing over a consistent-hash ring
+chunked, columnar, curve-memoizing batch passes that run in the
+calling process and stream their results, campaign-level summary
+reports, plus an elastic live fleet watch that shards customers'
+streaming assessments across an execution backend
+(:mod:`repro.fleet.backends`: serial, or persistent worker processes)
+with sticky per-customer routing over a consistent-hash ring
 (:mod:`repro.fleet.sharding`) and optional live rebalancing --
 customer migration, hot-key pinning and worker-pool resizing
-(:mod:`repro.fleet.rebalance`).
+(:mod:`repro.fleet.rebalance`).  ``ThreadBackend`` is a deprecated
+alias of the serial backend.
 """
 
 from .backends import (

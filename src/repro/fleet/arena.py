@@ -1,33 +1,27 @@
-"""Shared-memory data plane for the process backend.
+"""Shared-memory data plane of the process watch.
 
-The process backend's dominant cost at fleet scale is data movement:
-every chunk of traces used to pickle all of its counter arrays through
-the executor's queues, and every worker deserialized private copies.
-This module replaces that with POSIX shared memory
-(:mod:`multiprocessing.shared_memory`): the parent packs each chunk's
-raw series *and* precomputed demand matrices into one arena segment,
-publishes the per-deployment capacity matrices once per pass into
-shared segments of their own, and only lightweight descriptors (name,
-offset, shape, dtype) cross the queues.  Workers map ndarray views
-over the segments -- rehydration is zero-copy, since
-:class:`~repro.telemetry.timeseries.TimeSeries` passes float64 arrays
-through ``np.asarray`` untouched.
+A process watch dispatches thousands of small microbatches per shard.
+Rather than pickle every tick's samples and every result's numbers
+through the worker queues, this module moves them through POSIX
+shared memory (:mod:`multiprocessing.shared_memory`): the
+:class:`TickPlane` gives each shard double-buffered tick and result
+slots, allocated once and reused for the watch's lifetime, and only
+lightweight descriptors (segment name, offset, shape, dtype) cross the
+queues.  Workers map ndarray views over the segments.  State handoffs
+(migration, supervisor restores, checkpoint snapshots) frame their
+numpy payloads through one-shot scratch segments of the same plane.
 
 Lifecycle contract (the part that keeps ``/dev/shm`` clean):
 
 * The parent owns every segment.  An :class:`ArenaRegistry` refcounts
-  them; a chunk segment holds one reference, a capacity segment one
-  per chunk that mentions it.  When the last reference is released the
-  segment is closed *and unlinked*.
-* ``release`` runs as each chunk's result is yielded; ``close`` (from
-  the pump's ``finally``) force-releases everything outstanding, so an
-  abandoned stream, a worker crash (``BrokenProcessPool``) or a raised
-  result all converge to zero leaked segments.  Unlinking while a
-  straggler worker still maps a segment is safe on POSIX: the name
-  disappears, the mapping survives until the worker drops it.
-* Workers never own anything: they attach and close their mappings
-  when the chunk is done.  A mapping pinned by a live view
-  (``BufferError``) is left attached and retried on the next chunk
+  them; when the last reference is released the segment is closed
+  *and unlinked*, and :meth:`TickPlane.close` force-releases whatever
+  is left at watch end.  Unlinking while a straggler worker still maps
+  a segment is safe on POSIX: the name disappears, the mapping
+  survives until the worker drops it.
+* Workers never own anything: they attach -- tick and result slots
+  for the worker's lifetime, a state frame for one handshake.  A
+  mapping pinned by a live view (``BufferError``) is left attached
   rather than crashing the worker.  Attach-time resource-tracker
   registrations are left alone -- under fork the workers share the
   parent's tracker, whose set-based cache collapses the duplicates
@@ -40,29 +34,20 @@ from __future__ import annotations
 
 import atexit
 import os
-from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import count
 from multiprocessing import shared_memory
-from typing import TYPE_CHECKING, Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from ..catalog.models import DeploymentType
-from ..telemetry.counters import DB_DIMENSIONS, MI_DIMENSIONS, PerfDimension
-from ..telemetry.timeseries import TimeSeries
-from ..telemetry.trace import PerformanceTrace
-
-if TYPE_CHECKING:
-    from ..core.ppm import PricePerformanceModeler
-    from .engine import FleetCustomer, FleetRecommendation  # noqa: F401
+from ..telemetry.counters import PerfDimension
 
 __all__ = [
     "ArenaRegistry",
     "ArrayDescriptor",
-    "ChunkPublisher",
     "ResultFrame",
-    "ShmChunk",
     "StateFrame",
     "StateFrameSpec",
     "TickFrame",
@@ -79,15 +64,13 @@ __all__ = [
 #: Prefix of every arena segment name; the leak checks key off it.
 SEGMENT_PREFIX = "doppler-arena"
 
-_FLOAT64_ITEMSIZE = 8
-
 
 def leaked_segments(prefix: str = SEGMENT_PREFIX) -> list[str]:
     """Names of live shared-memory segments under ``prefix``.
 
     Reads ``/dev/shm`` directly (Linux), so it sees segments regardless
-    of which process created them -- the property the kill-mid-chunk
-    test needs.  On platforms without ``/dev/shm`` it returns an empty
+    of which process created them -- the property the killed-worker
+    tests need.  On platforms without ``/dev/shm`` it returns an empty
     list; the lifecycle tests are effectively Linux-only.
     """
     try:
@@ -103,9 +86,9 @@ class ArrayDescriptor:
 
     The only thing that crosses a process queue in place of the array
     itself.  ``segment`` names the shared-memory block; ``offset`` is
-    in bytes from its start.  The batch data plane ships only float64
-    (the default); the streaming tick plane also ships int64 index
-    columns and bool flag columns, hence the ``dtype`` field.
+    in bytes from its start.  Besides float64 values the tick plane
+    ships int64 index columns and bool flag columns, hence the
+    ``dtype`` field.
     """
 
     segment: str
@@ -133,15 +116,15 @@ class ArenaRegistry:
     Every segment created through the registry is unlinked exactly
     once: when its refcount drops to zero, or -- whichever comes first
     -- when :meth:`close_all` force-releases the registry.  The
-    registry is process-local and not thread-safe; the batch pump
+    registry is process-local and not thread-safe; the watch loop
     drives it from a single thread.
     """
 
-    #: Process-wide name counter.  Registries are per-pass, but passes
-    #: can coexist in one parent (a watch's tick plane next to a batch
-    #: pump, tests building planes back to back); a per-registry
-    #: counter would mint colliding names -- and stale entries in the
-    #: worker-side attachment cache would silently alias them.
+    #: Process-wide name counter.  Registries are per-watch, but
+    #: watches can coexist in one parent (tests build planes back to
+    #: back); a per-registry counter would mint colliding names -- and
+    #: stale entries in the worker-side attachment cache would
+    #: silently alias them.
     _name_counter = count(1)
 
     def __init__(self) -> None:
@@ -187,8 +170,8 @@ class ArenaRegistry:
         """Force-release every owned segment (teardown/crash path)."""
         for name in list(self._segments):
             self._unlink(name)
-        # Registries are per-pass; drop the atexit hook so finished
-        # passes don't pile dead callbacks onto long-lived processes.
+        # Registries are per-watch; drop the atexit hook so finished
+        # watches don't pile dead callbacks onto long-lived processes.
         atexit.unregister(self.close_all)
 
     def _unlink(self, name: str) -> None:
@@ -204,77 +187,11 @@ class ArenaRegistry:
 
 
 # ----------------------------------------------------------------------
-# Descriptors shipped to workers
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class _SeriesSpec:
-    """One dimension's counter series inside the chunk segment."""
-
-    dimension: PerfDimension
-    array: ArrayDescriptor
-    interval_minutes: float
-    start_minute: float
-
-
-@dataclass(frozen=True)
-class _TraceSpec:
-    """One trace: raw series plus its pre-exported demand matrix."""
-
-    entity_id: str
-    series: tuple[_SeriesSpec, ...]
-    demand_dims: tuple[PerfDimension, ...] | None
-    demand: ArrayDescriptor | None
-
-
-@dataclass(frozen=True)
-class _RecordSpec:
-    """A ``CloudCustomerRecord`` with its trace swapped for a spec."""
-
-    trace: _TraceSpec
-    deployment_value: str
-    chosen_sku_name: str
-    days_on_sku: float
-
-
-@dataclass(frozen=True)
-class _CustomerSpec:
-    """A ``FleetCustomer`` with its trace swapped for a spec."""
-
-    customer_id: str
-    trace: _TraceSpec
-    deployment_value: str
-    file_sizes_gib: tuple[float, ...] | None
-    current_sku_name: str | None
-
-
-@dataclass(frozen=True)
-class _CapsSpec:
-    """One published capacity matrix: adopt into the worker's modeler."""
-
-    deployment_value: str
-    dimensions: tuple[PerfDimension, ...]
-    array: ArrayDescriptor
-
-
-def _demand_dimensions(
-    trace: PerformanceTrace, deployment: DeploymentType
-) -> tuple[PerfDimension, ...]:
-    """The dimension tuple the columnar curve kernel will evaluate.
-
-    Must match :meth:`PricePerformanceModeler.build_curves_batch`'s
-    grouping exactly -- the pre-exported demand matrix is only adopted
-    if the worker asks for this precise tuple.
-    """
-    base = DB_DIMENSIONS if deployment is DeploymentType.SQL_DB else MI_DIMENSIONS
-    return tuple(dim for dim in base if dim in trace)
-
-
-# ----------------------------------------------------------------------
 # Worker-side attachment management
 # ----------------------------------------------------------------------
-#: Per-process cache of attached segments, by name.  Entries normally
-#: live for one chunk; a BufferError-pinned mapping stays until the
-#: pin clears (see :func:`_release_attachments`).
+#: Per-process cache of attached segments, by name.  Tick and result
+#: slots stay attached for the worker's lifetime; one-shot state
+#: frames are closed after their handshake (:func:`_close_attachment`).
 _ATTACHED: dict[str, shared_memory.SharedMemory] = {}
 
 
@@ -294,26 +211,14 @@ def _attach(name: str) -> shared_memory.SharedMemory:
     return segment
 
 
-def _release_attachments() -> None:
-    """Close every attached segment this process can let go of.
-
-    A ``BufferError`` means an ndarray view still points into the
-    mapping (something retained chunk data past its lifetime); the
-    segment stays attached -- losing a few pages beats corrupting a
-    live array -- and the close is retried after the next chunk.
-    """
-    for name in list(_ATTACHED):
-        _close_attachment(name)
-
-
 def _close_attachment(name: str) -> None:
     """Close one attached segment if this process can let go of it.
 
-    The streaming worker's rotation hook: when the parent grows a slot
-    the old segment name stops appearing in frames, and the worker
-    drops its mapping so the unlinked pages are actually returned.
-    BufferError-pinned mappings stay attached, same as
-    :func:`_release_attachments`.
+    The worker side of a state-frame handshake drops the frame's
+    scratch segment as soon as its records are packed or decoded.  A
+    ``BufferError`` means an ndarray view still points into the
+    mapping; the segment stays attached -- losing a few pages beats
+    corrupting a live array.
     """
     segment = _ATTACHED.get(name)
     if segment is None:
@@ -325,245 +230,12 @@ def _close_attachment(name: str) -> None:
     del _ATTACHED[name]
 
 
-@dataclass(frozen=True)
-class ShmChunk:
-    """One packed chunk: descriptors only, pickles in microseconds.
-
-    What the process backend ships through the executor queue instead
-    of the customer list itself.  ``kind`` selects the rebuild
-    (``"fit"`` -> ``CloudCustomerRecord``, ``"recommend"`` ->
-    ``FleetCustomer``); ``caps`` carries the capacity matrices the
-    chunk's deployments need, for adoption into the worker's modeler.
-    """
-
-    kind: str
-    items: tuple
-    caps: tuple[_CapsSpec, ...]
-
-    def __len__(self) -> int:
-        return len(self.items)
-
-    @contextmanager
-    def mapped(self, ppm: "PricePerformanceModeler") -> Iterator[list]:
-        """Materialize the chunk against this process's modeler.
-
-        Yields the rebuilt customer/record list backed by shm views;
-        on exit the local references are dropped and the mappings
-        closed.  Results computed inside the block must not retain
-        views into the chunk (the fleet result types don't: they carry
-        curves, profiles and scalars, never trace arrays).
-        """
-        for spec in self.caps:
-            _adopt_caps(ppm, spec)
-        items: list | None = [_rebuild_item(self.kind, item) for item in self.items]
-        try:
-            yield items
-        finally:
-            items = None  # noqa: F841 - drop the views before closing mappings
-            _release_attachments()
-
-
-def _adopt_caps(ppm: "PricePerformanceModeler", spec: _CapsSpec) -> None:
-    deployment = DeploymentType(spec.deployment_value)
-    if ppm.has_capacity_matrix(deployment, spec.dimensions):
-        return  # adopted by an earlier chunk; skip the attach entirely
-    segment = _attach(spec.array.segment)
-    # Adopt a private copy: the modeler's memo outlives this chunk's
-    # mapping, and the matrix is tiny (n_skus x n_dims floats).
-    ppm.adopt_capacity_matrix(
-        deployment, spec.dimensions, spec.array.view(segment.buf).copy()
-    )
-
-
-def _rebuild_trace(spec: _TraceSpec) -> PerformanceTrace:
-    series: dict[PerfDimension, TimeSeries] = {}
-    for entry in spec.series:
-        segment = _attach(entry.array.segment)
-        series[entry.dimension] = TimeSeries(
-            entry.array.view(segment.buf),
-            interval_minutes=entry.interval_minutes,
-            start_minute=entry.start_minute,
-        )
-    trace = PerformanceTrace(series=series, entity_id=spec.entity_id)
-    if spec.demand is not None and spec.demand_dims is not None:
-        segment = _attach(spec.demand.segment)
-        trace.adopt_demand_matrix(spec.demand_dims, spec.demand.view(segment.buf))
-    return trace
-
-
-def _rebuild_item(kind: str, item):
-    if kind == "fit":
-        from ..core.types import CloudCustomerRecord
-
-        return CloudCustomerRecord(
-            trace=_rebuild_trace(item.trace),
-            deployment=DeploymentType(item.deployment_value),
-            chosen_sku_name=item.chosen_sku_name,
-            days_on_sku=item.days_on_sku,
-        )
-    from .engine import FleetCustomer
-
-    return FleetCustomer(
-        customer_id=item.customer_id,
-        trace=_rebuild_trace(item.trace),
-        deployment=DeploymentType(item.deployment_value),
-        file_sizes_gib=item.file_sizes_gib,
-        current_sku_name=item.current_sku_name,
-    )
-
-
-# ----------------------------------------------------------------------
-# Parent-side packing
-# ----------------------------------------------------------------------
-class ChunkPublisher:
-    """Packs batch chunks into shared memory, one segment per chunk.
-
-    Owned by the parent for the duration of one ``map_chunks`` pass.
-    ``pack`` returns the :class:`ShmChunk` payload plus a release
-    token; the pump calls ``release(token)`` as each chunk's result is
-    yielded and ``close()`` from its ``finally``.  Capacity matrices
-    are published once per distinct (deployment, dimension-tuple) and
-    refcounted across the chunks that mention them.
-    """
-
-    def __init__(self, ppm: "PricePerformanceModeler", task: str) -> None:
-        if task not in ("fit", "recommend"):
-            raise ValueError(f"unknown batch task {task!r}")
-        self.ppm = ppm
-        self.task = task
-        self.registry = ArenaRegistry()
-        self._caps_segments: dict[tuple[str, tuple[PerfDimension, ...]], _CapsSpec] = {}
-
-    # -- lifecycle -----------------------------------------------------
-    def release(self, token: tuple[str, ...] | None) -> None:
-        """Drop one chunk's references (its segment + its caps)."""
-        if token is None:
-            return
-        for name in token:
-            self.registry.release(name)
-
-    def close(self) -> None:
-        """Force-release everything (end of pass, error, abandonment)."""
-        self._caps_segments.clear()
-        self.registry.close_all()
-
-    # -- packing -------------------------------------------------------
-    def pack(self, chunk: Sequence) -> tuple[ShmChunk, tuple[str, ...]]:
-        """Publish one chunk; returns (payload, release token)."""
-        traces, deployments = self._traces_and_deployments(chunk)
-        caps_specs = self._publish_caps(traces, deployments)
-        demand_dims = [
-            _demand_dimensions(trace, deployment)
-            for trace, deployment in zip(traces, deployments)
-        ]
-        nbytes = 0
-        for trace, dims in zip(traces, demand_dims):
-            nbytes += trace.n_samples * len(trace.series) * _FLOAT64_ITEMSIZE
-            nbytes += trace.n_samples * len(dims) * _FLOAT64_ITEMSIZE
-        segment = self.registry.create(nbytes)
-        offset = 0
-        trace_specs: list[_TraceSpec] = []
-        for trace, dims in zip(traces, demand_dims):
-            series_specs: list[_SeriesSpec] = []
-            for dimension in trace.dimensions:
-                ts = trace[dimension]
-                descriptor = ArrayDescriptor(segment.name, offset, (len(ts),))
-                descriptor.view(segment.buf)[:] = ts.values
-                series_specs.append(
-                    _SeriesSpec(
-                        dimension=dimension,
-                        array=descriptor,
-                        interval_minutes=ts.interval_minutes,
-                        start_minute=ts.start_minute,
-                    )
-                )
-                offset += descriptor.nbytes
-            demand_descriptor: ArrayDescriptor | None = None
-            if dims:
-                demand_descriptor = ArrayDescriptor(
-                    segment.name, offset, (trace.n_samples, len(dims))
-                )
-                trace.export_demand_matrix(dims, demand_descriptor.view(segment.buf))
-                offset += demand_descriptor.nbytes
-            trace_specs.append(
-                _TraceSpec(
-                    entity_id=trace.entity_id,
-                    series=tuple(series_specs),
-                    demand_dims=dims if dims else None,
-                    demand=demand_descriptor,
-                )
-            )
-        items = tuple(
-            self._item_spec(original, spec)
-            for original, spec in zip(chunk, trace_specs)
-        )
-        token = [segment.name]
-        for spec in caps_specs:
-            self.registry.acquire(spec.array.segment)
-            token.append(spec.array.segment)
-        return ShmChunk(kind=self.task, items=items, caps=caps_specs), tuple(token)
-
-    def _traces_and_deployments(
-        self, chunk: Sequence
-    ) -> tuple[list[PerformanceTrace], list[DeploymentType]]:
-        return [item.trace for item in chunk], [item.deployment for item in chunk]
-
-    def _publish_caps(
-        self, traces: Sequence[PerformanceTrace], deployments: Sequence[DeploymentType]
-    ) -> tuple[_CapsSpec, ...]:
-        """Capacity matrices for the chunk's (deployment, dims) groups.
-
-        Published lazily, once per pass; the matrices come from the
-        parent modeler's own memo (:meth:`caps_for`), so worker-adopted
-        and worker-built capacities are byte-identical.
-        """
-        needed: dict[tuple[str, tuple[PerfDimension, ...]], _CapsSpec] = {}
-        for trace, deployment in zip(traces, deployments):
-            dims = _demand_dimensions(trace, deployment)
-            if not dims:
-                continue  # the worker raises the no-dimensions error itself
-            key = (deployment.value, dims)
-            if key in needed:
-                continue
-            spec = self._caps_segments.get(key)
-            if spec is None:
-                caps = self.ppm.capacity_matrix_for(deployment, dims)
-                segment = self.registry.create(caps.nbytes)
-                descriptor = ArrayDescriptor(segment.name, 0, caps.shape)
-                descriptor.view(segment.buf)[:] = caps
-                spec = _CapsSpec(
-                    deployment_value=deployment.value,
-                    dimensions=dims,
-                    array=descriptor,
-                )
-                self._caps_segments[key] = spec
-            needed[key] = spec
-        return tuple(needed.values())
-
-    def _item_spec(self, original, trace_spec: _TraceSpec):
-        if self.task == "fit":
-            return _RecordSpec(
-                trace=trace_spec,
-                deployment_value=original.deployment.value,
-                chosen_sku_name=original.chosen_sku_name,
-                days_on_sku=original.days_on_sku,
-            )
-        return _CustomerSpec(
-            customer_id=original.customer_id,
-            trace=trace_spec,
-            deployment_value=original.deployment.value,
-            file_sizes_gib=original.file_sizes_gib,
-            current_sku_name=original.current_sku_name,
-        )
-
-
 # ----------------------------------------------------------------------
 # Streaming tick plane
 # ----------------------------------------------------------------------
-# The batch plane above creates one segment per chunk and unlinks it as
-# the result is yielded.  The streaming watch dispatches thousands of
-# small microbatches per shard, where per-tick create/unlink would
-# dominate; instead each shard gets *double-buffered ring slots*,
+# The streaming watch dispatches thousands of small microbatches per
+# shard, where per-tick create/unlink would dominate; instead each
+# shard gets *double-buffered ring slots*,
 # allocated once (lazily, grown in place when a tick outsizes them) and
 # reused for the watch's lifetime.  Slot parity follows the tick id:
 # with the watch loop's in-flight window of two ticks, tick T's slot is

@@ -1,30 +1,26 @@
-"""Unified execution backends for fleet-scale passes.
+"""Execution backends for fleet watches.
 
-One execution substrate for both fleet protocols:
+Batch passes (``fit_fleet`` / ``recommend_fleet``) always run their
+chunks in a plain loop in the parent (see
+:mod:`repro.fleet.engine`): a columnar chunk costs well under a
+millisecond per customer, and no pool has beaten that loop on this
+system's measurements.  What this module runs is the streaming
+protocol (:meth:`ExecutionBackend.watch`): a fleet-wide telemetry feed
+is routed *sticky-by-customer-id* over a consistent-hash
+:class:`~repro.fleet.sharding.ShardRing` to stateful shard workers,
+each owning its customers' :class:`~repro.streaming.live.LiveRecommender`
+state, and per-sample outcomes flow back in feed order.
 
-* **Batch** (:meth:`ExecutionBackend.map_chunks`): position-sharded
-  chunks of customers fan out over an executor and results stream back
-  in submission order -- the ``fit_fleet`` / ``recommend_fleet``
-  plumbing that used to live as private globals in
-  :mod:`repro.fleet.engine`.
-* **Streaming** (:meth:`ExecutionBackend.watch`): a fleet-wide
-  telemetry feed is routed *sticky-by-customer-id* over a
-  consistent-hash :class:`~repro.fleet.sharding.ShardRing` to stateful
-  shard workers, each owning its customers'
-  :class:`~repro.streaming.live.LiveRecommender` state, and per-sample
-  outcomes flow back in feed order.
-
-Three backends implement both protocols behind one interface:
-``serial`` (everything in the parent), ``thread`` (one single-thread
-executor per shard, so per-customer state stays confined), and
+Two backends implement it: ``serial`` (every shard in the parent) and
 ``process`` (persistent worker processes with per-worker input queues
-and one shared result queue).  The contract every backend upholds is
-*serial identity*: the emitted result sequence -- including
-per-customer failure containment and quarantine ordering -- is
-byte-identical to the serial backend's, because each customer's state
-lives on exactly one shard at a time, shards process their samples in
-feed order, and the parent reorders emissions by global sequence
-number before yielding.
+and one shared result queue).  The contract both uphold is *serial
+identity*: the emitted result sequence -- including per-customer
+failure containment and quarantine ordering -- is byte-identical to the
+serial backend's, because each customer's state lives on exactly one
+shard at a time, shards process their samples in feed order, and the
+parent reorders emissions by global sequence number before yielding.
+The ``thread`` selector and :class:`ThreadBackend` are deprecated
+spellings of ``serial``.
 
 Streaming shards exchange *microbatches* ("ticks") with the parent
 rather than single samples, so queue/IPC overhead amortizes across
@@ -41,8 +37,8 @@ migrations, hot-customer pins or a pool resize at tick boundaries.
 Execution follows one protocol on every backend: drain all in-flight
 ticks, ``snapshot_state`` each moving customer on its source shard,
 re-route on the ring, ``restore_state`` on the target shard.  The
-serial and thread backends move state as in-process bookkeeping; the
-process backend does the real handoff over its worker queues.  Because a
+serial backend moves state as in-process bookkeeping; the process
+backend does the real handoff over its worker queues.  Because a
 customer's samples are never in flight while its state moves and the
 reorder buffer works on global sequence numbers, the merged update
 stream stays byte-identical to the serial backend's across any
@@ -69,13 +65,11 @@ from __future__ import annotations
 import multiprocessing
 import os
 import queue as queue_module
-import threading
 import time
 import traceback
+import warnings
 from abc import ABC, abstractmethod
 from collections import deque
-from concurrent.futures import Executor, Future, ProcessPoolExecutor, ThreadPoolExecutor
-from concurrent.futures import TimeoutError as FuturesTimeoutError
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Literal
@@ -84,9 +78,7 @@ from ..catalog.models import DeploymentType
 from ..store.persistence import CustomerStateRecord
 from ..streaming.live import LiveRecommender
 from .arena import (
-    ChunkPublisher,
     ResultFrame,
-    ShmChunk,
     StateFrame,
     TickFrame,
     TickPlane,
@@ -115,7 +107,6 @@ if TYPE_CHECKING:  # imported lazily at run time to avoid cycles
 
 __all__ = [
     "BACKEND_NAMES",
-    "BatchJob",
     "ExecutionBackend",
     "FleetBackend",
     "ProcessBackend",
@@ -127,14 +118,10 @@ __all__ = [
     "make_backend",
 ]
 
-FleetBackend = Literal["serial", "thread", "process"]
+FleetBackend = Literal["serial", "process"]
 
 #: Valid backend selectors, in documentation order.
-BACKEND_NAMES: tuple[str, ...] = ("serial", "thread", "process")
-
-#: In-flight chunks per worker (batch protocol): enough to keep the
-#: pool busy without buffering the whole fleet's results in memory.
-INFLIGHT_PER_WORKER = 2
+BACKEND_NAMES: tuple[str, ...] = ("serial", "process")
 
 #: Samples routed per worker per streaming tick.  Large enough that
 #: queue round-trips amortize, small enough that emission latency
@@ -157,10 +144,6 @@ _WORKER_POLL_SECONDS = 1.0
 #: (graceful join, then ``terminate()``, then ``kill()``).  Module
 #: level so tests can shrink it and exercise the escalation quickly.
 _JOIN_TIMEOUT_S = 5.0
-
-
-class _InjectedKill(Exception):
-    """Raised inside a serial/thread shard task to simulate worker death."""
 
 
 class _WorkerFailure(RuntimeError):
@@ -252,14 +235,14 @@ class WatchSupervisionStats:
 class _PendingTick:
     """Reorder-buffer entry: one dispatched tick awaiting its shards.
 
-    Shared by all three pools so the supervisor can credit replayed
+    Shared by both pools so the supervisor can credit replayed
     results uniformly (:meth:`_WatchPool.fold`).  ``owing`` is the set
     of shards whose results are still outstanding; a shard not in it
     has already been credited, so late duplicates (a replaced worker's
     stale reply racing its replacement's replay) fold to nothing.
     """
 
-    __slots__ = ("tick_id", "owing", "emissions", "busy", "futures", "deadline")
+    __slots__ = ("tick_id", "owing", "emissions", "busy", "deadline")
 
     def __init__(
         self, tick_id: int, owing: "Iterable[int]", deadline: float | None = None
@@ -268,35 +251,7 @@ class _PendingTick:
         self.owing = set(owing)
         self.emissions: list = []
         self.busy: dict[int, float] = {}
-        self.futures: dict[int, Future] = {}
         self.deadline = deadline
-
-
-@dataclass(frozen=True)
-class BatchJob:
-    """One sharded batch pass, described backend-agnostically.
-
-    Attributes:
-        task: ``fit`` or ``recommend`` -- selects the
-            ``<task>_chunk`` method on the runner (parent-side
-            backends) or the matching module-level worker function
-            (process backend).
-        runner: The parent's ``_FleetRunner`` (engine + curve cache).
-        engine: The wrapped engine, shipped to process-pool
-            initializers (workers rebuild private runners from it).
-        cache_size: Curve-cache capacity per runner.
-        columnar: Whether shard bodies run the columnar batch kernel.
-    """
-
-    task: str
-    runner: object
-    engine: "DopplerEngine"
-    cache_size: int
-    columnar: bool
-
-    def local_fn(self) -> Callable:
-        """The parent-side chunk body for serial/thread execution."""
-        return getattr(self.runner, f"{self.task}_chunk")
 
 
 @dataclass(frozen=True)
@@ -1236,178 +1191,9 @@ class _InlinePool(_WatchPool):
         return self._shards[shard_id].process(batch)
 
 
-class _ThreadShardPool(_WatchPool):
-    """One single-thread executor per shard, sharing the parent's memory.
-
-    Submission order per shard is execution order, so a shard's live
-    state is only ever touched by its own thread -- the same
-    confinement the process backend gets from per-worker queues,
-    without locks.  Migrations run as direct method calls at drained
-    boundaries, when no task can be running.
-
-    Injected faults simulate worker failure without real threads
-    dying: a ``kill`` raises :class:`_InjectedKill` before touching
-    the shard, a ``drop`` processes the batch and then parks on the
-    shard incarnation's release event (so the result is withheld until
-    a deadline notices, yet the thread exits promptly once the shard
-    is replaced or the pool closes -- a genuinely sleeping thread
-    would stall interpreter shutdown).  A thread cannot be torn down
-    mid-task, so replacing a shard abandons its executor and counts a
-    forced stop.
-    """
-
-    def __init__(self, config: ShardAssessmentConfig, n_shards: int) -> None:
-        super().__init__(config)
-        self._shards: dict[int, _WatchShard] = {}
-        self._executors: dict[int, ThreadPoolExecutor] = {}
-        self._release_events: dict[int, threading.Event] = {}
-        for shard_id in range(n_shards):
-            self.add_shard(shard_id)
-
-    @property
-    def n_shards(self) -> int:
-        return len(self._shards)
-
-    @staticmethod
-    def _run_shard(
-        shard: _WatchShard,
-        shard_id: int,
-        released: threading.Event,
-        batch: list,
-        directive: tuple | None,
-    ) -> tuple[list, float]:
-        # The shard object and release event are captured at submit
-        # time: a task outliving its replacement must keep mutating
-        # the abandoned incarnation, never the fresh one.
-        if directive is not None:
-            action = directive[0]
-            if action == "kill":
-                raise _InjectedKill(shard_id)
-            if action == "delay" and released.wait(timeout=directive[1]):
-                raise _InjectedKill(shard_id)  # replaced while delayed
-        emissions, seconds = shard.process(batch)
-        if directive is not None and directive[0] == "drop":
-            released.wait()
-            raise _InjectedKill(shard_id)
-        return emissions, seconds
-
-    def _do_submit(
-        self, tick_id: int, by_shard: dict[int, list], directives: dict[int, tuple]
-    ) -> None:
-        entry = _PendingTick(tick_id, by_shard, deadline=self._tick_deadline())
-        for shard_id, batch in by_shard.items():
-            entry.futures[shard_id] = self._executors[shard_id].submit(
-                self._run_shard,
-                self._shards[shard_id],
-                shard_id,
-                self._release_events[shard_id],
-                batch,
-                directives.get(shard_id),
-            )
-        self._pending.append(entry)
-
-    def drain_next(self) -> tuple[list, dict[int, float]]:
-        head = self._pending[0]
-        while head.owing:
-            shard_id = min(head.owing)
-            timeout = None
-            if head.deadline is not None:
-                timeout = max(0.0, head.deadline - time.monotonic())
-            try:
-                emissions, seconds = head.futures[shard_id].result(timeout=timeout)
-            except FuturesTimeoutError:
-                hung = sorted(
-                    owing for owing in head.owing if not head.futures[owing].done()
-                )
-                raise _WorkerFailure(
-                    hung or [shard_id], "deadline", "tick deadline expired"
-                ) from None
-            except _InjectedKill:
-                raise _WorkerFailure([shard_id], "killed", "injected fault") from None
-            self.fold(head.tick_id, shard_id, emissions, seconds)
-        entry = self._pending.popleft()
-        entry.emissions.sort(key=lambda pair: pair[0])
-        return entry.emissions, entry.busy
-
-    def snapshot_shard(
-        self, shard_id: int, customer_ids: list[str] | None = None
-    ) -> list[CustomerStateRecord]:
-        return self._shards[shard_id].snapshot_records(customer_ids)
-
-    def _do_extract(self, shard_id: int, customer_ids: list[str]) -> list:
-        return self._shards[shard_id].extract(customer_ids)
-
-    def _do_install(self, shard_id: int, records: list) -> None:
-        self._shards[shard_id].install(records)
-
-    def add_shard(self, shard_id: int) -> None:
-        self._shards[shard_id] = _WatchShard(self.config)
-        self._executors[shard_id] = ThreadPoolExecutor(
-            max_workers=1, thread_name_prefix=f"fleet-watch-{shard_id}"
-        )
-        self._release_events[shard_id] = threading.Event()
-
-    def retire_shard(self, shard_id: int) -> None:
-        self._executors.pop(shard_id).shutdown(wait=True)
-        self._release_events.pop(shard_id).set()
-        del self._shards[shard_id]
-
-    def replace_shard(self, shard_id: int) -> None:
-        # Wake any parked injected-fault task so the abandoned thread
-        # exits, then walk away from the executor: its possibly still
-        # running task counts as a forced stop.
-        self._release_events[shard_id].set()
-        self.n_forced_stops += 1
-        self._executors[shard_id].shutdown(wait=False, cancel_futures=True)
-        self.add_shard(shard_id)
-
-    def replay_tick(
-        self, shard_id: int, tick_id: int, batch: list
-    ) -> tuple[list, float]:
-        future = self._executors[shard_id].submit(
-            self._shards[shard_id].process, batch
-        )
-        return future.result()
-
-    def close(self) -> None:
-        for released in self._release_events.values():
-            released.set()
-        for executor in self._executors.values():
-            executor.shutdown(wait=False, cancel_futures=True)
-
-
 # ----------------------------------------------------------------------
 # Process-pool plumbing (module level so it pickles by reference).
 # ----------------------------------------------------------------------
-_WORKER_RUNNER = None
-
-
-def _init_batch_worker(engine: "DopplerEngine", cache_size: int, columnar: bool) -> None:
-    """Pool initializer: one private runner (engine + cache) per worker."""
-    global _WORKER_RUNNER
-    from .cache import CurveCache
-    from .engine import _FleetRunner
-
-    _WORKER_RUNNER = _FleetRunner(engine, CurveCache(cache_size), columnar)
-
-
-def _fit_chunk_in_worker(chunk: ShmChunk, exclude_over_provisioned: bool):
-    assert _WORKER_RUNNER is not None, "worker pool not initialized"
-    with chunk.mapped(_WORKER_RUNNER.engine.ppm) as records:
-        return _WORKER_RUNNER.fit_chunk(records, exclude_over_provisioned)
-
-
-def _recommend_chunk_in_worker(chunk: ShmChunk):
-    assert _WORKER_RUNNER is not None, "worker pool not initialized"
-    with chunk.mapped(_WORKER_RUNNER.engine.ppm) as customers:
-        return _WORKER_RUNNER.recommend_chunk(customers)
-
-
-_BATCH_WORKER_FNS = {
-    "fit": _fit_chunk_in_worker,
-    "recommend": _recommend_chunk_in_worker,
-}
-
 #: Stop sentinel for streaming workers (acknowledged with ``stopped``).
 _STOP = None
 
@@ -2232,7 +2018,7 @@ class _WatchSupervisor:
 
 
 class ExecutionBackend(ABC):
-    """One execution substrate behind both fleet protocols.
+    """One execution substrate for fleet watches.
 
     Attributes:
         name: The selector this backend answers to.
@@ -2254,63 +2040,6 @@ class ExecutionBackend(ABC):
         """Effective parallelism of this backend."""
         return self.max_workers or os.cpu_count() or 1
 
-    # ------------------------------------------------------------------
-    # Batch protocol
-    # ------------------------------------------------------------------
-    @abstractmethod
-    def map_chunks(self, job: BatchJob, chunks: Iterator[list], *extra) -> Iterator[list]:
-        """Run ``job`` over every shard, yielding results in order."""
-
-    def _pump(
-        self,
-        executor: Executor,
-        fn: Callable,
-        chunks: Iterator[list],
-        extra: tuple,
-        publisher: "ChunkPublisher | None" = None,
-    ) -> Iterator[list]:
-        """Submission-ordered streaming with a bounded in-flight window.
-
-        With a ``publisher`` attached (process backend) each chunk is
-        packed into shared memory at submission -- the bounded window
-        therefore also bounds live segments -- and its segments are
-        released as its result is yielded.  The ``finally``
-        force-closes whatever is still published, so a broken pool, a
-        raising chunk or an abandoned stream all leave ``/dev/shm``
-        clean.
-        """
-        max_inflight = self.n_workers * INFLIGHT_PER_WORKER
-        pending: deque[tuple[Future, object]] = deque()
-
-        def submit(chunk) -> None:
-            payload, token = (chunk, None) if publisher is None else publisher.pack(chunk)
-            pending.append((executor.submit(fn, payload, *extra), token))
-
-        def settle() -> list:
-            future, token = pending.popleft()
-            result = future.result()
-            if publisher is not None:
-                publisher.release(token)
-            return result
-
-        try:
-            for chunk in chunks:
-                submit(chunk)
-                if len(pending) >= max_inflight:
-                    yield settle()
-            while pending:
-                yield settle()
-        finally:
-            # Abandoned stream (consumer broke out early) or failure:
-            # drop queued chunks instead of draining the whole in-flight
-            # window; running chunks finish, their results are discarded.
-            executor.shutdown(wait=False, cancel_futures=True)
-            if publisher is not None:
-                publisher.close()
-
-    # ------------------------------------------------------------------
-    # Streaming protocol
-    # ------------------------------------------------------------------
     @abstractmethod
     def _make_watch_pool(self, config: ShardAssessmentConfig) -> _WatchPool:
         """This backend's worker pool for one watch."""
@@ -2546,7 +2275,7 @@ class ExecutionBackend(ABC):
 
 
 class SerialBackend(ExecutionBackend):
-    """Everything in the parent process; the identity baseline."""
+    """Every shard in the parent process; the identity baseline."""
 
     name = "serial"
 
@@ -2554,63 +2283,36 @@ class SerialBackend(ExecutionBackend):
     def n_workers(self) -> int:
         return 1
 
-    def map_chunks(self, job: BatchJob, chunks: Iterator[list], *extra) -> Iterator[list]:
-        fn = job.local_fn()
-        for chunk in chunks:
-            yield fn(chunk, *extra)
-
     def _make_watch_pool(self, config: ShardAssessmentConfig) -> _WatchPool:
         return _InlinePool(config, self.n_workers)
 
 
-class ThreadBackend(ExecutionBackend):
-    """Thread pools sharing the parent's memory.
+class ThreadBackend(SerialBackend):
+    """Deprecated: the serial backend under its retired thread name.
 
-    Batch chunks run on one shared pool against the parent runner (one
-    shared curve cache).  Streaming shards each get a dedicated
-    single-thread executor (see :class:`_ThreadShardPool`).
+    The thread pool tied or lost to the serial loop in both batch and
+    watch runs, so it is gone; constructing this class warns once and
+    yields a serial backend (``name`` is ``"serial"``), whose output
+    every backend must reproduce byte for byte anyway.
     """
 
-    name = "thread"
-
-    def map_chunks(self, job: BatchJob, chunks: Iterator[list], *extra) -> Iterator[list]:
-        executor = ThreadPoolExecutor(
-            max_workers=self.n_workers, thread_name_prefix="fleet"
-        )
-        yield from self._pump(executor, job.local_fn(), chunks, extra)
-
-    def _make_watch_pool(self, config: ShardAssessmentConfig) -> _WatchPool:
-        return _ThreadShardPool(config, self.n_workers)
+    def __init__(self, max_workers: int | None = None) -> None:
+        _warn_thread_deprecated("repro.fleet.ThreadBackend", stacklevel=2)
+        super().__init__(max_workers=max_workers)
 
 
 class ProcessBackend(ExecutionBackend):
-    """Fork-per-worker pools; state never crosses process boundaries.
+    """Persistent worker processes, one per shard.
 
-    Batch chunks run on a :class:`ProcessPoolExecutor` whose workers
-    hold private runners (curves are cheaper to rebuild than to ship).
-    Chunk payloads travel through the shared-memory data plane
-    (:mod:`repro.fleet.arena`): trace arrays, demand matrices and
-    capacity matrices are published into arena segments by the parent
-    and mapped -- not deserialized -- by the workers; only descriptors
-    cross the executor queues.  Streaming runs on persistent
-    :mod:`multiprocessing` workers (see
-    :class:`_ProcessShardPool`); migrated live state is the one
-    exception to "state never crosses" -- it ships as picklable
-    snapshots over the same queues the ticks use.
+    Each shard is a long-lived :mod:`multiprocessing` worker owning its
+    customers' live state (see :class:`_ProcessShardPool`); ticks and
+    results cross the shared-memory tick plane
+    (:class:`~repro.fleet.arena.TickPlane`).  Migrated live state is
+    the one thing that crosses process boundaries -- it ships as
+    picklable snapshots over the same queues the ticks use.
     """
 
     name = "process"
-
-    def map_chunks(self, job: BatchJob, chunks: Iterator[list], *extra) -> Iterator[list]:
-        executor = ProcessPoolExecutor(
-            max_workers=self.n_workers,
-            initializer=_init_batch_worker,
-            initargs=(job.engine, job.cache_size, job.columnar),
-        )
-        publisher = ChunkPublisher(job.engine.ppm, job.task)
-        yield from self._pump(
-            executor, _BATCH_WORKER_FNS[job.task], chunks, extra, publisher
-        )
 
     def _make_watch_pool(self, config: ShardAssessmentConfig) -> _WatchPool:
         return _ProcessShardPool(config, self.n_workers)
@@ -2618,19 +2320,50 @@ class ProcessBackend(ExecutionBackend):
 
 _BACKENDS: dict[str, type[ExecutionBackend]] = {
     "serial": SerialBackend,
-    "thread": ThreadBackend,
     "process": ProcessBackend,
 }
+
+
+def _warn_thread_deprecated(spelling: str, stacklevel: int) -> None:
+    """One ``DeprecationWarning`` for a thread-backend spelling.
+
+    ``stacklevel`` counts from the caller, as for :func:`warnings.warn`.
+    """
+    warnings.warn(
+        f"{spelling} is deprecated and runs the serial backend: batch passes "
+        "always run in the parent, and the thread watch pool is gone",
+        DeprecationWarning,
+        stacklevel=stacklevel + 1,
+    )
+
+
+def resolve_backend_name(name: str, spelling: str, stacklevel: int = 2) -> str:
+    """``name``, with the deprecated ``"thread"`` selector mapped to ``"serial"``.
+
+    ``spelling`` is how the caller's user wrote the deprecated
+    selection (e.g. ``'WatchConfig(backend="thread")'``), quoted in
+    the one ``DeprecationWarning`` it emits; ``stacklevel`` counts
+    from the caller, as for :func:`warnings.warn`.  Any other name
+    passes through unchanged (unknown ones fail in
+    :func:`make_backend`).
+    """
+    if name == "thread":
+        _warn_thread_deprecated(spelling, stacklevel + 1)
+        return "serial"
+    return name
 
 
 def make_backend(name: str, max_workers: int | None = None) -> ExecutionBackend:
     """Construct the execution backend answering to ``name``.
 
+    ``"thread"`` is a deprecated spelling of ``"serial"``: it warns and
+    returns a serial backend.
+
     Raises:
         ValueError: For an unknown selector (message lists the valid
             ones) or a non-positive ``max_workers``.
     """
-    backend_cls = _BACKENDS.get(name)
+    backend_cls = _BACKENDS.get(resolve_backend_name(name, 'make_backend("thread")', 2))
     if backend_cls is None:
         raise ValueError(
             f"unknown fleet backend {name!r}; choose one of "

@@ -93,7 +93,8 @@ class CurveCacheStats:
         evictions: Entries dropped to respect ``maxsize``.
         size: Entries currently held.
         duplicate_builds: Misses that rebuilt a key another thread was
-            already building (the thread backend's accepted race).
+            already building (the accepted race of threads sharing one
+            cache).
             ``misses - duplicate_builds`` is the number of genuinely
             distinct curve constructions, so fleet hit-rate reports
             stay truthful under concurrency.
@@ -119,9 +120,10 @@ class CurveCacheStats:
 class CurveCache:
     """Bounded, thread-safe LRU cache of price-performance curves.
 
-    One instance is shared across a fleet pass (serial and thread
-    backends share the parent's cache; each process-pool worker builds
-    its own, since curves do not cross process boundaries cheaply).
+    One instance serves every batch pass of a
+    :class:`~repro.fleet.engine.FleetEngine`; the lock keeps it
+    consistent when several threads share that engine (the serving
+    tier's recommend executor beside direct callers).
     """
 
     def __init__(self, maxsize: int = DEFAULT_CACHE_SIZE) -> None:

@@ -204,8 +204,10 @@ class WatchConfig:
             every observed sample.
         profile_mode: Per-customer profiling strategy on refresh; see
             :class:`~repro.streaming.live.LiveRecommender`.
-        backend: Execution backend for the watch; None defers to the
-            owning :class:`~repro.fleet.engine.FleetEngine`.
+        backend: Execution backend for the watch (``serial`` or
+            ``process``); None defers to the owning
+            :class:`~repro.fleet.engine.FleetEngine`.  ``thread`` is a
+            deprecated spelling of ``serial``.
         max_workers: Worker count for the watch; None defers to the
             owning engine.
         rebalance: A :class:`~repro.fleet.rebalance.RebalancePolicy`
@@ -246,6 +248,14 @@ class WatchConfig:
         # fails where it is built; engine-dependent checks (backend
         # name, window vs. warm-up, summarizer streaming support) stay
         # in ``watch_fleet``, which has the engine in hand.
+        if self.backend is not None:
+            from .backends import resolve_backend_name
+
+            object.__setattr__(
+                self,
+                "backend",
+                resolve_backend_name(self.backend, 'WatchConfig(backend="thread")', 3),
+            )
         if self.rebalance is not None and not isinstance(self.rebalance, RebalancePolicy):
             raise ValueError(
                 f"rebalance must be a RebalancePolicy or None, got {self.rebalance!r}"

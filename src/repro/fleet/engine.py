@@ -2,20 +2,20 @@
 
 Scales the single-workload :class:`~repro.core.engine.DopplerEngine`
 to whole customer populations: thousands of traces go in, one batched
-pass shards them into chunks, fans the chunks over a pluggable
-execution backend (:mod:`repro.fleet.backends`: serial, thread pool
-or process pool), memoizes price-performance curve construction
-behind an LRU cache, and streams per-customer results back as an
-iterator so peak memory stays flat in the fleet size.  The streaming
-pass (:meth:`FleetEngine.watch_fleet`) rides the same backends:
-customers' live state shards across stateful workers with sticky
-routing by customer id.
+pass shards them into chunks, runs each chunk through the columnar
+curve kernel in the parent, memoizes price-performance curve
+construction behind an LRU cache, and streams per-customer results
+back as an iterator so peak memory stays flat in the fleet size.  The
+streaming pass (:meth:`FleetEngine.watch_fleet`) runs on an execution
+backend (:mod:`repro.fleet.backends`: serial, or persistent worker
+processes): customers' live state shards across stateful workers with
+sticky routing by customer id.
 
 Determinism contract: a fleet pass is a pure function of the fitted
-engine and the input traces (or the feed, for a watch).  The parallel
-backends preserve submission/feed order and use no randomness, so
-their results are bit-identical to the serial backend's -- the
-property the scale benchmarks assert.
+engine and the input traces (or the feed, for a watch).  The process
+watch preserves feed order and uses no randomness, so its results are
+bit-identical to the serial backend's -- the property the scale
+benchmarks assert.
 """
 
 from __future__ import annotations
@@ -35,11 +35,11 @@ from ..streaming.live import DEFAULT_MIN_REFRESH_SAMPLES
 from ..telemetry.counters import PerfDimension
 from ..telemetry.trace import PerformanceTrace
 from .backends import (
-    BatchJob,
     FleetBackend,
     ShardAssessmentConfig,
     WatchSupervisionStats,
     make_backend,
+    resolve_backend_name,
 )
 from .cache import (
     DEFAULT_CACHE_SIZE,
@@ -67,7 +67,7 @@ __all__ = [
     "WatchConfig",
 ]
 
-#: Shard size when the fleet's length is unknown (pure streaming).
+#: Chunk size when the fleet's length is unknown (pure streaming).
 _STREAMING_CHUNK_SIZE = 32
 
 
@@ -214,12 +214,11 @@ class FleetFitReport:
 
 
 class _FleetRunner:
-    """Per-process execution state: the engine plus its curve cache.
+    """Batch execution state: the engine plus its curve cache.
 
-    The serial and thread backends share one runner (and therefore one
-    cache) in the parent; the process backend constructs one runner
-    per worker in the pool initializer, since curves are cheaper to
-    rebuild than to ship across process boundaries.
+    Every batch pass runs its chunks through the one runner its
+    :class:`FleetEngine` holds in the parent, so one cache serves every
+    fit, recommend and serving batch of that engine.
 
     With ``columnar`` enabled (the default) each shard runs through
     the batch curve kernel: one cache key-batch probe, one
@@ -330,8 +329,7 @@ class _FleetRunner:
         built (storage misfit) is skipped and counted instead of
         raising -- at fleet scale one pathological record must not
         abort the whole training pass.  Returns
-        ``(deployment value, group key, throttling)`` triples small
-        enough to pickle back cheaply from worker processes, plus the
+        ``(deployment value, group key, throttling)`` triples plus the
         skipped-record count.
         """
         settled = [record for record in chunk if record.is_settled]
@@ -473,35 +471,38 @@ class _FleetRunner:
 
 @dataclass
 class FleetEngine:
-    """Batched, parallel, memoized front end over a Doppler engine.
+    """Batched, memoized front end over a Doppler engine.
 
     Typical use::
 
         fleet = FleetEngine(engine=DopplerEngine(catalog=SkuCatalog.default()))
-        fleet.fit_fleet(records)                 # parallel training pass
+        fleet.fit_fleet(records)                 # batched training pass
         for result in fleet.recommend_fleet(customers):   # streaming
             ...
         summary = fleet.summary_report(customers)
+
+    Batch passes (:meth:`fit_fleet`, :meth:`recommend_fleet`,
+    :meth:`recommend_batch`) always run their chunks in the parent,
+    whatever ``backend`` says; ``backend`` and ``max_workers`` only set
+    a watch's default.
 
     Attributes:
         engine: The wrapped single-workload engine; fleet fitting
             installs group models into it, so it stays usable for
             one-off assessments afterwards.
-        backend: ``serial`` (in-process), ``thread`` (shared-cache
-            thread pool) or ``process`` (fork-per-worker pool; each
-            worker keeps a private curve cache).
-        max_workers: Pool size; defaults to the machine's CPU count.
-        chunk_size: Customers per shard; defaults to an automatic size
-            giving each worker several shards.
-        cache_size: LRU capacity of each curve cache.
-        columnar: Drive every shard through the columnar batch kernel
+        backend: Default watch backend: ``serial`` (every shard in the
+            parent) or ``process`` (persistent worker processes).
+            ``thread`` is a deprecated spelling of ``serial``.
+        max_workers: Default watch worker count; defaults to the
+            machine's CPU count.
+        chunk_size: Customers per batch chunk; defaults to an
+            automatic size.
+        cache_size: LRU capacity of the batch curve cache.
+        columnar: Drive every chunk through the columnar batch kernel
             (one capacity-matrix build and one cache key-batch per
             chunk) instead of the per-customer loop.  Results are
             byte-identical either way; the flag exists so benchmarks
             and regression tests can compare the two paths.
-
-    The process backend always ships chunks through the shared-memory
-    data plane (:mod:`repro.fleet.arena`).
     """
 
     engine: DopplerEngine
@@ -512,7 +513,12 @@ class FleetEngine:
     columnar: bool = True
 
     def __post_init__(self) -> None:
+        self.backend = resolve_backend_name(self.backend, 'FleetEngine(backend="thread")', 3)
         make_backend(self.backend, self.max_workers)  # validate both up front
+        if self.chunk_size is not None and self.chunk_size <= 0:
+            raise ValueError(f"chunk_size must be positive, got {self.chunk_size!r}")
+        if self.cache_size <= 0:
+            raise ValueError(f"cache_size must be positive, got {self.cache_size!r}")
         self._runner = _FleetRunner(self.engine, CurveCache(self.cache_size), self.columnar)
         self._last_rebalance_stats: WatchRebalanceStats | None = None
         self._last_supervision_stats: WatchSupervisionStats | None = None
@@ -527,14 +533,14 @@ class FleetEngine:
     ) -> FleetFitReport:
         """Learn group throttling targets from a fleet of records.
 
-        The per-record work (curve + profile) fans out over the
-        backend; the cheap aggregation (averaging observations per
-        negotiability group) runs in the parent.  Produces the same
-        group models as :meth:`DopplerEngine.fit` over the same
-        records -- group averages are order-insensitive, so sharding
-        does not change the fit -- with one deviation: a record whose
-        curve cannot be built (storage misfit) is skipped and counted
-        in ``n_unbuildable`` where the single-workload ``fit`` would
+        The per-record work (curve + profile) runs chunk by chunk
+        through the columnar kernel, then observations are averaged
+        per negotiability group.  Produces the same group models as
+        :meth:`DopplerEngine.fit` over the same records -- group
+        averages are order-insensitive, so chunking does not change
+        the fit -- with one deviation: a record whose curve cannot be
+        built (storage misfit) is skipped and counted in
+        ``n_unbuildable`` where the single-workload ``fit`` would
         raise.
 
         Returns:
@@ -546,8 +552,9 @@ class FleetEngine:
             deployment: [] for deployment in DeploymentType
         }
         n_unbuildable = 0
-        chunks = shard(records, self._resolve_chunk_size(len(records)))
-        for triples, n_skipped in self._map_chunks("fit", chunks, exclude_over_provisioned):
+        chunk_size = self.chunk_size or auto_chunk_size(len(records), 1)
+        for chunk in shard(records, chunk_size):
+            triples, n_skipped = self._runner.fit_chunk(chunk, exclude_over_provisioned)
             n_unbuildable += n_skipped
             for deployment_value, group_key, throttling in triples:
                 by_deployment[DeploymentType(deployment_value)].append(
@@ -576,21 +583,20 @@ class FleetEngine:
     ) -> Iterator[FleetRecommendation]:
         """Recommend over a fleet, streaming results in input order.
 
-        Lazy end to end: customers are pulled from the iterable as
-        shards are submitted, and at most a bounded window of shards
-        is in flight, so memory stays flat for arbitrarily large
-        fleets.  Per-customer failures surface as error results, never
-        as exceptions.
+        Lazy end to end: customers are pulled from the iterable one
+        chunk at a time, and a chunk is assessed only when its first
+        result is asked for, so memory stays flat for arbitrarily
+        large fleets.  Per-customer failures surface as error results,
+        never as exceptions.
         """
         if self.chunk_size is not None:
-            chunk_size = self._resolve_chunk_size(0)
+            chunk_size = self.chunk_size
         elif isinstance(customers, (list, tuple)):
-            chunk_size = auto_chunk_size(len(customers), self._effective_workers())
+            chunk_size = auto_chunk_size(len(customers), 1)
         else:
-            chunk_size = _STREAMING_CHUNK_SIZE  # length unknown: fixed shards
-        chunks = shard(customers, chunk_size)
-        for chunk_results in self._map_chunks("recommend", chunks):
-            yield from chunk_results
+            chunk_size = _STREAMING_CHUNK_SIZE  # length unknown: fixed chunks
+        for chunk in shard(customers, chunk_size):
+            yield from self._runner.recommend_chunk(chunk)
 
     def recommend_batch(
         self, customers: Iterable[FleetCustomer]
@@ -601,11 +607,11 @@ class FleetEngine:
         online microbatching (:mod:`repro.serve`): the whole batch
         runs as a single columnar chunk through the parent's runner --
         one batched cache probe, one violation-kernel pass per
-        deployment -- with no sharding, no pool hand-off and no
-        iterator protocol between caller and results.  Shares the
-        fleet's batch curve cache, and produces byte-identical results
-        to :meth:`recommend_fleet` over the same customers (both end
-        in the same ``_finish_recommendation`` tail).
+        deployment -- with no sharding and no iterator protocol
+        between caller and results.  Shares the fleet's batch curve
+        cache, and produces byte-identical results to
+        :meth:`recommend_fleet` over the same customers (both end in
+        the same ``_finish_recommendation`` tail).
         """
         return self._runner.recommend_chunk(list(customers))
 
@@ -634,15 +640,16 @@ class FleetEngine:
         customer's recommendation refreshes (every sample when
         ``refreshes_only`` is False).
 
-        The feed runs on the fleet's execution backend (overridable
-        per watch).  Under the parallel backends, customers' live
-        state shards across stateful workers with sticky routing over
-        a consistent-hash :class:`~repro.fleet.sharding.ShardRing`:
-        every sample of one customer reaches the one worker owning
-        that customer's assessment, workers process their samples in
-        feed order, and the parent reassembles emissions into feed
-        order -- so the update sequence, including failure ordering,
-        is byte-identical to the serial backend's.
+        The feed runs on the fleet's default watch backend
+        (overridable per watch).  Under the process backend,
+        customers' live state shards across stateful workers with
+        sticky routing over a consistent-hash
+        :class:`~repro.fleet.sharding.ShardRing`: every sample of one
+        customer reaches the one worker owning that customer's
+        assessment, workers process their samples in feed order, and
+        the parent reassembles emissions into feed order -- so the
+        update sequence, including failure ordering, is byte-identical
+        to the serial backend's.
 
         With a ``rebalance`` policy the watch is *elastic*: the parent
         tracks per-shard load and lets the policy migrate customers
@@ -793,12 +800,7 @@ class FleetEngine:
             self._last_supervision_stats = backend_obj.watch_supervision_stats()
 
     def cache_stats(self) -> CurveCacheStats:
-        """Parent-side curve-cache counters (serial/thread backends).
-
-        Process-pool workers keep private caches whose counters die
-        with the pool, so under ``backend="process"`` this reflects
-        only curves built in the parent.
-        """
+        """Batch curve-cache counters (every batch pass runs in the parent)."""
         return self._runner.cache.stats()
 
     def watch_cache_stats(self) -> CurveCacheStats | None:
@@ -840,34 +842,3 @@ class FleetEngine:
         reports zero decisions with its routing load intact.
         """
         return self._last_rebalance_stats
-
-    # ------------------------------------------------------------------
-    # Execution
-    # ------------------------------------------------------------------
-    def _effective_workers(self) -> int:
-        return make_backend(self.backend, self.max_workers).n_workers
-
-    def _resolve_chunk_size(self, n_items: int) -> int:
-        if self.chunk_size is not None:
-            if self.chunk_size <= 0:
-                raise ValueError(f"chunk_size must be positive, got {self.chunk_size!r}")
-            return self.chunk_size
-        return auto_chunk_size(n_items, self._effective_workers())
-
-    def _map_chunks(self, task: str, chunks: Iterator[list], *extra) -> Iterator[list]:
-        """Run ``task`` over every shard on the fleet's backend."""
-        # A one-worker pool buys no batch parallelism but still pays
-        # pool/pickling overhead, so it degrades to the serial backend
-        # (results are identical either way).  Streaming watches skip
-        # this shortcut: there a single *real* worker is still useful
-        # as the process-scaling baseline.
-        name = self.backend if self._effective_workers() > 1 else "serial"
-        backend_obj = make_backend(name, self.max_workers)
-        job = BatchJob(
-            task=task,
-            runner=self._runner,
-            engine=self.engine,
-            cache_size=self.cache_size,
-            columnar=self.columnar,
-        )
-        return backend_obj.map_chunks(job, chunks, *extra)

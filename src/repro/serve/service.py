@@ -9,9 +9,10 @@ engines per access pattern):
   sticky-by-customer-id over the fleet's consistent-hash
   :class:`~repro.fleet.sharding.ShardRing` to per-shard
   :class:`~repro.fleet.backends._WatchShard` state, each shard
-  confined to its own single-thread executor (the thread-backend
-  confinement discipline), with microbatching in front so queued
-  samples run through one ``process`` call per flush.
+  confined to its own single-thread executor (so a shard's state is
+  only ever touched by one thread, without locks), with microbatching
+  in front so queued samples run through one ``process`` call per
+  flush.
 * **recommend** -- expensive, stateless curve/SKU queries.  Requests
   microbatch into :meth:`~repro.fleet.engine.FleetEngine.recommend_batch`
   calls -- the columnar chunk kernel -- on a dedicated executor, and

@@ -116,78 +116,13 @@ class PerformanceTrace:
         cache = self.__dict__.setdefault("_demand_cache", {})
         cached = cache.get(dims)
         if cached is None:
-            cached = self.export_demand_matrix(
-                dims, np.empty((self.n_samples, len(dims)), dtype=np.float64)
-            )
+            cached = np.empty((self.n_samples, len(dims)), dtype=np.float64)
+            for column, dim in enumerate(dims):
+                values = self[dim].values
+                cached[:, column] = invert_latency(values) if dim.lower_is_better else values
             cached.flags.writeable = False
             cache[dims] = cached
         return cached
-
-    def export_demand_matrix(
-        self, dimensions: tuple[PerfDimension, ...], out: np.ndarray
-    ) -> np.ndarray:
-        """Write the demand matrix into a caller-provided buffer.
-
-        The zero-copy export path of the fleet data plane: the caller
-        owns the destination (typically a view into a shared-memory
-        arena) and no intermediate ``(n_samples, n_dims)`` allocation
-        is made -- each column is filled in place, with the same
-        latency inversion as :meth:`demand_matrix`, so the exported
-        bytes are identical to the memoized matrix's.
-
-        Args:
-            dimensions: Column order of the export.
-            out: A writable ``(n_samples, n_dims)`` float64 buffer.
-
-        Returns:
-            ``out``, filled.
-
-        Raises:
-            ValueError: If ``out`` has the wrong shape or dtype.
-            KeyError: If a requested dimension is missing.
-        """
-        dims = tuple(dimensions)
-        expected = (self.n_samples, len(dims))
-        if out.shape != expected or out.dtype != np.float64:
-            raise ValueError(
-                f"export buffer must be float64 with shape {expected}, "
-                f"got {out.dtype} with shape {out.shape}"
-            )
-        for column, dim in enumerate(dims):
-            values = self[dim].values
-            if dim.lower_is_better:
-                out[:, column] = invert_latency(values)
-            else:
-                out[:, column] = values
-        return out
-
-    def adopt_demand_matrix(
-        self, dimensions: tuple[PerfDimension, ...], matrix: np.ndarray
-    ) -> None:
-        """Seed the demand-matrix memo with a precomputed matrix.
-
-        Used by the zero-copy rehydration path: a worker process that
-        mapped a parent-exported demand matrix from a shared-memory
-        arena installs the view here so every estimator evaluating
-        this trace reads the shared bytes instead of re-deriving them.
-        The caller asserts the matrix equals what
-        :meth:`demand_matrix` would compute (the parent exports with
-        :meth:`export_demand_matrix`, which guarantees it).
-
-        Raises:
-            ValueError: If the matrix shape does not match the trace.
-        """
-        dims = tuple(dimensions)
-        expected = (self.n_samples, len(dims))
-        if matrix.shape != expected:
-            raise ValueError(
-                f"demand matrix for dimensions {[d.name for d in dims]} must have "
-                f"shape {expected}, got {matrix.shape}"
-            )
-        if matrix.flags.writeable:
-            matrix = matrix.view()
-            matrix.flags.writeable = False
-        self.__dict__.setdefault("_demand_cache", {})[dims] = matrix
 
     # ------------------------------------------------------------------
     # Transformations

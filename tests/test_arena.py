@@ -1,67 +1,34 @@
-"""Shared-memory data plane of the process backend.
+"""Shared-memory data plane of the process watch.
 
 The arena lifecycle (:mod:`repro.fleet.arena`): every segment the
 parent publishes is unlinked exactly once -- on normal drain, on an
-abandoned stream, and after a SIGKILL'd worker -- so ``/dev/shm`` ends
-every pass exactly as it started.  The plane is how the process
-backend always runs: the retired ``FleetEngine(kernel=...,
+abandoned watch, and after a SIGKILL'd worker -- so ``/dev/shm`` ends
+every watch exactly as it started.  The tick plane is how the process
+watch always runs: the retired ``FleetEngine(kernel=...,
 zero_copy=...)`` arguments are rejected, so no pass can be routed
-around the plane.
+around it.
 """
 
 from __future__ import annotations
 
-import os
 import pickle
-import signal
-from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
 
 from repro.catalog import DeploymentType, SkuCatalog
 from repro.core import DopplerEngine
-from repro.fleet import FleetCustomer, FleetEngine
+from repro.fleet import FleetEngine
 from repro.fleet.arena import (
     ArenaRegistry,
     ArrayDescriptor,
-    ChunkPublisher,
-    ShmChunk,
     leaked_segments,
 )
-from repro.simulation import FleetConfig, simulate_fleet
 
 
 @pytest.fixture(scope="module")
 def module_catalog() -> SkuCatalog:
     return SkuCatalog.default()
-
-
-@pytest.fixture(scope="module")
-def records(module_catalog):
-    config = FleetConfig.paper_db(12, duration_days=3.0, interval_minutes=60.0)
-    return [
-        customer.record for customer in simulate_fleet(config, module_catalog, rng=37)
-    ]
-
-
-@pytest.fixture(scope="module")
-def customers(records):
-    return [
-        FleetCustomer.from_record(record, customer_id=f"c{index:03d}")
-        for index, record in enumerate(records)
-    ]
-
-
-def result_key(result):
-    recommendation = result.recommendation
-    return (
-        result.customer_id,
-        recommendation.sku.name if recommendation else None,
-        repr(recommendation.expected_throttling) if recommendation else None,
-        result.over_provisioned,
-        result.error,
-    )
 
 
 # ----------------------------------------------------------------------
@@ -114,138 +81,6 @@ class TestArenaRegistry:
                 attached.close()
         finally:
             registry.close_all()
-
-
-# ----------------------------------------------------------------------
-# Publisher round-trip (in-process)
-# ----------------------------------------------------------------------
-class TestChunkRoundTrip:
-    def test_packed_chunk_rebuilds_byte_identical_customers(
-        self, module_catalog, customers
-    ):
-        parent = DopplerEngine(catalog=module_catalog)
-        publisher = ChunkPublisher(parent.ppm, "recommend")
-        try:
-            chunk = customers[:4]
-            payload, token = publisher.pack(chunk)
-            assert isinstance(payload, ShmChunk)
-            assert len(payload) == len(chunk)
-            worker = DopplerEngine(catalog=module_catalog)
-            with payload.mapped(worker.ppm) as rebuilt:
-                for original, copy in zip(chunk, rebuilt):
-                    assert copy.customer_id == original.customer_id
-                    assert copy.deployment is original.deployment
-                    assert copy.current_sku_name == original.current_sku_name
-                    assert set(copy.trace.dimensions) == set(original.trace.dimensions)
-                    for dimension in original.trace.dimensions:
-                        theirs = copy.trace[dimension]
-                        ours = original.trace[dimension]
-                        assert theirs.values.tobytes() == ours.values.tobytes()
-                        assert theirs.interval_minutes == ours.interval_minutes
-            publisher.release(token)
-        finally:
-            publisher.close()
-        assert len(publisher.registry) == 0
-
-    def test_adopted_demand_and_caps_match_worker_built(
-        self, module_catalog, customers
-    ):
-        parent = DopplerEngine(catalog=module_catalog)
-        publisher = ChunkPublisher(parent.ppm, "recommend")
-        try:
-            payload, _token = publisher.pack(customers[:2])
-            worker = DopplerEngine(catalog=module_catalog)
-            reference = DopplerEngine(catalog=module_catalog)
-            with payload.mapped(worker.ppm) as rebuilt:
-                for original, copy in zip(customers[:2], rebuilt):
-                    spec = next(
-                        s for s in payload.items if s.customer_id == copy.customer_id
-                    )
-                    dims = spec.trace.demand_dims
-                    assert dims is not None
-                    # Adopted demand matrix is the pre-exported one.
-                    adopted = copy.trace.demand_matrix(dims)
-                    built = original.trace.demand_matrix(dims)
-                    assert adopted.tobytes() == built.tobytes()
-                    # Adopted capacity matrix equals a cold build.
-                    theirs = worker.ppm.capacity_matrix_for(copy.deployment, dims)
-                    ours = reference.ppm.capacity_matrix_for(original.deployment, dims)
-                    assert theirs.tobytes() == ours.tobytes()
-        finally:
-            publisher.close()
-
-    def test_publisher_rejects_unknown_task(self, module_catalog):
-        engine = DopplerEngine(catalog=module_catalog)
-        with pytest.raises(ValueError, match="unknown batch task"):
-            ChunkPublisher(engine.ppm, "train")
-
-
-# ----------------------------------------------------------------------
-# End-to-end lifecycle through the process backend
-# ----------------------------------------------------------------------
-class TestZeroCopyLifecycle:
-    def test_zero_copy_recommend_matches_serial(
-        self, module_catalog, records, customers
-    ):
-        baseline = leaked_segments()
-        serial = FleetEngine(
-            engine=DopplerEngine(catalog=module_catalog), backend="serial"
-        )
-        serial.fit_fleet(records)
-        expected = [result_key(r) for r in serial.recommend_fleet(customers)]
-        fleet = FleetEngine(
-            engine=serial.engine, backend="process", max_workers=2, chunk_size=3
-        )
-        assert [result_key(r) for r in fleet.recommend_fleet(customers)] == expected
-        assert leaked_segments() == baseline
-
-    def test_abandoned_stream_leaks_nothing(self, module_catalog, records, customers):
-        baseline = leaked_segments()
-        fleet = FleetEngine(
-            engine=DopplerEngine(catalog=module_catalog),
-            backend="process",
-            max_workers=2,
-            chunk_size=3,
-        )
-        fleet.fit_fleet(records)
-        stream = fleet.recommend_fleet(customers)
-        next(stream)
-        stream.close()  # abandon mid-pass: pump finally must clean up
-        assert leaked_segments() == baseline
-
-    def test_killed_worker_leaves_no_segments(
-        self, monkeypatch, module_catalog, records, customers
-    ):
-        """SIGKILL a worker mid-chunk; /dev/shm must end clean.
-
-        The worker is killed *after* rebuilding the chunk (so it holds
-        live mappings when it dies) by a patched ``_rebuild_item`` that
-        forked children inherit.  The parent sees BrokenProcessPool;
-        its pump's ``finally`` force-releases the arena, and the dead
-        worker's mappings evaporate with its address space.
-        """
-        from repro.fleet import arena
-
-        original = arena._rebuild_item
-
-        def rebuild_then_die(kind, item):
-            result = original(kind, item)
-            if getattr(item, "customer_id", "") == "c005":
-                os.kill(os.getpid(), signal.SIGKILL)
-            return result
-
-        baseline = leaked_segments()
-        fleet = FleetEngine(
-            engine=DopplerEngine(catalog=module_catalog),
-            backend="process",
-            max_workers=2,
-            chunk_size=3,
-        )
-        fleet.fit_fleet(records)
-        monkeypatch.setattr(arena, "_rebuild_item", rebuild_then_die)
-        with pytest.raises(BrokenProcessPool):
-            list(fleet.recommend_fleet(customers))
-        assert leaked_segments() == baseline
 
 
 # ----------------------------------------------------------------------

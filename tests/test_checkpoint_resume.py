@@ -83,7 +83,7 @@ def run_killed(fleet, feed, config, n_consume):
 # Resume byte-identity, all backends
 # ----------------------------------------------------------------------
 class TestResumeIdentity:
-    @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
+    @pytest.mark.parametrize("backend", ["serial", "process"])
     def test_kill_at_random_tick_resumes_byte_identically(
         self, backend, small_catalog, tmp_path
     ):
@@ -127,7 +127,7 @@ class TestResumeIdentity:
         baseline = list(make_fleet(small_catalog).watch_fleet(feed, config=WATCH))
         store = FleetStore(str(tmp_path / "cross.db"))
         config = checkpointed(store, every_ticks=2).replace(
-            backend="thread", max_workers=2
+            backend="process", max_workers=2
         )
         run_killed(make_fleet(small_catalog), feed, config, len(baseline) // 2)
         checkpoint = store.require_checkpoint()
@@ -270,7 +270,7 @@ class TestOutputInvariance:
             4: RebalanceDecision(migrations=(Migration("cust-2", 0),), resize_to=2),
         }
         config = checkpointed(store, every_ticks=4).replace(
-            backend="thread",
+            backend="process",
             max_workers=3,
             rebalance=ScheduledRebalancePolicy(schedule=schedule),
         )

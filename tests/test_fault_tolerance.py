@@ -125,7 +125,7 @@ class TestSupervisionConfig:
 # Kill-at-tick byte-identity, all backends
 # ----------------------------------------------------------------------
 class TestKillRecoveryIdentity:
-    @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
+    @pytest.mark.parametrize("backend", ["serial", "process"])
     def test_kill_at_random_tick_is_byte_identical(self, backend, small_catalog):
         """Property test: kill coordinates drawn per backend, output parity."""
         feed = interleaved_feed(6, 32, seed=11)
@@ -133,7 +133,7 @@ class TestKillRecoveryIdentity:
             make_fleet(small_catalog).watch_fleet(feed, config=WATCH)
         )
         rng = np.random.default_rng(hash(backend) % 2**32)
-        # Serial pools have one shard; thread/process watches get 3.
+        # Serial pools have one shard; process watches get 3.
         shard_id = 0 if backend == "serial" else 1
         ticks = rng.integers(0, 4, size=2 if backend == "serial" else 1)
         for tick in ticks:
@@ -191,7 +191,7 @@ class TestKillRecoveryIdentity:
 # Deadlines: dropped results and hung workers
 # ----------------------------------------------------------------------
 class TestDeadlines:
-    @pytest.mark.parametrize("backend", ["thread", "process"])
+    @pytest.mark.parametrize("backend", ["process"])
     def test_dropped_result_is_detected_by_deadline(self, backend, small_catalog):
         """A worker that processes but never replies is only visible as a
         deadline overrun; the restart must still keep byte-identity."""
@@ -271,7 +271,7 @@ class TestShardQuarantine:
         fleet = make_fleet(small_catalog)
         kills = tuple((1, tick) for tick in range(64))
         config = WATCH.replace(
-            backend="thread",
+            backend="process",
             max_workers=3,
             supervision=supervised(
                 FaultPlan(kill_worker=kills), max_restarts=1, snapshot_every_ticks=1
@@ -580,7 +580,7 @@ class TestDegradedServing:
 # Probation: quarantined shards re-enter service after a cool-down
 # ----------------------------------------------------------------------
 class TestShardProbation:
-    @pytest.mark.parametrize("backend", ["thread", "process"])
+    @pytest.mark.parametrize("backend", ["process"])
     def test_quarantined_shard_reenters_after_cooldown(
         self, backend, small_catalog, tmp_path
     ):
@@ -625,7 +625,7 @@ class TestShardProbation:
         fleet = make_fleet(small_catalog)
         kills = tuple((1, tick) for tick in range(64))
         config = WATCH.replace(
-            backend="thread",
+            backend="process",
             max_workers=3,
             supervision=supervised(
                 FaultPlan(kill_worker=kills), max_restarts=1, snapshot_every_ticks=1

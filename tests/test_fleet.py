@@ -193,7 +193,7 @@ class TestFleetEngine:
         assert report.n_unbuildable == 1
         assert "DB" in report.fitted_deployments
 
-    @pytest.mark.parametrize("backend", ["thread", "process"])
+    @pytest.mark.parametrize("backend", ["process"])
     def test_parallel_results_equal_serial(
         self, backend, module_catalog, records, customers, fitted_fleet_engine
     ):

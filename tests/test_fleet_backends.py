@@ -1,15 +1,19 @@
-"""Unified execution-backend layer: routing, parity, state handoff.
+"""Execution-backend layer: routing, parity, state handoff.
 
-The contract under test is *serial identity*: every backend -- batch
-or streaming -- must produce result sequences byte-identical to the
-serial backend's, including per-customer failure containment and
-quarantine ordering, because customers' state is confined to exactly
-one shard and emissions are reassembled into feed order.
+The contract under test is *serial identity*: every watch backend must
+produce update sequences byte-identical to the serial backend's,
+including per-customer failure containment and quarantine ordering,
+because customers' state is confined to exactly one shard and
+emissions are reassembled into feed order.  Batch passes run in the
+parent whatever the backend, so they match serial byte for byte by
+construction; the tests below pin that they start no worker at all.
 """
 
 from __future__ import annotations
 
 import pickle
+import warnings
+from multiprocessing.process import BaseProcess
 
 import numpy as np
 import pytest
@@ -28,11 +32,14 @@ from repro.core.profiler import CustomerProfiler
 from repro.dma import AssessmentPipeline
 from repro.fleet import (
     BACKEND_NAMES,
+    FleetCustomer,
     FleetEngine,
     FleetSample,
+    SerialBackend,
     WatchConfig,
     make_backend,
 )
+from repro.fleet.arena import ArenaRegistry
 from repro.simulation import FleetConfig, simulate_fleet
 from repro.streaming import LiveRecommender
 from repro.telemetry import PerfDimension, TimeSeries
@@ -118,9 +125,17 @@ class TestBackendSelection:
         for name in BACKEND_NAMES:
             assert repr(name) in message
 
+    def test_unknown_backend_message_lists_only_serial_and_process(self):
+        assert BACKEND_NAMES == ("serial", "process")
+        with pytest.raises(ValueError) as excinfo:
+            make_backend("mpi")
+        assert str(excinfo.value) == (
+            "unknown fleet backend 'mpi'; choose one of 'serial', 'process'"
+        )
+
     def test_nonpositive_workers_rejected(self):
         with pytest.raises(ValueError, match="max_workers"):
-            make_backend("thread", max_workers=0)
+            make_backend("process", max_workers=0)
 
     def test_fleet_engine_validates_backend_eagerly(self, small_catalog):
         with pytest.raises(ValueError, match="unknown fleet backend"):
@@ -128,9 +143,28 @@ class TestBackendSelection:
         with pytest.raises(ValueError, match="max_workers"):
             FleetEngine(
                 engine=DopplerEngine(catalog=small_catalog),
-                backend="thread",
+                backend="process",
                 max_workers=-1,
             )
+
+    @pytest.mark.parametrize("chunk_size", [0, -3])
+    def test_fleet_engine_validates_chunk_size_eagerly(self, small_catalog, chunk_size):
+        with pytest.raises(ValueError, match="chunk_size must be positive"):
+            FleetEngine(
+                engine=DopplerEngine(catalog=small_catalog),
+                backend="serial",
+                chunk_size=chunk_size,
+            )
+
+    @pytest.mark.parametrize("cache_size", [0, -1])
+    def test_fleet_engine_names_cache_size_when_invalid(self, small_catalog, cache_size):
+        with pytest.raises(ValueError, match="cache_size must be positive") as excinfo:
+            FleetEngine(
+                engine=DopplerEngine(catalog=small_catalog),
+                backend="serial",
+                cache_size=cache_size,
+            )
+        assert "maxsize" not in str(excinfo.value)
 
     def test_watch_fleet_validates_backend_at_call_time(self, small_catalog):
         fleet = FleetEngine(engine=DopplerEngine(catalog=small_catalog), backend="serial")
@@ -167,7 +201,7 @@ class TestBackendSelection:
 # Streaming parity across backends
 # ----------------------------------------------------------------------
 class TestWatchParity:
-    @pytest.mark.parametrize("backend", ["thread", "process"])
+    @pytest.mark.parametrize("backend", ["process"])
     def test_sharded_watch_equals_serial(self, backend, small_catalog):
         fleet = FleetEngine(engine=DopplerEngine(catalog=small_catalog), backend="serial")
         feed = interleaved_feed(7, 24, seed=60)
@@ -177,7 +211,7 @@ class TestWatchParity:
         )
         assert sharded == serial
 
-    @pytest.mark.parametrize("backend", ["thread", "process"])
+    @pytest.mark.parametrize("backend", ["process"])
     def test_quarantine_ordering_survives_sharding(self, backend, small_catalog):
         fleet = FleetEngine(engine=DopplerEngine(catalog=small_catalog), backend="serial")
         feed = interleaved_feed(6, 20, seed=61, poison=("cust-1", "cust-4"))
@@ -191,7 +225,7 @@ class TestWatchParity:
         # Quarantined exactly once each, then silence.
         assert len(failures) == 2
 
-    @pytest.mark.parametrize("backend", ["thread", "process"])
+    @pytest.mark.parametrize("backend", ["process"])
     def test_every_sample_mode_equals_serial(self, backend, small_catalog):
         fleet = FleetEngine(engine=DopplerEngine(catalog=small_catalog), backend="serial")
         feed = interleaved_feed(5, 12, seed=62)
@@ -229,10 +263,10 @@ class TestWatchParity:
         pipeline = AssessmentPipeline(engine=DopplerEngine(catalog=small_catalog))
         feed = interleaved_feed(4, 16, seed=66)
         serial = canonical_updates(pipeline.watch_fleet(feed, config=WATCH_CONFIG))
-        threaded = canonical_updates(
-            pipeline.watch_fleet(feed, config=WATCH_CONFIG.replace(backend="thread", max_workers=2))
+        sharded = canonical_updates(
+            pipeline.watch_fleet(feed, config=WATCH_CONFIG.replace(backend="process", max_workers=2))
         )
-        assert threaded == serial
+        assert sharded == serial
         with pytest.raises(ValueError, match="unknown fleet backend"):
             pipeline.watch_fleet(feed, config=WatchConfig(backend="quantum"))
 
@@ -248,7 +282,7 @@ class TestBatchThroughBackends:
             customer.record for customer in simulate_fleet(config, default_catalog, rng=19)
         ]
 
-    @pytest.mark.parametrize("backend", ["thread", "process"])
+    @pytest.mark.parametrize("backend", ["process"])
     def test_fit_fleet_parity_across_backends(self, backend, default_catalog, trained):
         serial_engine = DopplerEngine(catalog=default_catalog)
         FleetEngine(engine=serial_engine, backend="serial").fit_fleet(trained)
@@ -266,6 +300,148 @@ class TestBatchThroughBackends:
             assert other.count == stats.count
             assert other.p_mean == stats.p_mean
         assert parallel_model.fallback.p_mean == serial_model.fallback.p_mean
+
+    def test_process_backend_batch_runs_in_the_parent(
+        self, default_catalog, trained, monkeypatch
+    ):
+        """Batch passes ignore the backend: no child process, no arena
+        segment, and every result pickles to the serial pass's bytes."""
+        customers = [
+            FleetCustomer.from_record(record, customer_id=f"c{index:02d}")
+            for index, record in enumerate(trained)
+        ]
+        serial = FleetEngine(engine=DopplerEngine(catalog=default_catalog), backend="serial")
+        serial.fit_fleet(trained)
+        expected = [pickle.dumps(result) for result in serial.recommend_fleet(customers)]
+
+        started: list = []
+        created: list = []
+        start_process = BaseProcess.start
+        create_segment = ArenaRegistry.create
+
+        def record_start(process):
+            started.append(process.name)
+            return start_process(process)
+
+        def record_create(registry, nbytes):
+            created.append(nbytes)
+            return create_segment(registry, nbytes)
+
+        monkeypatch.setattr(BaseProcess, "start", record_start)
+        monkeypatch.setattr(ArenaRegistry, "create", record_create)
+        fleet = FleetEngine(
+            engine=DopplerEngine(catalog=default_catalog), backend="process", max_workers=2
+        )
+        fleet.fit_fleet(trained)
+        results = [pickle.dumps(result) for result in fleet.recommend_fleet(customers)]
+        assert started == []
+        assert created == []
+        assert results == expected
+        assert [pickle.dumps(r) for r in fleet.recommend_batch(customers)] == expected
+
+
+def deprecations(caught) -> list:
+    return [w for w in caught if issubclass(w.category, DeprecationWarning)]
+
+
+class TestDeprecatedThreadSpellings:
+    """``"thread"`` and ``ThreadBackend`` warn once and run the serial backend."""
+
+    def test_make_backend_thread_warns_and_returns_serial(self):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            backend = make_backend("thread", max_workers=2)
+        (warning,) = deprecations(caught)
+        assert 'make_backend("thread") is deprecated' in str(warning.message)
+        assert warning.filename == __file__
+        assert isinstance(backend, SerialBackend)
+        assert backend.name == "serial" and backend.n_workers == 1
+
+    def test_thread_backend_class_warns_and_is_serial(self):
+        from repro.fleet import ThreadBackend
+
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            backend = ThreadBackend(max_workers=3)
+        (warning,) = deprecations(caught)
+        assert "repro.fleet.ThreadBackend" in str(warning.message)
+        assert warning.filename == __file__
+        assert isinstance(backend, SerialBackend)
+        assert backend.name == "serial" and backend.n_workers == 1
+
+    def test_fleet_engine_thread_warns_once_and_yields_serial_output(
+        self, default_catalog
+    ):
+        config = FleetConfig.paper_db(6, duration_days=3.0, interval_minutes=60.0)
+        records = [
+            customer.record for customer in simulate_fleet(config, default_catalog, rng=23)
+        ]
+        customers = [FleetCustomer.from_record(record) for record in records]
+        serial = FleetEngine(engine=DopplerEngine(catalog=default_catalog), backend="serial")
+        serial.fit_fleet(records)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            fleet = FleetEngine(
+                engine=DopplerEngine(catalog=default_catalog), backend="thread", max_workers=2
+            )
+            fleet.fit_fleet(records)
+            results = list(fleet.recommend_fleet(customers))
+        (warning,) = deprecations(caught)
+        assert 'FleetEngine(backend="thread") is deprecated' in str(warning.message)
+        assert warning.filename == __file__
+        assert fleet.backend == "serial"
+        assert [pickle.dumps(r) for r in results] == [
+            pickle.dumps(r) for r in serial.recommend_fleet(customers)
+        ]
+
+    def test_fleet_engine_thread_default_watch_is_serial(self, small_catalog):
+        feed = interleaved_feed(4, 12, seed=67)
+        serial = FleetEngine(engine=DopplerEngine(catalog=small_catalog), backend="serial")
+        expected = canonical_updates(serial.watch_fleet(feed, config=WATCH_CONFIG))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            fleet = FleetEngine(
+                engine=DopplerEngine(catalog=small_catalog), backend="thread", max_workers=2
+            )
+            got = canonical_updates(fleet.watch_fleet(feed, config=WATCH_CONFIG))
+        assert len(deprecations(caught)) == 1
+        assert got == expected
+        assert fleet.watch_rebalance_stats().final_n_shards == 1
+
+    def test_watch_config_thread_warns_once_and_yields_serial_output(self, small_catalog):
+        feed = interleaved_feed(5, 12, seed=68, poison=("cust-2",))
+        fleet = FleetEngine(engine=DopplerEngine(catalog=small_catalog), backend="serial")
+        expected = canonical_updates(fleet.watch_fleet(feed, config=WATCH_CONFIG))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            config = WATCH_CONFIG.replace(backend="thread", max_workers=3)
+            got = canonical_updates(fleet.watch_fleet(feed, config=config))
+        (warning,) = deprecations(caught)
+        assert 'WatchConfig(backend="thread") is deprecated' in str(warning.message)
+        assert config.backend == "serial"
+        assert got == expected
+        assert fleet.watch_rebalance_stats().final_n_shards == 1
+
+    def test_assess_fleet_backend_arguments_warn_once_and_select_nothing(
+        self, default_catalog
+    ):
+        config = FleetConfig.paper_db(6, duration_days=3.0, interval_minutes=60.0)
+        customers = [
+            FleetCustomer.from_record(customer.record)
+            for customer in simulate_fleet(config, default_catalog, rng=29)
+        ]
+        pipeline = AssessmentPipeline(engine=DopplerEngine(catalog=default_catalog))
+        expected = pipeline.assess_fleet(customers)
+        for arguments in ({"backend": "process", "max_workers": 2}, {"backend": "thread"}):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                result = pipeline.assess_fleet(customers, **arguments)
+            (warning,) = deprecations(caught)
+            assert "assess_fleet(backend=..., max_workers=...)" in str(warning.message)
+            assert warning.filename == __file__
+            assert [pickle.dumps(r) for r in result.results] == [
+                pickle.dumps(r) for r in expected.results
+            ]
 
 
 # ----------------------------------------------------------------------
@@ -681,12 +857,7 @@ class TestZeroCopyTickPlane:
         # The retired opt-out is gone: there is no second path to select.
         with pytest.raises(TypeError, match="zero_copy"):
             WATCH_CONFIG.replace(backend="process", max_workers=2, zero_copy=False)
-        list(
-            fleet.watch_fleet(
-                feed, config=WATCH_CONFIG.replace(backend="thread", max_workers=2)
-            )
-        )
-        assert len(created) == 1  # same-address-space backends never pay
+        assert len(created) == 1  # the serial watch shares an address space
 
     def test_migration_during_watch_rides_state_frames(self, small_catalog):
         from repro.fleet.rebalance import Migration, RebalanceDecision, ScheduledRebalancePolicy

@@ -35,7 +35,7 @@ from .test_fleet_backends import (
     live_samples,
 )
 
-BACKENDS = [("serial", None), ("thread", 3), ("process", 3)]
+BACKENDS = [("serial", None), ("process", 3)]
 
 
 def compact_catalog() -> SkuCatalog:
@@ -294,7 +294,7 @@ class TestMigrationParity:
             fleet.watch_fleet(
                 feed,
                 config=WATCH_CONFIG.replace(
-                    backend="thread", max_workers=2, tick_samples=2
+                    backend="process", max_workers=2, tick_samples=2
                 ),
             )
         )
@@ -335,7 +335,7 @@ class TestWatchAccounting:
         feed = interleaved_feed(5, 12, seed=93)
         updates = list(
             fleet.watch_fleet(
-                feed, config=WATCH_CONFIG.replace(backend="thread", max_workers=3)
+                feed, config=WATCH_CONFIG.replace(backend="process", max_workers=3)
             )
         )
         assert updates
@@ -501,7 +501,7 @@ class TestLoadImbalancePolicy:
             fleet.watch_fleet(
                 feed,
                 config=WATCH_CONFIG.replace(
-                    backend="thread", max_workers=3, rebalance=policy, tick_samples=4
+                    backend="process", max_workers=3, rebalance=policy, tick_samples=4
                 ),
             )
         )
