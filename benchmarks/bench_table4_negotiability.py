@@ -25,7 +25,9 @@ PAPER_TABLE4 = {
 EVAL_LIMIT = 80
 
 
-def test_table4_negotiability_definitions(benchmark, catalog, db_fleet, mi_fleet):
+def test_table4_negotiability_definitions(
+    benchmark, catalog, db_fleet, mi_fleet, record_paper_metrics
+):
     fleets = {
         DeploymentType.SQL_DB: db_fleet[:EVAL_LIMIT],
         DeploymentType.SQL_MI: mi_fleet[:EVAL_LIMIT],
@@ -67,6 +69,16 @@ def test_table4_negotiability_definitions(benchmark, catalog, db_fleet, mi_fleet
     lines.append(
         "shape check: every definition lands in the same mid-to-high-70s "
         "band the paper reports; no definition dominates by a wide margin"
+    )
+    record_paper_metrics(
+        "table4",
+        {
+            name: {
+                f"{deployment.short_name.lower()}_accuracy": accuracy
+                for deployment, accuracy in accuracies.items()
+            }
+            for name, accuracies in measured.items()
+        },
     )
     for name, accuracies in measured.items():
         for deployment in fleets:

@@ -16,7 +16,9 @@ PAPER = {
 }
 
 
-def test_table5_elastic_accuracy(benchmark, catalog, db_fleet, mi_fleet, db_engine, mi_engine):
+def test_table5_elastic_accuracy(
+    benchmark, catalog, db_fleet, mi_fleet, db_engine, mi_engine, record_paper_metrics
+):
     fleets = {
         DeploymentType.SQL_DB: (db_engine, db_fleet),
         DeploymentType.SQL_MI: (mi_engine, mi_fleet),
@@ -52,6 +54,7 @@ def test_table5_elastic_accuracy(benchmark, catalog, db_fleet, mi_fleet, db_engi
 
     db_accuracy = rows[DeploymentType.SQL_DB][0]
     mi_accuracy = rows[DeploymentType.SQL_MI][0]
+    record_paper_metrics("table5", {"db_accuracy": db_accuracy, "mi_accuracy": mi_accuracy})
     lines.append("")
     lines.append(
         "shape check: both deployments in the high-accuracy regime; MI >= DB "

@@ -8,11 +8,16 @@ pytest-benchmark.  Run with::
     pytest benchmarks/ --benchmark-only
 
 Reports are echoed to stdout (visible with ``-s``) and always written
-to ``benchmarks/results/<experiment>.txt``.
+to ``benchmarks/results/<experiment>.txt``.  The Table 4 and Table 5
+benches also record their measured accuracies in
+``benchmarks/results/BENCH_paper.json`` (the ``record_paper_metrics``
+fixture), so ``perf_trend.py`` can flag drift and ``perf_floors.json``
+can hold floors on them.
 """
 
 from __future__ import annotations
 
+import json
 from pathlib import Path
 
 import pytest
@@ -41,6 +46,28 @@ def report(name: str, text: str) -> None:
 def run_once(benchmark, func):
     """Time ``func`` with a single benchmark round (heavy experiments)."""
     return benchmark.pedantic(func, rounds=1, iterations=1)
+
+
+@pytest.fixture(scope="session")
+def record_paper_metrics():
+    """Writer of the paper benches' measured accuracies.
+
+    ``record_paper_metrics(section, metrics)`` rewrites
+    ``BENCH_paper.json`` with every section recorded in this pytest run,
+    so a bench that stops running drops its leaves instead of leaving
+    stale numbers behind.
+    """
+    sections: dict[str, dict] = {}
+
+    def record(section: str, metrics: dict) -> None:
+        sections[section] = metrics
+        RESULTS_DIR.mkdir(exist_ok=True)
+        (RESULTS_DIR / "BENCH_paper.json").write_text(
+            json.dumps({"benchmark": "paper", **sections}, indent=2, sort_keys=True) + "\n",
+            encoding="utf-8",
+        )
+
+    return record
 
 
 @pytest.fixture(scope="session")

@@ -1,16 +1,17 @@
 """Perf-trend diff over the machine-readable benchmark records.
 
-``bench_streaming.py``, ``bench_fleet_scale.py`` and
-``bench_serving.py`` emit ``BENCH_<name>.json`` records in a shared
-shape (a ``benchmark`` discriminator plus nested sections whose
-throughput metrics end in ``_per_sec``, latency percentiles in
-``_ms``, recovery depths in ``_ticks``, and persisted sizes in
-``_bytes`` or ``_bytes_per_<unit>``).  This tool diffs two
+``bench_streaming.py``, ``bench_fleet_scale.py``,
+``bench_serving.py`` and the Table 4 / Table 5 paper benches emit
+``BENCH_<name>.json`` records in a shared shape (a ``benchmark``
+discriminator plus nested sections whose throughput metrics end in
+``_per_sec``, measured accuracies in ``_accuracy``, latency
+percentiles in ``_ms``, recovery depths in ``_ticks``, and persisted
+sizes in ``_bytes`` or ``_bytes_per_<unit>``).  This tool diffs two
 directories of such records -- typically the previous CI run's
 artifact against the current one -- and flags every metric that
-regressed by more than the threshold (default 20 %): a throughput
-drop for ``_per_sec`` leaves, an *increase* for the lower-is-better
-``_ms``, ``_ticks`` and ``_bytes`` leaves.  Floors-file entries for
+regressed by more than the threshold (default 20 %): a drop for the
+higher-is-better ``_per_sec`` and ``_accuracy`` leaves, an *increase*
+for the lower-is-better ``_ms``, ``_ticks`` and ``_bytes`` leaves.  Floors-file entries for
 lower-is-better metrics are ceilings rather than floors.
 
 Two levels of enforcement:
@@ -59,6 +60,10 @@ from pathlib import Path
 #: Metric-name suffix marking a higher-is-better throughput leaf.
 METRIC_SUFFIX = "_per_sec"
 
+#: Metric-name suffix marking a higher-is-better accuracy leaf (the
+#: paper benches' measured back-test accuracies, ``BENCH_paper.json``).
+ACCURACY_SUFFIX = "_accuracy"
+
 #: Metric-name suffix marking a lower-is-better latency leaf (serving
 #: percentiles).  For these the trend flags *increases* beyond the
 #: threshold, and a floors entry acts as a ceiling.
@@ -83,6 +88,11 @@ def is_size(metric: str) -> bool:
     if leaf.endswith(METRIC_SUFFIX):
         return False
     return leaf.endswith(BYTES_MARKER) or f"{BYTES_MARKER}_per_" in leaf
+
+
+def higher_is_better(metric: str) -> bool:
+    """Whether a dotted metric path carries a higher-is-better contract."""
+    return metric.endswith(METRIC_SUFFIX) or metric.endswith(ACCURACY_SUFFIX)
 
 
 def lower_is_better(metric: str) -> bool:
@@ -113,7 +123,8 @@ def collect_metrics(record, prefix: str = "") -> dict[str, float]:
     """Flatten a record to ``{dotted.path: value}`` enforceable leaves.
 
     Only numeric leaves whose key ends in ``_per_sec``
-    (higher-is-better throughput), ``_ms`` (lower-is-better latency),
+    (higher-is-better throughput), ``_accuracy`` (higher-is-better
+    accuracy), ``_ms`` (lower-is-better latency),
     ``_ticks`` (lower-is-better recovery depth) or names a ``_bytes``
     size (lower-is-better) participate in the trend: counters, flags
     and derived ratios carry no directional contract.  Lists recurse with their index in the path, so
@@ -128,7 +139,7 @@ def collect_metrics(record, prefix: str = "") -> dict[str, float]:
             elif (
                 isinstance(value, (int, float))
                 and not isinstance(value, bool)
-                and (str(key).endswith(METRIC_SUFFIX) or lower_is_better(str(key)))
+                and (higher_is_better(str(key)) or lower_is_better(str(key)))
             ):
                 metrics[path] = float(value)
     elif isinstance(record, list):
@@ -206,19 +217,19 @@ def check_floors(
             bound = "ceiling" if lower_is_better(metric) else "floor"
             if value is None:
                 violations.append(
-                    f"{name}:{metric} has a {bound} of {floor:,.1f} but is missing "
+                    f"{name}:{metric} has a {bound} of {floor:,.6g} but is missing "
                     "from the current run"
                 )
             elif lower_is_better(metric):
                 if value > floor:
                     violations.append(
-                        f"{name}:{metric} = {value:,.1f} above the absolute ceiling "
-                        f"{floor:,.1f}"
+                        f"{name}:{metric} = {value:,.6g} above the absolute ceiling "
+                        f"{floor:,.6g}"
                     )
             elif value < floor:
                 violations.append(
-                    f"{name}:{metric} = {value:,.1f} below the absolute floor "
-                    f"{floor:,.1f}"
+                    f"{name}:{metric} = {value:,.6g} below the absolute floor "
+                    f"{floor:,.6g}"
                 )
     return violations
 
@@ -323,7 +334,7 @@ def main(argv: list[str] | None = None) -> int:
         label = " (blocking)" if blocked else " (warn-only metric)" if warn_metric else ""
         print(
             f"REGRESSION{label} {metric}: "
-            f"{base_value:,.1f} -> {current_value:,.1f} ({change:+.1%})"
+            f"{base_value:,.6g} -> {current_value:,.6g} ({change:+.1%})"
         )
         if blocked:
             blocking_failures.append(metric)

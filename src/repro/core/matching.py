@@ -20,6 +20,7 @@ mirroring the deployed engine's always-recommend contract.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
@@ -134,26 +135,54 @@ class GroupScoreModel:
     ) -> CurvePoint:
         """Pick the optimal SKU for a profiled customer (eqs. (4)-(6)).
 
-        Scans the monotone curve's scores for the point whose
-        throttling probability is closest to the group target without
-        exceeding it; ties (gaps within 1e-12) resolve to the cheapest
-        SKU.  If nothing satisfies the constraint, the overall closest
-        point is returned.  Only the chosen point is built.
+        The point whose throttling probability is closest to the group
+        target without exceeding it; ties (gaps within 1e-12) resolve
+        to the cheapest SKU.  If nothing satisfies the constraint, the
+        overall closest point is returned.  Only the chosen point is
+        built.
+
+        Vectorised over the curve: the gaps and the feasibility mask
+        are arrays, and the answer is the first (cheapest) feasible
+        rank -- the only possible outcome of the scalar scan
+        (:meth:`_scan`) unless a later feasible rank's gap beats it by
+        more than 1e-12.  The scan runs only then, or when no rank is
+        feasible, so the result is the scan's for every curve,
+        including explicit-point curves whose scores dip by up to
+        1e-12.  On a running-max curve the feasible ranks' gaps never
+        shrink by more than that, so there the scan runs only when the
+        whole curve throttles more than the target.
         """
         target = self.target_probability(group_key)
+        # Selection deliberately runs in monotone score space, NOT raw
+        # throttling_probability (which training and reporting use): a
+        # lifted point's 1 - score is an exact float copy of its
+        # cheaper dominator's, so it ties and loses to the cheaper SKU
+        # -- the paper's guarantee that customers cannot be steered to
+        # a more expensive, less performant target.  Raw-probability
+        # selection would let a dominated point win on gap alone.
+        probabilities = 1.0 - curve.scores()
+        feasible = (probabilities <= target + 1e-12).nonzero()[0]
+        if feasible.size:
+            gaps = np.abs(probabilities[feasible] - target)
+            bar = gaps[0] - 1e-12
+            # An infinite gap never wins the scan's strict comparison
+            # against its infinite starting gap: leave that to the scan.
+            if bar < math.inf and not (gaps[1:] < bar).any():
+                return curve.point_at(int(feasible[0]))
+        return curve.point_at(self._scan(curve.scores().tolist(), target))
+
+    @staticmethod
+    def _scan(scores: list[float], target: float) -> int:
+        """The scalar selection scan: the chosen rank of ``scores``.
+
+        A pick changes only on a gap improvement of more than 1e-12,
+        so the cheapest of near-tied points wins.
+        """
         feasible_rank: int | None = None
-        feasible_gap = float("inf")
+        feasible_gap = math.inf
         overall_rank = 0
-        overall_gap = float("inf")
-        for rank, score in enumerate(curve.scores().tolist()):
-            # Selection deliberately runs in monotone score space, NOT
-            # raw throttling_probability (which training and reporting
-            # use): a lifted point's 1 - score is an exact float copy
-            # of its cheaper dominator's, so it ties and loses to the
-            # cheaper SKU -- the paper's guarantee that customers
-            # cannot be steered to a more expensive, less performant
-            # target.  Raw-probability selection would let a dominated
-            # point win on gap alone.
+        overall_gap = math.inf
+        for rank, score in enumerate(scores):
             probability = 1.0 - score
             gap = abs(probability - target)
             if gap < overall_gap - 1e-12:
@@ -162,7 +191,7 @@ class GroupScoreModel:
             if probability <= target + 1e-12 and gap < feasible_gap - 1e-12:
                 feasible_gap = gap
                 feasible_rank = rank
-        return curve.point_at(overall_rank if feasible_rank is None else feasible_rank)
+        return overall_rank if feasible_rank is None else feasible_rank
 
     def describe(self) -> str:
         """Table-3-style rendering of the learned group scores."""

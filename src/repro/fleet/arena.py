@@ -13,10 +13,10 @@ numpy payloads through one-shot scratch segments of the same plane.
 
 Lifecycle contract (the part that keeps ``/dev/shm`` clean):
 
-* The parent owns every segment.  An :class:`ArenaRegistry` refcounts
-  them; when the last reference is released the segment is closed
-  *and unlinked*, and :meth:`TickPlane.close` force-releases whatever
-  is left at watch end.  Unlinking while a straggler worker still maps
+* The parent owns every segment.  An :class:`ArenaRegistry` tracks
+  them; releasing a segment closes *and unlinks* it, and
+  :meth:`TickPlane.close` force-releases whatever is left at watch
+  end.  Unlinking while a straggler worker still maps
   a segment is safe on POSIX: the name disappears, the mapping
   survives until the worker drops it.
 * Workers never own anything: they attach -- tick and result slots
@@ -111,13 +111,13 @@ class ArrayDescriptor:
 
 
 class ArenaRegistry:
-    """Parent-side refcounted owner of shared-memory segments.
+    """Parent-side owner of shared-memory segments.
 
     Every segment created through the registry is unlinked exactly
-    once: when its refcount drops to zero, or -- whichever comes first
-    -- when :meth:`close_all` force-releases the registry.  The
-    registry is process-local and not thread-safe; the watch loop
-    drives it from a single thread.
+    once: when it is released, or -- whichever comes first -- when
+    :meth:`close_all` force-releases the registry.  The registry is
+    process-local and not thread-safe; the watch loop drives it from a
+    single thread.
     """
 
     #: Process-wide name counter.  Registries are per-watch, but
@@ -129,23 +129,17 @@ class ArenaRegistry:
 
     def __init__(self) -> None:
         self._segments: dict[str, shared_memory.SharedMemory] = {}
-        self._refcounts: dict[str, int] = {}
         atexit.register(self.close_all)
 
     def __len__(self) -> int:
         return len(self._segments)
 
     def create(self, nbytes: int) -> shared_memory.SharedMemory:
-        """A fresh segment with refcount 1, named for this process."""
+        """A fresh segment, named for this process."""
         name = f"{SEGMENT_PREFIX}-{os.getpid()}-{next(self._name_counter)}"
         segment = shared_memory.SharedMemory(name=name, create=True, size=max(nbytes, 1))
         self._segments[segment.name] = segment
-        self._refcounts[segment.name] = 1
         return segment
-
-    def acquire(self, name: str) -> None:
-        """Add one reference to an owned segment."""
-        self._refcounts[name] += 1
 
     def get(self, name: str) -> shared_memory.SharedMemory | None:
         """The owned segment by name, or None once released.
@@ -157,14 +151,9 @@ class ArenaRegistry:
         return self._segments.get(name)
 
     def release(self, name: str) -> None:
-        """Drop one reference; the last one closes and unlinks."""
-        count = self._refcounts.get(name)
-        if count is None:
-            return  # already force-released by close_all
-        if count > 1:
-            self._refcounts[name] = count - 1
-            return
-        self._unlink(name)
+        """Close and unlink an owned segment; a no-op once released."""
+        if name in self._segments:
+            self._unlink(name)
 
     def close_all(self) -> None:
         """Force-release every owned segment (teardown/crash path)."""
@@ -176,7 +165,6 @@ class ArenaRegistry:
 
     def _unlink(self, name: str) -> None:
         segment = self._segments.pop(name)
-        self._refcounts.pop(name, None)
         try:
             segment.close()
         finally:

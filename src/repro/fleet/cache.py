@@ -18,6 +18,8 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable, Hashable, Iterable
 
+import numpy as np
+
 from ..catalog.catalog import catalog_signature  # re-exported: part of every cache key
 from ..core.curve import PricePerformanceCurve
 from ..telemetry.trace import PerformanceTrace
@@ -36,30 +38,45 @@ DEFAULT_CACHE_SIZE = 4096
 
 
 def trace_fingerprint(trace: PerformanceTrace) -> str:
-    """Stable content hash of a trace.
+    """Content hash of a trace, memoized on the trace.
 
-    Two traces with identical entity ids, dimensions, cadence and
-    counter values fingerprint identically; any change to the samples
-    changes the digest.  Used as the cache key component standing in
-    for the trace object itself (traces are large; keys must be small
-    and hashable).
+    Two traces with identical entity ids, dimensions, cadence, start
+    minutes and counter values fingerprint identically; any change to
+    the samples changes the digest.  Used as the cache key component
+    standing in for the trace object itself (traces are large; keys
+    must be small and hashable).
+
+    One pass: a length-prefixed header (the ``repr`` of entity id,
+    interval, sample count and each dimension's name and start minute,
+    so adjacent fields cannot blur into each other) and then each
+    series' sample buffer, whose length the header fixes.  A strided
+    series hashes like its contiguous copy.  The digest is computed
+    once per trace object and kept on it, as
+    :meth:`~repro.telemetry.trace.PerformanceTrace.demand_matrix` is;
+    a pickled trace is rebuilt through its constructor, so the memo
+    never travels.  The key is process-local and never persisted: its
+    digest may change between versions.
     """
-    digest = hashlib.blake2b(digest_size=16)
-
-    def feed(part: bytes) -> None:
-        # Length-prefix every field so adjacent fields cannot blur into
-        # each other (('a1', 0.5) must not collide with ('a', 10.5)).
-        digest.update(len(part).to_bytes(8, "little"))
-        digest.update(part)
-
-    feed(trace.entity_id.encode("utf-8"))
-    feed(repr(float(trace.interval_minutes)).encode("ascii"))
-    for dimension in trace.dimensions:
-        series = trace[dimension]
-        feed(dimension.name.encode("ascii"))
-        feed(repr(float(series.start_minute)).encode("ascii"))
-        feed(series.values.tobytes())
-    return digest.hexdigest()
+    memo = trace.__dict__
+    fingerprint = memo.get("_fingerprint")
+    if fingerprint is not None:
+        return fingerprint
+    dimensions = trace.dimensions
+    series = [trace.series[dimension] for dimension in dimensions]
+    header = repr(
+        (
+            trace.entity_id,
+            float(trace.interval_minutes),
+            trace.n_samples,
+            [(dim.name, float(ts.start_minute)) for dim, ts in zip(dimensions, series)],
+        )
+    ).encode("utf-8")
+    digest = hashlib.blake2b(len(header).to_bytes(8, "little"), digest_size=16)
+    digest.update(header)
+    for ts in series:
+        digest.update(np.ascontiguousarray(ts.values))
+    fingerprint = memo["_fingerprint"] = digest.hexdigest()
+    return fingerprint
 
 
 def curve_cache_key(

@@ -28,7 +28,7 @@ from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
 from ..catalog.models import DeploymentType
 from ..core.engine import DopplerEngine
 from ..core.matching import GroupObservation, GroupScoreModel
-from ..core.profiler import GroupKey
+from ..core.profiler import CustomerProfiler, GroupKey
 from ..core.types import CloudCustomerRecord, DopplerRecommendation
 from ..streaming.drift import DEFAULT_DRIFT_THRESHOLD
 from ..streaming.live import DEFAULT_MIN_REFRESH_SAMPLES
@@ -213,6 +213,14 @@ class FleetFitReport:
     n_unbuildable: int = 0
 
 
+def _profile_or_error(profiler: CustomerProfiler, trace: PerformanceTrace):
+    """One trace's profile, or the exception profiling it raised."""
+    try:
+        return profiler.profile(trace)
+    except Exception as exc:  # noqa: BLE001 - raised later, for its own customer
+        return exc
+
+
 class _FleetRunner:
     """Batch execution state: the engine plus its curve cache.
 
@@ -220,13 +228,16 @@ class _FleetRunner:
     :class:`FleetEngine` holds in the parent, so one cache serves every
     fit, recommend and serving batch of that engine.
 
-    With ``columnar`` enabled (the default) each shard runs through
-    the batch curve kernel: one cache key-batch probe, one
-    per-deployment capacity matrix, shared chunks of the bitset
-    violation kernel for every cache-missing customer
-    (:meth:`~repro.core.ppm.PricePerformanceModeler.build_curves_batch`).
-    Results are byte-identical to the per-customer path -- the
-    property the fleet-scale benchmark asserts.
+    With ``columnar`` enabled (the default) each shard runs as a
+    chunk, layer by layer: one cache key-batch probe over memoized
+    trace fingerprints, one per-deployment capacity matrix and shared
+    chunks of the bitset violation kernel for every cache-missing
+    customer
+    (:meth:`~repro.core.ppm.PricePerformanceModeler.build_curves_batch`),
+    one batched profiling call per deployment, then a vectorised
+    selection per customer.  Results are byte-identical to the
+    per-customer path -- the property the fleet-scale benchmark
+    asserts.
     """
 
     def __init__(
@@ -383,37 +394,60 @@ class _FleetRunner:
             ):
                 continue
             survivors.append((record, point))
-        profiles = self._profile_survivors(survivors)
-        return [
-            (record.deployment.value, profile.group_key, point.throttling_probability)
-            for (record, point), profile in zip(survivors, profiles)
-        ], n_unbuildable
+        profiles = self._profiles(
+            [(record.deployment, record.trace) for record, _ in survivors]
+        )
+        observations = []
+        for (record, point), profile in zip(survivors, profiles):
+            if isinstance(profile, Exception):
+                raise profile  # the first failing record, as the per-record path
+            observations.append(
+                (record.deployment.value, profile.group_key, point.throttling_probability)
+            )
+        return observations, n_unbuildable
 
-    def _profile_survivors(
-        self, survivors: list[tuple[CloudCustomerRecord, object]]
+    def _profiles(
+        self, items: list[tuple[DeploymentType, PerformanceTrace]]
     ) -> list:
-        """Batched negotiability profiles for the gated fit records.
+        """Batched negotiability profiles of ``(deployment, trace)`` items.
 
-        Groups survivors by deployment (each deployment has its own
-        profiler) and runs each group through
-        :meth:`~repro.core.profiler.CustomerProfiler.profile_batch`,
-        which stacks same-length windows into one summarizer broadcast.
-        Results come back aligned with ``survivors``.
+        Groups the items by deployment (each deployment has its own
+        profiler) and runs each group through one
+        :meth:`~repro.core.profiler.CustomerProfiler.profile_batch`
+        call, which stacks same-length windows into one summarizer
+        broadcast.  If that call raises (a trace lacks a profiled
+        dimension, say), the group is profiled trace by trace instead,
+        so each failure stays with its own trace.  Results come back
+        aligned with ``items``: a profile, or the exception profiling
+        that trace raised.
         """
         by_deployment: dict[DeploymentType, list[int]] = {}
-        for index, (record, _) in enumerate(survivors):
-            by_deployment.setdefault(record.deployment, []).append(index)
-        profiles: list = [None] * len(survivors)
+        for index, (deployment, _) in enumerate(items):
+            by_deployment.setdefault(deployment, []).append(index)
+        profiles: list = [None] * len(items)
         for deployment, indices in by_deployment.items():
             profiler = self.engine.profiler_for(deployment)
-            batch = profiler.profile_batch(
-                [survivors[index][0].trace for index in indices]
-            )
+            traces = [items[index][1] for index in indices]
+            try:
+                batch = profiler.profile_batch(traces)
+            except Exception:  # noqa: BLE001 - re-raised per trace below
+                batch = [_profile_or_error(profiler, trace) for trace in traces]
             for index, profile in zip(indices, batch):
                 profiles[index] = profile
         return profiles
 
     def recommend_chunk(self, chunk: list[FleetCustomer]) -> list[FleetRecommendation]:
+        """Recommendations for one chunk, in chunk order.
+
+        Columnar: one batched curve build (:meth:`build_curves`), one
+        :meth:`~repro.core.profiler.CustomerProfiler.profile_batch`
+        per deployment over the customers whose curve built
+        (:meth:`_profiles`), then per-customer selection on the
+        prebuilt curve and profile.  A failed curve or profile stays
+        with its customer and surfaces as an error result with the
+        text and precedence the per-customer path produces (a curve
+        error wins over a profile error).
+        """
         if not self.columnar:
             return [self.recommend_one(customer) for customer in chunk]
         curves = self.build_curves(
@@ -422,9 +456,18 @@ class _FleetRunner:
                 for customer in chunk
             ]
         )
+        built = [
+            index for index, curve in enumerate(curves) if not isinstance(curve, Exception)
+        ]
+        profiles: list = [None] * len(chunk)
+        for index, profile in zip(
+            built,
+            self._profiles([(chunk[index].deployment, chunk[index].trace) for index in built]),
+        ):
+            profiles[index] = profile
         return [
-            self._finish_recommendation(customer, curve)
-            for customer, curve in zip(chunk, curves)
+            self._finish_recommendation(customer, curve, profile)
+            for customer, curve, profile in zip(chunk, curves, profiles)
         ]
 
     def recommend_one(self, customer: FleetCustomer) -> FleetRecommendation:
@@ -437,21 +480,29 @@ class _FleetRunner:
         return self._finish_recommendation(customer, curve)
 
     def _finish_recommendation(
-        self, customer: FleetCustomer, curve
+        self, customer: FleetCustomer, curve, profile=None
     ) -> FleetRecommendation:
         """Selection + right-sizing on a built curve (or stored failure).
 
         Shared tail of the columnar and per-customer paths, so both
         produce identical result bytes -- including the
         ``TypeName: message`` error formatting of the containment
-        contract.
+        contract.  ``profile`` is the columnar path's batched profile
+        (or the exception profiling raised), checked after the curve;
+        None lets :meth:`DopplerEngine.recommend` profile the trace.
         """
         try:
             if isinstance(curve, Exception):
                 raise curve
+            if isinstance(profile, Exception):
+                raise profile
             sizes = list(customer.file_sizes_gib) if customer.file_sizes_gib else None
             recommendation = self.engine.recommend(
-                customer.trace, customer.deployment, file_sizes_gib=sizes, curve=curve
+                customer.trace,
+                customer.deployment,
+                file_sizes_gib=sizes,
+                curve=curve,
+                profile=profile,
             )
             over: bool | None = None
             if customer.current_sku_name is not None:
@@ -499,8 +550,9 @@ class FleetEngine:
             automatic size.
         cache_size: LRU capacity of the batch curve cache.
         columnar: Drive every chunk through the columnar batch kernel
-            (one capacity-matrix build and one cache key-batch per
-            chunk) instead of the per-customer loop.  Results are
+            (one capacity-matrix build, one cache key-batch and one
+            profiling call per deployment per chunk) instead of the
+            per-customer loop.  Results are
             byte-identical either way; the flag exists so benchmarks
             and regression tests can compare the two paths.
     """

@@ -61,6 +61,11 @@ class PerfDimension(enum.Enum):
     LOG_RATE = "log_rate_mbps"
     STORAGE = "data_size_gb"
 
+    # Members are singletons compared by identity, so the identity
+    # hash agrees with equality; Enum's default re-hashes the member
+    # name in Python on every dict or set lookup keyed by a dimension.
+    __hash__ = object.__hash__
+
     @property
     def unit(self) -> str:
         """Physical unit of the raw counter."""

@@ -10,6 +10,7 @@ the only workload information the engine ever sees.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from types import MappingProxyType
 from typing import Mapping
 
@@ -59,10 +60,15 @@ class PerformanceTrace:
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
-    @property
+    @cached_property
     def dimensions(self) -> tuple[PerfDimension, ...]:
-        """Dimensions present in this trace, in stable enum order."""
-        present = set(self.series)
+        """Dimensions present in this trace, in stable enum order.
+
+        Computed once per trace and memoized on it, like
+        :meth:`demand_matrix`; the memo never pickles (a trace pickles
+        through its constructor).
+        """
+        present = self.series
         return tuple(dim for dim in PerfDimension if dim in present)
 
     @property

@@ -35,16 +35,18 @@ def module_catalog() -> SkuCatalog:
 # Registry + descriptors
 # ----------------------------------------------------------------------
 class TestArenaRegistry:
-    def test_refcount_release_unlinks_on_last_reference(self):
+    def test_release_unlinks_once(self):
         registry = ArenaRegistry()
+        kept = registry.create(64)
         segment = registry.create(64)
         assert segment.name in leaked_segments()
-        registry.acquire(segment.name)
-        registry.release(segment.name)  # 2 -> 1: still live
-        assert segment.name in leaked_segments()
-        registry.release(segment.name)  # 1 -> 0: unlinked
+        registry.release(segment.name)  # closed and unlinked
         assert segment.name not in leaked_segments()
-        assert len(registry) == 0
+        assert registry.get(segment.name) is None
+        registry.release(segment.name)  # released already; no raise
+        assert kept.name in leaked_segments()  # other segments untouched
+        assert len(registry) == 1
+        registry.close_all()
 
     def test_release_after_close_all_is_a_noop(self):
         registry = ArenaRegistry()
@@ -56,7 +58,6 @@ class TestArenaRegistry:
     def test_close_all_unlinks_everything(self):
         registry = ArenaRegistry()
         names = [registry.create(32).name for _ in range(3)]
-        registry.acquire(names[0])
         registry.close_all()
         live = leaked_segments()
         assert all(name not in live for name in names)

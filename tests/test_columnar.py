@@ -18,7 +18,7 @@ from repro.core.throttling import (
 )
 from repro.fleet import FleetCustomer, FleetEngine
 from repro.simulation import FleetConfig, simulate_fleet
-from repro.telemetry import PerfDimension
+from repro.telemetry import PerfDimension, PerformanceTrace
 from repro.telemetry.counters import DB_DIMENSIONS, MI_DIMENSIONS
 
 from .conftest import full_trace, make_sku, make_trace
@@ -334,6 +334,35 @@ def result_projection(result):
     )
 
 
+def result_bytes(result) -> bytes:
+    """A fleet result as bytes: every field a caller reads, floats bit-exact."""
+    recommendation = result.recommendation
+    if recommendation is None:
+        return f"{result.customer_id}|ERROR|{result.error}".encode()
+    profile = recommendation.profile
+    return b"|".join(
+        [
+            repr(
+                (
+                    result.customer_id,
+                    recommendation.sku.name,
+                    recommendation.strategy,
+                    recommendation.expected_throttling,
+                    recommendation.target_probability,
+                    recommendation.notes,
+                    profile.entity_id,
+                    profile.dimensions,
+                    profile.negotiable,
+                    profile.group_key,
+                    recommendation.curve.points,
+                    result.over_provisioned,
+                )
+            ).encode(),
+            profile.features.tobytes(),
+        ]
+    )
+
+
 class TestFleetColumnarPath:
     @pytest.fixture(scope="class")
     def records(self, module_catalog):
@@ -384,6 +413,62 @@ class TestFleetColumnarPath:
         assert per_path[True][0][0] == "bad"
         assert per_path[True][0][-1] is not None  # contained error string
         assert per_path[True][1][-1] is None
+
+    def test_profiling_failure_stays_with_its_customer(self, module_catalog, records):
+        """A trace whose curve builds but whose profiling raises.
+
+        Its KeyError makes the chunk's batched profiling call fail; the
+        error must come back as that customer's result only, with the
+        per-customer path's text, and a storage misfit in the same
+        chunk keeps its curve error.
+        """
+        full = full_trace(n=16, entity_id="no-memory")
+        no_memory = FleetCustomer(
+            customer_id="no-memory",
+            trace=PerformanceTrace(
+                {dim: ts for dim, ts in full.series.items() if dim is not PerfDimension.MEMORY},
+                entity_id="no-memory",
+            ),
+            deployment=DeploymentType.SQL_DB,
+        )
+        misfit = FleetCustomer(
+            customer_id="misfit",
+            trace=make_trace(np.full(8, 1.0), data_size_gb=np.full(8, 1e9)),
+            deployment=DeploymentType.SQL_DB,
+        )
+        good = [
+            FleetCustomer(
+                customer_id=f"{deployment.short_name}{index}",
+                trace=record.trace,
+                deployment=deployment,
+                current_sku_name=record.chosen_sku_name if index % 2 else None,
+            )
+            for index, record in enumerate(records[:6])
+            for deployment in (DeploymentType.SQL_DB, DeploymentType.SQL_MI)
+        ]
+        chunk = good[:5] + [no_memory] + good[5:9] + [misfit] + good[9:]
+
+        def fleet(columnar=True):
+            engine = FleetEngine(
+                engine=DopplerEngine(catalog=module_catalog),
+                backend="serial",
+                columnar=columnar,
+                chunk_size=len(chunk),  # one chunk: one batched profiling call
+            )
+            engine.fit_fleet(records)
+            return engine
+
+        columnar = [result_bytes(r) for r in fleet().recommend_fleet(chunk)]
+        per_customer = [result_bytes(r) for r in fleet(False).recommend_fleet(chunk)]
+        batch = [result_bytes(r) for r in fleet().recommend_batch(chunk)]
+        assert columnar == per_customer == batch
+        by_id = dict(zip([customer.customer_id for customer in chunk], columnar))
+        assert by_id["no-memory"].startswith(b"no-memory|ERROR|KeyError: ")
+        assert b"has no MEMORY counter" in by_id["no-memory"]
+        assert by_id["misfit"].startswith(b"misfit|ERROR|ValueError: ")
+        alone = [result_bytes(r) for r in fleet().recommend_batch(good)]
+        assert [by_id[customer.customer_id] for customer in good] == alone
+        assert all(b"|ERROR|" not in line for line in alone)
 
     def test_mi_customers_take_columnar_path(self, module_catalog, records):
         customers = [

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import pickle
 import threading
 
 import numpy as np
@@ -21,6 +22,8 @@ from repro.fleet import (
 )
 from repro.simulation import FleetConfig, simulate_fleet
 from repro.telemetry import (
+    PerfDimension,
+    PerformanceTrace,
     dump_trace_batch,
     iter_trace_paths,
     load_trace_batch,
@@ -153,6 +156,42 @@ class TestCurveCache:
         blur_a = make_trace(cpu=cpu, interval_minutes=10.5, entity_id="a")
         blur_b = make_trace(cpu=cpu, interval_minutes=0.5, entity_id="a1")
         assert trace_fingerprint(blur_a) != trace_fingerprint(blur_b)
+
+    def test_trace_fingerprint_tells_sample_counts_and_dimension_sets_apart(self):
+        assert trace_fingerprint(make_trace(cpu=np.ones(16))) != trace_fingerprint(
+            make_trace(cpu=np.ones(17))
+        )
+        # The same sample bytes, split over different dimensions.
+        cpu_memory = make_trace(cpu=np.ones(8), memory_gb=np.ones(8))
+        cpu_iops = make_trace(cpu=np.ones(8), data_iops=np.ones(8))
+        cpu_only = make_trace(cpu=np.ones(16))
+        keys = {trace_fingerprint(t) for t in (cpu_memory, cpu_iops, cpu_only)}
+        assert len(keys) == 3
+
+    def test_trace_fingerprint_of_a_strided_series_matches_its_copy(self):
+        samples = np.arange(64.0)
+        strided = make_trace(cpu=samples[::2], memory_gb=samples[1::2])
+        assert not strided[PerfDimension.CPU].values.flags.c_contiguous
+        contiguous = make_trace(
+            cpu=samples[::2].copy(), memory_gb=samples[1::2].copy()
+        )
+        assert trace_fingerprint(strided) == trace_fingerprint(contiguous)
+
+    def test_trace_fingerprint_of_a_fresh_trace_over_the_same_series(self):
+        trace = full_trace(n=48, rng=5, entity_id="fresh")
+        key = trace_fingerprint(trace)
+        assert trace_fingerprint(trace) == key  # memoized
+        fresh = PerformanceTrace(series=dict(trace.series), entity_id=trace.entity_id)
+        assert trace_fingerprint(fresh) == key
+
+    def test_pickled_trace_does_not_carry_the_fingerprint_memo(self):
+        trace = full_trace(n=48, rng=6, entity_id="pickled")
+        key = trace_fingerprint(trace)
+        blob = pickle.dumps(trace)
+        assert key.encode() not in blob
+        clone = pickle.loads(blob)
+        assert "_fingerprint" not in vars(clone)
+        assert trace_fingerprint(clone) == key
 
 
 # ----------------------------------------------------------------------

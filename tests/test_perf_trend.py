@@ -16,6 +16,7 @@ from perf_trend import (  # noqa: E402
     check_floors,
     collect_metrics,
     compare_records,
+    higher_is_better,
     load_floors,
     load_records,
     lower_is_better,
@@ -84,6 +85,20 @@ class TestCollectMetrics:
     def test_ticks_leaves_participate_too(self):
         metrics = collect_metrics(recovery_record("x", 2.5))
         assert metrics == {"recovery.mttr_ticks": 2.5}
+
+    def test_accuracy_leaves_participate_as_higher_is_better(self):
+        paper = {
+            "benchmark": "paper",
+            "table5": {"db_accuracy": 0.875, "mi_accuracy": 0.918, "n": 120},
+        }
+        metrics = collect_metrics(paper)
+        assert metrics == {"table5.db_accuracy": 0.875, "table5.mi_accuracy": 0.918}
+        assert higher_is_better("table5.db_accuracy")
+        assert not lower_is_better("table5.db_accuracy")
+        floors = {"paper": {"table5.db_accuracy": 0.8}}
+        assert check_floors({"paper": paper}, floors) == []
+        paper["table5"]["db_accuracy"] = 0.7
+        assert "below the absolute floor" in check_floors({"paper": paper}, floors)[0]
 
     def test_bytes_leaves_participate_as_lower_is_better(self):
         metrics = collect_metrics(size_record("x", 23312.0))
@@ -324,9 +339,12 @@ class TestBlockingBenchmarks:
         assert "recovery.mttr_ticks" in floors["streaming"]  # fault-matrix ceiling
         # Persisted bytes per checkpointed customer: a size ceiling.
         assert "checkpoint.state_bytes_per_customer" in floors["streaming"]
+        # The paper benches' own accuracy assertions.
+        assert floors["paper"]["table4.thresholding.db_accuracy"] == 0.55
+        assert floors["paper"]["table5.mi_accuracy"] == 0.8
         for metric_floors in floors.values():
             for metric, floor in metric_floors.items():
-                assert metric.endswith("_per_sec") or lower_is_better(metric)
+                assert higher_is_better(metric) or lower_is_better(metric)
                 assert floor > 0
 
 

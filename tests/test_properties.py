@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -12,6 +12,8 @@ from repro.core import (
     GroupScoreModel,
     PricePerformanceCurve,
 )
+from repro.core.curve import CurvePoint
+from repro.core.matching import GroupStatistics
 from repro.ml import (
     agglomerative,
     ecdf,
@@ -116,6 +118,125 @@ class TestCurveProperties:
             assert 1.0 - point.score <= target + 1e-12
             best_gap = min(abs(1.0 - p.score - target) for p in feasible)
             assert abs(1.0 - point.score - target) == pytest.approx(best_gap, abs=1e-9)
+
+
+def scan_selection(scores: list[float], target: float) -> int:
+    """The selector as a plain scalar scan: the oracle of the fast path.
+
+    A verbatim copy of the scan ``GroupScoreModel.recommend`` ran
+    before it was vectorised: a pick changes only on a gap improvement
+    of more than 1e-12; the feasible pick wins, else the overall one.
+    """
+    feasible_rank = None
+    feasible_gap = float("inf")
+    overall_rank = 0
+    overall_gap = float("inf")
+    for rank, score in enumerate(scores):
+        probability = 1.0 - score
+        gap = abs(probability - target)
+        if gap < overall_gap - 1e-12:
+            overall_gap = gap
+            overall_rank = rank
+        if probability <= target + 1e-12 and gap < feasible_gap - 1e-12:
+            feasible_gap = gap
+            feasible_rank = rank
+    return overall_rank if feasible_rank is None else feasible_rank
+
+
+@st.composite
+def selection_targets(draw, scores: np.ndarray) -> float:
+    """A target on, within 1e-12 of, or beyond the curve's probabilities."""
+    probabilities = 1.0 - scores
+    kind = draw(st.sampled_from(["on", "near", "above", "below", "anywhere"]))
+    if kind == "anywhere":
+        return draw(st.floats(min_value=0.0, max_value=1.0))
+    if kind == "above":
+        return float(probabilities.max()) + draw(st.sampled_from([1e-13, 1e-12, 2e-12, 0.1]))
+    if kind == "below":
+        return float(probabilities.min()) - draw(st.sampled_from([1e-13, 1e-12, 2e-12, 0.1]))
+    on = float(probabilities[draw(st.integers(0, probabilities.size - 1))])
+    if kind == "on":
+        return on
+    return on + draw(st.floats(min_value=-1e-12, max_value=1e-12))
+
+
+class TestSelectorExactness:
+    """The vectorised selector returns the scalar scan's point on every curve."""
+
+    @staticmethod
+    def model_targeting(target: float) -> GroupScoreModel:
+        stats = GroupStatistics(p_mean=target, p_std=0.0, count=1)
+        return GroupScoreModel(groups={(0,): stats}, fallback=stats)
+
+    def assert_matches_scan(self, curve: PricePerformanceCurve, target: float) -> None:
+        expected = curve.point_at(scan_selection(curve.scores().tolist(), target))
+        assert self.model_targeting(target).recommend(curve, (0,)) == expected
+
+    @given(
+        arrays(
+            np.float64,
+            st.integers(1, 30),
+            elements=st.one_of(
+                st.floats(min_value=0.0, max_value=1.0, allow_nan=False),
+                st.sampled_from([0.0, 0.1, 0.1 + 1e-12, 0.1 - 1e-12, 0.5, 1.0]),
+            ),
+        ),
+        st.data(),
+    )
+    def test_running_max_curves(self, probabilities, data):
+        skus = [make_sku(2 * (i + 1)) for i in range(probabilities.size)]
+        curve = PricePerformanceCurve.from_probabilities(skus, probabilities)
+        self.assert_matches_scan(curve, data.draw(selection_targets(curve.scores())))
+
+    @given(
+        st.floats(min_value=0.0, max_value=0.9),
+        st.lists(
+            st.one_of(
+                st.floats(min_value=-1e-12, max_value=0.0),
+                st.sampled_from([-1e-12, -5e-13, 0.0]),
+                st.floats(min_value=0.0, max_value=0.1),
+            ),
+            max_size=24,
+        ),
+        st.data(),
+    )
+    def test_explicit_curves_with_dips(self, start, steps, data):
+        """Scores may fall by up to 1e-12 per point, so dips can chain."""
+        scores = np.cumsum([start, *steps])
+        points = [
+            CurvePoint(make_sku(2 * (i + 1)), 10.0 * (i + 1), 1.0 - score, float(score))
+            for i, score in enumerate(scores.tolist())
+        ]
+        try:
+            curve = PricePerformanceCurve(points)
+        except ValueError:
+            assume(False)  # a rounded step fell just past the 1e-12 bound
+        self.assert_matches_scan(curve, data.draw(selection_targets(curve.scores())))
+
+    def test_a_dipping_chain_takes_the_scan(self):
+        """Later feasible gaps shrinking past 1e-12: the scan decides."""
+        scores = [0.5]
+        for _ in range(3):
+            scores.append(scores[-1] - 1e-12)  # the largest dip the curve allows
+        points = [
+            CurvePoint(make_sku(2 * (i + 1)), 10.0 * (i + 1), 1.0 - score, score)
+            for i, score in enumerate(scores)
+        ]
+        curve = PricePerformanceCurve(points)
+        target = 1.0 - scores[-1]
+        chosen = scan_selection(scores, target)
+        assert chosen != 0  # the cheapest feasible rank is not the answer
+        self.assert_matches_scan(curve, target)
+
+    def test_an_infinite_gap_takes_the_scan(self):
+        """The only feasible point has an infinite gap: the scan skips it."""
+        points = [
+            CurvePoint(make_sku(2), 10.0, 0.8, 0.2),
+            CurvePoint(make_sku(4), 20.0, 0.0, float("inf")),
+        ]
+        curve = PricePerformanceCurve(points)
+        assert scan_selection([0.2, float("inf")], 0.5) == 0
+        self.assert_matches_scan(curve, 0.5)
 
 
 class TestThrottlingProperties:
