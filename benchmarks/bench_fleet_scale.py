@@ -15,6 +15,15 @@ determinism contract, asserted here), and on a full run the columnar
 path must deliver at least ``--min-columnar-speedup`` (default 3x)
 the per-customer fit+recommend throughput.
 
+A full run times every size :data:`FULL_REPEATS` times, alternating
+which path goes first, and gates on the median ratio: one timing
+swings too widely between runs of one tree to read the gate from.
+Every pass builds its own training records, customers and
+:class:`~repro.fleet.engine.FleetEngine` (same seeds, so the same
+content), so no pass reads a curve cache or a trace memo (demand
+matrix, fingerprint) that another pass warmed.  The smoke run times
+each path once.
+
 Standalone script (not a pytest benchmark)::
 
     python benchmarks/bench_fleet_scale.py            # 100 / 1000 / 5000
@@ -36,6 +45,7 @@ import hashlib
 import json
 import os
 import platform
+import statistics
 import sys
 import time
 from pathlib import Path
@@ -64,6 +74,9 @@ from repro.workloads import (
 RESULTS_DIR = Path(__file__).parent / "results"
 RESULTS_PATH = RESULTS_DIR / "fleet_scale.txt"
 JSON_PATH = RESULTS_DIR / "BENCH_fleet.json"
+
+#: Timed repeats per fleet size in a full run (the smoke run times once).
+FULL_REPEATS = 5
 
 
 def make_customers(
@@ -148,6 +161,30 @@ def fit_fitted_engine(
     return fleet, time.perf_counter() - start
 
 
+def timed_pass(
+    columnar: bool,
+    catalog: SkuCatalog,
+    train_config: FleetConfig,
+    seed: int,
+    size: int,
+    duration: float,
+    interval: float,
+) -> tuple[float, float, list[FleetRecommendation]]:
+    """One cold fit + recommend pass: ``(fit_s, recommend_s, results)``.
+
+    Training records, customers and the engine are all built for this
+    pass alone, so nothing it reads was memoized by an earlier pass.
+    """
+    records = [
+        customer.record for customer in simulate_fleet(train_config, catalog, rng=seed)
+    ]
+    customers = make_customers(size, duration, interval, seed=seed + size)
+    fleet, fit_seconds = fit_fitted_engine(records, catalog, columnar)
+    start = time.perf_counter()
+    results = list(fleet.recommend_fleet(customers))
+    return fit_seconds, time.perf_counter() - start, results
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -190,56 +227,52 @@ def main(argv: list[str] | None = None) -> int:
     lines = [f"fleet-scale benchmark: cores={cores} trace={duration:g}d@{interval:g}min"]
 
     catalog = SkuCatalog.default()
-    print(f"Training on {train_size} simulated migrated customers (both paths) ...")
+    repeats = 1 if args.smoke else FULL_REPEATS
     train_config = FleetConfig.paper_db(
         train_size, duration_days=duration, interval_minutes=interval
     )
-    train_fleet = simulate_fleet(train_config, catalog, rng=args.seed)
-    records = [customer.record for customer in train_fleet]
-    # Columnar first: the per-customer pass then reuses the traces'
-    # memoized demand matrices, keeping the comparison conservative.
-    columnar_fleet, columnar_fit_seconds = fit_fitted_engine(records, catalog, True)
-    per_customer_fleet, per_customer_fit_seconds = fit_fitted_engine(
-        records, catalog, False
+    print(
+        f"Training on {train_size} simulated migrated customers per pass; "
+        f"{repeats} timed repeat(s) per size, path order alternating ..."
     )
-    fit_line = (
-        f"fit n={len(records):>5}  per-customer {len(records) / per_customer_fit_seconds:>8.1f} rec/s "
-        f"({per_customer_fit_seconds:.2f}s)  columnar {len(records) / columnar_fit_seconds:>8.1f} rec/s "
-        f"({columnar_fit_seconds:.2f}s)  speedup "
-        f"{per_customer_fit_seconds / columnar_fit_seconds:.2f}x"
-    )
-    print(fit_line)
-    lines.append(fit_line)
 
+    lines.append(f"timings: median of {repeats} cold pass(es) per path, order alternating")
+    fit_seconds: dict[bool, list[float]] = {True: [], False: []}
     failed_identity = False
     failed_columnar = False
     size_records = []
     for size in sizes:
-        print(f"Generating {size} synthetic customers ...")
-        customers = make_customers(size, duration, interval, seed=args.seed + size)
-
-        start = time.perf_counter()
-        columnar_results = list(columnar_fleet.recommend_fleet(customers))
-        columnar_seconds = time.perf_counter() - start
-
-        start = time.perf_counter()
-        per_customer_results = list(per_customer_fleet.recommend_fleet(customers))
-        per_customer_seconds = time.perf_counter() - start
-
-        columnar_blob = canonical_bytes(columnar_results)
-        per_customer_blob = canonical_bytes(per_customer_results)
-        identical_columnar = columnar_blob == per_customer_blob
-        digest = hashlib.sha256(columnar_blob).hexdigest()[:16]
-        # The acceptance metric: whole-pass (fit + recommend) speedup
-        # of the columnar path over the per-customer path.
-        columnar_speedup = (per_customer_fit_seconds + per_customer_seconds) / (
-            columnar_fit_seconds + columnar_seconds
-        )
+        print(f"Timing {size} synthetic customers ...")
+        recommend_seconds: dict[bool, list[float]] = {True: [], False: []}
+        speedups: list[float] = []
+        blobs: set[bytes] = set()
+        for repeat in range(repeats):
+            # Columnar first on even repeats, per-customer first on odd.
+            order = (True, False) if repeat % 2 == 0 else (False, True)
+            passes = {}
+            for columnar in order:
+                fit_s, recommend_s, results = timed_pass(
+                    columnar, catalog, train_config, args.seed, size, duration, interval
+                )
+                fit_seconds[columnar].append(fit_s)
+                recommend_seconds[columnar].append(recommend_s)
+                passes[columnar] = (fit_s + recommend_s, results)
+                blobs.add(canonical_bytes(results))
+            # The acceptance metric: whole-pass (fit + recommend) speedup
+            # of the columnar path over the per-customer path.
+            speedups.append(passes[False][0] / passes[True][0])
+        columnar_results = passes[True][1]
+        identical_columnar = len(blobs) == 1
+        digest = hashlib.sha256(canonical_bytes(columnar_results)).hexdigest()[:16]
+        columnar_speedup = statistics.median(speedups)
+        per_customer_seconds = statistics.median(recommend_seconds[False])
+        columnar_seconds = statistics.median(recommend_seconds[True])
         summary = summarize_fleet(columnar_results)
         line = (
             f"n={size:>6}  per-customer {size / per_customer_seconds:>8.1f} cust/s "
             f"({per_customer_seconds:.2f}s)  columnar {size / columnar_seconds:>8.1f} cust/s "
-            f"({columnar_seconds:.2f}s)  columnar-speedup(fit+rec) {columnar_speedup:.2f}x  "
+            f"({columnar_seconds:.2f}s)  columnar-speedup(fit+rec) {columnar_speedup:.2f}x "
+            f"[{min(speedups):.2f}-{max(speedups):.2f}x]  "
             f"identical={identical_columnar}  sha256[:16]={digest}  "
             f"recommended={summary.n_recommended} failed={summary.n_failed}"
         )
@@ -251,6 +284,7 @@ def main(argv: list[str] | None = None) -> int:
                 "per_customer_cust_per_sec": size / per_customer_seconds,
                 "columnar_cust_per_sec": size / columnar_seconds,
                 "columnar_fit_plus_recommend_speedup": columnar_speedup,
+                "columnar_fit_plus_recommend_speedups": speedups,
                 "identical_columnar": identical_columnar,
                 "n_recommended": summary.n_recommended,
                 "n_failed": summary.n_failed,
@@ -260,6 +294,18 @@ def main(argv: list[str] | None = None) -> int:
             failed_identity = True
         if not args.smoke and columnar_speedup < args.min_columnar_speedup:
             failed_columnar = True
+
+    columnar_fit_seconds = statistics.median(fit_seconds[True])
+    per_customer_fit_seconds = statistics.median(fit_seconds[False])
+    n_records = train_size
+    fit_line = (
+        f"fit n={n_records:>5}  per-customer {n_records / per_customer_fit_seconds:>8.1f} rec/s "
+        f"({per_customer_fit_seconds:.2f}s)  columnar {n_records / columnar_fit_seconds:>8.1f} rec/s "
+        f"({columnar_fit_seconds:.2f}s)  speedup "
+        f"{per_customer_fit_seconds / columnar_fit_seconds:.2f}x"
+    )
+    print(fit_line)
+    lines.append(fit_line)
 
     if args.smoke:
         lines.append("smoke mode: speedup gates skipped (timing noise on shared CI runners)")
@@ -271,10 +317,11 @@ def main(argv: list[str] | None = None) -> int:
         "smoke": args.smoke,
         "cores": cores,
         "min_columnar_speedup": args.min_columnar_speedup,
+        "repeats": repeats,
         "fit": {
-            "n_records": len(records),
-            "per_customer_records_per_sec": len(records) / per_customer_fit_seconds,
-            "columnar_records_per_sec": len(records) / columnar_fit_seconds,
+            "n_records": n_records,
+            "per_customer_records_per_sec": n_records / per_customer_fit_seconds,
+            "columnar_records_per_sec": n_records / columnar_fit_seconds,
         },
         "sizes": size_records,
     }
@@ -292,7 +339,7 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     if failed_columnar:
         print(
-            f"FAIL: columnar fit+recommend speedup below "
+            f"FAIL: median columnar fit+recommend speedup below "
             f"{args.min_columnar_speedup:.1f}x over the per-customer path",
             file=sys.stderr,
         )

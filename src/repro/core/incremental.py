@@ -405,33 +405,16 @@ class IncrementalThrottlingEstimator:
         return ring
 
     @staticmethod
-    def state_arrays(state: dict, arrays: list[np.ndarray]) -> dict:
-        """Flatten a :meth:`state_dict` into numpy payloads + skeleton.
-
-        The counts vector lands in ``arrays`` for the array-framed
-        handoff (and a stored ring, for snapshots that still carry
-        one); the overrides dict stays pickled -- it is a handful of
-        floats.  :meth:`state_from_arrays` is the exact inverse.
-        """
-        base = len(arrays)
-        arrays.append(np.asarray(state["counts"], dtype=np.int64))
-        skeleton = {
-            "n_seen": state["n_seen"],
-            "iops_overrides": state["iops_overrides"],
-            "base": base,
-        }
-        if "ring" in state:
-            ring = state["ring"]
-            if ring is not None:
-                arrays.append(np.asarray(ring, dtype=bool))
-            skeleton["has_ring"] = ring is not None
-        else:
-            skeleton["window"] = state["window"]
-        return skeleton
-
-    @staticmethod
     def state_from_arrays(skeleton: dict, arrays: list[np.ndarray]) -> dict:
-        """Rebuild a :meth:`state_dict` from framed arrays (copies out)."""
+        """Rebuild a :meth:`state_dict` from a ``DSF1`` blob's arrays.
+
+        Reads the array-framed store blobs written before state blobs
+        became plain pickles (see
+        :func:`~repro.streaming.live.unflatten_state`), in both
+        layouts: the older one that stored the violation ring
+        (``has_ring`` in the skeleton) and the ring-free one, whose
+        ring :meth:`load_state` rebuilds.  Copies every array out.
+        """
         base = skeleton["base"]
         counts = np.array(arrays[base], dtype=np.int64)
         if "has_ring" in skeleton:  # framed before rings were rebuilt

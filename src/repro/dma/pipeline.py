@@ -14,7 +14,6 @@ dashboard together and also exposes the baseline strategy side-by-side
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -27,7 +26,6 @@ from ..core.baseline import BaselineStrategy
 from ..core.engine import DopplerEngine
 from ..core.types import DopplerRecommendation
 from ..fleet.engine import (
-    FleetBackend,
     FleetCustomer,
     FleetEngine,
     FleetLiveUpdate,
@@ -185,8 +183,6 @@ class AssessmentPipeline:
     def assess_fleet(
         self,
         customers: Iterable[FleetCustomer],
-        backend: FleetBackend | None = None,
-        max_workers: int | None = None,
         chunk_size: int | None = None,
     ) -> FleetAssessmentResult:
         """Run the fleet stage: preprocess and assess a population.
@@ -199,18 +195,8 @@ class AssessmentPipeline:
         Args:
             customers: The fleet to assess (any iterable; consumed
                 lazily through the preprocessing step).
-            backend: Deprecated and ignored: fleet batch passes always
-                run in the parent, so it selects nothing.
-            max_workers: Deprecated and ignored, like ``backend``.
             chunk_size: Customers per chunk (automatic when omitted).
         """
-        if backend is not None or max_workers is not None:
-            warnings.warn(
-                "assess_fleet(backend=..., max_workers=...) is deprecated and "
-                "ignored: fleet batch passes always run in the parent",
-                DeprecationWarning,
-                stacklevel=2,
-            )
         short_windows: dict[str, float] = {}
 
         def preprocessed() -> Iterable[FleetCustomer]:

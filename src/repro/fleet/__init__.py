@@ -9,8 +9,7 @@ streaming assessments across an execution backend
 with sticky per-customer routing over a consistent-hash ring
 (:mod:`repro.fleet.sharding`) and optional live rebalancing --
 customer migration, hot-key pinning and worker-pool resizing
-(:mod:`repro.fleet.rebalance`).  ``ThreadBackend`` is a deprecated
-alias of the serial backend.
+(:mod:`repro.fleet.rebalance`).
 """
 
 from .backends import (
@@ -18,7 +17,6 @@ from .backends import (
     ExecutionBackend,
     ProcessBackend,
     SerialBackend,
-    ThreadBackend,
     WatchSupervisionStats,
     WorkerEvent,
     make_backend,
@@ -62,7 +60,6 @@ __all__ = [
     "BACKEND_NAMES",
     "ExecutionBackend",
     "SerialBackend",
-    "ThreadBackend",
     "ProcessBackend",
     "make_backend",
     "ShardRing",

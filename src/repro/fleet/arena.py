@@ -1,4 +1,4 @@
-"""Shared-memory data plane of the process watch.
+"""Shared-memory tick plane of the process watch.
 
 A process watch dispatches thousands of small microbatches per shard.
 Rather than pickle every tick's samples and every result's numbers
@@ -8,8 +8,9 @@ shared memory (:mod:`multiprocessing.shared_memory`): the
 slots, allocated once and reused for the watch's lifetime, and only
 lightweight descriptors (segment name, offset, shape, dtype) cross the
 queues.  Workers map ndarray views over the segments.  State handoffs
-(migration, supervisor restores, checkpoint snapshots) frame their
-numpy payloads through one-shot scratch segments of the same plane.
+(migration, supervisor restores, checkpoint snapshots) do not use the
+plane: their ``CustomerStateRecord`` lists cross the worker queues as
+plain pickles.
 
 Lifecycle contract (the part that keeps ``/dev/shm`` clean):
 
@@ -19,10 +20,8 @@ Lifecycle contract (the part that keeps ``/dev/shm`` clean):
   end.  Unlinking while a straggler worker still maps
   a segment is safe on POSIX: the name disappears, the mapping
   survives until the worker drops it.
-* Workers never own anything: they attach -- tick and result slots
-  for the worker's lifetime, a state frame for one handshake.  A
-  mapping pinned by a live view (``BufferError``) is left attached
-  rather than crashing the worker.  Attach-time resource-tracker
+* Workers never own anything: they attach to tick and result slots
+  for the worker's lifetime.  Attach-time resource-tracker
   registrations are left alone -- under fork the workers share the
   parent's tracker, whose set-based cache collapses the duplicates
   (see :func:`_attach`).
@@ -48,15 +47,10 @@ __all__ = [
     "ArenaRegistry",
     "ArrayDescriptor",
     "ResultFrame",
-    "StateFrame",
-    "StateFrameSpec",
     "TickFrame",
     "TickPlane",
-    "adopt_state_frame",
     "leaked_segments",
-    "pack_state_records",
     "result_nbytes",
-    "unpack_state_records",
     "unpack_tick",
     "write_result_columns",
 ]
@@ -111,8 +105,9 @@ class ArrayDescriptor:
 
 
 class ArenaRegistry:
-    """Parent-side owner of shared-memory segments.
+    """Parent-side owner of the tick plane's shared-memory segments.
 
+    The tick and result slots are the only segments a watch creates.
     Every segment created through the registry is unlinked exactly
     once: when it is released, or -- whichever comes first -- when
     :meth:`close_all` force-releases the registry.  The registry is
@@ -178,8 +173,7 @@ class ArenaRegistry:
 # Worker-side attachment management
 # ----------------------------------------------------------------------
 #: Per-process cache of attached segments, by name.  Tick and result
-#: slots stay attached for the worker's lifetime; one-shot state
-#: frames are closed after their handshake (:func:`_close_attachment`).
+#: slots stay attached for the worker's lifetime.
 _ATTACHED: dict[str, shared_memory.SharedMemory] = {}
 
 
@@ -189,7 +183,7 @@ def _attach(name: str) -> shared_memory.SharedMemory:
         segment = shared_memory.SharedMemory(name=name)
         # Attaching re-registers the segment with the resource tracker
         # (Python < 3.13 has no track=False).  Under the fork start
-        # method -- this data plane's platform -- pool workers share
+        # method -- the tick plane's platform -- pool workers share
         # the parent's tracker process, whose cache is a *set*: the
         # duplicate registration collapses and the parent's single
         # ``unlink`` balances it.  Unregistering here instead would
@@ -197,25 +191,6 @@ def _attach(name: str) -> shared_memory.SharedMemory:
         # shared cache, so we deliberately leave the tracker alone.
         _ATTACHED[name] = segment
     return segment
-
-
-def _close_attachment(name: str) -> None:
-    """Close one attached segment if this process can let go of it.
-
-    The worker side of a state-frame handshake drops the frame's
-    scratch segment as soon as its records are packed or decoded.  A
-    ``BufferError`` means an ndarray view still points into the
-    mapping; the segment stays attached -- losing a few pages beats
-    corrupting a live array.
-    """
-    segment = _ATTACHED.get(name)
-    if segment is None:
-        return
-    try:
-        segment.close()
-    except BufferError:
-        return
-    del _ATTACHED[name]
 
 
 # ----------------------------------------------------------------------
@@ -320,28 +295,6 @@ class ResultFrame:
     sidecar: tuple[tuple, ...]
 
 
-@dataclass(frozen=True)
-class StateFrameSpec:
-    """A parent-created scratch segment offered for a framed reply."""
-
-    segment: str
-    capacity: int
-
-
-@dataclass(frozen=True)
-class StateFrame:
-    """Framed ``CustomerStateRecord`` payload: arrays in shm, bones pickled.
-
-    ``entries`` is ``(customer_id, quarantined, skeleton_or_None)`` per
-    record; skeletons reference ``arrays`` by index (see
-    ``repro.streaming.live.flatten_state``).
-    """
-
-    segment: str
-    entries: tuple[tuple, ...]
-    arrays: tuple[ArrayDescriptor, ...]
-
-
 _RESULT_COLUMNS: tuple[tuple[str, str], ...] = (
     ("seq", "int64"),
     ("n_seen", "int64"),
@@ -384,9 +337,8 @@ class TickPlane:
     replacement) when a tick outsizes them -- never created or
     unlinked per tick.  The parent packs microbatches in, workers map
     views out; workers write result columns in, the parent maps them
-    out.  State handoffs (extract/install/delta-snapshot) use one-shot
-    scratch segments instead: they only run at drained boundaries, and
-    their payload size is data-dependent.
+    out.  State handoffs (extract, install, snapshot) do not touch the
+    plane: they cross the worker queues as plain pickles.
 
     Everything is owned by the parent through one
     :class:`ArenaRegistry`, so a worker SIGKILL leaks nothing and
@@ -394,7 +346,7 @@ class TickPlane:
     clean ``/dev/shm`` after drains, abandonment and crashes alike.
     """
 
-    def __init__(self, window: int) -> None:
+    def __init__(self) -> None:
         # The plane is built before the watch workers fork.  Starting
         # the resource tracker *now* means every worker inherits the
         # shared tracker, so their attach-time registrations collapse
@@ -406,11 +358,6 @@ class TickPlane:
 
         resource_tracker.ensure_running()
         self.registry = ArenaRegistry()
-        # Generous framed-handoff bound: ring buffers and deques scale
-        # with the window, sketch blocks with window/block_size; the
-        # fixed term absorbs per-record skeleton slack.  Oversized
-        # states (huge catalogs) fall back to plain pickling.
-        self.record_bound = 128 * 1024 + int(window) * 512
         self._tick_slots: dict[int, list] = {}
         self._result_slots: dict[int, list] = {}
         self._rec_memo: dict[str, object] = {}
@@ -435,7 +382,7 @@ class TickPlane:
                     self.registry.release(segment.name)
 
     def close(self) -> None:
-        """Force-release every slot and scratch segment."""
+        """Force-release every slot."""
         self._tick_slots.clear()
         self._result_slots.clear()
         self._rec_memo.clear()
@@ -581,42 +528,6 @@ class TickPlane:
             )
         return emissions
 
-    # -- state handoff (one-shot scratch segments) -----------------------
-    def offer_frame(self, n_records: int) -> StateFrameSpec:
-        """A scratch segment big enough for ``n_records`` framed states."""
-        segment = self.registry.create(
-            _HEADER_BYTES + self.record_bound * max(n_records, 1)
-        )
-        return StateFrameSpec(segment=segment.name, capacity=segment.size)
-
-    def publish_records(self, records: list) -> tuple[StateFrame, str] | None:
-        """Frame records into a fresh exactly-sized scratch segment.
-
-        Parent side of the install direction.  Returns None when any
-        record resists flattening (future state shapes); the caller
-        falls back to plain pickling.
-        """
-        flattened = _flatten_records(records)
-        if flattened is None:
-            return None
-        entries, arrays = flattened
-        segment = self.registry.create(_arrays_nbytes(arrays))
-        frame = _write_state_frame(segment.name, segment.buf, entries, arrays)
-        return frame, segment.name
-
-    def adopt_records(self, frame: StateFrame) -> list:
-        """Decode a framed reply written into a plane-owned segment."""
-        segment = self.registry.get(frame.segment)
-        if segment is None:  # pragma: no cover - handshakes are synchronous
-            raise RuntimeError(
-                f"state frame names released segment {frame.segment!r}"
-            )
-        return unpack_state_records(frame, segment.buf)
-
-    def release(self, name: str) -> None:
-        """Drop one scratch segment (handshake finished)."""
-        self.registry.release(name)
-
 
 def unpack_tick(frame: TickFrame) -> list:
     """Worker side: map one tick frame back into ``(seq, FleetSample)``s.
@@ -740,74 +651,3 @@ def write_result_columns(
         arrays=descriptors,
         sidecar=tuple(sidecar),
     )
-
-
-def _flatten_records(records: list) -> tuple[list[tuple], list[np.ndarray]] | None:
-    from ..streaming.live import flatten_state
-
-    arrays: list[np.ndarray] = []
-    entries: list[tuple] = []
-    for record in records:
-        if record.state is None:
-            entries.append((record.customer_id, record.quarantined, None))
-            continue
-        try:
-            skeleton = flatten_state(record.state, arrays)
-        except Exception:  # noqa: BLE001 - unknown state shape: plain fallback
-            return None
-        entries.append((record.customer_id, record.quarantined, skeleton))
-    return entries, arrays
-
-
-def _write_state_frame(
-    segment_name: str, buf, entries: list[tuple], arrays: list[np.ndarray]
-) -> StateFrame:
-    descriptors, _ = _pack_arrays(segment_name, buf, _HEADER_BYTES, arrays)
-    return StateFrame(
-        segment=segment_name, entries=tuple(entries), arrays=descriptors
-    )
-
-
-def pack_state_records(records: list, spec: StateFrameSpec) -> StateFrame | None:
-    """Worker side: frame records into a parent-offered scratch segment.
-
-    Returns None when the states outsize the offered capacity (or
-    resist flattening); the caller replies with plain pickled records
-    instead -- correctness never depends on the frame fitting.
-    """
-    flattened = _flatten_records(records)
-    if flattened is None:
-        return None
-    entries, arrays = flattened
-    if _arrays_nbytes(arrays) > spec.capacity:
-        return None
-    segment = _attach(spec.segment)
-    frame = _write_state_frame(spec.segment, segment.buf, entries, arrays)
-    _close_attachment(spec.segment)
-    return frame
-
-
-def unpack_state_records(frame: StateFrame, buf) -> list:
-    """Rebuild ``CustomerStateRecord``s from a frame (copies out of shm)."""
-    from ..store.persistence import CustomerStateRecord
-    from ..streaming.live import unflatten_state
-
-    arrays = [descriptor.view(buf) for descriptor in frame.arrays]
-    records: list = []
-    for customer_id, quarantined, skeleton in frame.entries:
-        state = None if skeleton is None else unflatten_state(skeleton, arrays)
-        records.append(
-            CustomerStateRecord(
-                customer_id=customer_id, state=state, quarantined=quarantined
-            )
-        )
-    return records
-
-
-def adopt_state_frame(frame: StateFrame) -> list:
-    """Worker side: decode an install frame and drop the mapping."""
-    segment = _attach(frame.segment)
-    try:
-        return unpack_state_records(frame, segment.buf)
-    finally:
-        _close_attachment(frame.segment)

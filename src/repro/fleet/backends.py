@@ -19,8 +19,6 @@ failure containment and quarantine ordering -- is byte-identical to the
 serial backend's, because each customer's state lives on exactly one
 shard at a time, shards process their samples in feed order, and the
 parent reorders emissions by global sequence number before yielding.
-The ``thread`` selector and :class:`ThreadBackend` are deprecated
-spellings of ``serial``.
 
 Streaming shards exchange *microbatches* ("ticks") with the parent
 rather than single samples, so queue/IPC overhead amortizes across
@@ -67,7 +65,6 @@ import os
 import queue as queue_module
 import time
 import traceback
-import warnings
 from abc import ABC, abstractmethod
 from collections import deque
 from contextlib import contextmanager
@@ -79,11 +76,8 @@ from ..store.persistence import CustomerStateRecord
 from ..streaming.live import LiveRecommender
 from .arena import (
     ResultFrame,
-    StateFrame,
     TickFrame,
     TickPlane,
-    adopt_state_frame,
-    pack_state_records,
     unpack_tick,
     write_result_columns,
 )
@@ -112,7 +106,6 @@ __all__ = [
     "ProcessBackend",
     "SerialBackend",
     "ShardAssessmentConfig",
-    "ThreadBackend",
     "WatchSupervisionStats",
     "WorkerEvent",
     "make_backend",
@@ -1210,28 +1203,29 @@ def _watch_worker_main(
       a plain list when the supervisor replays a tick, and
       ``directive`` is ``None`` or an injected-fault order
       (``("kill",)``, ``("delay", seconds)``, ``("drop",)``),
-      ``("extract", request_id, customer_ids[, frame_spec])``,
-      ``("install", request_id, records_or_frame)``,
-      ``("snapshot", request_id, customer_ids_or_None[, frame_spec])``,
+      ``("extract", request_id, customer_ids)``,
+      ``("install", request_id, records)``,
+      ``("snapshot", request_id, customer_ids_or_None)``,
       or the ``None`` stop sentinel.
     * worker -> parent: ``("tick", worker_id, tick_id, emissions,
       busy_seconds)`` where ``emissions`` is a plain list or a
       :class:`~repro.fleet.arena.ResultFrame`, ``("extracted",
-      worker_id, request_id, records_or_frame)``, ``("installed",
+      worker_id, request_id, records)``, ``("installed",
       worker_id, request_id)``, ``("snapshotted", worker_id,
-      request_id, records_or_frame)``, ``("stopped", worker_id)`` on
+      request_id, records)``, ``("stopped", worker_id)`` on
       graceful stop, or ``("error", worker_id,
       details)`` on any failure the shard's per-customer containment
       did not absorb.
+
+    ``records`` is always a list of
+    :class:`~repro.store.persistence.CustomerStateRecord`, pickled
+    by the queue like every other message.
 
     A tick frame whose slot generation no longer matches (the parent
     recycled the buffer under this worker -- only possible if the
     worker fell pathologically behind the in-flight window) raises and
     surfaces as an ``error`` reply, which the supervisor treats like
     any worker failure: restore and replay.
-    Handoff replies fall back to plain pickled records whenever the
-    offered frame is too small; the frame is an optimization, never a
-    correctness dependency.
 
     Fault directives execute *here*, in the real worker, so the parent
     sees exactly what a production failure looks like: ``kill`` is a
@@ -1270,27 +1264,17 @@ def _watch_worker_main(
                         emissions = reply
                 out_queue.put(("tick", worker_id, tick_id, emissions, busy_seconds))
             elif kind == "extract":
-                _, request_id, customer_ids = message[:3]
-                payload = shard.extract(customer_ids)
-                if len(message) > 3:
-                    framed = pack_state_records(payload, message[3])
-                    if framed is not None:
-                        payload = framed
-                out_queue.put(("extracted", worker_id, request_id, payload))
+                _, request_id, customer_ids = message
+                records = shard.extract(customer_ids)
+                out_queue.put(("extracted", worker_id, request_id, records))
             elif kind == "install":
                 _, request_id, records = message
-                if isinstance(records, StateFrame):
-                    records = adopt_state_frame(records)
                 shard.install(records)
                 out_queue.put(("installed", worker_id, request_id))
             elif kind == "snapshot":
-                _, request_id, customer_ids = message[:3]
-                payload = shard.snapshot_records(customer_ids)
-                if len(message) > 3:
-                    framed = pack_state_records(payload, message[3])
-                    if framed is not None:
-                        payload = framed
-                out_queue.put(("snapshotted", worker_id, request_id, payload))
+                _, request_id, customer_ids = message
+                records = shard.snapshot_records(customer_ids)
+                out_queue.put(("snapshotted", worker_id, request_id, records))
             else:
                 raise RuntimeError(f"unknown watch message kind {kind!r}")
     except BaseException as exc:  # noqa: BLE001 - parent must see worker death
@@ -1304,16 +1288,19 @@ def _watch_worker_main(
 
 
 class _ProcessShardPool(_WatchPool):
-    """Persistent worker processes; state crosses on the queues only.
+    """Persistent worker processes fed over per-worker queues.
 
     Sticky routing needs *dedicated* per-worker queues, which executor
     pools cannot promise, so each shard is one long-lived
     :mod:`multiprocessing` process fed through its own input queue;
     emissions return over one shared result queue and the parent
-    reorders them into feed order.  Migration records (picklable
-    ``LiveAssessmentState`` snapshots) travel the same queues via the
-    extract/install handshakes; pool growth spawns a fresh worker and
-    shrink runs the stop handshake on the retiring one.
+    reorders them into feed order.  Tick samples and numeric results
+    move through the shared-memory :class:`~repro.fleet.arena.TickPlane`.
+    Live state -- migration extract/install, checkpoint and supervisor
+    snapshots -- travels the same queues as plain pickled
+    ``CustomerStateRecord`` lists, one request and one reply per
+    handshake.  Pool growth spawns a fresh worker and shrink runs the
+    stop handshake on the retiring one.
     """
 
     volatile = True
@@ -1330,7 +1317,7 @@ class _ProcessShardPool(_WatchPool):
         # slots per shard, reused across every tick of the watch.
         # Workers only attach, so any worker death leaks nothing and
         # close() restores a clean /dev/shm.
-        self._plane = TickPlane(config.window)
+        self._plane = TickPlane()
         for shard_id in range(n_shards):
             self.add_shard(shard_id)
 
@@ -1481,58 +1468,22 @@ class _ProcessShardPool(_WatchPool):
                 )
             return message
 
-    def _framed_request(
-        self, kind: str, reply_kind: str, shard_id: int, customer_ids
-    ) -> list[CustomerStateRecord]:
-        """Run one extract/snapshot handshake, framed when possible.
-
-        With a known record count, the parent offers a one-shot
-        scratch segment sized by the per-record bound; the worker
-        packs numpy state payloads into it (or replies plain if they
-        overflow -- correctness never depends on the frame).  The
-        scratch segment is parent-owned and released here either way.
-        """
+    def _request(self, kind: str, reply_kind: str, shard_id: int, payload) -> tuple:
+        """Run one drained-boundary handshake; return the worker's reply."""
         self._request_id += 1
-        spec = None
-        if customer_ids is not None:
-            spec = self._plane.offer_frame(len(customer_ids))
-            message = (kind, self._request_id, customer_ids, spec)
-        else:
-            message = (kind, self._request_id, customer_ids)
-        self._in_queues[shard_id].put(message)
-        try:
-            payload = self._await_reply(reply_kind, shard_id, self._request_id)[3]
-            if isinstance(payload, StateFrame):
-                payload = self._plane.adopt_records(payload)
-            return payload
-        finally:
-            if spec is not None:
-                self._plane.release(spec.segment)
+        self._in_queues[shard_id].put((kind, self._request_id, payload))
+        return self._await_reply(reply_kind, shard_id, self._request_id)
 
     def snapshot_shard(
         self, shard_id: int, customer_ids: list[str] | None = None
     ) -> list[CustomerStateRecord]:
-        # A full-shard snapshot (ids None) has no record count to size
-        # a frame by and stays on the plain path.
-        return self._framed_request("snapshot", "snapshotted", shard_id, customer_ids)
+        return self._request("snapshot", "snapshotted", shard_id, customer_ids)[3]
 
     def _do_extract(self, shard_id: int, customer_ids: list[str]) -> list:
-        return self._framed_request("extract", "extracted", shard_id, customer_ids)
+        return self._request("extract", "extracted", shard_id, customer_ids)[3]
 
     def _do_install(self, shard_id: int, records: list) -> None:
-        self._request_id += 1
-        frame_segment = None
-        payload = records
-        if records:
-            framed = self._plane.publish_records(records)
-            if framed is not None:
-                payload, frame_segment = framed
-        self._in_queues[shard_id].put(("install", self._request_id, payload))
-        try:
-            self._await_reply("installed", shard_id, self._request_id)
-        finally:
-            if frame_segment is not None:
-                self._plane.release(frame_segment)
+        self._request("install", "installed", shard_id, records)
 
     def add_shard(self, shard_id: int) -> None:
         in_queue = self._context.Queue()
@@ -2287,29 +2238,16 @@ class SerialBackend(ExecutionBackend):
         return _InlinePool(config, self.n_workers)
 
 
-class ThreadBackend(SerialBackend):
-    """Deprecated: the serial backend under its retired thread name.
-
-    The thread pool tied or lost to the serial loop in both batch and
-    watch runs, so it is gone; constructing this class warns once and
-    yields a serial backend (``name`` is ``"serial"``), whose output
-    every backend must reproduce byte for byte anyway.
-    """
-
-    def __init__(self, max_workers: int | None = None) -> None:
-        _warn_thread_deprecated("repro.fleet.ThreadBackend", stacklevel=2)
-        super().__init__(max_workers=max_workers)
-
-
 class ProcessBackend(ExecutionBackend):
     """Persistent worker processes, one per shard.
 
     Each shard is a long-lived :mod:`multiprocessing` worker owning its
     customers' live state (see :class:`_ProcessShardPool`); ticks and
     results cross the shared-memory tick plane
-    (:class:`~repro.fleet.arena.TickPlane`).  Migrated live state is
-    the one thing that crosses process boundaries -- it ships as
-    picklable snapshots over the same queues the ticks use.
+    (:class:`~repro.fleet.arena.TickPlane`).  Live state crosses
+    process boundaries only at drained tick boundaries (migrations,
+    checkpoints, supervisor restores), as plain pickled
+    ``CustomerStateRecord`` lists over the worker queues.
     """
 
     name = "process"
@@ -2324,46 +2262,14 @@ _BACKENDS: dict[str, type[ExecutionBackend]] = {
 }
 
 
-def _warn_thread_deprecated(spelling: str, stacklevel: int) -> None:
-    """One ``DeprecationWarning`` for a thread-backend spelling.
-
-    ``stacklevel`` counts from the caller, as for :func:`warnings.warn`.
-    """
-    warnings.warn(
-        f"{spelling} is deprecated and runs the serial backend: batch passes "
-        "always run in the parent, and the thread watch pool is gone",
-        DeprecationWarning,
-        stacklevel=stacklevel + 1,
-    )
-
-
-def resolve_backend_name(name: str, spelling: str, stacklevel: int = 2) -> str:
-    """``name``, with the deprecated ``"thread"`` selector mapped to ``"serial"``.
-
-    ``spelling`` is how the caller's user wrote the deprecated
-    selection (e.g. ``'WatchConfig(backend="thread")'``), quoted in
-    the one ``DeprecationWarning`` it emits; ``stacklevel`` counts
-    from the caller, as for :func:`warnings.warn`.  Any other name
-    passes through unchanged (unknown ones fail in
-    :func:`make_backend`).
-    """
-    if name == "thread":
-        _warn_thread_deprecated(spelling, stacklevel + 1)
-        return "serial"
-    return name
-
-
 def make_backend(name: str, max_workers: int | None = None) -> ExecutionBackend:
     """Construct the execution backend answering to ``name``.
-
-    ``"thread"`` is a deprecated spelling of ``"serial"``: it warns and
-    returns a serial backend.
 
     Raises:
         ValueError: For an unknown selector (message lists the valid
             ones) or a non-positive ``max_workers``.
     """
-    backend_cls = _BACKENDS.get(resolve_backend_name(name, 'make_backend("thread")', 2))
+    backend_cls = _BACKENDS.get(name)
     if backend_cls is None:
         raise ValueError(
             f"unknown fleet backend {name!r}; choose one of "

@@ -206,8 +206,7 @@ class WatchConfig:
             :class:`~repro.streaming.live.LiveRecommender`.
         backend: Execution backend for the watch (``serial`` or
             ``process``); None defers to the owning
-            :class:`~repro.fleet.engine.FleetEngine`.  ``thread`` is a
-            deprecated spelling of ``serial``.
+            :class:`~repro.fleet.engine.FleetEngine`.
         max_workers: Worker count for the watch; None defers to the
             owning engine.
         rebalance: A :class:`~repro.fleet.rebalance.RebalancePolicy`
@@ -224,9 +223,9 @@ class WatchConfig:
             (supervision is always on -- a dead process worker is
             restored and replayed rather than aborting the watch).
 
-    The process backend always routes ticks, result columns and state
-    handoffs through the shared-memory tick plane
-    (:mod:`repro.fleet.arena`).
+    The process backend always routes ticks and result columns through
+    the shared-memory tick plane (:mod:`repro.fleet.arena`); state
+    handoffs cross its worker queues as plain pickles.
     """
 
     window: int = DEFAULT_STREAM_WINDOW
@@ -248,14 +247,6 @@ class WatchConfig:
         # fails where it is built; engine-dependent checks (backend
         # name, window vs. warm-up, summarizer streaming support) stay
         # in ``watch_fleet``, which has the engine in hand.
-        if self.backend is not None:
-            from .backends import resolve_backend_name
-
-            object.__setattr__(
-                self,
-                "backend",
-                resolve_backend_name(self.backend, 'WatchConfig(backend="thread")', 3),
-            )
         if self.rebalance is not None and not isinstance(self.rebalance, RebalancePolicy):
             raise ValueError(
                 f"rebalance must be a RebalancePolicy or None, got {self.rebalance!r}"

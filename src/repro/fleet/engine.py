@@ -39,7 +39,6 @@ from .backends import (
     ShardAssessmentConfig,
     WatchSupervisionStats,
     make_backend,
-    resolve_backend_name,
 )
 from .cache import (
     DEFAULT_CACHE_SIZE,
@@ -543,7 +542,6 @@ class FleetEngine:
             one-off assessments afterwards.
         backend: Default watch backend: ``serial`` (every shard in the
             parent) or ``process`` (persistent worker processes).
-            ``thread`` is a deprecated spelling of ``serial``.
         max_workers: Default watch worker count; defaults to the
             machine's CPU count.
         chunk_size: Customers per batch chunk; defaults to an
@@ -565,7 +563,6 @@ class FleetEngine:
     columnar: bool = True
 
     def __post_init__(self) -> None:
-        self.backend = resolve_backend_name(self.backend, 'FleetEngine(backend="thread")', 3)
         make_backend(self.backend, self.max_workers)  # validate both up front
         if self.chunk_size is not None and self.chunk_size <= 0:
             raise ValueError(f"chunk_size must be positive, got {self.chunk_size!r}")

@@ -255,48 +255,23 @@ class MergingQuantileSketch:
         return float(values[order][position])
 
     # ------------------------------------------------------------------
-    # Array framing (zero-copy state handoff)
+    # Reading array-framed (DSF1) store blobs
     # ------------------------------------------------------------------
-    def to_arrays(self, arrays: list[np.ndarray]) -> dict:
-        """Harvest the sketch into numpy payloads plus a small skeleton.
-
-        Appends the concatenated block order statistics, cumulative
-        ranks, per-block shapes and the raw buffer to ``arrays`` and
-        returns a picklable skeleton referencing them by index;
-        :meth:`from_arrays` is the inverse.  ``.tolist()`` round-trips
-        float64 exactly, so a framed sketch answers every rank query
-        byte-identically to its source.
-        """
-        base = len(arrays)
-        arrays.append(
-            np.asarray(
-                [value for block in self._blocks for value in block.values],
-                dtype=np.float64,
-            )
-        )
-        arrays.append(
-            np.asarray(
-                [count for block in self._blocks for count in block.counts],
-                dtype=np.int64,
-            )
-        )
-        arrays.append(
-            np.asarray([len(block.values) for block in self._blocks], dtype=np.int64)
-        )
-        arrays.append(np.asarray([block.n for block in self._blocks], dtype=np.int64))
-        arrays.append(np.asarray(self._buffer, dtype=np.float64))
-        return {
-            "window": self.window,
-            "block_size": self.block_size,
-            "compression": self.compression,
-            "base": base,
-        }
-
     @classmethod
     def from_arrays(
         cls, skeleton: dict, arrays: list[np.ndarray]
     ) -> "MergingQuantileSketch":
-        """Rebuild a sketch from :meth:`to_arrays` output (copies out)."""
+        """Rebuild a sketch from a ``DSF1`` blob's arrays.
+
+        Reads the array-framed store blobs written before state blobs
+        became plain pickles (see
+        :func:`~repro.streaming.live.unflatten_state`): the blocks'
+        concatenated order statistics and cumulative ranks, each
+        block's kept length and sample count, then the raw buffer,
+        from ``arrays[base]`` on.  ``.tolist()`` round-trips float64
+        exactly, so the rebuilt sketch answers every rank query as its
+        source did.
+        """
         sketch = cls(
             window=skeleton["window"],
             block_size=skeleton["block_size"],

@@ -12,10 +12,11 @@ extracts the shared contract into one place:
 * :class:`StatePersistence` -- the protocol every state holder (watch
   shard, observe shard) implements: non-destructive ``snapshot_records``
   at drained tick boundaries, ``restore_records`` with epoch validation.
-* ``encode_state`` / ``decode_state`` -- the pickle framing used by the
-  SQLite-backed :class:`~repro.store.fleetstore.FleetStore`, with
-  corruption surfaced as :class:`StoreCorruptionError` rather than a
-  silently empty fleet.
+* ``encode_state`` / ``decode_state`` -- the blob format of the
+  SQLite-backed :class:`~repro.store.fleetstore.FleetStore` (a plain
+  pickle; older array-framed blobs still decode), with corruption
+  surfaced as :class:`StoreCorruptionError` rather than a silently
+  empty fleet.
 
 Keeping the protocol separate from the SQLite store means in-memory and
 store-backed paths share one surface (and one set of byte-identity
@@ -43,9 +44,11 @@ __all__ = [
     "encode_state",
 ]
 
-#: Magic prefix of array-framed state blobs.  A plain pickle stream
-#: starts with ``\x80`` (the PROTO opcode), so the two formats can
-#: never collide and :func:`decode_state` reads both.
+#: Magic prefix of the array-framed (``DSF1``) state blobs that
+#: :func:`encode_state` wrote before it wrote plain pickles.  Nothing
+#: writes the format any more; :func:`decode_state` keeps reading the
+#: blobs stores already hold.  A plain pickle stream starts with
+#: ``\x80`` (the PROTO opcode), so the two formats never collide.
 STATE_FRAME_MAGIC = b"DSF1"
 
 
@@ -119,43 +122,29 @@ class StatePersistence(Protocol):
 
 
 def encode_state(state: "LiveAssessmentState") -> bytes:
-    """Serialize a live-assessment snapshot for storage.
+    """Serialize a live-assessment snapshot for storage: a plain pickle.
 
-    Reuses the zero-copy plane's array framing: the snapshot is split
-    into a small pickled skeleton plus raw ndarray payloads
-    (:func:`~repro.streaming.live.flatten_state`), so the numpy bulk
-    -- window sample buffers, violation counts, sketch blocks --
-    serializes via pickle's out-of-band buffer path instead of
-    opcode-by-opcode object traversal.  Checkpoint encode and the
-    streaming handoff thereby share one framing (and one set of
-    byte-identity gates).
-
-    A blob holds only what cannot be derived: no violation ring (the
-    restore rebuilds it from the window samples) and no candidate SKUs
-    (the recommendation's curve names its catalog slice by content
-    key), so :func:`decode_state` needs an engine over the same
-    catalog in the decoding process.
+    The same encoding the process watch uses for every state handoff
+    over its worker queues.  A blob holds only what cannot be derived:
+    no violation ring (the restore rebuilds it from the window
+    samples) and no candidate SKUs (the recommendation's curve names
+    its catalog slice by content key), so :func:`decode_state` needs
+    an engine over the same catalog in the decoding process.
     """
-    from ..streaming.live import flatten_state
-
-    arrays: list = []
-    try:
-        skeleton = flatten_state(state, arrays)
-    except Exception:  # noqa: BLE001 - unknown state shape: plain fallback
-        return pickle.dumps(state, protocol=pickle.HIGHEST_PROTOCOL)
-    return STATE_FRAME_MAGIC + pickle.dumps(
-        (skeleton, arrays), protocol=pickle.HIGHEST_PROTOCOL
-    )
+    return pickle.dumps(state, protocol=pickle.HIGHEST_PROTOCOL)
 
 
 def decode_state(blob: bytes, *, customer_id: str = "?") -> "LiveAssessmentState":
     """Deserialize a stored snapshot, surfacing corruption loudly.
 
-    Reads both the array-framed format (``DSF1`` prefix) and legacy
-    plain pickles, so stores written before the framing landed keep
-    restoring, as do blobs that still carry a violation ring or a
-    curve pickled by value.  A curve whose catalog key is not interned
-    in this process (no engine over that catalog) is corruption too.
+    Reads every format a store may hold: plain pickles (what
+    :func:`encode_state` writes, and what it wrote before the array
+    framing) and the array-framed blobs (``DSF1`` prefix, rebuilt by
+    :func:`~repro.streaming.live.unflatten_state`) that stores written
+    in between hold, with or without a violation ring and with curves
+    pickled by value or by catalog reference.  A curve whose catalog
+    key is not interned in this process (no engine over that catalog)
+    is corruption too.
     """
     from ..streaming.live import unflatten_state
 

@@ -143,25 +143,15 @@ class DriftDetector:
         self._baseline = baseline
 
     @staticmethod
-    def state_arrays(state: dict, arrays: list[np.ndarray]) -> dict:
-        """Flatten a :meth:`state_dict` into numpy payloads + skeleton.
-
-        The baseline vector rides in ``arrays``; the SKU-name tuple
-        (small interned strings) stays in the skeleton.
-        """
-        baseline = state["baseline"]
-        base = len(arrays)
-        if baseline is not None:
-            arrays.append(np.asarray(baseline, dtype=np.float64))
-        return {
-            "names": state["names"],
-            "has_baseline": baseline is not None,
-            "base": base,
-        }
-
-    @staticmethod
     def state_from_arrays(skeleton: dict, arrays: list[np.ndarray]) -> dict:
-        """Rebuild a :meth:`state_dict` from framed arrays (copies out)."""
+        """Rebuild a :meth:`state_dict` from a ``DSF1`` blob's arrays.
+
+        Reads the array-framed store blobs written before state blobs
+        became plain pickles (see
+        :func:`~repro.streaming.live.unflatten_state`): the baseline
+        vector, if any, from the arrays and the SKU names from the
+        skeleton.  Copies the array out.
+        """
         return {
             "names": skeleton["names"],
             "baseline": np.array(arrays[skeleton["base"]], dtype=float)

@@ -43,7 +43,6 @@ __all__ = [
     "LiveAssessmentState",
     "LiveRecommender",
     "LiveUpdate",
-    "flatten_state",
     "unflatten_state",
 ]
 
@@ -83,7 +82,9 @@ class LiveUpdate:
 class LiveAssessmentState:
     """Picklable snapshot of one live assessment's mutable state.
 
-    The worker-handoff unit: everything one customer's assessment has
+    The unit of every state boundary -- worker migrations, supervisor
+    restores, checkpoints and resumes -- which it crosses as a plain
+    pickle.  It holds everything one customer's assessment has
     accumulated that cannot be derived -- the window's samples,
     per-SKU violation counts, the drift rebase point, streaming
     profile stats, the recommendation in force -- *without* the engine
@@ -490,49 +491,19 @@ class LiveRecommender:
 
 
 # ----------------------------------------------------------------------
-# Arena framing (zero-copy state handoff)
+# Reading array-framed (DSF1) store blobs
 # ----------------------------------------------------------------------
-def flatten_state(state: LiveAssessmentState, arrays: list) -> dict:
-    """Split a :class:`LiveAssessmentState` into arrays + skeleton.
-
-    The zero-copy handoff's harvest pass: every numpy payload in the
-    snapshot -- the window's sample buffers, violation counts, sketch
-    blocks, deque columns, the drift baseline -- is appended to
-    ``arrays`` (to ride a shared-memory frame as raw bytes), and the
-    returned skeleton holds only scalars, small strings/enums, array
-    indices and the recommendation (whose curve pickles its
-    candidates by catalog reference), cheap to pickle.  :func:`unflatten_state` is the exact inverse:
-    ``unflatten_state(flatten_state(s, a), a)`` reproduces ``s``
-    byte-identically, which the handoff test suite pins on every
-    migration/restore/checkpoint path.
-    """
-    return {
-        "deployment_value": state.deployment_value,
-        "window": state.window,
-        "dimensions": state.dimensions,
-        "profile_mode": state.profile_mode,
-        "entity_id": state.entity_id,
-        "builder": StreamingTraceBuilder.state_arrays(state.builder, arrays),
-        "estimator": IncrementalThrottlingEstimator.state_arrays(
-            state.estimator, arrays
-        ),
-        "detector": DriftDetector.state_arrays(state.detector, arrays),
-        "profile_stats": tuple(
-            (dim, StreamingSeriesStats.state_arrays(stats, arrays))
-            for dim, stats in state.profile_stats
-        ),
-        "recommendation": state.recommendation,
-        "n_refreshes": state.n_refreshes,
-        "epoch": state.epoch,
-    }
-
-
 def unflatten_state(skeleton: dict, arrays: list) -> LiveAssessmentState:
-    """Rebuild a :class:`LiveAssessmentState` from a framed skeleton.
+    """Rebuild a :class:`LiveAssessmentState` from a ``DSF1`` skeleton.
 
-    Copies every array out of ``arrays`` (which may view shared
-    memory), so the rebuilt state owns its buffers and survives the
-    frame's release.
+    Reads the array-framed store blobs that
+    :func:`~repro.store.persistence.encode_state` wrote before it
+    wrote plain pickles: a pickled ``(skeleton, arrays)`` pair whose
+    skeleton references its numpy payloads by index.  Nothing writes
+    the format any more; :func:`~repro.store.persistence.decode_state`
+    calls this for the blobs stores already hold, in both the layout
+    that carries the estimator's violation ring and the ring-free one.
+    Every array is copied out, so the rebuilt state owns its buffers.
     """
     return LiveAssessmentState(
         deployment_value=skeleton["deployment_value"],

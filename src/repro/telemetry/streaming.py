@@ -276,31 +276,15 @@ class StreamingSeriesStats:
         self._sketch = copy.deepcopy(state["sketch"])
 
     @staticmethod
-    def state_arrays(state: dict, arrays: list[np.ndarray]) -> dict:
-        """Flatten a :meth:`state_dict` into numpy payloads + skeleton.
-
-        The zero-copy handoff hook: the ring, the monotonic deques
-        (as parallel index/value columns) and the sketch's blocks land
-        in ``arrays``; only scalars stay in the returned skeleton.
-        :meth:`state_from_arrays` is the exact inverse.
-        """
-        base = len(arrays)
-        arrays.append(np.asarray(state["ring"], dtype=np.float64))
-        for key in ("max_deque", "min_deque"):
-            pairs = state[key]
-            arrays.append(np.asarray([index for index, _ in pairs], dtype=np.int64))
-            arrays.append(np.asarray([value for _, value in pairs], dtype=np.float64))
-        return {
-            "n_seen": state["n_seen"],
-            "sum": state["sum"],
-            "sum_sq": state["sum_sq"],
-            "base": base,
-            "sketch": state["sketch"].to_arrays(arrays),
-        }
-
-    @staticmethod
     def state_from_arrays(skeleton: dict, arrays: list[np.ndarray]) -> dict:
-        """Rebuild a :meth:`state_dict` from framed arrays (copies out)."""
+        """Rebuild a :meth:`state_dict` from a ``DSF1`` blob's arrays.
+
+        Reads the array-framed store blobs written before state blobs
+        became plain pickles (see
+        :func:`~repro.streaming.live.unflatten_state`): the ring, the
+        monotonic deques as parallel index/value columns, and the
+        sketch's blocks.  Copies every array out.
+        """
         base = skeleton["base"]
         state = {
             "n_seen": skeleton["n_seen"],
@@ -481,22 +465,15 @@ class StreamingTraceBuilder:
         self._n_seen = int(state["n_seen"])
 
     @staticmethod
-    def state_arrays(state: dict, arrays: list[np.ndarray]) -> dict:
-        """Flatten a :meth:`state_dict` into numpy payloads + skeleton.
-
-        Ring buffers ride in ``arrays``; the dimension table (tiny
-        interned enums) stays in the skeleton so
-        :meth:`state_from_arrays` can realign them.
-        """
-        base = len(arrays)
-        dims = tuple(state["buffers"])
-        for dim in dims:
-            arrays.append(np.asarray(state["buffers"][dim], dtype=np.float64))
-        return {"n_seen": state["n_seen"], "dims": dims, "base": base}
-
-    @staticmethod
     def state_from_arrays(skeleton: dict, arrays: list[np.ndarray]) -> dict:
-        """Rebuild a :meth:`state_dict` from framed arrays (copies out)."""
+        """Rebuild a :meth:`state_dict` from a ``DSF1`` blob's arrays.
+
+        Reads the array-framed store blobs written before state blobs
+        became plain pickles (see
+        :func:`~repro.streaming.live.unflatten_state`): one ring
+        buffer per dimension, realigned by the skeleton's dimension
+        table.  Copies every array out.
+        """
         base = skeleton["base"]
         return {
             "n_seen": skeleton["n_seen"],

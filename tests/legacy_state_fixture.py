@@ -1,21 +1,35 @@
-"""Writes a live-assessment state blob in the earlier stored format.
+"""Writes live-assessment state blobs in earlier stored formats.
 
-``tests/data/live_state_w24_legacy.bin`` is the ``encode_state`` blob
-of one SQL DB customer after 40 samples at window 24, as stored before
-snapshots stopped persisting derivable state: its estimator state
-carries the violation ring, and its recommendation's curve pickles
-the deployment's 276 candidate SKUs by value.  The compatibility test
-in ``tests/test_store.py`` decodes it, restores it and continues the
-stream.  The blob was written by commit 1884422, the last one with the
-earlier format, so regenerate it only with that code::
+Each fixture is the ``encode_state`` blob of one SQL DB customer after
+40 samples at window 24.  The compatibility tests in
+``tests/test_store.py`` decode each one, restore it and continue the
+stream.
 
-    mkdir -p /tmp/repro-1884422
+* ``tests/data/live_state_w24_legacy.bin`` (``legacy``): an array-framed
+  (``DSF1``) blob as stored before snapshots stopped persisting
+  derivable state: its estimator state carries the violation ring, and
+  its recommendation's curve pickles the deployment's 276 candidate
+  SKUs by value.  Written by commit 1884422, the last one with that
+  format.
+* ``tests/data/live_state_w24_dsf1_exact.bin`` and
+  ``live_state_w24_dsf1_streaming.bin`` (``exact``, ``streaming``): the
+  ring-free ``DSF1`` blobs stored after that and before blobs became
+  plain pickles, one per ``profile_mode``.  No violation ring, and the
+  curve pickles its candidates by catalog reference.  Written by
+  commit fb15a56, the last one with that format.
+
+Regenerate a fixture only with the code that wrote it::
+
+    mkdir -p /tmp/repro-1884422 /tmp/repro-fb15a56
     git archive 1884422 src | tar -x -C /tmp/repro-1884422
-    PYTHONPATH=/tmp/repro-1884422/src python tests/legacy_state_fixture.py
+    git archive fb15a56 src | tar -x -C /tmp/repro-fb15a56
+    PYTHONPATH=/tmp/repro-1884422/src python tests/legacy_state_fixture.py legacy
+    PYTHONPATH=/tmp/repro-fb15a56/src python tests/legacy_state_fixture.py exact streaming
 """
 
 from __future__ import annotations
 
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +40,13 @@ from repro.store import encode_state
 from repro.streaming import LiveRecommender
 from repro.telemetry import PerfDimension
 
-FIXTURE = Path(__file__).resolve().parent / "data" / "live_state_w24_legacy.bin"
+DATA = Path(__file__).resolve().parent / "data"
+FIXTURE = DATA / "live_state_w24_legacy.bin"
+#: The ring-free ``DSF1`` fixtures, by profile mode.
+RING_FREE_FIXTURES = {
+    "exact": DATA / "live_state_w24_dsf1_exact.bin",
+    "streaming": DATA / "live_state_w24_dsf1_streaming.bin",
+}
 WINDOW = 24
 #: Samples observed before the snapshot: past the window, so the ring
 #: has wrapped.
@@ -52,24 +72,36 @@ def fixture_feed() -> list[dict[PerfDimension, float]]:
     return samples
 
 
-def fixture_recommender(engine: DopplerEngine) -> LiveRecommender:
+def fixture_recommender(
+    engine: DopplerEngine, profile_mode: str = "exact"
+) -> LiveRecommender:
     return LiveRecommender(
         engine,
         DeploymentType.SQL_DB,
         window=WINDOW,
         min_refresh_samples=8,
+        profile_mode=profile_mode,
         entity_id="legacy-cust",
     )
 
 
-def main() -> None:
-    live = fixture_recommender(DopplerEngine(catalog=SkuCatalog.default()))
-    for sample in fixture_feed()[:N_HEAD]:
-        live.observe(sample)
-    FIXTURE.parent.mkdir(parents=True, exist_ok=True)
-    FIXTURE.write_bytes(encode_state(live.snapshot_state()))
-    print(f"wrote {FIXTURE} ({FIXTURE.stat().st_size:,} bytes)")
+def main(argv: list[str]) -> None:
+    paths = {"legacy": FIXTURE, **RING_FREE_FIXTURES}
+    names = argv or ["legacy"]
+    unknown = sorted(set(names) - set(paths))
+    if unknown:
+        raise SystemExit(f"unknown fixture {unknown}; choose from {sorted(paths)}")
+    engine = DopplerEngine(catalog=SkuCatalog.default())
+    for name in names:
+        profile_mode = "exact" if name == "legacy" else name
+        live = fixture_recommender(engine, profile_mode)
+        for sample in fixture_feed()[:N_HEAD]:
+            live.observe(sample)
+        path = paths[name]
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_bytes(encode_state(live.snapshot_state()))
+        print(f"wrote {path} ({path.stat().st_size:,} bytes)")
 
 
 if __name__ == "__main__":
-    main()
+    main(sys.argv[1:])

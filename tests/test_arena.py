@@ -152,7 +152,7 @@ class TestTickPlane:
     def test_tick_frame_round_trip_preserves_batch(self):
         from repro.fleet.arena import TickPlane, unpack_tick
 
-        plane = TickPlane(window=16)
+        plane = TickPlane()
         try:
             batch = self.make_batch()
             frame = plane.pack_tick(0, 0, batch)
@@ -169,7 +169,7 @@ class TestTickPlane:
     def test_slots_are_reused_across_ticks_not_recreated(self):
         from repro.fleet.arena import TickPlane
 
-        plane = TickPlane(window=16)
+        plane = TickPlane()
         try:
             batch = self.make_batch()
             first = plane.pack_tick(0, 0, batch)
@@ -186,7 +186,7 @@ class TestTickPlane:
     def test_generation_tag_stops_a_slow_reader_on_recycled_slot(self):
         from repro.fleet.arena import TickPlane, unpack_tick
 
-        plane = TickPlane(window=16)
+        plane = TickPlane()
         try:
             batch = self.make_batch()
             stale = plane.pack_tick(0, 0, batch)
@@ -202,7 +202,7 @@ class TestTickPlane:
         from repro.streaming.drift import DriftReport
         from repro.streaming.live import LiveUpdate
 
-        plane = TickPlane(window=16)
+        plane = TickPlane()
         try:
             batch = self.make_batch()[:2]
             recommendation = object()  # identity is what crosses ticks
@@ -260,7 +260,7 @@ class TestTickPlane:
         from repro.fleet import FleetLiveUpdate
         from repro.fleet.arena import TickPlane, write_result_columns
 
-        plane = TickPlane(window=16)
+        plane = TickPlane()
         try:
             batch = self.make_batch()[:1]
             frame = plane.pack_tick(3, 0, batch)
@@ -271,84 +271,5 @@ class TestTickPlane:
             )
             plane.drop_shard(3)
             assert plane.read_results(reply) is None
-        finally:
-            plane.close()
-
-    def test_state_frame_round_trip_matches_plain_records(self, module_catalog):
-        from repro.fleet.arena import TickPlane, adopt_state_frame, pack_state_records
-        from repro.store import CustomerStateRecord
-        from repro.streaming import LiveRecommender
-        from repro.telemetry import PerfDimension
-
-        engine = DopplerEngine(catalog=module_catalog)
-        live = LiveRecommender(
-            engine, DeploymentType.SQL_DB, window=8, min_refresh_samples=4
-        )
-        rng = np.random.default_rng(3)
-        for index in range(10):
-            live.observe(
-                {
-                    PerfDimension.CPU: float(abs(rng.normal(1.5, 0.4))),
-                    PerfDimension.MEMORY: float(abs(rng.normal(6.0, 1.0))),
-                    PerfDimension.IOPS: float(abs(rng.normal(200.0, 50.0))),
-                    PerfDimension.IO_LATENCY: float(abs(rng.normal(6.0, 0.5)) + 0.5),
-                    PerfDimension.LOG_RATE: float(abs(rng.normal(2.0, 0.5))),
-                    PerfDimension.STORAGE: 120.0,
-                }
-            )
-        records = [
-            CustomerStateRecord("cust-a", live.snapshot_state()),
-            CustomerStateRecord("cust-q", None, quarantined=True),
-        ]
-        plane = TickPlane(window=8)
-        try:
-            spec = plane.offer_frame(len(records))
-            frame = pack_state_records(records, spec)
-            assert frame is not None
-            rebuilt = adopt_state_frame(frame)
-            assert [r.customer_id for r in rebuilt] == ["cust-a", "cust-q"]
-            assert rebuilt[1].quarantined and rebuilt[1].state is None
-            original, copy = records[0].state, rebuilt[0].state
-            # Field-wise equality: whole-object pickle bytes can differ
-            # by memoized sharing alone, so compare each field.
-            from dataclasses import fields
-
-            for field in fields(original):
-                assert pickle.dumps(getattr(copy, field.name)) == pickle.dumps(
-                    getattr(original, field.name)
-                ), field.name
-            plane.release(spec.segment)
-        finally:
-            plane.close()
-        assert leaked_segments() == []
-
-    def test_oversized_state_falls_back_to_plain(self, module_catalog):
-        from repro.fleet.arena import StateFrameSpec, TickPlane, pack_state_records
-        from repro.store import CustomerStateRecord
-        from repro.streaming import LiveRecommender
-        from repro.telemetry import PerfDimension
-
-        engine = DopplerEngine(catalog=module_catalog)
-        live = LiveRecommender(
-            engine, DeploymentType.SQL_DB, window=8, min_refresh_samples=4
-        )
-        for _ in range(6):
-            live.observe(
-                {
-                    PerfDimension.CPU: 1.0,
-                    PerfDimension.MEMORY: 4.0,
-                    PerfDimension.IOPS: 100.0,
-                    PerfDimension.IO_LATENCY: 5.0,
-                    PerfDimension.LOG_RATE: 1.0,
-                    PerfDimension.STORAGE: 120.0,
-                }
-            )
-        records = [CustomerStateRecord("cust-a", live.snapshot_state())]
-        plane = TickPlane(window=8)
-        try:
-            spec = plane.offer_frame(1)
-            tiny = StateFrameSpec(segment=spec.segment, capacity=32)
-            assert pack_state_records(records, tiny) is None
-            plane.release(spec.segment)
         finally:
             plane.close()

@@ -12,7 +12,6 @@ construction; the tests below pin that they start no worker at all.
 from __future__ import annotations
 
 import pickle
-import warnings
 from multiprocessing.process import BaseProcess
 
 import numpy as np
@@ -32,10 +31,10 @@ from repro.core.profiler import CustomerProfiler
 from repro.dma import AssessmentPipeline
 from repro.fleet import (
     BACKEND_NAMES,
+    ExecutionBackend,
     FleetCustomer,
     FleetEngine,
     FleetSample,
-    SerialBackend,
     WatchConfig,
     make_backend,
 )
@@ -340,108 +339,42 @@ class TestBatchThroughBackends:
         assert [pickle.dumps(r) for r in fleet.recommend_batch(customers)] == expected
 
 
-def deprecations(caught) -> list:
-    return [w for w in caught if issubclass(w.category, DeprecationWarning)]
+class TestRetiredThreadSpellings:
+    """The ``"thread"`` spellings served their deprecation and are rejected."""
 
+    def test_make_backend_thread_is_an_unknown_backend(self):
+        with pytest.raises(ValueError, match="unknown fleet backend 'thread'"):
+            make_backend("thread", max_workers=2)
 
-class TestDeprecatedThreadSpellings:
-    """``"thread"`` and ``ThreadBackend`` warn once and run the serial backend."""
+    def test_only_serial_and_process_backend_classes_remain(self):
+        import repro.fleet
 
-    def test_make_backend_thread_warns_and_returns_serial(self):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            backend = make_backend("thread", max_workers=2)
-        (warning,) = deprecations(caught)
-        assert 'make_backend("thread") is deprecated' in str(warning.message)
-        assert warning.filename == __file__
-        assert isinstance(backend, SerialBackend)
-        assert backend.name == "serial" and backend.n_workers == 1
+        exported = {
+            name
+            for name in repro.fleet.__all__
+            if isinstance(getattr(repro.fleet, name), type)
+            and issubclass(getattr(repro.fleet, name), ExecutionBackend)
+        }
+        assert exported == {"ExecutionBackend", "SerialBackend", "ProcessBackend"}
+        assert BACKEND_NAMES == ("serial", "process")
 
-    def test_thread_backend_class_warns_and_is_serial(self):
-        from repro.fleet import ThreadBackend
-
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            backend = ThreadBackend(max_workers=3)
-        (warning,) = deprecations(caught)
-        assert "repro.fleet.ThreadBackend" in str(warning.message)
-        assert warning.filename == __file__
-        assert isinstance(backend, SerialBackend)
-        assert backend.name == "serial" and backend.n_workers == 1
-
-    def test_fleet_engine_thread_warns_once_and_yields_serial_output(
-        self, default_catalog
-    ):
-        config = FleetConfig.paper_db(6, duration_days=3.0, interval_minutes=60.0)
-        records = [
-            customer.record for customer in simulate_fleet(config, default_catalog, rng=23)
-        ]
-        customers = [FleetCustomer.from_record(record) for record in records]
-        serial = FleetEngine(engine=DopplerEngine(catalog=default_catalog), backend="serial")
-        serial.fit_fleet(records)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            fleet = FleetEngine(
+    def test_fleet_engine_thread_is_rejected(self, default_catalog):
+        with pytest.raises(ValueError, match="unknown fleet backend 'thread'"):
+            FleetEngine(
                 engine=DopplerEngine(catalog=default_catalog), backend="thread", max_workers=2
             )
-            fleet.fit_fleet(records)
-            results = list(fleet.recommend_fleet(customers))
-        (warning,) = deprecations(caught)
-        assert 'FleetEngine(backend="thread") is deprecated' in str(warning.message)
-        assert warning.filename == __file__
-        assert fleet.backend == "serial"
-        assert [pickle.dumps(r) for r in results] == [
-            pickle.dumps(r) for r in serial.recommend_fleet(customers)
-        ]
 
-    def test_fleet_engine_thread_default_watch_is_serial(self, small_catalog):
-        feed = interleaved_feed(4, 12, seed=67)
-        serial = FleetEngine(engine=DopplerEngine(catalog=small_catalog), backend="serial")
-        expected = canonical_updates(serial.watch_fleet(feed, config=WATCH_CONFIG))
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            fleet = FleetEngine(
-                engine=DopplerEngine(catalog=small_catalog), backend="thread", max_workers=2
-            )
-            got = canonical_updates(fleet.watch_fleet(feed, config=WATCH_CONFIG))
-        assert len(deprecations(caught)) == 1
-        assert got == expected
-        assert fleet.watch_rebalance_stats().final_n_shards == 1
-
-    def test_watch_config_thread_warns_once_and_yields_serial_output(self, small_catalog):
-        feed = interleaved_feed(5, 12, seed=68, poison=("cust-2",))
+    def test_watch_config_thread_is_rejected_by_the_watch(self, small_catalog):
         fleet = FleetEngine(engine=DopplerEngine(catalog=small_catalog), backend="serial")
-        expected = canonical_updates(fleet.watch_fleet(feed, config=WATCH_CONFIG))
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            config = WATCH_CONFIG.replace(backend="thread", max_workers=3)
-            got = canonical_updates(fleet.watch_fleet(feed, config=config))
-        (warning,) = deprecations(caught)
-        assert 'WatchConfig(backend="thread") is deprecated' in str(warning.message)
-        assert config.backend == "serial"
-        assert got == expected
-        assert fleet.watch_rebalance_stats().final_n_shards == 1
+        config = WATCH_CONFIG.replace(backend="thread", max_workers=3)
+        with pytest.raises(ValueError, match="unknown fleet backend 'thread'"):
+            fleet.watch_fleet(interleaved_feed(2, 4, seed=68), config=config)
 
-    def test_assess_fleet_backend_arguments_warn_once_and_select_nothing(
-        self, default_catalog
-    ):
-        config = FleetConfig.paper_db(6, duration_days=3.0, interval_minutes=60.0)
-        customers = [
-            FleetCustomer.from_record(customer.record)
-            for customer in simulate_fleet(config, default_catalog, rng=29)
-        ]
+    def test_assess_fleet_backend_arguments_are_rejected(self, default_catalog):
         pipeline = AssessmentPipeline(engine=DopplerEngine(catalog=default_catalog))
-        expected = pipeline.assess_fleet(customers)
-        for arguments in ({"backend": "process", "max_workers": 2}, {"backend": "thread"}):
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                result = pipeline.assess_fleet(customers, **arguments)
-            (warning,) = deprecations(caught)
-            assert "assess_fleet(backend=..., max_workers=...)" in str(warning.message)
-            assert warning.filename == __file__
-            assert [pickle.dumps(r) for r in result.results] == [
-                pickle.dumps(r) for r in expected.results
-            ]
+        for arguments in ({"backend": "process"}, {"max_workers": 2}, {"backend": "thread"}):
+            with pytest.raises(TypeError, match="unexpected keyword argument"):
+                pipeline.assess_fleet([], **arguments)
 
 
 # ----------------------------------------------------------------------
@@ -840,9 +773,9 @@ class TestZeroCopyTickPlane:
         original = backends_module.TickPlane
 
         class CountingPlane(original):
-            def __init__(self, window):
-                created.append(window)
-                super().__init__(window)
+            def __init__(self):
+                created.append(self)
+                super().__init__()
 
         monkeypatch.setattr(backends_module, "TickPlane", CountingPlane)
         fleet = FleetEngine(engine=DopplerEngine(catalog=small_catalog), backend="serial")

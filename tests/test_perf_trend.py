@@ -294,6 +294,33 @@ class TestBlockingBenchmarks:
         assert main(argv + ["--blocking", "fleet"]) == 1
         assert "REGRESSION (blocking)" in capsys.readouterr().out
 
+    def test_paper_accuracy_drop_blocks_under_blocking_paper(self, tmp_path, capsys):
+        baseline, current = tmp_path / "base", tmp_path / "cur"
+
+        def paper(db_accuracy: float) -> dict:
+            return {
+                "benchmark": "paper",
+                "table5": {"db_accuracy": db_accuracy, "mi_accuracy": 0.918},
+            }
+
+        self.write(baseline, "paper", paper(0.875))
+        self.write(current, "paper", paper(0.875))
+        argv = [
+            "--baseline",
+            str(baseline),
+            "--current",
+            str(current),
+            "--warn-only",
+            "--blocking",
+            "paper",
+        ]
+        assert main(argv) == 0  # deterministic accuracies: no move, no failure
+        self.write(current, "paper", paper(0.6))  # a 31% drop
+        assert main(argv[:-2]) == 0  # warn-only without the blocking flag
+        capsys.readouterr()
+        assert main(argv) == 1
+        assert "REGRESSION (blocking) paper:table5.db_accuracy" in capsys.readouterr().out
+
     def test_nonblocking_regression_still_warns_only(self, tmp_path):
         baseline, current = tmp_path / "base", tmp_path / "cur"
         self.write(baseline, "streaming", record("streaming", 1000.0))

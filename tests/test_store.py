@@ -577,16 +577,24 @@ class TestThreading:
 
 
 # ----------------------------------------------------------------------
-# Framed state encoding (the arena wire format, durable flavor)
+# State blob encoding
 # ----------------------------------------------------------------------
-class TestStateFrameEncoding:
-    def test_encode_state_is_framed_with_magic(self, small_catalog):
-        from repro.store.persistence import STATE_FRAME_MAGIC, encode_state
+class TestStateBlobEncoding:
+    def test_encode_state_writes_a_plain_pickle(self, small_catalog):
+        import dataclasses
 
-        blob = encode_state(make_state(small_catalog))
-        assert blob[:4] == STATE_FRAME_MAGIC
+        from repro.store.persistence import encode_state
 
-    def test_framed_round_trip_is_field_identical(self, small_catalog):
+        state = make_state(small_catalog)
+        blob = encode_state(state)
+        assert blob == pickle.dumps(state, protocol=pickle.HIGHEST_PROTOCOL)
+        loaded = pickle.loads(blob)
+        for field in dataclasses.fields(state):
+            assert pickle.dumps(getattr(loaded, field.name)) == pickle.dumps(
+                getattr(state, field.name)
+            ), field.name
+
+    def test_round_trip_is_field_identical(self, small_catalog):
         import dataclasses
 
         from repro.store.persistence import decode_state, encode_state
@@ -610,7 +618,7 @@ class TestStateFrameEncoding:
                 getattr(state, field.name)
             ), field.name
 
-    def test_torn_frame_is_a_corruption_error(self, small_catalog):
+    def test_torn_blob_is_a_corruption_error(self, small_catalog):
         from repro.store.persistence import encode_state
 
         blob = encode_state(make_state(small_catalog))
@@ -623,6 +631,17 @@ class TestStateFrameEncoding:
 # ----------------------------------------------------------------------
 # Derivable state: no ring, curves by catalog reference, older blobs
 # ----------------------------------------------------------------------
+def stream_outcome(update):
+    """What a live update shows a caller, comparable across runs."""
+    rec = update.recommendation
+    return (
+        update.n_seen,
+        update.refreshed,
+        rec.curve.points if rec else None,
+        repr(rec.expected_throttling) if rec else None,
+    )
+
+
 class TestDerivableState:
     def test_blob_holds_no_ring_and_references_the_catalog(self, small_catalog):
         from repro.store.persistence import encode_state
@@ -630,7 +649,7 @@ class TestDerivableState:
         state = make_state(small_catalog)
         blob = encode_state(state)
         assert "ring" not in state.estimator
-        assert b"has_ring" not in blob  # the estimator frame carries no ring
+        assert "ring" not in pickle.loads(blob).estimator  # the stored estimator has none
         # The curve names its candidate tuple instead of pickling it.
         assert b"_from_reference" in blob and b"_from_fields" not in blob
 
@@ -664,30 +683,87 @@ class TestDerivableState:
         assert state.estimator["ring"].shape == (WINDOW, len(engine.ppm.candidates(DB)))
         assert state.recommendation is not None
 
-        def outcome(update):
-            rec = update.recommendation
-            return (
-                update.n_seen,
-                update.refreshed,
-                rec.curve.points if rec else None,
-                repr(rec.expected_throttling) if rec else None,
-            )
-
         feed = fixture_feed()
         reference = fixture_recommender(engine)
-        expected = [outcome(reference.observe(sample)) for sample in feed]
+        expected = [stream_outcome(reference.observe(sample)) for sample in feed]
         restored = fixture_recommender(engine)
         restored.restore_state(state)
         assert restored.builder.n_seen == N_HEAD
         np.testing.assert_array_equal(
             restored.estimator._ring, state.estimator["ring"]
         )
-        tail = [outcome(restored.observe(sample)) for sample in feed[N_HEAD:]]
+        tail = [stream_outcome(restored.observe(sample)) for sample in feed[N_HEAD:]]
         assert tail == expected[N_HEAD:]
         # Re-encoded, the same state drops the ring and the SKUs.
         from repro.store.persistence import encode_state
 
         assert len(encode_state(restored.snapshot_state())) < len(blob) // 2
+
+    @pytest.mark.parametrize("profile_mode", ["exact", "streaming"])
+    def test_ring_free_dsf1_blob_restores_and_continues_identically(
+        self, profile_mode, default_catalog
+    ):
+        """A ring-free array-framed blob still decodes and resumes exactly.
+
+        ``tests/data/live_state_w24_dsf1_{exact,streaming}.bin`` were
+        written by commit fb15a56, the last one whose ``encode_state``
+        framed arrays (``DSF1``).  Unlike ``live_state_w24_legacy.bin``
+        they carry no ring and pickle curves by catalog reference;
+        ``tests/legacy_state_fixture.py`` says how to regenerate them.
+        """
+        import dataclasses
+
+        from repro.store.persistence import STATE_FRAME_MAGIC, decode_state
+
+        from .legacy_state_fixture import (
+            N_HEAD,
+            RING_FREE_FIXTURES,
+            WINDOW,
+            fixture_feed,
+            fixture_recommender,
+        )
+
+        blob = RING_FREE_FIXTURES[profile_mode].read_bytes()
+        assert blob[:4] == STATE_FRAME_MAGIC
+        assert b"has_ring" not in blob and b"_from_reference" in blob
+        engine = DopplerEngine(catalog=default_catalog)
+        state = decode_state(blob, customer_id="legacy-cust")
+        assert state.window == WINDOW and state.profile_mode == profile_mode
+        assert "ring" not in state.estimator
+        assert bool(state.profile_stats) == (profile_mode == "streaming")
+        assert state.recommendation is not None
+
+        feed = fixture_feed()
+        reference = fixture_recommender(engine, profile_mode)
+        expected = [stream_outcome(reference.observe(sample)) for sample in feed]
+        # The blob holds what this code snapshots at the same point.
+        head = fixture_recommender(engine, profile_mode)
+        for sample in feed[:N_HEAD]:
+            head.observe(sample)
+        fresh = head.snapshot_state()
+
+        def field_bytes(snapshot, name):
+            value = getattr(snapshot, name)
+            if name == "profile_stats":
+                # Per value, by key: whole-tuple bytes differ by memo
+                # sharing and dict order alone.
+                value = [
+                    (dim, sorted((key, pickle.dumps(item)) for key, item in stats.items()))
+                    for dim, stats in value
+                ]
+            return pickle.dumps(value)
+
+        for field in dataclasses.fields(state):
+            assert field_bytes(state, field.name) == field_bytes(fresh, field.name), (
+                field.name
+            )
+        restored = fixture_recommender(engine, profile_mode)
+        restored.restore_state(state)
+        assert restored.builder.n_seen == N_HEAD
+        tail = [stream_outcome(restored.observe(sample)) for sample in feed[N_HEAD:]]
+        assert tail == expected[N_HEAD:]
+        with pytest.raises(StoreCorruptionError, match="legacy-cust"):
+            decode_state(blob[: len(blob) // 2], customer_id="legacy-cust")
 
     @pytest.mark.parametrize("profile_mode", ["exact", "streaming"])
     def test_identical_streams_encode_identical_bytes(self, profile_mode, small_catalog):
