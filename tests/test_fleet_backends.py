@@ -364,6 +364,16 @@ class TestRetiredThreadSpellings:
                 engine=DopplerEngine(catalog=default_catalog), backend="thread", max_workers=2
             )
 
+    def test_fleet_engine_thread_never_reaches_the_default_watch(self, small_catalog):
+        # The default watch runs on the engine's backend, so "thread" has
+        # to fail where the engine is built, with or without max_workers.
+        with pytest.raises(ValueError, match="unknown fleet backend 'thread'"):
+            FleetEngine(engine=DopplerEngine(catalog=small_catalog), backend="thread")
+        fleet = FleetEngine(engine=DopplerEngine(catalog=small_catalog), backend="serial")
+        feed = interleaved_feed(4, 12, seed=67)
+        assert canonical_updates(fleet.watch_fleet(feed, config=WATCH_CONFIG))
+        assert fleet.watch_rebalance_stats().final_n_shards == 1
+
     def test_watch_config_thread_is_rejected_by_the_watch(self, small_catalog):
         fleet = FleetEngine(engine=DopplerEngine(catalog=small_catalog), backend="serial")
         config = WATCH_CONFIG.replace(backend="thread", max_workers=3)
