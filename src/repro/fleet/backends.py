@@ -62,6 +62,7 @@ from __future__ import annotations
 
 import multiprocessing
 import os
+import pickle
 import queue as queue_module
 import time
 import traceback
@@ -74,13 +75,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Literal
 from ..catalog.models import DeploymentType
 from ..store.persistence import CustomerStateRecord
 from ..streaming.live import LiveRecommender
-from .arena import (
-    ResultFrame,
-    TickFrame,
-    TickPlane,
-    unpack_tick,
-    write_result_columns,
-)
+from .arena import TickPlane, write_result_columns
 from .cache import CurveCacheStats
 from .config import SupervisionConfig
 from .rebalance import (
@@ -1198,17 +1193,18 @@ def _watch_worker_main(
 
     Message protocol (all tuples, kind first):
 
-    * parent -> worker: ``("tick", tick_id, batch, directive)`` where
-      ``batch`` is an arena :class:`~repro.fleet.arena.TickFrame`, or
-      a plain list when the supervisor replays a tick, and
-      ``directive`` is ``None`` or an injected-fault order
-      (``("kill",)``, ``("delay", seconds)``, ``("drop",)``),
+    * parent -> worker: ``("tick", tick_id, payload, directive)`` where
+      ``payload`` is the tick's ``(seq, FleetSample)`` list pickled by
+      :meth:`~repro.fleet.arena.TickPlane.pack_tick` (live ticks and
+      supervisor replays alike), and ``directive`` is ``None`` or an
+      injected-fault order (``("kill",)``, ``("delay", seconds)``,
+      ``("drop",)``),
       ``("extract", request_id, customer_ids)``,
       ``("install", request_id, records)``,
       ``("snapshot", request_id, customer_ids_or_None)``,
       or the ``None`` stop sentinel.
-    * worker -> parent: ``("tick", worker_id, tick_id, emissions,
-      busy_seconds)`` where ``emissions`` is a plain list or a
+    * worker -> parent: ``("tick", worker_id, tick_id, reply,
+      busy_seconds)`` where ``reply`` is a
       :class:`~repro.fleet.arena.ResultFrame`, ``("extracted",
       worker_id, request_id, records)``, ``("installed",
       worker_id, request_id)``, ``("snapshotted", worker_id,
@@ -1221,12 +1217,6 @@ def _watch_worker_main(
     :class:`~repro.store.persistence.CustomerStateRecord`, pickled
     by the queue like every other message.
 
-    A tick frame whose slot generation no longer matches (the parent
-    recycled the buffer under this worker -- only possible if the
-    worker fell pathologically behind the in-flight window) raises and
-    surfaces as an ``error`` reply, which the supervisor treats like
-    any worker failure: restore and replay.
-
     Fault directives execute *here*, in the real worker, so the parent
     sees exactly what a production failure looks like: ``kill`` is a
     hard ``os._exit`` (no cleanup, no reply), ``delay`` really sleeps
@@ -1235,9 +1225,9 @@ def _watch_worker_main(
     """
     try:
         shard = _WatchShard(config)
-        # Last recommendation object shipped per customer over the
-        # result plane; unchanged objects cross as a 1-token instead
-        # of a re-pickle (see ``write_result_columns``).
+        # Last recommendation object shipped per customer; unchanged
+        # objects cross as a 1-token instead of a re-pickle (see
+        # ``write_result_columns``).
         shipped: dict[str, object] = {}
         while True:
             message = in_queue.get()
@@ -1246,23 +1236,17 @@ def _watch_worker_main(
                 return
             kind = message[0]
             if kind == "tick":
-                _, tick_id, batch, directive = message
+                _, tick_id, payload, directive = message
                 if directive is not None:
                     if directive[0] == "kill":
                         os._exit(13)
                     if directive[0] == "delay":
                         time.sleep(directive[1])
-                frame = batch if isinstance(batch, TickFrame) else None
-                if frame is not None:
-                    batch = unpack_tick(frame)
-                emissions, busy_seconds = shard.process(batch)
+                emissions, busy_seconds = shard.process(pickle.loads(payload))
                 if directive is not None and directive[0] == "drop":
                     continue
-                if frame is not None:
-                    reply = write_result_columns(frame, emissions, shipped)
-                    if reply is not None:
-                        emissions = reply
-                out_queue.put(("tick", worker_id, tick_id, emissions, busy_seconds))
+                reply = write_result_columns(emissions, shipped)
+                out_queue.put(("tick", worker_id, tick_id, reply, busy_seconds))
             elif kind == "extract":
                 _, request_id, customer_ids = message
                 records = shard.extract(customer_ids)
@@ -1294,13 +1278,16 @@ class _ProcessShardPool(_WatchPool):
     pools cannot promise, so each shard is one long-lived
     :mod:`multiprocessing` process fed through its own input queue;
     emissions return over one shared result queue and the parent
-    reorders them into feed order.  Tick samples and numeric results
-    move through the shared-memory :class:`~repro.fleet.arena.TickPlane`.
-    Live state -- migration extract/install, checkpoint and supervisor
-    snapshots -- travels the same queues as plain pickled
-    ``CustomerStateRecord`` lists, one request and one reply per
-    handshake.  Pool growth spawns a fresh worker and shrink runs the
-    stop handshake on the retiring one.
+    reorders them into feed order.  Ticks cross as pickled sample
+    lists and replies as pickled result columns, both encoded and
+    decoded by the pool's :class:`~repro.fleet.arena.TickPlane`; a
+    reply is decoded only while the reorder buffer owes it (see
+    :meth:`_reply_emissions`).  Live state -- migration
+    extract/install, checkpoint and supervisor snapshots -- travels
+    the same queues as plain pickled ``CustomerStateRecord`` lists,
+    one request and one reply per handshake.  Pool growth spawns a
+    fresh worker and shrink runs the stop handshake on the retiring
+    one.
     """
 
     volatile = True
@@ -1313,10 +1300,6 @@ class _ProcessShardPool(_WatchPool):
         self._in_queues: dict[int, object] = {}
         self._closed_queues: list = []
         self._request_id = 0
-        # The streaming data plane: parent-owned double-buffered ring
-        # slots per shard, reused across every tick of the watch.
-        # Workers only attach, so any worker death leaks nothing and
-        # close() restores a clean /dev/shm.
         self._plane = TickPlane()
         for shard_id in range(n_shards):
             self.add_shard(shard_id)
@@ -1329,12 +1312,8 @@ class _ProcessShardPool(_WatchPool):
         self, tick_id: int, by_shard: dict[int, list], directives: dict[int, tuple]
     ) -> None:
         for shard_id, batch in by_shard.items():
-            # Safe to repack this parity's slot: with the two-tick
-            # in-flight window, the prior same-parity tick has fully
-            # drained (its reply was decoded) before this submit runs.
-            frame = self._plane.pack_tick(shard_id, tick_id, batch)
             self._in_queues[shard_id].put(
-                ("tick", tick_id, frame, directives.get(shard_id))
+                ("tick", tick_id, self._plane.pack_tick(batch), directives.get(shard_id))
             )
         self._pending.append(
             _PendingTick(tick_id, by_shard, deadline=self._tick_deadline())
@@ -1347,33 +1326,22 @@ class _ProcessShardPool(_WatchPool):
                 return shard_id in entry.owing
         return False
 
-    def _reply_emissions(self, shard_id: int, tick_id: int, payload):
-        """Decode one tick reply's emissions at receive time.
+    def _reply_emissions(self, shard_id: int, tick_id: int, reply):
+        """Decode one tick reply's emissions, or None if it is not owed.
 
-        Result-column frames are mapped out of the result slot
-        *before* any other message is processed, and only when the
-        reorder buffer still owes this (tick, shard) -- owed implies
-        no concurrent writer on that slot (the parent grows/repacks a
-        result slot only after the prior same-parity tick drained, and
-        quarantine settles owed ticks before respawning a worker), so
-        the read is race-free.  A frame that is *not* owed is a
-        replaced incarnation's stale duplicate: skipped undecoded
-        (returns None), exactly as ``fold`` would have discarded it.
+        A reply the reorder buffer no longer owes is a replaced
+        incarnation's stale duplicate (or a replay of a tick that
+        already drained): ``fold`` would discard it anyway, and
+        decoding it would overwrite the recommendation memo with an
+        older recommendation that a later ``1`` token would then
+        resolve to.  Replayed ticks skipped here need no decode
+        either: the replay reproduces exactly the emissions the
+        parent already decoded, so the memo and the new worker's
+        shipped recommendations stay equal in value.
         """
-        if not isinstance(payload, ResultFrame):
-            return payload
         if not self._owes(tick_id, shard_id):
             return None
-        emissions = self._plane.read_results(payload)
-        if emissions is None:
-            # Owed but unreadable means the slot was recycled under a
-            # reply we still need -- a protocol violation, not a
-            # stale duplicate.  Fail loudly rather than dropping data.
-            raise RuntimeError(
-                f"result slot for shard {shard_id} tick {tick_id} was "
-                "recycled before its reply was decoded"
-            )
-        return emissions
+        return self._plane.read_results(reply)
 
     def _receive(
         self,
@@ -1530,7 +1498,6 @@ class _ProcessShardPool(_WatchPool):
         self._reap(self._workers.pop(shard_id))
         queue = self._in_queues.pop(shard_id)
         self._closed_queues.append(queue)
-        self._plane.drop_shard(shard_id)
 
     def replace_shard(self, shard_id: int) -> None:
         worker = self._workers.pop(shard_id, None)
@@ -1552,7 +1519,7 @@ class _ProcessShardPool(_WatchPool):
     def replay_tick(
         self, shard_id: int, tick_id: int, batch: list
     ) -> tuple[list, float]:
-        self._in_queues[shard_id].put(("tick", tick_id, batch, None))
+        self._in_queues[shard_id].put(("tick", tick_id, self._plane.pack_tick(batch), None))
         deadline = self._tick_deadline()
         while True:
             message = self._receive(
@@ -1566,23 +1533,16 @@ class _ProcessShardPool(_WatchPool):
                     f"fleet watch worker {message[1]} sent unexpected "
                     f"{kind!r} during replay"
                 )
-            _, msg_shard, msg_tick, emissions, busy_seconds = message
+            _, msg_shard, msg_tick, reply, busy_seconds = message
+            emissions = self._reply_emissions(msg_shard, msg_tick, reply)
             if msg_shard == shard_id and msg_tick == tick_id:
-                if isinstance(emissions, ResultFrame):
-                    # A stale columns reply from the dead incarnation
-                    # matching the replay target: decode it if its
-                    # slot is intact (no one writes result slots
-                    # during a replay, and assessment is
-                    # deterministic, so the bytes equal what the
-                    # replay will produce); keep waiting otherwise.
-                    decoded = self._plane.read_results(emissions)
-                    if decoded is None:
-                        continue
-                    emissions = decoded
-                return emissions, busy_seconds
+                # The replay target (or the dead incarnation's reply
+                # to it: assessment is deterministic, so either holds
+                # the same emissions).  A tick that already drained
+                # folds to nothing, so it needs no decode.
+                return emissions or [], busy_seconds
             # In-flight result from a healthy peer (or a stale reply
             # from the dead incarnation): credit it and keep waiting.
-            emissions = self._reply_emissions(msg_shard, msg_tick, emissions)
             if emissions is not None:
                 self.fold(msg_tick, msg_shard, emissions, busy_seconds)
 
@@ -1609,10 +1569,6 @@ class _ProcessShardPool(_WatchPool):
         for queue in (*self._in_queues.values(), *self._closed_queues, self._out_queue):
             queue.close()
             queue.cancel_join_thread()
-        # Workers only ever attach to plane segments, so tearing the
-        # plane down after the reap leaves /dev/shm clean even when
-        # workers died by SIGKILL.
-        self._plane.close()
 
 
 class _WatchSupervisor:
@@ -2242,11 +2198,11 @@ class ProcessBackend(ExecutionBackend):
     """Persistent worker processes, one per shard.
 
     Each shard is a long-lived :mod:`multiprocessing` worker owning its
-    customers' live state (see :class:`_ProcessShardPool`); ticks and
-    results cross the shared-memory tick plane
-    (:class:`~repro.fleet.arena.TickPlane`).  Live state crosses
-    process boundaries only at drained tick boundaries (migrations,
-    checkpoints, supervisor restores), as plain pickled
+    customers' live state (see :class:`_ProcessShardPool`); ticks
+    cross the worker queues as pickled sample lists and results as
+    pickled columns (:class:`~repro.fleet.arena.TickPlane`).  Live
+    state crosses process boundaries only at drained tick boundaries
+    (migrations, checkpoints, supervisor restores), as plain pickled
     ``CustomerStateRecord`` lists over the worker queues.
     """
 

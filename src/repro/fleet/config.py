@@ -223,9 +223,10 @@ class WatchConfig:
             (supervision is always on -- a dead process worker is
             restored and replayed rather than aborting the watch).
 
-    The process backend always routes ticks and result columns through
-    the shared-memory tick plane (:mod:`repro.fleet.arena`); state
-    handoffs cross its worker queues as plain pickles.
+    The process backend sends each tick to its worker as a pickled
+    sample list and gets result columns back, both over its worker
+    queues (:mod:`repro.fleet.arena`); state handoffs cross the same
+    queues as plain pickles.
     """
 
     window: int = DEFAULT_STREAM_WINDOW

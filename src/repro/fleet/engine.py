@@ -718,7 +718,12 @@ class FleetEngine:
         a customer whose assessment raises (e.g. no SKU holds their
         storage footprint) surfaces once as an error update and is
         quarantined on its shard; the stream keeps serving everyone
-        else.
+        else.  Under the process backend each tick's samples are
+        pickled in the parent, so a sample whose values cannot be
+        pickled (a lambda, say) is not a per-customer failure: it
+        raises from :meth:`~repro.fleet.arena.TickPlane.pack_tick`
+        and ends the watch.  A value that pickles but is not a
+        number still fails only its customer, as on serial.
 
         With ``config.checkpoint`` set, shard state persists to a
         :class:`~repro.store.FleetStore` at the configured tick

@@ -11,7 +11,10 @@ construction; the tests below pin that they start no worker at all.
 
 from __future__ import annotations
 
+import multiprocessing
 import pickle
+import traceback
+from multiprocessing import shared_memory
 from multiprocessing.process import BaseProcess
 
 import numpy as np
@@ -38,7 +41,6 @@ from repro.fleet import (
     WatchConfig,
     make_backend,
 )
-from repro.fleet.arena import ArenaRegistry
 from repro.simulation import FleetConfig, simulate_fleet
 from repro.streaming import LiveRecommender
 from repro.telemetry import PerfDimension, TimeSeries
@@ -303,8 +305,9 @@ class TestBatchThroughBackends:
     def test_process_backend_batch_runs_in_the_parent(
         self, default_catalog, trained, monkeypatch
     ):
-        """Batch passes ignore the backend: no child process, no arena
-        segment, and every result pickles to the serial pass's bytes."""
+        """Batch passes ignore the backend: no child process, no
+        shared-memory segment, and every result pickles to the serial
+        pass's bytes."""
         customers = [
             FleetCustomer.from_record(record, customer_id=f"c{index:02d}")
             for index, record in enumerate(trained)
@@ -316,18 +319,18 @@ class TestBatchThroughBackends:
         started: list = []
         created: list = []
         start_process = BaseProcess.start
-        create_segment = ArenaRegistry.create
+        create_segment = shared_memory.SharedMemory
 
         def record_start(process):
             started.append(process.name)
             return start_process(process)
 
-        def record_create(registry, nbytes):
-            created.append(nbytes)
-            return create_segment(registry, nbytes)
+        def record_create(*args, **kwargs):
+            created.append((args, kwargs))
+            return create_segment(*args, **kwargs)
 
         monkeypatch.setattr(BaseProcess, "start", record_start)
-        monkeypatch.setattr(ArenaRegistry, "create", record_create)
+        monkeypatch.setattr(shared_memory, "SharedMemory", record_create)
         fleet = FleetEngine(
             engine=DopplerEngine(catalog=default_catalog), backend="process", max_workers=2
         )
@@ -744,12 +747,12 @@ class TestOutlierStreaming:
 
 
 # ----------------------------------------------------------------------
-# Zero-copy streaming tick plane
+# Process watch tick plane
 # ----------------------------------------------------------------------
-class TestZeroCopyTickPlane:
-    """The arena-backed watch data plane: identity, handoff, hygiene."""
+class TestProcessTickPlane:
+    """Ticks and replies over the worker queues: identity, handoff, hygiene."""
 
-    def test_zero_copy_watch_matches_serial(self, small_catalog):
+    def test_process_watch_matches_serial(self, small_catalog):
         fleet = FleetEngine(engine=DopplerEngine(catalog=small_catalog), backend="serial")
         feed = interleaved_feed(7, 24, seed=70, poison=("cust-3",))
         serial = canonical_updates(fleet.watch_fleet(feed, config=WATCH_CONFIG))
@@ -760,7 +763,7 @@ class TestZeroCopyTickPlane:
         )
         assert zero_copy == serial
 
-    def test_every_sample_mode_matches_serial_under_zero_copy(self, small_catalog):
+    def test_every_sample_mode_matches_serial(self, small_catalog):
         fleet = FleetEngine(engine=DopplerEngine(catalog=small_catalog), backend="serial")
         feed = interleaved_feed(5, 16, seed=71)
         serial = canonical_updates(
@@ -776,7 +779,7 @@ class TestZeroCopyTickPlane:
         )
         assert zero_copy == serial
 
-    def test_zero_copy_defaults_on_for_process_backend(self, small_catalog, monkeypatch):
+    def test_one_tick_plane_per_process_watch(self, small_catalog, monkeypatch):
         from repro.fleet import backends as backends_module
 
         created = []
@@ -802,7 +805,7 @@ class TestZeroCopyTickPlane:
             WATCH_CONFIG.replace(backend="process", max_workers=2, zero_copy=False)
         assert len(created) == 1  # the serial watch shares an address space
 
-    def test_migration_during_watch_rides_state_frames(self, small_catalog):
+    def test_migrating_resizing_watch_matches_serial(self, small_catalog):
         from repro.fleet.rebalance import Migration, RebalanceDecision, ScheduledRebalancePolicy
 
         fleet = FleetEngine(engine=DopplerEngine(catalog=small_catalog), backend="serial")
@@ -830,24 +833,15 @@ class TestZeroCopyTickPlane:
         stats = fleet.watch_rebalance_stats()
         assert stats.n_migrations >= 3  # the handoff actually ran
 
-    def test_drained_watch_leaves_shm_clean(self, small_catalog):
-        from repro.fleet.arena import leaked_segments
-
-        baseline = leaked_segments()
+    def test_drained_watch_leaves_no_worker(self, small_catalog):
         fleet = FleetEngine(engine=DopplerEngine(catalog=small_catalog), backend="serial")
         feed = interleaved_feed(4, 12, seed=74)
-        list(
-            fleet.watch_fleet(
-                feed,
-                config=WATCH_CONFIG.replace(backend="process", max_workers=2),
-            )
-        )
-        assert leaked_segments() == baseline
+        config = WATCH_CONFIG.replace(backend="process", max_workers=2)
+        serial = canonical_updates(fleet.watch_fleet(feed, config=WATCH_CONFIG))
+        assert canonical_updates(fleet.watch_fleet(feed, config=config)) == serial
+        assert multiprocessing.active_children() == []
 
-    def test_abandoned_watch_leaves_shm_clean(self, small_catalog):
-        from repro.fleet.arena import leaked_segments
-
-        baseline = leaked_segments()
+    def test_abandoned_watch_leaves_no_worker(self, small_catalog):
         fleet = FleetEngine(engine=DopplerEngine(catalog=small_catalog), backend="serial")
         feed = interleaved_feed(4, 20, seed=75)
         stream = fleet.watch_fleet(
@@ -857,5 +851,112 @@ class TestZeroCopyTickPlane:
             ),
         )
         next(stream)
-        stream.close()  # abandon mid-watch: teardown must clean up
-        assert leaked_segments() == baseline
+        stream.close()  # abandon mid-watch: teardown must reap the pool
+        assert multiprocessing.active_children() == []
+
+    def test_watch_runs_without_shared_memory(self, small_catalog, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the process watch created a shared-memory segment")
+
+        monkeypatch.setattr(shared_memory, "SharedMemory", refuse)
+        fleet = FleetEngine(engine=DopplerEngine(catalog=small_catalog), backend="serial")
+        feed = interleaved_feed(5, 16, seed=76, poison=("cust-1",))
+        serial = canonical_updates(fleet.watch_fleet(feed, config=WATCH_CONFIG))
+        process = canonical_updates(
+            fleet.watch_fleet(
+                feed, config=WATCH_CONFIG.replace(backend="process", max_workers=2)
+            )
+        )
+        assert process == serial
+        assert fleet.watch_supervision_stats().n_restarts == 0
+
+    def test_malformed_samples_match_serial(self, small_catalog):
+        """Samples cross the tick queue exactly as fed: a non-float
+        value and non-``PerfDimension`` keys reach the worker's
+        validation unchanged, so the process watch emits serial's error
+        updates and quarantines the same customers."""
+        rng = np.random.default_rng(77)
+        feed = interleaved_feed(4, 16, seed=77)
+        bad_value = feed[9].customer_id
+        feed[9] = FleetSample(
+            customer_id=bad_value,
+            values={**feed[9].values, PerfDimension.CPU: "not-a-number"},
+        )
+        for position, values in zip(range(2, 60, 4), live_samples(16, rng)):
+            # An extra string key is ignored; string keys in place of
+            # the dimensions leave the sample without its counters.
+            feed.insert(position, FleetSample("cust-extra-key", {**values, "cpu": 1.5}))
+        odd = {dim.name.lower(): value for dim, value in live_samples(1, rng)[0].items()}
+        feed.insert(30, FleetSample("cust-string-keys", odd))
+        fleet = FleetEngine(engine=DopplerEngine(catalog=small_catalog), backend="serial")
+        config = WATCH_CONFIG.replace(refreshes_only=False)
+        serial = canonical_updates(fleet.watch_fleet(feed, config=config))
+        process = canonical_updates(
+            fleet.watch_fleet(
+                feed, config=config.replace(backend="process", max_workers=3)
+            )
+        )
+        assert process == serial
+        lines = serial.splitlines()
+        errors = {line.split("|")[0] for line in lines if "|ERROR|" in line}
+        assert errors == {bad_value, "cust-string-keys"}
+        assert sum(line.startswith("cust-extra-key|") for line in lines) > 0
+
+    def test_unpicklable_sample_raises_from_pack_tick(self, small_catalog):
+        """A sample the tick pickle cannot carry fails the watch in the
+        parent, at ``pack_tick``, before its tick is dispatched."""
+        feed = interleaved_feed(3, 8, seed=78)
+        feed[5] = FleetSample(
+            customer_id=feed[5].customer_id,
+            values={**feed[5].values, PerfDimension.CPU: lambda: 1.0},
+        )
+        fleet = FleetEngine(engine=DopplerEngine(catalog=small_catalog), backend="serial")
+        stream = fleet.watch_fleet(
+            feed, config=WATCH_CONFIG.replace(backend="process", max_workers=2)
+        )
+        with pytest.raises((pickle.PicklingError, AttributeError, TypeError)) as raised:
+            list(stream)
+        frames = [frame.name for frame in traceback.extract_tb(raised.tb)]
+        assert "pack_tick" in frames
+        assert fleet.watch_supervision_stats().n_restarts == 0
+        assert multiprocessing.active_children() == []
+
+    def test_stale_reply_leaves_the_memo_alone(self, small_catalog):
+        """A reply the reorder buffer no longer owes -- a replaced
+        worker's duplicate -- is never decoded, so its older
+        recommendation cannot displace the memo's newer one."""
+        from repro.fleet import FleetLiveUpdate
+        from repro.fleet.arena import write_result_columns
+        from repro.fleet.backends import _PendingTick, _ProcessShardPool
+        from repro.streaming.live import LiveUpdate
+
+        def reply(recommendation, shipped):
+            update = LiveUpdate(
+                n_seen=8, n_window=8, refreshed=True, drift=None,
+                recommendation=recommendation,
+            )
+            return write_result_columns(
+                [(0, FleetLiveUpdate(customer_id="cust-a", update=update))], shipped
+            )
+
+        newer, older = {"sku": "newer"}, {"sku": "older"}
+        config = FleetEngine(
+            engine=DopplerEngine(catalog=small_catalog), backend="serial"
+        )._shard_config(WATCH_CONFIG)
+        pool = _ProcessShardPool(config, n_shards=0)
+        try:
+            pool._pending.append(_PendingTick(0, [0]))
+            pool._out_queue.put(("tick", 0, 0, reply(newer, {}), 0.0))
+            ((_, update),), _ = pool.drain_next()
+            assert update.update.recommendation == newer
+            # Tick 0 has drained: a second reply to it is stale.  The
+            # next owed reply's token means "unchanged": still ``newer``.
+            pool._pending.append(_PendingTick(1, [0]))
+            pool._out_queue.put(("tick", 0, 0, reply(older, {}), 0.0))
+            pool._out_queue.put(
+                ("tick", 0, 1, reply(newer, {"cust-a": newer}), 0.0)
+            )
+            ((_, update),), _ = pool.drain_next()
+            assert update.update.recommendation == newer
+        finally:
+            pool.close()
