@@ -22,7 +22,9 @@ Every pass builds its own training records, customers and
 :class:`~repro.fleet.engine.FleetEngine` (same seeds, so the same
 content), so no pass reads a curve cache or a trace memo (demand
 matrix, fingerprint) that another pass warmed.  The smoke run times
-each path once.
+each path :data:`SMOKE_REPEATS` times the same way and records the
+medians, so the throughputs ``perf_trend.py`` compares between CI
+runs do not rest on one 10-20 ms fit.
 
 Standalone script (not a pytest benchmark)::
 
@@ -75,8 +77,10 @@ RESULTS_DIR = Path(__file__).parent / "results"
 RESULTS_PATH = RESULTS_DIR / "fleet_scale.txt"
 JSON_PATH = RESULTS_DIR / "BENCH_fleet.json"
 
-#: Timed repeats per fleet size in a full run (the smoke run times once).
+#: Timed repeats per fleet size in a full run.
 FULL_REPEATS = 5
+#: Timed repeats in a smoke run: its medians are perf-trend metrics.
+SMOKE_REPEATS = 3
 
 
 def make_customers(
@@ -227,7 +231,7 @@ def main(argv: list[str] | None = None) -> int:
     lines = [f"fleet-scale benchmark: cores={cores} trace={duration:g}d@{interval:g}min"]
 
     catalog = SkuCatalog.default()
-    repeats = 1 if args.smoke else FULL_REPEATS
+    repeats = SMOKE_REPEATS if args.smoke else FULL_REPEATS
     train_config = FleetConfig.paper_db(
         train_size, duration_days=duration, interval_minutes=interval
     )

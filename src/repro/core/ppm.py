@@ -30,6 +30,7 @@ from .curve import PricePerformanceCurve, intern_candidates
 from .throttling import (
     EmpiricalThrottlingEstimator,
     ThrottlingEstimator,
+    _CapacityLevels,
     capacity_matrix,
     demand_matrix,
 )
@@ -46,8 +47,10 @@ def gp_iops_overrides(
     name, the form the live recommender's incremental estimator keeps
     in its state.  Curve builders apply the same rule as a column
     write over the GP-tier rows
-    (:meth:`_DeploymentCurveState.caps_with_gp_iops`); the parity
-    contract requires both to see identical capacities.
+    (:meth:`_DeploymentCurveState.caps_with_gp_iops`), and the
+    columnar batch as the kernel's per-trace threshold row
+    (:meth:`_DeploymentCurveState.levels_for`); the parity contract
+    requires all three to see identical capacities.
     """
     return {
         sku.name: plan.layout.total_iops
@@ -73,11 +76,19 @@ class _DeploymentCurveState:
     catalog (price) order plus the vectorized per-SKU attributes the
     builders share -- storage limits for the per-customer fit mask,
     the tier masks for MI IOPS overrides and the Business-Critical
-    restriction, and a memo of capacity matrices per dimension tuple.
+    restriction, and memos of capacity matrices and of the violation
+    kernel's capacity levels per dimension tuple.
+
+    Args:
+        skus: The deployment's candidates in catalog (price) order.
+        step2_gp_iops: Whether GP SKUs inherit the customer's Step-2
+            file-layout IOPS limit (SQL MI) instead of their catalog
+            IOPS.
     """
 
-    def __init__(self, skus: Sequence[SkuSpec]) -> None:
+    def __init__(self, skus: Sequence[SkuSpec], step2_gp_iops: bool = False) -> None:
         self.skus: tuple[SkuSpec, ...] = tuple(skus)
+        self.step2_gp_iops = step2_gp_iops
         self.monthly_prices = np.array([sku.monthly_price for sku in self.skus])
         self.max_data_size_gb = np.array(
             [sku.limits.max_data_size_gb for sku in self.skus]
@@ -89,6 +100,7 @@ class _DeploymentCurveState:
             [sku.tier is ServiceTier.BUSINESS_CRITICAL for sku in self.skus]
         )
         self._caps_by_dims: dict[tuple[PerfDimension, ...], np.ndarray] = {}
+        self._levels_by_dims: dict[tuple[PerfDimension, ...], _CapacityLevels] = {}
 
     def caps_for(self, dimensions: tuple[PerfDimension, ...]) -> np.ndarray:
         """Capacity matrix over all candidates, memoized per dim tuple.
@@ -118,6 +130,28 @@ class _DeploymentCurveState:
         caps = caps.copy()
         caps[self.gp_mask, dimensions.index(PerfDimension.IOPS)] = float(gp_iops)
         return caps
+
+    def levels_for(self, dimensions: tuple[PerfDimension, ...]) -> _CapacityLevels:
+        """The violation kernel's levels over :meth:`caps_for`, memoized.
+
+        Built once per dimension tuple, so no columnar chunk re-sorts
+        the catalog's capacities.  For SQL MI with an IOPS column the
+        GP SKUs' IOPS capacity is the levels' threshold row: each
+        customer's kernel call passes its Step-2 limit
+        (``plan.layout.total_iops``) as its threshold, and the counts
+        equal those over :meth:`caps_with_gp_iops` with that limit.
+        """
+        levels = self._levels_by_dims.get(dimensions)
+        if levels is None:
+            caps = self.caps_for(dimensions)
+            if self.step2_gp_iops and PerfDimension.IOPS in dimensions:
+                levels = _CapacityLevels(
+                    caps, self.gp_mask, dimensions.index(PerfDimension.IOPS)
+                )
+            else:
+                levels = _CapacityLevels(caps)
+            self._levels_by_dims[dimensions] = levels
+        return levels
 
 
 #: Quantile summarizing the IOPS/throughput demand checked in Step 1.
@@ -288,13 +322,15 @@ class PricePerformanceModeler:
         """Columnar batch counterpart of :meth:`build_curve`.
 
         Evaluates a whole fleet shard as stacked NumPy operations: the
-        per-deployment capacity matrix is built once (memoized on the
+        per-deployment capacity matrix and the kernel's capacity
+        levels are built once per dimension tuple (memoized on the
         modeler), customers are grouped by their evaluated dimension
-        tuple (and, for MI, by the planned file layout's IOPS
-        override), each group's demand rows flow through shared
-        chunks of the bitset violation kernel, and the per-customer
-        storage fit reduces to a vectorized mask over precomputed SKU
-        storage limits.
+        tuple alone, each group's demand rows flow through one call
+        of the bitset violation kernel (for MI, each customer's
+        planned file-layout IOPS limit rides along as its GP SKUs'
+        threshold, :meth:`_DeploymentCurveState.levels_for`), and the
+        per-customer storage fit reduces to a vectorized mask over
+        precomputed SKU storage limits.
 
         The results are byte-identical to calling :meth:`build_curve`
         per trace -- same probabilities (per-SKU estimates are
@@ -336,24 +372,29 @@ class PricePerformanceModeler:
         results: list[PricePerformanceCurve | Exception | None] = [None] * n_traces
         state = self._deployment_state(deployment)
         plans: list[MiStoragePlan | None] = [None] * n_traces
-        groups: dict[tuple, list[int]] = {}
+        is_mi = deployment is DeploymentType.SQL_MI
+        io_demands = self._io_demands(traces) if is_mi else []
+        groups: dict[tuple[PerfDimension, ...], list[int]] = {}
         for index, trace in enumerate(traces):
             try:
                 dims = self._curve_dimensions(trace, deployment)
-                gp_iops: float | None = None
-                if deployment is DeploymentType.SQL_MI:
+                if is_mi:
                     sizes = sizes_per_trace[index]
-                    plan = self.plan_mi_storage(trace, list(sizes) if sizes else None)
-                    plans[index] = plan
-                    gp_iops = plan.layout.total_iops
-                groups.setdefault((dims, gp_iops), []).append(index)
+                    plans[index] = self._storage_plan(
+                        trace, list(sizes) if sizes else None, io_demands[index]
+                    )
+                groups.setdefault(dims, []).append(index)
             except Exception as exc:  # noqa: BLE001 - per-customer containment
                 results[index] = exc
 
-        for (dims, gp_iops), indices in groups.items():
+        for dims, indices in groups.items():
+            thresholds = None
+            if is_mi:
+                thresholds = [plans[i].layout.total_iops for i in indices]
             probabilities = self.estimator.probabilities_batch_from_caps(
                 [traces[i].demand_matrix(dims) for i in indices],
-                state.caps_with_gp_iops(dims, gp_iops),
+                state.levels_for(dims),
+                thresholds,
             )
             for row, index in zip(probabilities, indices):
                 try:
@@ -404,7 +445,7 @@ class PricePerformanceModeler:
 
         Lazily attached to the (frozen) modeler; dropped on pickling
         so worker processes rebuild it locally instead of shipping
-        redundant capacity matrices.
+        redundant capacity matrices and levels.
         """
         cache = self.__dict__.get("_columnar_state")
         if cache is None:
@@ -412,7 +453,9 @@ class PricePerformanceModeler:
             object.__setattr__(self, "_columnar_state", cache)
         state = cache.get(deployment)
         if state is None:
-            state = _DeploymentCurveState(self._candidates[deployment])
+            state = _DeploymentCurveState(
+                self._candidates[deployment], deployment is DeploymentType.SQL_MI
+            )
             cache[deployment] = state
         return state
 
@@ -433,10 +476,19 @@ class PricePerformanceModeler:
         file_sizes_gib: list[float] | None = None,
     ) -> MiStoragePlan:
         """Run MI Step 1: storage-tier planning and the 95 % filter."""
+        return self._storage_plan(trace, file_sizes_gib, self._io_demands([trace])[0])
+
+    def _storage_plan(
+        self,
+        trace: PerformanceTrace,
+        file_sizes_gib: list[float] | None,
+        io_demand: tuple[float, float],
+    ) -> MiStoragePlan:
+        """Step 1 given the trace's ``(IOPS, MiB/s)`` demand (:meth:`_io_demands`)."""
         data_size = self._storage_footprint(trace)
         sizes = file_sizes_gib if file_sizes_gib else [data_size]
         layout = plan_file_layout(sizes)
-        required_iops, required_throughput = self._io_demand(trace)
+        required_iops, required_throughput = io_demand
         gp_allowed = layout.covers(
             required_iops, required_throughput, coverage=IOPS_THROUGHPUT_COVERAGE
         )
@@ -508,10 +560,23 @@ class PricePerformanceModeler:
         return 1.0
 
     @staticmethod
-    def _io_demand(trace: PerformanceTrace) -> tuple[float, float]:
-        """(IOPS, MiB/s) demand summarized at a high quantile."""
-        if PerfDimension.IOPS not in trace:
-            return 0.0, 0.0
-        iops = trace[PerfDimension.IOPS].quantile(_STEP1_DEMAND_QUANTILE)
-        throughput = iops * _IO_TRANSFER_KIB / 1024.0
-        return iops, throughput
+    def _io_demands(traces: Sequence[PerformanceTrace]) -> list[tuple[float, float]]:
+        """(IOPS, MiB/s) demand per trace, summarized at a high quantile.
+
+        The IOPS series of equally long traces stack into one matrix
+        and take one quantile call per length: each row's quantile is
+        the one the row alone gets, bit for bit (the same partition
+        and interpolation per row).  A trace without IOPS demands
+        nothing.
+        """
+        demands = [(0.0, 0.0)] * len(traces)
+        by_length: dict[int, list[int]] = {}
+        for index, trace in enumerate(traces):
+            if PerfDimension.IOPS in trace:
+                by_length.setdefault(trace.n_samples, []).append(index)
+        for indices in by_length.values():
+            stacked = np.stack([traces[i][PerfDimension.IOPS].values for i in indices])
+            quantiles = np.quantile(stacked, _STEP1_DEMAND_QUANTILE, axis=1)
+            for index, iops in zip(indices, quantiles.tolist()):
+                demands[index] = (iops, iops * _IO_TRANSFER_KIB / 1024.0)
+        return demands

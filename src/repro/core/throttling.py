@@ -85,21 +85,55 @@ class _CapacityLevels:
     demand column only against its dimension's sorted distinct levels
     and lets every SKU gather the level rows it sits on.
 
+    A capacity that differs per trace gets one *threshold row* instead
+    of a level: the SKUs under ``threshold_rows`` read it in
+    ``threshold_column``, and each trace brings its own threshold to
+    :meth:`violation_words`.  Traces never share a 64-sample word, so
+    the threshold changes per word.  This is how the MI Step-2 limit
+    (every General Purpose SKU inherits the customer's planned file
+    layout IOPS, paper Section 3.2) runs a whole chunk of customers
+    through one kernel pass: the row is the same strict
+    ``demand > threshold`` a level row is, so the counts equal those
+    over the matrix with each trace's threshold written into that
+    column.  Levels hold no derived state of any trace, so one object
+    serves every kernel call over the same matrix (the deployment's
+    memo, :meth:`~repro.core.ppm._DeploymentCurveState.levels_for`).
+
     Attributes:
-        levels: Sorted distinct capacities, one array per dimension.
-        rows: ``(n_skus, n_dims)`` index of each SKU's level among all
-            dimensions' levels stacked in order.
+        levels: Sorted distinct capacities, one array per dimension
+            (the threshold SKUs' own capacities in the threshold column
+            left out).
+        rows: ``(n_skus, n_dims)`` index of each SKU's packed row among
+            all dimensions' levels stacked in order, then the threshold
+            row.
+        n_levels: Packed rows per word, the threshold row included.
+        threshold_column: The column whose ``threshold_rows`` SKUs read
+            the threshold row, or None when there is no threshold row.
     """
 
-    def __init__(self, caps: np.ndarray) -> None:
+    def __init__(
+        self,
+        caps: np.ndarray,
+        threshold_rows: np.ndarray | None = None,
+        threshold_column: int | None = None,
+    ) -> None:
+        self.threshold_column = threshold_column
         self.levels: list[np.ndarray] = []
         self.rows = np.empty(caps.shape, dtype=np.intp)
         offset = 0
         for column in range(caps.shape[1]):
-            levels, inverse = np.unique(caps[:, column], return_inverse=True)
+            if column == threshold_column:
+                shared = ~threshold_rows
+                levels, inverse = np.unique(caps[shared, column], return_inverse=True)
+                self.rows[shared, column] = inverse + offset
+            else:
+                levels, inverse = np.unique(caps[:, column], return_inverse=True)
+                self.rows[:, column] = inverse + offset
             self.levels.append(levels)
-            self.rows[:, column] = inverse + offset
             offset += len(levels)
+        if threshold_column is not None:
+            self.rows[threshold_rows, threshold_column] = offset
+            offset += 1
         self.n_levels = offset
 
     def words_per_chunk(self, memory_cap_mb: float) -> int:
@@ -120,7 +154,9 @@ class _CapacityLevels:
         )
         return max(1, int(memory_cap_mb * 1024 * 1024) // per_word)
 
-    def violation_words(self, blocks: Sequence[np.ndarray]) -> np.ndarray:
+    def violation_words(
+        self, blocks: Sequence[np.ndarray], thresholds: Sequence[float] | None = None
+    ) -> np.ndarray:
         """``(n_skus, n_words)`` uint64 any-dimension violation bitsets.
 
         Each block of ``(n_i, n_dims)`` demands starts on a fresh word
@@ -128,23 +164,33 @@ class _CapacityLevels:
         capacity.  Bit ``t`` of a block's bits (``np.packbits`` order)
         is set iff some dimension's demand at sample ``t`` exceeds the
         SKU's capacity: exactly
-        ``(demands[None] > caps[:, None]).any(axis=2)``, packed.
+        ``(demands[None] > caps[:, None]).any(axis=2)``, packed, with
+        ``thresholds[i]`` as the threshold SKUs' capacity for block
+        ``i`` (one per block when the levels have a threshold row,
+        ignored otherwise).
         """
         n_words = [-(-block.shape[0] // _WORD_SAMPLES) for block in blocks]
+        total_words = sum(n_words)
         columns = np.full(
-            (self.rows.shape[1], sum(n_words) * _WORD_SAMPLES), -np.inf
+            (self.rows.shape[1], total_words * _WORD_SAMPLES), -np.inf
         )
         start = 0
         for block, words in zip(blocks, n_words):
             columns[:, start : start + block.shape[0]] = block.T
             start += words * _WORD_SAMPLES
-        packed = np.empty((self.n_levels, columns.shape[1] // 8), dtype=np.uint8)
+        packed = np.empty((self.n_levels, total_words * 8), dtype=np.uint8)
         row = 0
         for column, levels in zip(columns, self.levels):
             packed[row : row + len(levels)] = np.packbits(
                 column > levels[:, None], axis=1
             )
             row += len(levels)
+        if self.threshold_column is not None:
+            word_thresholds = np.repeat(np.asarray(thresholds, dtype=float), n_words)
+            words = columns[self.threshold_column].reshape(total_words, _WORD_SAMPLES)
+            packed[row] = np.packbits(
+                words > word_thresholds[:, None], axis=1
+            ).reshape(-1)
         level_words = packed.view(np.uint64)
         violated = level_words[self.rows[:, 0]]
         for dim in range(1, self.rows.shape[1]):
@@ -153,18 +199,25 @@ class _CapacityLevels:
 
 
 def _bitset_counts(
-    demand_blocks: Sequence[np.ndarray], caps: np.ndarray, memory_cap_mb: float
+    demand_blocks: Sequence[np.ndarray],
+    levels: _CapacityLevels,
+    memory_cap_mb: float,
+    thresholds: Sequence[float] | None = None,
 ) -> np.ndarray:
     """``(n_traces, n_skus)`` violation counts: the one violation kernel.
 
     Traces are packed greedily into chunks of at most the cap's word
     budget; a trace longer than the budget is cut into word-aligned
-    pieces that are counted separately and summed.  A chunk's counts
-    are popcounts summed per piece over its word offsets.
+    pieces that are counted separately and summed, each piece
+    carrying its trace's threshold.  A chunk's counts are popcounts
+    summed per piece over its word offsets.
     """
-    levels = _CapacityLevels(caps)
+    if levels.threshold_column is not None and (
+        thresholds is None or len(thresholds) != len(demand_blocks)
+    ):
+        raise ValueError("these capacity levels need one threshold per trace")
     budget = levels.words_per_chunk(memory_cap_mb)
-    counts = np.zeros((len(demand_blocks), caps.shape[0]), dtype=np.int64)
+    counts = np.zeros((len(demand_blocks), levels.rows.shape[0]), dtype=np.int64)
     owners: list[int] = []
     pieces: list[np.ndarray] = []
     offsets: list[int] = []
@@ -173,7 +226,10 @@ def _bitset_counts(
     def flush() -> None:
         nonlocal n_words
         if pieces:
-            popcounts = np.bitwise_count(levels.violation_words(pieces))
+            piece_thresholds = (
+                None if thresholds is None else [thresholds[owner] for owner in owners]
+            )
+            popcounts = np.bitwise_count(levels.violation_words(pieces, piece_thresholds))
             sums = np.add.reduceat(popcounts, offsets, axis=1, dtype=np.int64)
             np.add.at(counts, owners, sums.T)
             owners.clear()
@@ -213,13 +269,14 @@ def violation_counts(
     int64/float64 far beyond any realistic trace length), so chunking
     never changes a probability.
     """
-    return _bitset_counts([demands], caps, memory_cap_mb)[0]
+    return _bitset_counts([demands], _CapacityLevels(caps), memory_cap_mb)[0]
 
 
 def batch_violation_counts(
     demand_blocks: Sequence[np.ndarray],
-    caps: np.ndarray,
+    caps: np.ndarray | _CapacityLevels,
     memory_cap_mb: float = DEFAULT_KERNEL_MEMORY_CAP_MB,
+    thresholds: Sequence[float] | None = None,
 ) -> np.ndarray:
     """Violation counts for many traces against one capacity matrix.
 
@@ -230,13 +287,18 @@ def batch_violation_counts(
     Args:
         demand_blocks: Per-trace ``(n_i, n_dims)`` demand matrices,
             all sharing one dimension order aligned with ``caps``.
-        caps: ``(n_skus, n_dims)`` capacity matrix.
+        caps: ``(n_skus, n_dims)`` capacity matrix, or its prebuilt
+            :class:`_CapacityLevels` (a memo reused across calls,
+            possibly with a per-trace threshold row).
         memory_cap_mb: Bound on the kernel's transient bytes.
+        thresholds: One threshold-row capacity per trace, when
+            ``caps`` are levels with a threshold row.
 
     Returns:
         ``(n_traces, n_skus)`` int64 violation counts.
     """
-    return _bitset_counts(demand_blocks, caps, memory_cap_mb)
+    levels = caps if isinstance(caps, _CapacityLevels) else _CapacityLevels(caps)
+    return _bitset_counts(demand_blocks, levels, memory_cap_mb, thresholds)
 
 
 def violation_rows(demands: np.ndarray, caps: np.ndarray) -> np.ndarray:
@@ -435,17 +497,23 @@ class EmpiricalThrottlingEstimator(ThrottlingEstimator):
         )
 
     def probabilities_batch_from_caps(
-        self, demand_blocks: Sequence[np.ndarray], caps: np.ndarray
+        self,
+        demand_blocks: Sequence[np.ndarray],
+        caps: np.ndarray | _CapacityLevels,
+        thresholds: Sequence[float] | None = None,
     ) -> np.ndarray:
         """Many traces against one precomputed capacity matrix.
 
         The columnar fast path used by
         :meth:`~repro.core.ppm.PricePerformanceModeler.build_curves_batch`:
-        the capacity matrix is built once per fleet pass and the
-        demand rows of every customer flow through shared kernel
-        chunks.
+        the deployment's capacity levels are built once per modeler
+        and the demand rows of every customer flow through shared
+        kernel chunks (``caps`` and ``thresholds`` as in
+        :func:`batch_violation_counts`).
         """
-        counts = batch_violation_counts(demand_blocks, caps, self.memory_cap_mb)
+        counts = batch_violation_counts(
+            demand_blocks, caps, self.memory_cap_mb, thresholds
+        )
         lengths = np.array([block.shape[0] for block in demand_blocks], dtype=np.int64)
         return counts / lengths[:, None]
 

@@ -13,6 +13,7 @@ fleet engine memoizes construction behind a bounded LRU cache keyed by
 from __future__ import annotations
 
 import hashlib
+import struct
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -22,6 +23,7 @@ import numpy as np
 
 from ..catalog.catalog import catalog_signature  # re-exported: part of every cache key
 from ..core.curve import PricePerformanceCurve
+from ..telemetry.counters import PerfDimension
 from ..telemetry.trace import PerformanceTrace
 
 __all__ = [
@@ -31,6 +33,9 @@ __all__ = [
     "curve_cache_key",
     "trace_fingerprint",
 ]
+
+#: One byte per dimension in a trace fingerprint's header.
+_DIMENSION_CODES = {dimension: code for code, dimension in enumerate(PerfDimension)}
 
 #: Default number of curves kept in memory.  Curves are small (tens of
 #: points), so this is generous while still bounding fleet-scale runs.
@@ -46,12 +51,20 @@ def trace_fingerprint(trace: PerformanceTrace) -> str:
     standing in for the trace object itself (traces are large; keys
     must be small and hashable).
 
-    One pass: a length-prefixed header (the ``repr`` of entity id,
-    interval, sample count and each dimension's name and start minute,
-    so adjacent fields cannot blur into each other) and then each
-    series' sample buffer, whose length the header fixes.  A strided
-    series hashes like its contiguous copy.  The digest is computed
-    once per trace object and kept on it, as
+    One SHA-256 pass: a fixed-layout header (the entity id's ``repr``
+    length, the interval, the sample count, the dimension count, each
+    dimension's code and start minute), then the entity id's ``repr``
+    and each series' sample buffer, whose lengths the header fixes, so
+    adjacent fields cannot blur into each other.  A strided series
+    hashes like its contiguous copy.
+
+    SHA-256 rather than BLAKE2b because OpenSSL runs it on the CPU's
+    SHA extensions where they exist (x86 ``sha_ni``, ARMv8 crypto):
+    there it hashes a 16 KB trace in about half BLAKE2b's time, and
+    its collision resistance is no weaker.  On a CPU without them it
+    is slower than BLAKE2b but yields the same digest.
+
+    The digest is computed once per trace object and kept on it, as
     :meth:`~repro.telemetry.trace.PerformanceTrace.demand_matrix` is;
     a pickled trace is rebuilt through its constructor, so the memo
     never travels.  The key is process-local and never persisted: its
@@ -63,16 +76,20 @@ def trace_fingerprint(trace: PerformanceTrace) -> str:
         return fingerprint
     dimensions = trace.dimensions
     series = [trace.series[dimension] for dimension in dimensions]
-    header = repr(
-        (
-            trace.entity_id,
-            float(trace.interval_minutes),
-            trace.n_samples,
-            [(dim.name, float(ts.start_minute)) for dim, ts in zip(dimensions, series)],
+    entity = repr(trace.entity_id).encode("utf-8")
+    n_dims = len(series)
+    digest = hashlib.sha256(
+        struct.pack(
+            f"<Qdqq{n_dims}B{n_dims}d",
+            len(entity),
+            series[0].interval_minutes,
+            len(series[0].values),
+            n_dims,
+            *[_DIMENSION_CODES[dimension] for dimension in dimensions],
+            *[ts.start_minute for ts in series],
         )
-    ).encode("utf-8")
-    digest = hashlib.blake2b(len(header).to_bytes(8, "little"), digest_size=16)
-    digest.update(header)
+    )
+    digest.update(entity)
     for ts in series:
         digest.update(np.ascontiguousarray(ts.values))
     fingerprint = memo["_fingerprint"] = digest.hexdigest()
@@ -109,38 +126,29 @@ class CurveCacheStats:
         misses: Lookups that had to build the curve.
         evictions: Entries dropped to respect ``maxsize``.
         size: Entries currently held.
-        duplicate_builds: Misses that rebuilt a key another thread was
-            already building (the accepted race of threads sharing one
-            cache).
-            ``misses - duplicate_builds`` is the number of genuinely
-            distinct curve constructions, so fleet hit-rate reports
-            stay truthful under concurrency.
     """
 
     hits: int
     misses: int
     evictions: int
     size: int
-    duplicate_builds: int = 0
 
     @property
     def hit_rate(self) -> float:
         total = self.hits + self.misses
         return self.hits / total if total else 0.0
 
-    @property
-    def unique_misses(self) -> int:
-        """Misses that built a key no other thread was building."""
-        return self.misses - self.duplicate_builds
-
 
 class CurveCache:
-    """Bounded, thread-safe LRU cache of price-performance curves.
+    """Bounded, lock-guarded LRU cache of price-performance curves.
 
     One instance serves every batch pass of a
     :class:`~repro.fleet.engine.FleetEngine`; the lock keeps it
     consistent when several threads share that engine (the serving
-    tier's recommend executor beside direct callers).
+    tier's recommend executor beside direct callers).  Builders run
+    outside the lock, so two threads missing one key both build it;
+    curves are immutable, so the last install wins and nothing is
+    lost but the duplicate work.
     """
 
     def __init__(self, maxsize: int = DEFAULT_CACHE_SIZE) -> None:
@@ -152,18 +160,15 @@ class CurveCache:
         self._hits = 0
         self._misses = 0
         self._evictions = 0
-        self._duplicate_builds = 0
-        self._building: dict[Hashable, int] = {}
 
     def get_or_build(
         self, key: Hashable, builder: Callable[[], PricePerformanceCurve]
     ) -> PricePerformanceCurve:
         """Return the cached curve for ``key``, building it on a miss.
 
-        The builder runs outside the lock so concurrent misses on
-        different keys do not serialize; a rare duplicate build of the
-        same key is accepted in exchange (curves are immutable, so
-        last-write-wins is safe) and counted in ``duplicate_builds``.
+        The builder runs outside the lock, so concurrent misses on
+        different keys do not serialize; a failed build installs
+        nothing and propagates.
         """
         with self._lock:
             curve = self._entries.get(key)
@@ -172,35 +177,9 @@ class CurveCache:
                 self._hits += 1
                 return curve
             self._misses += 1
-            in_flight = self._building.get(key, 0)
-            if in_flight:
-                self._duplicate_builds += 1
-            self._building[key] = in_flight + 1
-        try:
-            curve = builder()
-        except BaseException:
-            with self._lock:
-                self._release_building(key)
-            raise
-        with self._lock:
-            # Insert before dropping the in-flight marker (same locked
-            # section): a lookup can never observe "no entry and no
-            # build in flight" for a key that was being built.
-            self._entries[key] = curve
-            self._entries.move_to_end(key)
-            while len(self._entries) > self.maxsize:
-                self._entries.popitem(last=False)
-                self._evictions += 1
-            self._release_building(key)
+        curve = builder()
+        self.install_many({key: curve})
         return curve
-
-    def _release_building(self, key: Hashable) -> None:
-        """Drop one in-flight marker for ``key``; caller holds the lock."""
-        remaining = self._building.get(key, 1) - 1
-        if remaining:
-            self._building[key] = remaining
-        else:
-            self._building.pop(key, None)
 
     # ------------------------------------------------------------------
     # Batch protocol (columnar fleet path)
@@ -215,13 +194,8 @@ class CurveCache:
         (a sequential :meth:`get_or_build` loop counts them hits
         after a successful install but fresh misses after a failed
         build, and hit-rate parity between the columnar and
-        per-customer paths requires the same distinction).  Each
-        distinct missed key is marked in-flight and MUST be settled
-        by exactly one subsequent :meth:`install_many` (curve built)
-        or :meth:`release_many` (build failed/abandoned) call, or the
-        in-flight accounting leaks.  Two threads batch-missing the
-        same key both build it -- the same accepted race as
-        :meth:`get_or_build`, counted in ``duplicate_builds``.
+        per-customer paths requires the same distinction).  The
+        caller installs the curves it builds with :meth:`install_many`.
 
         Returns:
             The distinct ``keys`` found, mapped to their curves.
@@ -241,10 +215,6 @@ class CurveCache:
                     found[key] = curve
                     continue
                 self._misses += 1
-                in_flight = self._building.get(key, 0)
-                if in_flight:
-                    self._duplicate_builds += 1
-                self._building[key] = in_flight + 1
                 missed.add(key)
         return found
 
@@ -265,21 +235,14 @@ class CurveCache:
     def install_many(
         self, curves: dict[Hashable, PricePerformanceCurve]
     ) -> None:
-        """Insert batch-built curves and settle their in-flight markers."""
+        """Insert built curves as the most recent, evicting the oldest."""
         with self._lock:
             for key, curve in curves.items():
                 self._entries[key] = curve
                 self._entries.move_to_end(key)
-                self._release_building(key)
             while len(self._entries) > self.maxsize:
                 self._entries.popitem(last=False)
                 self._evictions += 1
-
-    def release_many(self, keys: Iterable[Hashable]) -> None:
-        """Settle in-flight markers for keys whose builds failed."""
-        with self._lock:
-            for key in keys:
-                self._release_building(key)
 
     def clear(self) -> None:
         with self._lock:
@@ -292,7 +255,6 @@ class CurveCache:
                 misses=self._misses,
                 evictions=self._evictions,
                 size=len(self._entries),
-                duplicate_builds=self._duplicate_builds,
             )
 
     def __len__(self) -> int:
@@ -308,14 +270,11 @@ class CurveCache:
         Lets cache-holding objects pickle wholesale for explicit
         handoff; process-pool workers never receive the parent's
         cache -- each builds its own.  A clone starts with the
-        source's entries and counters but no in-flight build markers:
-        builds running in the source process's threads mean nothing to
-        the clone.
+        source's entries and counters.
         """
         with self._lock:
             state = self.__dict__.copy()
             state["_entries"] = OrderedDict(self._entries)
-            state["_building"] = {}
         del state["_lock"]
         return state
 

@@ -286,46 +286,33 @@ class _FleetRunner:
                 missing_by_deployment.setdefault(deployment, {}).setdefault(
                     key, (trace, sizes)
                 )
-        try:
-            for deployment, missing in missing_by_deployment.items():
-                built = self.engine.ppm.build_curves_batch(
-                    [trace for trace, _ in missing.values()],
-                    deployment,
-                    [sizes for _, sizes in missing.values()],
-                )
-                curves = {
-                    key: outcome
-                    for key, outcome in zip(missing, built)
-                    if not isinstance(outcome, Exception)
-                }
-                self.cache.install_many(curves)
-                self.cache.release_many(set(missing) - set(curves))
-                outcomes.update(zip(missing, built))
-                # Settle duplicate occurrences of batch-missed keys
-                # now the outcome is known: served-from-build = hit,
-                # shared failure = the re-miss a serial loop pays.
-                extra_hits = extra_misses = 0
-                for key in missing:
-                    duplicates = occurrences[key] - 1
-                    if not duplicates:
-                        continue
-                    if key in curves:
-                        extra_hits += duplicates
-                    else:
-                        extra_misses += duplicates
-                if extra_hits or extra_misses:
-                    self.cache.adjust_counters(hits=extra_hits, misses=extra_misses)
-        except BaseException:
-            # An unexpected batch-level failure: settle every marker
-            # this probe left in flight before propagating.
-            unsettled = [
-                key
-                for missing in missing_by_deployment.values()
-                for key in missing
-                if key not in outcomes
-            ]
-            self.cache.release_many(unsettled)
-            raise
+        for deployment, missing in missing_by_deployment.items():
+            built = self.engine.ppm.build_curves_batch(
+                [trace for trace, _ in missing.values()],
+                deployment,
+                [sizes for _, sizes in missing.values()],
+            )
+            curves = {
+                key: outcome
+                for key, outcome in zip(missing, built)
+                if not isinstance(outcome, Exception)
+            }
+            self.cache.install_many(curves)
+            outcomes.update(zip(missing, built))
+            # Settle duplicate occurrences of batch-missed keys now
+            # the outcome is known: served-from-build = hit, shared
+            # failure = the re-miss a serial loop pays.
+            extra_hits = extra_misses = 0
+            for key in missing:
+                duplicates = occurrences[key] - 1
+                if not duplicates:
+                    continue
+                if key in curves:
+                    extra_hits += duplicates
+                else:
+                    extra_misses += duplicates
+            if extra_hits or extra_misses:
+                self.cache.adjust_counters(hits=extra_hits, misses=extra_misses)
         return [outcomes[key] for key in keys]
 
     def fit_chunk(

@@ -589,3 +589,261 @@ class TestMiOverrideGrouping:
         np.testing.assert_allclose(
             [got["gp"], got["bc"]], expected, rtol=0, atol=0
         )
+
+
+# ----------------------------------------------------------------------
+# MI Step-2 threshold row: one kernel pass per deployment and chunk
+# ----------------------------------------------------------------------
+def mi_state_and_levels(ppm):
+    """The MI candidate state and its memoized levels over MI_DIMENSIONS."""
+    state = ppm._deployment_state(DeploymentType.SQL_MI)
+    return state, state.levels_for(MI_DIMENSIONS)
+
+
+def per_layout_counts(state, blocks, thresholds, memory_cap_mb):
+    """The one-call-per-layout counts: each block over its own override caps."""
+    return np.stack(
+        [
+            batch_violation_counts(
+                [block], state.caps_with_gp_iops(MI_DIMENSIONS, threshold), memory_cap_mb
+            )[0]
+            for block, threshold in zip(blocks, thresholds)
+        ]
+    )
+
+
+def mi_demand_blocks(n_blocks: int, seed: int) -> list[np.ndarray]:
+    """MI demand matrices whose IOPS straddle the premium-disk tiers' limits."""
+    rng = np.random.default_rng(seed)
+    blocks = []
+    for index in range(n_blocks):
+        n = int(rng.choice(WORD_EDGES + (200, 257)))
+        trace = make_trace(
+            np.abs(rng.normal(4.0, 3.0, n)) + 0.05,
+            memory_gb=np.abs(rng.normal(30.0, 15.0, n)) + 0.1,
+            data_iops=np.abs(rng.normal(2500.0, 2000.0, n)) + 1.0,
+            io_latency_ms=np.abs(rng.normal(5.0, 2.0, n)) + 0.2,
+            entity_id=f"mi-block-{index}",
+        )
+        blocks.append(trace.demand_matrix(MI_DIMENSIONS))
+    return blocks
+
+
+class TestThresholdRow:
+    """Threshold-row counts equal the per-layout override counts, bit for bit."""
+
+    @pytest.fixture(scope="class")
+    def ppm(self):
+        return DopplerEngine(catalog=SkuCatalog.default()).ppm
+
+    @pytest.mark.parametrize("memory_cap_mb", CAPS)
+    def test_mixed_layouts_in_one_chunk_match_per_layout_calls(self, ppm, memory_cap_mb):
+        state, levels = mi_state_and_levels(ppm)
+        assert levels.threshold_column == MI_DIMENSIONS.index(PerfDimension.IOPS)
+        blocks = mi_demand_blocks(12, seed=int(memory_cap_mb * 1000))
+        layouts = [(32.0,), (100.0,), (600.0,), (40.0, 25.0), (3000.0,), (64.0, 32.0)]
+        thresholds = [
+            ppm.plan_mi_storage(
+                make_trace(np.ones(4), data_iops=np.ones(4)), list(layouts[index % 6])
+            ).layout.total_iops
+            for index in range(len(blocks))
+        ]
+        assert len(set(thresholds)) >= 4  # several layouts share one call
+        counts = batch_violation_counts(blocks, levels, memory_cap_mb, thresholds)
+        np.testing.assert_array_equal(
+            counts, per_layout_counts(state, blocks, thresholds, memory_cap_mb)
+        )
+
+    def test_pieces_straddling_chunks_carry_their_threshold(self, ppm):
+        state, levels = mi_state_and_levels(ppm)
+        # Two words per chunk: every trace longer than 128 samples is
+        # cut into pieces that land in different chunks, beside pieces
+        # of neighbours with other thresholds.
+        word_mb = 1.0 / levels.words_per_chunk(1.0)
+        memory_cap_mb = 2.5 * word_mb
+        assert levels.words_per_chunk(memory_cap_mb) == 2
+        blocks = mi_demand_blocks(16, seed=7)
+        blocks.append(np.tile(blocks[0], (3, 1)))  # 3x a long trace
+        thresholds = [400.0 * (1 + index % 5) for index in range(len(blocks))]
+        assert any(block.shape[0] > 128 for block in blocks)
+        counts = batch_violation_counts(blocks, levels, memory_cap_mb, thresholds)
+        np.testing.assert_array_equal(
+            counts, per_layout_counts(state, blocks, thresholds, memory_cap_mb)
+        )
+        generous = batch_violation_counts(blocks, levels, 64.0, thresholds)
+        np.testing.assert_array_equal(counts, generous)
+
+    def test_threshold_equal_to_demand_is_not_a_violation(self, ppm):
+        state, levels = mi_state_and_levels(ppm)
+        threshold = 1100.0
+        iops = np.array([threshold, threshold, np.nextafter(threshold, np.inf), 1.0])
+        # Every other dimension sits far below every capacity, so a GP
+        # SKU counts exactly the samples whose IOPS exceed the threshold.
+        block = np.column_stack(
+            [np.full(4, 0.01), np.full(4, 0.01), iops, np.full(4, 1e-3)]
+        )
+        for n_copies in (1, 16, 17):  # one word, whole words, a word and a bit
+            tiled = np.tile(block, (n_copies, 1))
+            counts = batch_violation_counts([tiled], levels, thresholds=[threshold])[0]
+            assert (counts[state.gp_mask] == n_copies).all()
+            np.testing.assert_array_equal(
+                counts, per_layout_counts(state, [tiled], [threshold], 64.0)[0]
+            )
+
+    def test_threshold_row_needs_one_threshold_per_block(self, ppm):
+        _, levels = mi_state_and_levels(ppm)
+        blocks = mi_demand_blocks(2, seed=3)
+        with pytest.raises(ValueError, match="threshold"):
+            batch_violation_counts(blocks, levels)
+        with pytest.raises(ValueError, match="threshold"):
+            batch_violation_counts(blocks, levels, thresholds=[1.0])
+
+    def test_db_levels_keep_catalog_iops(self, ppm):
+        state = ppm._deployment_state(DeploymentType.SQL_DB)
+        levels = state.levels_for(DB_DIMENSIONS)
+        assert levels.threshold_column is None
+        assert state.levels_for(DB_DIMENSIONS) is levels  # memoized
+        blocks = [full_trace(n=n, rng=n).demand_matrix(DB_DIMENSIONS) for n in WORD_EDGES]
+        np.testing.assert_array_equal(
+            batch_violation_counts(blocks, levels),
+            batch_violation_counts(blocks, state.caps_for(DB_DIMENSIONS)),
+        )
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        traces=st.lists(random_trace(), min_size=1, max_size=6),
+        skus=random_skus(),
+        gp_rows=st.lists(st.booleans(), min_size=8, max_size=8),
+        threshold_scales=st.lists(
+            st.floats(min_value=0.01, max_value=3.0, allow_nan=False), min_size=6, max_size=6
+        ),
+        memory_cap_mb=st.sampled_from(CAPS),
+    )
+    def test_random_thresholds_match_override_caps(
+        self, traces, skus, gp_rows, threshold_scales, memory_cap_mb
+    ):
+        from repro.core.throttling import _CapacityLevels
+
+        caps = capacity_matrix(skus, DIMS3)
+        mask = np.array(gp_rows[: len(skus)])
+        column = DIMS3.index(PerfDimension.IOPS)
+        levels = _CapacityLevels(caps, mask, column)
+        blocks = [demand_matrix(t, DIMS3) for t in traces]
+        # Thresholds drawn around the demand itself, some exactly on a sample.
+        thresholds = [
+            float(block[0, column]) if index % 3 == 0 else 800.0 * scale
+            for index, (block, scale) in enumerate(zip(blocks, threshold_scales))
+        ]
+        counts = batch_violation_counts(blocks, levels, memory_cap_mb, thresholds)
+        for block, threshold, row in zip(blocks, thresholds, counts):
+            overridden = caps.copy()
+            overridden[mask, column] = threshold
+            np.testing.assert_array_equal(row, reference_counts(block, overridden))
+
+
+class TestMiBatchGrouping:
+    def test_gp_disallowed_and_mixed_layouts_match_serial(self, module_catalog):
+        ppm = DopplerEngine(catalog=module_catalog).ppm
+        rng = np.random.default_rng(5)
+        traces, sizes = [], []
+        for index in range(10):
+            n = 48
+            heavy = index % 3 == 0  # IOPS no premium-disk layout covers
+            traces.append(
+                make_trace(
+                    np.abs(rng.normal(3.0, 1.0, n)) + 0.1,
+                    memory_gb=np.abs(rng.normal(14.0, 5.0, n)) + 0.1,
+                    data_iops=np.abs(rng.normal(60_000.0 if heavy else 300.0, 100.0, n)) + 1.0,
+                    io_latency_ms=np.abs(rng.normal(5.0, 1.0, n)) + 0.2,
+                    data_size_gb=np.full(n, float(rng.uniform(20.0, 900.0))),
+                    entity_id=f"mi-{index}",
+                )
+            )
+            sizes.append(None if index % 2 else (40.0, 25.0 * (1 + index)))
+        plans = [
+            ppm.plan_mi_storage(trace, list(size) if size else None)
+            for trace, size in zip(traces, sizes)
+        ]
+        assert not all(plan.gp_allowed for plan in plans)
+        assert any(plan.gp_allowed for plan in plans)
+        assert len({plan.layout.total_iops for plan in plans}) >= 3
+        batch = ppm.build_curves_batch(traces, DeploymentType.SQL_MI, sizes)
+        for trace, size, plan, outcome in zip(traces, sizes, plans, batch):
+            serial = ppm.build_curve(
+                trace, DeploymentType.SQL_MI, file_sizes_gib=list(size) if size else None
+            )
+            assert tuple(outcome.points) == tuple(serial.points)
+            if not plan.gp_allowed:
+                assert {p.sku.tier for p in outcome.points} == {
+                    ServiceTier.BUSINESS_CRITICAL
+                }
+
+    def test_stacked_step1_quantiles_equal_per_trace_quantiles(self, module_catalog):
+        ppm = DopplerEngine(catalog=module_catalog).ppm
+        rng = np.random.default_rng(11)
+        traces = [
+            make_trace(np.ones(n), data_iops=rng.lognormal(6.0, 1.5, n), entity_id=f"q{n}")
+            for n in (1, 2, 5, 48, 48, 48, 337, 337)
+        ]
+        traces.insert(3, make_trace(np.ones(48)))  # no IOPS: demands nothing
+        for trace, (iops, mibps) in zip(traces, ppm._io_demands(traces)):
+            if PerfDimension.IOPS in trace:
+                expected = float(np.quantile(trace[PerfDimension.IOPS].values, 0.99))
+            else:
+                expected = 0.0
+            assert iops == expected
+            assert mibps == expected * 8.0 / 1024.0
+
+    def test_multi_chunk_recommend_builds_each_deployments_levels_once(
+        self, module_catalog, monkeypatch
+    ):
+        from repro.core import throttling
+
+        config = FleetConfig.paper_db(16, duration_days=3.0, interval_minutes=60.0)
+        records = [c.record for c in simulate_fleet(config, module_catalog, rng=4)]
+        customers = [
+            FleetCustomer(
+                customer_id=f"c{index}",
+                trace=record.trace,
+                deployment=DeploymentType.SQL_MI if index % 3 == 0 else DeploymentType.SQL_DB,
+                file_sizes_gib=(64.0, 32.0) if index % 2 else None,
+            )
+            for index, record in enumerate(records)
+        ]
+        built = []
+        original = throttling._CapacityLevels.__init__
+
+        def counting_init(self, caps, *args, **kwargs):
+            built.append(caps.shape)
+            original(self, caps, *args, **kwargs)
+
+        monkeypatch.setattr(throttling._CapacityLevels, "__init__", counting_init)
+        fleet = FleetEngine(
+            engine=DopplerEngine(catalog=module_catalog), backend="serial", chunk_size=3
+        )
+        results = list(fleet.recommend_fleet(customers))
+        assert all(result.ok for result in results)
+        # Six chunks, most holding both deployments, one dimension
+        # tuple per deployment: one levels build per deployment.
+        ppm = fleet.engine.ppm
+        assert sorted(built) == sorted(
+            [
+                (len(ppm.candidates(DeploymentType.SQL_DB)), len(DB_DIMENSIONS)),
+                (len(ppm.candidates(DeploymentType.SQL_MI)), len(MI_DIMENSIONS)),
+            ]
+        )
+        # A second pass over fresh traces misses the curve cache and
+        # builds nothing: the levels live on the modeler.
+        built.clear()
+        fresh = [
+            FleetCustomer(
+                customer_id=customer.customer_id,
+                trace=PerformanceTrace(dict(customer.trace.series), entity_id="again"),
+                deployment=customer.deployment,
+                file_sizes_gib=customer.file_sizes_gib,
+            )
+            for customer in customers
+        ]
+        assert all(result.ok for result in fleet.recommend_fleet(fresh))
+        assert fleet.cache_stats().misses == 2 * len(customers)
+        assert built == []

@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
 import pickle
-import threading
 
 import numpy as np
 import pytest
@@ -183,6 +183,33 @@ class TestCurveCache:
         assert trace_fingerprint(trace) == key  # memoized
         fresh = PerformanceTrace(series=dict(trace.series), entity_id=trace.entity_id)
         assert trace_fingerprint(fresh) == key
+
+    def test_trace_fingerprint_ignores_series_insertion_order(self):
+        trace = full_trace(n=48, rng=7, entity_id="order")
+        reversed_series = dict(reversed(list(trace.series.items())))
+        assert list(reversed_series) != list(trace.series)
+        shuffled = PerformanceTrace(series=reversed_series, entity_id=trace.entity_id)
+        assert trace_fingerprint(shuffled) == trace_fingerprint(trace)
+
+    def test_trace_fingerprint_sees_a_one_ulp_change_to_one_sample(self):
+        trace = full_trace(n=48, rng=8, entity_id="ulp")
+        values = trace[PerfDimension.IOPS].values.copy()
+        values[17] = np.nextafter(values[17], np.inf)
+        series = dict(trace.series)
+        series[PerfDimension.IOPS] = trace[PerfDimension.IOPS].with_values(values)
+        nudged = PerformanceTrace(series=series, entity_id=trace.entity_id)
+        assert trace_fingerprint(nudged) != trace_fingerprint(trace)
+
+    def test_trace_fingerprint_sees_a_shifted_start_minute(self):
+        trace = full_trace(n=48, rng=9, entity_id="shift")
+        shifted = PerformanceTrace(
+            series={
+                dim: dataclasses.replace(ts, start_minute=ts.start_minute + 10.0)
+                for dim, ts in trace.series.items()
+            },
+            entity_id=trace.entity_id,
+        )
+        assert trace_fingerprint(shifted) != trace_fingerprint(trace)
 
     def test_pickled_trace_does_not_carry_the_fingerprint_memo(self):
         trace = full_trace(n=48, rng=6, entity_id="pickled")
@@ -417,56 +444,3 @@ class TestBatchIngestion:
     def test_bad_error_policy_raises_at_call_site(self, tmp_path):
         with pytest.raises(ValueError):
             load_trace_batch([], on_error="skpi")  # no iteration needed
-
-
-class TestCacheDuplicateBuilds:
-    """Regression: concurrent same-key builds must be counted honestly."""
-
-    def test_sequential_rebuilds_are_not_duplicates(self):
-        cache = CurveCache(maxsize=2)
-        cache.get_or_build("a", lambda: "a")
-        cache.get_or_build("a", lambda: "a")  # hit
-        cache.get_or_build("b", lambda: "b")
-        stats = cache.stats()
-        assert stats.duplicate_builds == 0
-        assert stats.unique_misses == stats.misses == 2
-
-    def test_concurrent_same_key_miss_counts_one_duplicate(self):
-        cache = CurveCache(maxsize=4)
-        barrier = threading.Barrier(2)
-
-        def build():
-            # Neither builder can finish before both have started: the
-            # second lookup is guaranteed to observe an in-flight build.
-            barrier.wait(timeout=5.0)
-            return "curve"
-
-        threads = [
-            threading.Thread(target=cache.get_or_build, args=("k", build))
-            for _ in range(2)
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=10.0)
-        stats = cache.stats()
-        assert stats.hits == 0
-        assert stats.misses == 2
-        assert stats.duplicate_builds == 1
-        assert stats.unique_misses == 1
-        assert stats.size == 1
-        # The double build settled on one cached value; lookups now hit.
-        assert cache.get_or_build("k", lambda: "other") == "curve"
-        assert cache.stats().hits == 1
-
-    def test_failed_build_releases_the_in_flight_marker(self):
-        cache = CurveCache(maxsize=4)
-        with pytest.raises(RuntimeError):
-            cache.get_or_build("k", self._boom)
-        # A later solo rebuild of the same key is not a duplicate.
-        assert cache.get_or_build("k", lambda: "ok") == "ok"
-        assert cache.stats().duplicate_builds == 0
-
-    @staticmethod
-    def _boom():
-        raise RuntimeError("builder exploded")
