@@ -23,7 +23,9 @@ numbers the paper's deployment story turns on:
   :class:`~repro.serve.loadgen.HttpLoadClient` against the stdlib
   HTTP front end on a real loopback socket -- parsing, framing and
   connection reuse included in the measured path.  The server-side
-  admitted count must match the client-side completion count.
+  admitted count must match the client-side completion count.  The
+  section runs three times; the record is the run with the median
+  p95, so ``http_closed_loop.p95_ms`` is the median of three runs.
 
 Standalone script (not a pytest benchmark)::
 
@@ -320,6 +322,10 @@ async def run_http(
     return record
 
 
+#: HTTP closed-loop repetitions; the recorded run is the median-p95 one.
+HTTP_RUNS = 3
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -403,17 +409,23 @@ def main(argv: list[str] | None = None) -> int:
 
     print(
         f"HTTP closed loop: {n_workers} workers x {http_requests} requests "
-        "over loopback sockets ..."
+        f"over loopback sockets, {HTTP_RUNS} runs ..."
     )
-    http_record = asyncio.run(
-        run_http(fleet, feed, n_workers=n_workers, n_requests=http_requests)
-    )
-    print(
-        f"  http {http_record['requests_per_sec']:>10.1f} req/s"
-        f"   p50 {http_record['p50_ms']:.2f}ms"
-        f"   p95 {http_record['p95_ms']:.2f}ms"
-        f"   consistent={http_record['accounting_consistent']}"
-    )
+    http_runs = [
+        asyncio.run(run_http(fleet, feed, n_workers=n_workers, n_requests=http_requests))
+        for _ in range(HTTP_RUNS)
+    ]
+    for run in http_runs:
+        print(
+            f"  http {run['requests_per_sec']:>10.1f} req/s"
+            f"   p50 {run['p50_ms']:.2f}ms"
+            f"   p95 {run['p95_ms']:.2f}ms"
+            f"   consistent={run['accounting_consistent']}"
+        )
+    # One slow run moves one p95, not the recorded one.
+    http_record = dict(sorted(http_runs, key=lambda run: run["p95_ms"])[HTTP_RUNS // 2])
+    http_record["runs"] = HTTP_RUNS
+    http_record["p95_ms_by_run"] = [run["p95_ms"] for run in http_runs]
 
     record = {
         "benchmark": "serving",
@@ -453,7 +465,7 @@ def main(argv: list[str] | None = None) -> int:
         closed_record["n_errors"]
         + diurnal_record["n_errors"]
         + flash_record["n_errors"]
-        + http_record["n_errors"]
+        + sum(run["n_errors"] for run in http_runs)
     )
     if n_errors:
         print(
@@ -462,16 +474,17 @@ def main(argv: list[str] | None = None) -> int:
             file=sys.stderr,
         )
         return 2
-    if not http_record["accounting_consistent"]:
-        print(
-            "FAIL: server-side observe accounting "
-            f"(processed {http_record['server_n_processed']}, "
-            f"rejected {http_record['server_n_rejected']}) disagrees with the "
-            f"HTTP client (ok {http_record['n_ok']}, "
-            f"rejected {http_record['n_rejected']})",
-            file=sys.stderr,
-        )
-        return 4
+    for run in http_runs:
+        if not run["accounting_consistent"]:
+            print(
+                "FAIL: server-side observe accounting "
+                f"(processed {run['server_n_processed']}, "
+                f"rejected {run['server_n_rejected']}) disagrees with the "
+                f"HTTP client (ok {run['n_ok']}, "
+                f"rejected {run['n_rejected']})",
+                file=sys.stderr,
+            )
+            return 4
     if args.smoke:
         print("smoke mode: throughput gates skipped (timing noise on shared CI runners)")
         return 0

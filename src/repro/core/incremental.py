@@ -103,7 +103,9 @@ class IncrementalThrottlingEstimator:
             )
         self._base_caps = capacities
         self._set_overrides(iops_overrides)
-        self._invert = np.array([dim.lower_is_better for dim in self.dimensions])
+        self._latency_columns = tuple(
+            column for column, dim in enumerate(self.dimensions) if dim.lower_is_better
+        )
         self._counts = np.zeros(len(self.skus), dtype=np.int64)
         self._ring = (
             np.zeros((window, len(self.skus)), dtype=bool) if window is not None else None
@@ -152,15 +154,25 @@ class IncrementalThrottlingEstimator:
         The fast path for callers that parsed the sample themselves
         (the live loop validates once in its ring buffer and hands the
         row straight through).  ``raw`` must align with
-        :attr:`dimensions` and contain finite, *uninverted* values.
+        :attr:`dimensions` and contain finite, *uninverted* values; it
+        is not modified.
+
+        One vector compare per sample: only the latency columns are
+        inverted (into a copy), and the demand column is compared
+        against the transposed ``(n_dims, n_skus)`` capacity matrix, so
+        the any-dimension reduction runs along the long SKU axis.
         """
         raw = np.asarray(raw, dtype=float)
         if raw.shape != (len(self.dimensions),):
             raise ValueError(
                 f"expected {len(self.dimensions)} values, got shape {raw.shape}"
             )
-        demand = np.where(self._invert, invert_latency(raw), raw)
-        self._apply_row((demand[None, :] > self._caps).any(axis=1))
+        demand = raw
+        if self._latency_columns:
+            demand = raw.copy()
+            for column in self._latency_columns:
+                demand[column] = invert_latency(raw[column])
+        self._apply_row((demand[:, None] > self._caps_by_dimension).any(axis=0))
 
     def ingest_trace(self, trace: PerformanceTrace) -> None:
         """Fold a whole trace in chronological order (vectorized).
@@ -242,11 +254,18 @@ class IncrementalThrottlingEstimator:
             self.ingest_trace(trace)
 
     def _set_overrides(self, iops_overrides: dict[str, float] | None) -> None:
-        """Adopt IOPS overrides: a column write on a copy of the base caps."""
+        """Adopt IOPS overrides: a column write on a copy of the base caps.
+
+        Also rebuilds the transposed, contiguous copy of the capacities
+        that :meth:`update_vector` compares against, so every override
+        change (:meth:`rebase_capacity`, :meth:`load_state`) keeps the
+        per-sample predicate current.
+        """
         self._iops_overrides = dict(iops_overrides) if iops_overrides else None
         self._caps = apply_iops_overrides(
             self._base_caps, self.skus, self.dimensions, self._iops_overrides
         )
+        self._caps_by_dimension = np.ascontiguousarray(self._caps.T)
 
     def _apply_row(self, violated: np.ndarray) -> None:
         if self._ring is not None:

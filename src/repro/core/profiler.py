@@ -103,24 +103,17 @@ class CustomerProfiler:
     def profile(self, trace: PerformanceTrace) -> CustomerProfile:
         """Summarize one trace into its negotiability profile.
 
+        ``profile_batch((trace,))[0]``: one trace is a batch of one, so
+        single-trace and batch profiling share a single path -- one
+        summarizer broadcast over the trace's profiled rows for the
+        batched summarizers, the per-dimension ``summarize`` loop for
+        the rest.
+
         Raises:
             KeyError: If the trace lacks one of the profiled
                 dimensions.
         """
-        negotiable = []
-        features = []
-        for dim in self.dimensions:
-            dim_features, dim_negotiable = self.summarizer.summarize(trace[dim])
-            negotiable.append(dim_negotiable)
-            features.append(dim_features)
-        key = tuple(0 if flag else 1 for flag in negotiable)
-        return CustomerProfile(
-            entity_id=trace.entity_id,
-            dimensions=self.dimensions,
-            negotiable=tuple(negotiable),
-            features=np.concatenate(features),
-            group_key=key,
-        )
+        return self.profile_batch((trace,))[0]
 
     def profile_streaming(
         self,
@@ -167,19 +160,18 @@ class CustomerProfiler:
     def profile_batch(
         self, traces: Sequence[PerformanceTrace]
     ) -> list[CustomerProfile]:
-        """Profile many traces in one summarizer broadcast per dimension.
+        """Profile many traces in one summarizer broadcast per length.
 
-        The columnar tail of the fleet fit path: traces whose profiled
-        windows have identical lengths stack into one
-        ``(n_traces, n_samples)`` matrix per dimension and run through
-        the summarizer's batched evaluation
-        (``summarize_batch``, advertised via ``supports_batch``) --
-        byte-identical features and decisions to per-trace
-        :meth:`profile` calls, without the per-record series/summary
-        dispatch overhead.  Mixed-length populations split into
-        same-shape groups; summarizers without a batched evaluation
-        (STL today -- thresholding, the outlier share and all three
-        AUC strategies batch) fall back to the per-trace loop.
+        Every profiled row of every trace of one length stacks into one
+        ``(n_traces * n_dims, n_samples)`` matrix, trace-major, and runs
+        through the summarizer's batched evaluation (``summarize_batch``,
+        advertised via ``supports_batch``) in a single call.  Each row
+        reduces along contiguous memory exactly as the 1-D
+        ``summarize`` path does, so features, decisions and group keys
+        are byte-identical to the per-dimension loop.  Summarizers
+        without a batched evaluation (STL today -- thresholding, the
+        outlier share and all three AUC strategies batch) run that
+        loop trace by trace.
 
         Returns:
             Profiles aligned with ``traces``.
@@ -187,35 +179,51 @@ class CustomerProfiler:
         Raises:
             KeyError: If any trace lacks a profiled dimension.
         """
-        traces = list(traces)
+        traces = tuple(traces)
+        dimensions = self.dimensions
         if not getattr(self.summarizer, "supports_batch", False):
-            return [self.profile(trace) for trace in traces]
+            return [self._profile_per_dimension(trace) for trace in traces]
+        rows = [[trace[dim].values for dim in dimensions] for trace in traces]
+        groups: dict[int, list[int]] = {}
+        for index, trace_rows in enumerate(rows):
+            groups.setdefault(trace_rows[0].shape[0], []).append(index)
         profiles: list[CustomerProfile | None] = [None] * len(traces)
-        groups: dict[tuple[int, ...], list[int]] = {}
-        for index, trace in enumerate(traces):
-            shape = tuple(len(trace[dim]) for dim in self.dimensions)
-            groups.setdefault(shape, []).append(index)
         for indices in groups.values():
-            features_by_dim = []
-            negotiable_by_dim = []
-            for dim in self.dimensions:
-                matrix = np.stack([traces[index][dim].values for index in indices])
-                dim_features, dim_negotiable = self.summarizer.summarize_batch(matrix)
-                features_by_dim.append(dim_features)
-                negotiable_by_dim.append(dim_negotiable)
-            for row, index in enumerate(indices):
-                negotiable = tuple(bool(flags[row]) for flags in negotiable_by_dim)
-                key = tuple(0 if flag else 1 for flag in negotiable)
+            matrix = np.stack([row for index in indices for row in rows[index]])
+            features, negotiable = self.summarizer.summarize_batch(matrix)
+            features = features.reshape(len(indices), -1)
+            flags = negotiable.reshape(len(indices), len(dimensions)).tolist()
+            for position, index in enumerate(indices):
+                decisions = tuple(flags[position])
                 profiles[index] = CustomerProfile(
                     entity_id=traces[index].entity_id,
-                    dimensions=self.dimensions,
-                    negotiable=negotiable,
-                    features=np.concatenate(
-                        [features[row] for features in features_by_dim]
-                    ),
-                    group_key=key,
+                    dimensions=dimensions,
+                    negotiable=decisions,
+                    features=features[position].copy(),
+                    group_key=tuple(0 if flag else 1 for flag in decisions),
                 )
         return profiles  # type: ignore[return-value]  # every slot filled above
+
+    def _profile_per_dimension(self, trace: PerformanceTrace) -> CustomerProfile:
+        """One ``summarize`` call per profiled dimension.
+
+        The evaluation of summarizers without ``supports_batch``, and
+        the reference the batched path must reproduce byte for byte.
+        """
+        negotiable = []
+        features = []
+        for dim in self.dimensions:
+            dim_features, dim_negotiable = self.summarizer.summarize(trace[dim])
+            negotiable.append(dim_negotiable)
+            features.append(dim_features)
+        key = tuple(0 if flag else 1 for flag in negotiable)
+        return CustomerProfile(
+            entity_id=trace.entity_id,
+            dimensions=self.dimensions,
+            negotiable=tuple(negotiable),
+            features=np.concatenate(features),
+            group_key=key,
+        )
 
     def feature_matrix(self, traces: Iterable[PerformanceTrace]) -> np.ndarray:
         """Stack continuous profiles into an ``(n_customers, n_features)`` matrix."""

@@ -1,16 +1,22 @@
 """Live SKU recommendation over continuously arriving telemetry.
 
 :class:`LiveRecommender` turns the one-shot Doppler assessment into a
-service loop.  Per sample it does only cheap work -- ring-buffer
-ingestion plus an O(n_skus * n_dims) incremental estimate update --
-and it re-runs the full pipeline (curve construction, profiling,
-group-matched selection) only when the incremental estimates have
-drifted from the ones the current recommendation was built on.  A
-refresh builds its curve from those same estimates -- the estimator's
-window counts divided by the window length, bit-for-bit the batch
-statistic -- so it never re-scans the window for throttling; it only
-fits the candidates to the window's storage footprint and assembles
-the curve, against capacities memoized once per engine and deployment.
+service loop.  Per sample it does only cheap work: the sample is
+parsed once into a row (:func:`~repro.telemetry.streaming.parse_sample`),
+written as one column of the builder's ``(n_dims, window)`` ring, and
+folded into the incremental estimate with one vector compare against
+the transposed capacity matrix -- O(n_skus * n_dims).  It re-runs the
+full pipeline (curve construction, profiling, group-matched
+selection) only when the incremental estimates have drifted from the
+ones the current recommendation was built on.  A refresh builds its
+curve from those same estimates -- the estimator's window counts
+divided by the window length, bit-for-bit the batch statistic -- so it
+never re-scans the window for throttling; it only fits the candidates
+to the window's storage footprint and assembles the curve, against
+capacities memoized once per engine and deployment.  In ``exact``
+profile mode the refresh's window snapshot is one checked matrix copy
+and its profile one summarizer broadcast over the snapshot's rows
+(:meth:`~repro.core.profiler.CustomerProfiler.profile_batch`).
 
 The result is a recommendation stream whose freshness is bounded by
 the drift threshold while per-sample cost stays flat in the window

@@ -4,11 +4,11 @@ The batch pipeline assesses a *fixed* telemetry window: the collector
 hands the engine a complete :class:`~repro.telemetry.trace.PerformanceTrace`
 and the assessment is one shot.  A live service sees telemetry arrive
 sample-by-sample instead.  :class:`StreamingTraceBuilder` is the
-ingestion end of that path: per-dimension bounded ring buffers that
-absorb one aligned counter sample at a time in O(n_dims), keep only
-the most recent ``window`` samples, and convert to an immutable
-:class:`PerformanceTrace` snapshot on demand (one array copy per
-dimension, no re-scan of history).
+ingestion end of that path: one bounded ``(n_dims, window)`` ring
+buffer that absorbs one aligned counter sample at a time (one column
+write), keeps only the most recent ``window`` samples, and converts to
+an immutable :class:`PerformanceTrace` snapshot on demand (one array
+copy of the whole window, no re-scan of history).
 
 The window semantics mirror the paper's assessment guidance: Doppler
 wants >= 1 week of history, so the default window holds seven days of
@@ -51,14 +51,18 @@ def parse_sample(
     The single definition of the per-sample ingestion contract, shared
     by the ring-buffer builder and the incremental estimator so both
     reject malformed feeds identically.  Keys beyond ``dimensions``
-    are ignored.
+    are ignored.  Values are checked in dimension order with
+    :func:`math.isfinite` and the row is built from a list in one
+    array call, so a non-finite value ahead of a missing dimension
+    raises the ``ValueError``, and a missing dimension ahead of a
+    non-finite value the ``KeyError``.
 
     Raises:
         KeyError: If a declared dimension is missing from the sample.
         ValueError: If any declared value is non-finite.
     """
-    row = np.empty(len(dimensions))
-    for column, dim in enumerate(dimensions):
+    values = []
+    for dim in dimensions:
         try:
             value = float(sample[dim])
         except KeyError:
@@ -66,10 +70,10 @@ def parse_sample(
                 f"sample is missing dimension {dim.name}; "
                 f"declared: {[d.name for d in dimensions]}"
             ) from None
-        if not np.isfinite(value):
+        if not math.isfinite(value):
             raise ValueError(f"non-finite {dim.name} sample: {value!r}")
-        row[column] = value
-    return row
+        values.append(value)
+    return np.array(values)
 
 
 class StreamingSeriesStats:
@@ -303,7 +307,13 @@ class StreamingSeriesStats:
 
 
 class StreamingTraceBuilder:
-    """Bounded per-dimension ring buffers behind a trace interface.
+    """A bounded ``(n_dims, window)`` ring buffer behind a trace interface.
+
+    The ring holds one row per declared dimension: :meth:`append`
+    writes one column, and :meth:`snapshot` makes one chronological
+    copy of the whole window, checks it once for non-finite samples,
+    and hands its rows to the trace's series without re-validating
+    them.
 
     Typical use::
 
@@ -343,14 +353,14 @@ class StreamingTraceBuilder:
         self.window = int(window)
         self.interval_minutes = float(interval_minutes)
         self.entity_id = entity_id
-        self._buffers = {dim: np.zeros(self.window, dtype=float) for dim in self.dimensions}
+        self._ring = np.zeros((len(self.dimensions), self.window), dtype=float)
         self._n_seen = 0
 
     # ------------------------------------------------------------------
     # Ingestion
     # ------------------------------------------------------------------
     def append(self, sample: Mapping[PerfDimension, float]) -> np.ndarray:
-        """Absorb one aligned counter sample (O(n_dims)).
+        """Absorb one aligned counter sample: one column write.
 
         Returns:
             The validated raw values aligned with :attr:`dimensions`,
@@ -363,9 +373,7 @@ class StreamingTraceBuilder:
             ValueError: If any declared value is non-finite.
         """
         row = parse_sample(sample, self.dimensions)
-        slot = self._n_seen % self.window
-        for dim, value in zip(self.dimensions, row):
-            self._buffers[dim][slot] = value
+        self._ring[:, self._n_seen % self.window] = row
         self._n_seen += 1
         return row
 
@@ -411,36 +419,46 @@ class StreamingTraceBuilder:
         Raises:
             KeyError: If the dimension was not declared.
         """
-        if dimension not in self._buffers:
+        if dimension not in self.dimensions:
             raise KeyError(
                 f"builder {self.entity_id!r} does not track {dimension.name}; "
                 f"declared: {[d.name for d in self.dimensions]}"
             )
-        buffer = self._buffers[dimension]
+        return self._chronological(self._ring[self.dimensions.index(dimension)])
+
+    def _chronological(self, ring: np.ndarray) -> np.ndarray:
+        """The retained columns of ``ring`` (the ring or one row), oldest first, copied."""
         if not self.is_full:
-            return buffer[: self._n_seen].copy()
+            return ring[..., : self._n_seen].copy()
         pivot = self._n_seen % self.window
         if pivot == 0:
-            return buffer.copy()
-        return np.concatenate([buffer[pivot:], buffer[:pivot]])
+            return ring.copy()
+        return np.concatenate((ring[..., pivot:], ring[..., :pivot]), axis=-1)
 
     # ------------------------------------------------------------------
     # Snapshot / restore (worker handoff)
     # ------------------------------------------------------------------
     def state_dict(self) -> dict:
-        """Picklable snapshot of the ring buffers and stream position.
+        """Picklable snapshot of the ring buffer and stream position.
 
-        Configuration (dimensions, window, cadence, entity id) is not
-        included: restore targets must be constructed with matching
-        parameters, which :meth:`load_state` verifies.
+        The ring is stored per dimension -- one ``(window,)`` array
+        each, keyed by dimension in declaration order -- so state blobs
+        keep their layout.  Configuration (dimensions, window, cadence,
+        entity id) is not included: restore targets must be
+        constructed with matching parameters, which :meth:`load_state`
+        verifies.
         """
         return {
             "n_seen": self._n_seen,
-            "buffers": {dim: buffer.copy() for dim, buffer in self._buffers.items()},
+            "buffers": {dim: row.copy() for dim, row in zip(self.dimensions, self._ring)},
         }
 
     def load_state(self, state: dict) -> None:
         """Adopt a :meth:`state_dict` snapshot; the inverse operation.
+
+        Samples are not re-validated here: a non-finite value inside
+        the window surfaces as the ``ValueError`` of the next
+        :meth:`snapshot`.
 
         Raises:
             ValueError: If the snapshot's dimensions or window shape
@@ -452,16 +470,16 @@ class StreamingTraceBuilder:
                 f"snapshot dimensions {sorted(d.name for d in buffers)} do not "
                 f"match this builder's {sorted(d.name for d in self.dimensions)}"
             )
-        restored = {}
-        for dim, buffer in buffers.items():
-            array = np.asarray(buffer, dtype=float)
+        rows = []
+        for dim in self.dimensions:
+            array = np.asarray(buffers[dim], dtype=float)
             if array.shape != (self.window,):
                 raise ValueError(
                     f"snapshot window {array.shape[0]} does not match "
                     f"this builder's window {self.window}"
                 )
-            restored[dim] = array.copy()
-        self._buffers = restored
+            rows.append(array)
+        self._ring = np.stack(rows)
         self._n_seen = int(state["n_seen"])
 
     @staticmethod
@@ -489,23 +507,30 @@ class StreamingTraceBuilder:
     def snapshot(self) -> PerformanceTrace:
         """The current window as an immutable :class:`PerformanceTrace`.
 
-        Cheap relative to the batch path: one chronological copy per
-        dimension, never a re-scan of the stream.
+        One chronological copy of the whole ``(n_dims, n_window)``
+        window, never a re-scan of the stream, checked for non-finite
+        samples once; its rows become the trace's series through
+        :meth:`TimeSeries._trusted
+        <repro.telemetry.timeseries.TimeSeries._trusted>`, since the
+        copy already holds every invariant a series checks.
 
         Raises:
-            ValueError: If no samples have been appended yet.
+            ValueError: If no samples have been appended yet, or the
+                window holds a non-finite sample (only possible after
+                :meth:`load_state` adopted one) -- the error a
+                :class:`TimeSeries` raises for it.
         """
         if self._n_seen == 0:
             raise ValueError("cannot snapshot an empty stream")
+        window = self._chronological(self._ring)
+        if not np.isfinite(window).all():
+            raise ValueError("time series contains non-finite samples")
         start = self.start_minute
+        interval = self.interval_minutes
         return PerformanceTrace(
             series={
-                dim: TimeSeries(
-                    values=self.values(dim),
-                    interval_minutes=self.interval_minutes,
-                    start_minute=start,
-                )
-                for dim in self.dimensions
+                dim: TimeSeries._trusted(row, interval, start)
+                for dim, row in zip(self.dimensions, window)
             },
             entity_id=self.entity_id,
         )

@@ -50,6 +50,27 @@ class TimeSeries:
         array.setflags(write=False)
         object.__setattr__(self, "values", array)
 
+    @classmethod
+    def _trusted(
+        cls, values: np.ndarray, interval_minutes: float, start_minute: float
+    ) -> "TimeSeries":
+        """A series over already-validated samples, without re-checking them.
+
+        The caller owes every invariant :meth:`__post_init__` checks:
+        ``values`` is a 1-D, non-empty float64 array of finite samples
+        that nothing writes to afterwards, and ``interval_minutes`` is a
+        positive finite float.  The array is adopted as is (marked
+        read-only, not copied).  :meth:`StreamingTraceBuilder.snapshot
+        <repro.telemetry.streaming.StreamingTraceBuilder.snapshot>`
+        uses it for the rows of its one checked window copy.
+        """
+        series = object.__new__(cls)
+        values.setflags(write=False)
+        object.__setattr__(series, "values", values)
+        object.__setattr__(series, "interval_minutes", interval_minutes)
+        object.__setattr__(series, "start_minute", start_minute)
+        return series
+
     # ------------------------------------------------------------------
     # Basic shape / iteration
     # ------------------------------------------------------------------

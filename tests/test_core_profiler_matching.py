@@ -4,10 +4,13 @@ import numpy as np
 import pytest
 
 from repro.core import (
+    ALL_SUMMARIZERS,
+    CombinedSummarizer,
     CustomerProfiler,
     GroupObservation,
     GroupScoreModel,
     GroupStatistics,
+    MaxAucSummarizer,
     PricePerformanceCurve,
     group_key_to_label,
 )
@@ -104,6 +107,129 @@ class TestProfiler:
             profiler.cluster([], method="enumeration")
         with pytest.raises(ValueError):
             CustomerProfiler(dimensions=())
+
+
+def loop_outcome(profiler, trace):
+    """The per-dimension ``summarize`` loop ``profile`` must reproduce.
+
+    Returns ``(features bytes, negotiable, group key)``, or the type and
+    text of the exception the loop raises.
+    """
+    try:
+        features, negotiable = [], []
+        for dim in profiler.dimensions:
+            dim_features, dim_negotiable = profiler.summarizer.summarize(trace[dim])
+            features.append(dim_features)
+            negotiable.append(dim_negotiable)
+    except (KeyError, ValueError) as exc:
+        return type(exc), str(exc)
+    key = tuple(0 if flag else 1 for flag in negotiable)
+    return np.concatenate(features).tobytes(), tuple(negotiable), key
+
+
+def profile_outcome(profiler, trace):
+    try:
+        profile = profiler.profile(trace)
+    except (KeyError, ValueError) as exc:
+        return type(exc), str(exc)
+    return profile.features.tobytes(), profile.negotiable, profile.group_key
+
+
+def counter_trace(n_samples, seed, dims=PROFILING_DB_DIMENSIONS, entity_id="c"):
+    """Non-negative counters: a noisy level, with spikes on some dimensions."""
+    rng = np.random.default_rng(seed)
+    series = {}
+    for column, dim in enumerate(dims):
+        values = np.abs(rng.normal(3.0 + column, 0.5 + column, size=n_samples))
+        if column % 2 == 0 and n_samples > 2:
+            values[rng.choice(n_samples, size=max(1, n_samples // 20), replace=False)] *= 6.0
+        series[dim] = TimeSeries(values=values)
+    return PerformanceTrace(series=series, entity_id=entity_id)
+
+
+def constant_trace(n_samples, levels, dims=PROFILING_DB_DIMENSIONS):
+    return PerformanceTrace(
+        series={
+            dim: TimeSeries(values=np.full(n_samples, level))
+            for dim, level in zip(dims, levels)
+        },
+        entity_id="flat",
+    )
+
+
+SUMMARIZER_IDS = [summarizer.name for summarizer in ALL_SUMMARIZERS]
+
+
+class TestProfileMatchesPerDimensionLoop:
+    """``profile`` (one broadcast per trace) against the per-dimension loop."""
+
+    @pytest.mark.parametrize("summarizer", ALL_SUMMARIZERS, ids=SUMMARIZER_IDS)
+    @pytest.mark.parametrize("n_samples", [1, 2, 12, 336])
+    def test_random_windows(self, summarizer, n_samples):
+        profiler = CustomerProfiler(PROFILING_DB_DIMENSIONS, summarizer=summarizer)
+        for seed in range(3):
+            trace = counter_trace(n_samples, seed)
+            assert profile_outcome(profiler, trace) == loop_outcome(profiler, trace)
+
+    @pytest.mark.parametrize("summarizer", ALL_SUMMARIZERS, ids=SUMMARIZER_IDS)
+    @pytest.mark.parametrize("n_samples", [1, 12, 336])
+    def test_constant_windows(self, summarizer, n_samples):
+        profiler = CustomerProfiler(PROFILING_DB_DIMENSIONS, summarizer=summarizer)
+        trace = constant_trace(n_samples, (2.0, 0.5, 7.0, 1.0))
+        assert profile_outcome(profiler, trace) == loop_outcome(profiler, trace)
+
+    @pytest.mark.parametrize("n_samples", [1, 12, 336])
+    def test_max_auc_all_idle_window(self, n_samples):
+        profiler = CustomerProfiler(PROFILING_DB_DIMENSIONS, summarizer=MaxAucSummarizer())
+        trace = constant_trace(n_samples, (0.0, 0.0, 0.0, 0.0))
+        outcome = profile_outcome(profiler, trace)
+        assert outcome == loop_outcome(profiler, trace)
+        assert outcome[1] == (True,) * 4  # idle windows read AUC 1.0
+
+    def test_combined_two_features_per_dimension(self):
+        profiler = CustomerProfiler(PROFILING_DB_DIMENSIONS, summarizer=CombinedSummarizer())
+        trace = counter_trace(48, seed=5)
+        profile = profiler.profile(trace)
+        assert profile.features.shape == (2 * len(PROFILING_DB_DIMENSIONS),)
+        assert profile_outcome(profiler, trace) == loop_outcome(profiler, trace)
+
+    def test_max_auc_negative_samples_raise_the_loop_error(self):
+        profiler = CustomerProfiler(PROFILING_DB_DIMENSIONS, summarizer=MaxAucSummarizer())
+        series = dict(counter_trace(40, seed=6).series)
+        values = series[PerfDimension.IOPS].values.copy()
+        values[3] = -2.0
+        series[PerfDimension.IOPS] = TimeSeries(values=values)
+        trace = PerformanceTrace(series=series, entity_id="negative")
+        outcome = profile_outcome(profiler, trace)
+        assert outcome[0] is ValueError
+        assert "normalized into" in outcome[1]
+        assert outcome == loop_outcome(profiler, trace)
+
+    @pytest.mark.parametrize("summarizer", ALL_SUMMARIZERS, ids=SUMMARIZER_IDS)
+    def test_missing_dimension_raises_the_same_key_error(self, summarizer):
+        profiler = CustomerProfiler(PROFILING_DB_DIMENSIONS, summarizer=summarizer)
+        trace = counter_trace(24, seed=7, dims=PROFILING_MI_DIMENSIONS)  # no LOG_RATE
+        outcome = profile_outcome(profiler, trace)
+        assert outcome[0] is KeyError
+        assert outcome == loop_outcome(profiler, trace)
+
+    @pytest.mark.parametrize("summarizer", ALL_SUMMARIZERS, ids=SUMMARIZER_IDS)
+    def test_batch_of_mixed_lengths_in_shuffled_order(self, summarizer):
+        profiler = CustomerProfiler(PROFILING_DB_DIMENSIONS, summarizer=summarizer)
+        traces = [
+            counter_trace(n_samples, seed=seed, entity_id=f"c{seed}")
+            for seed, n_samples in enumerate([12, 336, 48, 336, 12, 48, 12, 336, 48])
+        ]
+        order = np.random.default_rng(8).permutation(len(traces))
+        traces = [traces[index] for index in order]
+        batch = profiler.profile_batch(traces)
+        assert [profile.entity_id for profile in batch] == [t.entity_id for t in traces]
+        for trace, profile in zip(traces, batch):
+            expected = loop_outcome(profiler, trace)
+            assert (profile.features.tobytes(), profile.negotiable, profile.group_key) == (
+                expected
+            )
+            assert profile_outcome(profiler, trace) == expected
 
 
 def curve_from(probs, vcores=(2, 4, 8, 16, 32)):

@@ -25,7 +25,7 @@ from repro.fleet import FleetEngine, FleetSample, WatchConfig
 from repro.fleet.backends import ShardAssessmentConfig, _WatchShard
 from repro.fleet.cache import CurveCacheStats
 from repro.streaming import LiveRecommender
-from repro.telemetry import PerfDimension
+from repro.telemetry import PerfDimension, TimeSeries
 from repro.telemetry.counters import DB_DIMENSIONS, MI_DIMENSIONS
 
 from .test_streaming import live_samples
@@ -238,6 +238,70 @@ class TestRestoreAfterRebase:
         assert target.estimator.iops_overrides == source.estimator.iops_overrides
         tail = [outcome(target.observe(sample)) for sample in feed[64:]]
         assert head + tail == expected
+
+
+class TestNonFiniteWindowAfterLoad:
+    """A window adopted with a NaN fails its next refresh as it always has.
+
+    ``load_state`` does not re-validate samples; the snapshot's single
+    finiteness check raises the error a ``TimeSeries`` raises, and a
+    watch quarantines the customer with that error line.
+    """
+
+    @staticmethod
+    def series_error() -> str:
+        with pytest.raises(ValueError) as info:
+            TimeSeries(values=np.array([1.0, np.nan]))
+        return str(info.value)
+
+    @staticmethod
+    def poison(live: LiveRecommender) -> None:
+        state = live.builder.state_dict()
+        state["buffers"][PerfDimension.IOPS][1] = np.nan
+        live.builder.load_state(state)
+
+    def test_refresh_raises_the_series_error(self, default_catalog):
+        live = LiveRecommender(
+            DopplerEngine(catalog=default_catalog), DB, window=16, min_refresh_samples=8
+        )
+        for sample in db_feed(10, seed=40):
+            live.observe(sample)
+        self.poison(live)
+        with pytest.raises(ValueError) as info:
+            live.refresh()
+        assert str(info.value) == self.series_error()
+
+    def test_watch_quarantines_the_customer_with_the_error_line(self, default_catalog):
+        config = ShardAssessmentConfig(
+            engine=DopplerEngine(catalog=default_catalog),
+            window=16,
+            interval_minutes=10.0,
+            drift_threshold=0.02,
+            min_refresh_samples=8,
+            refreshes_only=False,
+            profile_mode="exact",
+        )
+        feeds = {"poisoned": db_feed(12, seed=41), "healthy": db_feed(12, seed=42)}
+
+        def tick(positions):
+            return [
+                (position * 2 + offset, FleetSample(customer_id, feed[position], DB))
+                for position in positions
+                for offset, (customer_id, feed) in enumerate(feeds.items())
+            ]
+
+        shard = _WatchShard(config)
+        warmup, _ = shard.process(tick(range(4)))  # under min_refresh_samples
+        assert all(item.ok for _, item in warmup)
+        self.poison(shard.recommenders["poisoned"])
+        emissions, _ = shard.process(tick(range(4, 12)))
+        failures = [item for _, item in emissions if not item.ok]
+        assert [item.customer_id for item in failures] == ["poisoned"]
+        assert failures[0].error == f"ValueError: {self.series_error()}"
+        assert "poisoned" in shard.quarantined and "poisoned" not in shard.recommenders
+        healthy = [item for _, item in emissions if item.customer_id == "healthy"]
+        assert len(healthy) == 8 and all(item.ok for item in healthy)
+        assert any(item.update.refreshed for item in healthy)
 
 
 class TestCapacityBuilds:

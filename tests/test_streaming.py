@@ -7,13 +7,26 @@ import pickle
 import numpy as np
 import pytest
 
-from repro.catalog import DeploymentType
+from repro.catalog import DeploymentType, ServiceTier
 from repro.core import DopplerEngine, EmpiricalThrottlingEstimator
 from repro.core.incremental import IncrementalThrottlingEstimator
+from repro.core.throttling import (
+    LATENCY_FLOOR,
+    capacity_matrix,
+    demand_matrix,
+    violation_rows,
+)
 from repro.dma import AssessmentPipeline
 from repro.fleet import FleetEngine, FleetSample, WatchConfig
 from repro.streaming import DriftDetector, LiveRecommender
-from repro.telemetry import PerfDimension, StreamingTraceBuilder
+from repro.telemetry import (
+    PerfDimension,
+    PerformanceTrace,
+    StreamingTraceBuilder,
+    TimeSeries,
+)
+from repro.telemetry.counters import DB_DIMENSIONS, MI_DIMENSIONS
+from repro.telemetry.streaming import parse_sample
 
 from .conftest import make_sku
 
@@ -637,3 +650,205 @@ class TestValidatedRowFastPath:
         estimator = IncrementalThrottlingEstimator(self.SKUS, DIMS, window=8)
         with pytest.raises(ValueError, match="expected 3 values"):
             estimator.update_vector(np.array([1.0, 2.0]))
+
+
+# ----------------------------------------------------------------------
+# One window matrix per snapshot, one vector compare per sample
+# ----------------------------------------------------------------------
+def per_dimension_snapshot(samples, dims, window, interval, entity_id):
+    """The window trace built the per-dimension way, one checked series each."""
+    tail = samples[-window:]
+    start = (len(samples) - len(tail)) * interval
+    return PerformanceTrace(
+        series={
+            dim: TimeSeries(
+                values=np.array([sample[dim] for sample in tail]),
+                interval_minutes=interval,
+                start_minute=start,
+            )
+            for dim in dims
+        },
+        entity_id=entity_id,
+    )
+
+
+def per_dimension_state(samples, dims, window):
+    """``state_dict`` in the per-dimension ring layout, built by hand."""
+    buffers = {dim: np.zeros(window) for dim in dims}
+    for index, sample in enumerate(samples):
+        for dim in dims:
+            buffers[dim][index % window] = sample[dim]
+    return {"n_seen": len(samples), "buffers": buffers}
+
+
+def nonfinite_series_error() -> str:
+    with pytest.raises(ValueError) as info:
+        TimeSeries(values=np.array([1.0, float("nan")]))
+    return str(info.value)
+
+
+class TestWindowMatrixIdentity:
+    @pytest.mark.parametrize(
+        ("window", "n_samples"),
+        [(8, 5), (8, 8), (8, 16), (8, 11), (1, 1), (1, 5)],
+        ids=["before-fill", "exact-wrap", "second-wrap", "after-wrap", "w1-first", "w1-wrapped"],
+    )
+    def test_snapshot_equals_per_dimension_construction(self, window, n_samples):
+        samples = random_samples(n_samples, np.random.default_rng(60 + n_samples))
+        builder = StreamingTraceBuilder(DIMS, window=window, interval_minutes=15.0, entity_id="e")
+        builder.extend(samples)
+        trace = builder.snapshot()
+        expected = per_dimension_snapshot(samples, DIMS, window, 15.0, "e")
+        assert trace.entity_id == expected.entity_id
+        assert tuple(trace.series) == tuple(expected.series) == DIMS
+        for dim in DIMS:
+            series, reference = trace[dim], expected[dim]
+            assert series.values.tobytes() == reference.values.tobytes()
+            assert series.values.dtype == np.float64 and series.values.ndim == 1
+            assert not series.values.flags.writeable
+            assert (series.interval_minutes, series.start_minute) == (
+                reference.interval_minutes,
+                reference.start_minute,
+            )
+            np.testing.assert_array_equal(builder.values(dim), reference.values)
+
+    @pytest.mark.parametrize("n_samples", [5, 8, 11, 16])
+    def test_state_dict_pickles_like_the_per_dimension_layout(self, n_samples):
+        samples = random_samples(n_samples, np.random.default_rng(70 + n_samples))
+        builder = StreamingTraceBuilder(DIMS, window=8)
+        builder.extend(samples)
+        by_hand = per_dimension_state(samples, DIMS, 8)
+        assert pickle.dumps(builder.state_dict()) == pickle.dumps(by_hand)
+        restored = StreamingTraceBuilder(DIMS, window=8)
+        restored.load_state(by_hand)
+        assert pickle.dumps(restored.state_dict()) == pickle.dumps(by_hand)
+        for dim in DIMS:
+            assert restored.snapshot()[dim].values.tobytes() == (
+                builder.snapshot()[dim].values.tobytes()
+            )
+
+    def test_nan_in_a_loaded_window_raises_the_series_error(self):
+        samples = random_samples(6, np.random.default_rng(80))
+        state = per_dimension_state(samples, DIMS, 8)
+        state["buffers"][MEMORY][2] = float("nan")
+        builder = StreamingTraceBuilder(DIMS, window=8)
+        builder.load_state(state)
+        with pytest.raises(ValueError) as info:
+            builder.snapshot()
+        assert str(info.value) == nonfinite_series_error()
+
+    def test_nan_outside_the_retained_window_is_never_read(self):
+        samples = random_samples(6, np.random.default_rng(81))
+        state = per_dimension_state(samples, DIMS, 8)
+        state["buffers"][CPU][7] = float("nan")  # slot 7 holds no sample yet
+        builder = StreamingTraceBuilder(DIMS, window=8)
+        builder.load_state(state)
+        np.testing.assert_array_equal(
+            builder.snapshot()[CPU].values, [sample[CPU] for sample in samples]
+        )
+
+
+class TestParseSampleContract:
+    def test_nonfinite_ahead_of_a_missing_dimension_raises_value_error(self):
+        with pytest.raises(ValueError) as info:
+            parse_sample({CPU: float("nan"), LATENCY: 1.0}, DIMS)
+        assert str(info.value) == "non-finite CPU sample: nan"
+
+    def test_missing_dimension_ahead_of_a_nonfinite_raises_key_error(self):
+        with pytest.raises(KeyError) as info:
+            parse_sample({CPU: 1.0, LATENCY: float("inf")}, DIMS)
+        assert info.value.args[0] == (
+            "sample is missing dimension MEMORY; declared: ['CPU', 'MEMORY', 'IO_LATENCY']"
+        )
+
+    def test_row_is_float64_in_dimension_order(self):
+        row = parse_sample({LATENCY: 3, CPU: np.float32(1.5), MEMORY: 2.0, "x": 9}, DIMS)
+        assert row.dtype == np.float64
+        assert row.tolist() == [1.5, 2.0, 3.0]
+
+
+class TestUpdateVectorMatchesViolationRows:
+    """Per-sample rows equal the batch kernel's on the same demand."""
+
+    @staticmethod
+    def candidates(catalog, deployment):
+        return list(DopplerEngine(catalog=catalog).ppm.candidates(deployment))
+
+    @staticmethod
+    def mi_samples(n, seed):
+        rng = np.random.default_rng(seed)
+        return [
+            {
+                CPU: float(abs(rng.normal(3.0, 1.0))),
+                MEMORY: float(abs(rng.normal(12.0, 3.0))),
+                PerfDimension.IOPS: float(abs(rng.normal(1500.0, 900.0))),
+                LATENCY: float(abs(rng.normal(6.0, 1.0)) + 0.5),
+            }
+            for _ in range(n)
+        ]
+
+    @staticmethod
+    def window(samples, dims):
+        return per_dimension_snapshot(samples, dims, len(samples), 10.0, "k")
+
+    @staticmethod
+    def feed(estimator, samples):
+        for sample in samples:
+            estimator.update_vector(parse_sample(sample, estimator.dimensions))
+
+    def kernel_rows(self, samples, dims, caps):
+        return violation_rows(demand_matrix(self.window(samples, dims), dims), caps)
+
+    def test_db_rows_with_a_zero_latency_sample(self, default_catalog):
+        skus = self.candidates(default_catalog, DeploymentType.SQL_DB)
+        samples = live_samples(40, np.random.default_rng(90), scale=4.0)
+        samples[7] = {**samples[7], LATENCY: 0.0}
+        estimator = IncrementalThrottlingEstimator(skus, DB_DIMENSIONS, window=64)
+        self.feed(estimator, samples)
+        expected = self.kernel_rows(samples, DB_DIMENSIONS, capacity_matrix(skus, DB_DIMENSIONS))
+        np.testing.assert_array_equal(estimator._ring[: len(samples)], expected)
+        demands = demand_matrix(self.window(samples, DB_DIMENSIONS), DB_DIMENSIONS)
+        assert demands[7, DB_DIMENSIONS.index(LATENCY)] == 1.0 / LATENCY_FLOOR
+        assert expected[7].all() and not expected[6].all()
+
+    def test_mi_rows_after_rebase_capacity_moves_the_overrides(self, default_catalog):
+        skus = self.candidates(default_catalog, DeploymentType.SQL_MI)
+        samples = self.mi_samples(48, seed=91)
+        gp = [sku.name for sku in skus if sku.tier is ServiceTier.GENERAL_PURPOSE]
+        first = {name: 500.0 for name in gp}
+        second = {name: 2300.0 for name in gp}
+        estimator = IncrementalThrottlingEstimator(
+            skus, MI_DIMENSIONS, window=64, iops_overrides=first
+        )
+        self.feed(estimator, samples[:24])
+        estimator.rebase_capacity(second, self.window(samples[:24], MI_DIMENSIONS))
+        self.feed(estimator, samples[24:])
+        expected = self.kernel_rows(
+            samples, MI_DIMENSIONS, capacity_matrix(skus, MI_DIMENSIONS, iops_overrides=second)
+        )
+        np.testing.assert_array_equal(estimator._ring[: len(samples)], expected)
+        stale = self.kernel_rows(
+            samples, MI_DIMENSIONS, capacity_matrix(skus, MI_DIMENSIONS, iops_overrides=first)
+        )
+        assert not np.array_equal(stale[24:], expected[24:])  # the move bites
+
+    def test_mi_rows_after_load_state_adopts_the_overrides(self, default_catalog):
+        skus = self.candidates(default_catalog, DeploymentType.SQL_MI)
+        samples = self.mi_samples(40, seed=92)
+        overrides = {
+            sku.name: 700.0 for sku in skus if sku.tier is ServiceTier.GENERAL_PURPOSE
+        }
+        source = IncrementalThrottlingEstimator(
+            skus, MI_DIMENSIONS, window=64, iops_overrides=overrides
+        )
+        self.feed(source, samples[:20])
+        target = IncrementalThrottlingEstimator(skus, MI_DIMENSIONS, window=64)
+        target.load_state(
+            pickle.loads(pickle.dumps(source.state_dict())),
+            self.window(samples[:20], MI_DIMENSIONS),
+        )
+        self.feed(target, samples[20:])
+        expected = self.kernel_rows(
+            samples, MI_DIMENSIONS, capacity_matrix(skus, MI_DIMENSIONS, iops_overrides=overrides)
+        )
+        np.testing.assert_array_equal(target._ring[: len(samples)], expected)
