@@ -19,7 +19,7 @@ from repro.telemetry import PerfDimension
 from .conftest import report, run_once
 
 
-def test_sec53_baseline_comparison(benchmark, catalog, db_engine):
+def test_sec53_baseline_comparison(benchmark, catalog, db_engine, record_paper_metrics):
     servers = simulate_onprem_estate(
         n_servers=10,
         duration_days=4,
@@ -57,6 +57,13 @@ def test_sec53_baseline_comparison(benchmark, catalog, db_engine):
     doppler_latency_met = sum(1 for row in active if row[1]) / len(active)
     baseline_failed = sum(1 for row in rows if not row[2])
     baseline_latency_met = sum(1 for row in active if row[3]) / len(active)
+    record_paper_metrics(
+        "sec53",
+        {
+            "doppler_latency_met_accuracy": doppler_latency_met,
+            "baseline_latency_met_accuracy": baseline_latency_met,
+        },
+    )
 
     lines = [
         f"on-prem estate: {len(rows)} databases on {len(servers)} servers "

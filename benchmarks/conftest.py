@@ -8,8 +8,8 @@ pytest-benchmark.  Run with::
     pytest benchmarks/ --benchmark-only
 
 Reports are echoed to stdout (visible with ``-s``) and always written
-to ``benchmarks/results/<experiment>.txt``.  The Table 4 and Table 5
-benches also record their measured accuracies in
+to ``benchmarks/results/<experiment>.txt``.  The Table 4, Table 5 and
+Section 5.3 benches also record their measured accuracies in
 ``benchmarks/results/BENCH_paper.json`` (the ``record_paper_metrics``
 fixture), so ``perf_trend.py`` can flag drift and ``perf_floors.json``
 can hold floors on them.

@@ -262,17 +262,27 @@ class PricePerformanceModeler:
         if deployment is DeploymentType.SQL_MI:
             plan = mi_plan if mi_plan is not None else self.plan_mi_storage(trace, file_sizes_gib)
         state = self._deployment_state(deployment)
-        caps = state.caps_with_gp_iops(
-            dims, plan.layout.total_iops if plan is not None else None
-        )
-        return self._fitted_curve(
-            state,
-            trace,
-            plan,
-            lambda fitted: self.estimator.probabilities_from_caps(
-                demand_matrix(trace, dims), caps[fitted]
-            ),
-        )
+        gp_iops = plan.layout.total_iops if plan is not None else None
+        if isinstance(self.estimator, EmpiricalThrottlingEstimator):
+            # Count every candidate over the deployment's memoized
+            # kernel levels, as the columnar batch does, then keep the
+            # fitted ones: per-SKU counts do not depend on the subset.
+            def probabilities_of(fitted: np.ndarray) -> np.ndarray:
+                return self.estimator.probabilities_batch_from_caps(
+                    [demand_matrix(trace, dims)],
+                    state.levels_for(dims),
+                    None if gp_iops is None else [gp_iops],
+                )[0][fitted]
+
+        else:
+            caps = state.caps_with_gp_iops(dims, gp_iops)
+
+            def probabilities_of(fitted: np.ndarray) -> np.ndarray:
+                return self.estimator.probabilities_from_caps(
+                    demand_matrix(trace, dims), caps[fitted]
+                )
+
+        return self._fitted_curve(state, trace, plan, probabilities_of)
 
     def build_curve_from_probabilities(
         self,

@@ -144,8 +144,7 @@ class CurveCache:
 
     One instance serves every batch pass of a
     :class:`~repro.fleet.engine.FleetEngine`; the lock keeps it
-    consistent when several threads share that engine (the serving
-    tier's recommend executor beside direct callers).  Builders run
+    consistent when several threads share that engine.  Builders run
     outside the lock, so two threads missing one key both build it;
     curves are immutable, so the last install wins and nothing is
     lost but the duplicate work.

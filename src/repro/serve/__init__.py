@@ -5,12 +5,15 @@ service over live customer telemetry -- as a subsystem:
 :class:`RecommendationService` front-ends
 :class:`~repro.fleet.engine.FleetEngine` with ``observe`` (telemetry
 ingestion onto sharded live-assessment state) and ``recommend``
-(columnar batch SKU queries) endpoints, SLO-aware microbatching
-(:mod:`repro.serve.microbatch`), per-lane admission control with
+(columnar batch SKU queries) endpoints, load-sized microbatching
+(:mod:`repro.serve.microbatch`: batches form while a lane is busy, no
+timer holds a request back), per-lane admission control with
 reject-with-retry-after backpressure, request-level percentile
 metrics (:mod:`repro.serve.metrics`), a stdlib HTTP front end
 (:func:`repro.serve.http.serve`), and open/closed-loop load drivers
-(:mod:`repro.serve.loadgen`).
+(:mod:`repro.serve.loadgen`).  Everything runs on one asyncio event
+loop: every flush executes inline on it, and the tier starts no
+thread.
 """
 
 from .config import ServeConfig

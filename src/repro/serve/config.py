@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass, field
+import warnings
+from dataclasses import InitVar, dataclass, field
 
 from ..fleet.config import WatchConfig
 
@@ -21,13 +22,11 @@ class ServeConfig:
     Attributes:
         n_shards: Observe-path shards.  Each shard owns its customers'
             live assessment state (sticky routing over the same
-            consistent-hash ring the fleet watch uses) and runs on its
-            own single-thread executor, so per-customer state never
-            needs a lock.
-        max_batch: Microbatch flush size for both endpoints.
-        max_delay_ms: Microbatch coalescing deadline: the longest a
-            request waits for companions before its (possibly partial)
-            batch dispatches.
+            consistent-hash ring the fleet watch uses) behind its own
+            admission lane and degraded mode; every shard runs on the
+            event loop, so per-customer state never needs a lock.
+        max_batch: The most requests one microbatch flush takes, for
+            both endpoints.
         queue_limit: Per-lane admission bound on requests queued or in
             flight; beyond it requests are rejected with a retry-after.
         slo_ms: Admission latency budget.  A request whose estimated
@@ -48,25 +47,30 @@ class ServeConfig:
             that sample's outcome.
         host: Bind address for :func:`repro.serve.http.serve`.
         port: Bind port; 0 picks a free one.
+
+    ``max_delay_ms`` is deprecated and ignored (one
+    ``DeprecationWarning``): batches form while a lane is busy and no
+    request waits out a coalescing deadline
+    (:class:`~repro.serve.microbatch.MicroBatcher`).
     """
 
     n_shards: int = 2
     max_batch: int = 32
-    max_delay_ms: float = 5.0
     queue_limit: int = 256
     slo_ms: float = 250.0
     replay_limit: int = 1024
     watch: WatchConfig = field(default_factory=WatchConfig)
     host: str = "127.0.0.1"
     port: int = 0
+    max_delay_ms: InitVar[float | None] = None
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, max_delay_ms: float | None) -> None:
+        if max_delay_ms is not None:
+            _warn_max_delay_ms(stacklevel=4)
         if self.n_shards < 1:
             raise ValueError(f"n_shards must be >= 1, got {self.n_shards!r}")
         if self.max_batch < 1:
             raise ValueError(f"max_batch must be >= 1, got {self.max_batch!r}")
-        if self.max_delay_ms < 0:
-            raise ValueError(f"max_delay_ms must be >= 0, got {self.max_delay_ms!r}")
         if self.queue_limit < 1:
             raise ValueError(f"queue_limit must be >= 1, got {self.queue_limit!r}")
         if self.slo_ms <= 0:
@@ -78,4 +82,15 @@ class ServeConfig:
 
     def replace(self, **changes) -> "ServeConfig":
         """A copy of this config with the given fields replaced."""
+        if changes.pop("max_delay_ms", None) is not None:
+            _warn_max_delay_ms(stacklevel=3)
         return dataclasses.replace(self, **changes)
+
+
+def _warn_max_delay_ms(stacklevel: int) -> None:
+    warnings.warn(
+        "ServeConfig(max_delay_ms=...) is deprecated and ignored: batches "
+        "dispatch as soon as a lane is idle",
+        DeprecationWarning,
+        stacklevel=stacklevel,
+    )

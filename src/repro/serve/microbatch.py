@@ -1,4 +1,4 @@
-"""SLO-aware request microbatching.
+"""Load-sized request microbatching.
 
 The serving tier's throughput lever: individual awaiting requests
 coalesce into bounded batches that run through the engine's columnar
@@ -7,12 +7,14 @@ chunk kernels (:meth:`~repro.fleet.engine.FleetEngine.recommend_batch`,
 amortizing cache probes and violation-kernel passes exactly the way
 the offline fleet pass does.
 
-A batch flushes on whichever trigger fires first:
-
-* **size** -- ``max_batch`` requests are waiting (throughput bound);
-* **deadline** -- ``max_delay`` elapsed since the oldest waiting
-  request arrived (latency bound: no request waits longer than the
-  coalescing budget before its batch is dispatched).
+Batches form while the lane is busy, not on a timer (Clipper's
+adaptive batching): the batcher dispatches as soon as its task sees a
+non-empty queue, taking up to ``max_batch`` items, and whatever queues
+while that batch runs forms the next one.  A lone request therefore
+waits for nothing but the loop, and under load batches grow with the
+backlog.  Between back-to-back batches the batcher yields to the event
+loop once, so a deep lane cannot starve the other lanes or the HTTP
+front end.
 
 Flushes are strictly sequential per batcher, so a batcher in front of
 stateful per-shard assessment preserves arrival order -- the property
@@ -22,6 +24,7 @@ the serve tier's byte-identity contract rests on.
 from __future__ import annotations
 
 import asyncio
+import warnings
 from typing import Awaitable, Callable, Generic, TypeVar
 
 from .metrics import BatchStats
@@ -40,24 +43,29 @@ class MicroBatcher(Generic[ItemT, ResultT]):
             submission order and returns one result per item, aligned.
             An exception from ``flush`` fails every request in that
             batch (and only that batch).
-        max_batch: Flush as soon as this many items wait.
-        max_delay: Seconds the oldest waiting item may wait before a
-            partial batch is forced out.
+        max_batch: The most items one batch takes; a deeper queue
+            drains as consecutive batches, in order.
+        max_delay: Deprecated and ignored (one ``DeprecationWarning``):
+            batches no longer wait out a coalescing deadline.
     """
 
     def __init__(
         self,
         flush: Callable[[list[ItemT]], Awaitable[list[ResultT]]],
         max_batch: int,
-        max_delay: float,
+        max_delay: float | None = None,
     ) -> None:
+        if max_delay is not None:
+            warnings.warn(
+                "MicroBatcher(max_delay=...) is deprecated and ignored: "
+                "batches dispatch as soon as the batcher is idle",
+                DeprecationWarning,
+                stacklevel=2,
+            )
         if max_batch < 1:
             raise ValueError(f"max_batch must be >= 1, got {max_batch!r}")
-        if max_delay < 0:
-            raise ValueError(f"max_delay must be >= 0, got {max_delay!r}")
         self._flush = flush
         self.max_batch = max_batch
-        self.max_delay = max_delay
         self.stats = BatchStats()
         self._pending: list[tuple[ItemT, asyncio.Future]] = []
         self._wakeup = asyncio.Event()
@@ -93,33 +101,20 @@ class MicroBatcher(Generic[ItemT, ResultT]):
         return await future
 
     async def _run(self) -> None:
-        loop = asyncio.get_running_loop()
         while True:
             await self._wakeup.wait()
             self._wakeup.clear()
-            if not self._pending:
-                if self._closed:
-                    return
-                continue
-            # The coalescing window opens when the loop first sees a
-            # non-empty queue; the oldest item never waits past it.
-            deadline = loop.time() + self.max_delay
-            while len(self._pending) < self.max_batch and not self._closed:
-                remaining = deadline - loop.time()
-                if remaining <= 0:
-                    break
-                try:
-                    await asyncio.wait_for(self._wakeup.wait(), timeout=remaining)
-                except asyncio.TimeoutError:
-                    break
-                self._wakeup.clear()
-            reason = "size" if len(self._pending) >= self.max_batch else "deadline"
-            batch = self._pending[: self.max_batch]
-            del self._pending[: self.max_batch]
-            self.stats.record(len(batch), reason)
-            await self._dispatch(batch)
-            if self._pending or self._closed:
-                self._wakeup.set()
+            while self._pending:
+                batch = self._pending[: self.max_batch]
+                del self._pending[: self.max_batch]
+                self.stats.record(len(batch), full=len(batch) == self.max_batch)
+                await self._dispatch(batch)
+                if self._pending:
+                    # Let the other lanes and the front end run before
+                    # the next back-to-back batch.
+                    await asyncio.sleep(0)
+            if self._closed:
+                return
 
     async def _dispatch(self, batch: list[tuple[ItemT, asyncio.Future]]) -> None:
         items = [item for item, _ in batch]

@@ -8,16 +8,22 @@ engines per access pattern):
 * **observe** -- cheap, stateful telemetry ingestion.  Requests route
   sticky-by-customer-id over the fleet's consistent-hash
   :class:`~repro.fleet.sharding.ShardRing` to per-shard
-  :class:`~repro.fleet.backends._WatchShard` state, each shard
-  confined to its own single-thread executor (so a shard's state is
-  only ever touched by one thread, without locks), with microbatching
-  in front so queued samples run through one ``process`` call per
-  flush.
+  :class:`~repro.fleet.backends._WatchShard` state, each shard behind
+  its own admission lane, with microbatching in front so queued
+  samples run through one ``process`` call per flush.
 * **recommend** -- expensive, stateless curve/SKU queries.  Requests
   microbatch into :meth:`~repro.fleet.engine.FleetEngine.recommend_batch`
-  calls -- the columnar chunk kernel -- on a dedicated executor, and
-  results are byte-identical to a direct ``recommend_fleet`` pass
-  over the same customers (the serving identity gate).
+  calls -- the columnar chunk kernel -- and results are byte-identical
+  to a direct ``recommend_fleet`` pass over the same customers (the
+  serving identity gate).
+
+Every flush runs inline on the event loop.  Assessment is GIL-bound
+Python over small arrays, so an executor thread could never run it
+beside the loop; it only added two hand-offs per flush.  Shard state
+is therefore confined to the loop thread without locks, and a flush
+blocks the loop for at most ``max_batch`` requests' worth of work --
+the cost each lane's admission budget already charges through its
+seconds-per-request estimate.
 
 Admission control is per lane (one lane per observe shard, one for
 recommend): a bounded queue plus an SLO budget checked against the
@@ -53,8 +59,8 @@ samples, and returns the shard to normal service.
 from __future__ import annotations
 
 import asyncio
+import time
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from typing import TYPE_CHECKING
 
 from ..fleet.backends import _WatchShard
@@ -170,8 +176,9 @@ class RecommendationService:
             service.stats()
 
     All coroutine methods must be called from the event loop that ran
-    :meth:`start`.  Blocking work (assessment, curve building) happens
-    on executors, never on the loop.
+    :meth:`start`.  All work (assessment, curve building, store reads
+    and writes) runs on that loop's thread, one flush at a time, and
+    the service starts no thread.
     """
 
     def __init__(
@@ -200,7 +207,6 @@ class RecommendationService:
         self._n_checkpoints = 0
         self._n_evictions = 0
         self._shards: list[_WatchShard] = []
-        self._executors: list[ThreadPoolExecutor] = []
         self._observe_lanes: list[_Lane] = []
         # Degraded-mode bookkeeping: shard_id -> replay queue of
         # samples buffered while that shard awaits restore_shard().
@@ -212,7 +218,6 @@ class RecommendationService:
         self._n_corrupt_quarantined = 0
         self._n_warm_restored = 0
         self._recommend_lane: _Lane | None = None
-        self._recommend_executor: ThreadPoolExecutor | None = None
         self.observe_latency = LatencyRecorder()
         self.recommend_latency = LatencyRecorder()
 
@@ -220,7 +225,7 @@ class RecommendationService:
     # Lifecycle
     # ------------------------------------------------------------------
     def start(self) -> None:
-        """Build shards, executors and batch loops on the running loop.
+        """Build shards and batch loops on the running loop.
 
         With a store attached that holds a checkpoint, start is a
         *warm restart*: every checkpointed customer's live state is
@@ -233,24 +238,15 @@ class RecommendationService:
         if self._started:
             return
         config = self.config
-        max_delay_s = config.max_delay_ms / 1000.0
         for shard_id in range(config.n_shards):
-            shard = _WatchShard(self._shard_config)
-            executor = ThreadPoolExecutor(
-                max_workers=1, thread_name_prefix=f"serve-shard-{shard_id}"
-            )
             batcher: MicroBatcher = MicroBatcher(
-                self._make_observe_flush(shard_id), config.max_batch, max_delay_s
+                self._make_observe_flush(shard_id), config.max_batch
             )
-            self._shards.append(shard)
-            self._executors.append(executor)
+            self._shards.append(_WatchShard(self._shard_config))
             self._observe_lanes.append(_Lane(f"observe[{shard_id}]", batcher, config))
             batcher.start()
-        self._recommend_executor = ThreadPoolExecutor(
-            max_workers=1, thread_name_prefix="serve-recommend"
-        )
         recommend_batcher: MicroBatcher = MicroBatcher(
-            self._recommend_flush, config.max_batch, max_delay_s
+            self._recommend_flush, config.max_batch
         )
         self._recommend_lane = _Lane("recommend", recommend_batcher, config)
         recommend_batcher.start()
@@ -289,24 +285,18 @@ class RecommendationService:
             )
 
     async def stop(self) -> None:
-        """Drain every lane, then tear down executors and shard state."""
+        """Drain every lane, then tear down shard state."""
         if not self._started:
             return
         for lane in self._observe_lanes:
             await lane.batcher.stop()
         if self._recommend_lane is not None:
             await self._recommend_lane.batcher.stop()
-        for executor in self._executors:
-            executor.shutdown(wait=True)
-        if self._recommend_executor is not None:
-            self._recommend_executor.shutdown(wait=True)
         self._shards.clear()
-        self._executors.clear()
         self._observe_lanes.clear()
         self._degraded.clear()
         self._degraded_reason.clear()
         self._recommend_lane = None
-        self._recommend_executor = None
         self._started = False
 
     async def __aenter__(self) -> "RecommendationService":
@@ -444,9 +434,6 @@ class RecommendationService:
     # ------------------------------------------------------------------
     def _make_observe_flush(self, shard_id: int):
         async def flush(samples: list[FleetSample]) -> list[FleetLiveUpdate]:
-            from ..store import StoreCorruptionError
-
-            loop = asyncio.get_running_loop()
             shard = self._shards[shard_id]
             batch = list(enumerate(samples))
             returning = (
@@ -457,32 +444,16 @@ class RecommendationService:
                 else []
             )
             corrupt: list[tuple[str, str]] = []
-
-            def run() -> tuple:
-                # Cold customers observing again: restore their stored
-                # state before the batch runs, on the shard's own
-                # executor thread so state stays thread-confined.  A
-                # corrupt blob quarantines that one customer instead of
-                # failing the whole flush.
-                if returning:
-                    assert self.store is not None
-                    records = []
-                    for customer_id in returning:
-                        try:
-                            record = self.store.load_customer_state(customer_id)
-                        except StoreCorruptionError as exc:
-                            corrupt.append((customer_id, str(exc)))
-                            shard.quarantined.add(customer_id)
-                            continue
-                        if record is not None:
-                            records.append(record)
-                    shard.restore_records(records)
-                return shard.process(batch)
-
             try:
-                emissions, busy_seconds = await loop.run_in_executor(
-                    self._executors[shard_id], run
-                )
+                # Cold customers observing again: restore their stored
+                # state before the batch runs.  A corrupt blob
+                # quarantines that one customer instead of failing the
+                # whole flush.
+                if returning:
+                    shard.restore_records(
+                        self._load_records(returning, shard.quarantined, corrupt)
+                    )
+                emissions, busy_seconds = shard.process(batch)
             except Exception as exc:
                 # The shard's in-memory state can no longer be trusted:
                 # degrade it and answer every admitted sample with a
@@ -623,62 +594,31 @@ class RecommendationService:
         quarantines that customer instead of aborting the restore;
         without a store, customers restart their warm-up from the
         replayed samples alone), replays the buffered observes in
-        arrival order, and returns the shard to normal service.
+        arrival order, and returns the shard to normal service.  The
+        whole restore runs on the loop without yielding, so no observe
+        can land in the replay buffer between the replay and the
+        hand-back.
         """
         self._require_started()
         if shard_id not in self._degraded:
             raise ValueError(f"shard {shard_id} is not degraded")
-        from ..store import StoreCorruptionError
-
-        loop = asyncio.get_running_loop()
-        executor = self._executors[shard_id]
         old = self._shards[shard_id]
         fresh = _WatchShard(self._shard_config)
         fresh.quarantined.update(old.quarantined)
-        members = sorted(old.recommenders)
         corrupt: list[tuple[str, str]] = []
-
-        def rebuild() -> None:
-            if self.store is None:
-                return
-            records = []
-            for customer_id in members:
-                try:
-                    record = self.store.load_customer_state(customer_id)
-                except StoreCorruptionError as exc:
-                    corrupt.append((customer_id, str(exc)))
-                    fresh.quarantined.add(customer_id)
-                    continue
-                if record is not None:
-                    records.append(record)
-            fresh.restore_records(records)
-
-        await loop.run_in_executor(executor, rebuild)
+        if self.store is not None:
+            fresh.restore_records(
+                self._load_records(sorted(old.recommenders), fresh.quarantined, corrupt)
+            )
         if corrupt:
             self._note_corrupt(shard_id, corrupt)
-        # Replay in rounds: each round drains the buffer on the loop
-        # thread, then processes off-loop; observes arriving during a
-        # round land in the buffer and are picked up by the next one.
-        replayed = 0
-        while True:
-            buffer = self._degraded[shard_id]
-            if not buffer:
-                # No await between this check and the hand-back below,
-                # so no observe can slip into the buffer we are about
-                # to discard.
-                break
-            batch: list[FleetSample] = []
-            while buffer:
-                batch.append(buffer.popleft())
-            await loop.run_in_executor(
-                executor, fresh.process, list(enumerate(batch))
-            )
-            replayed += len(batch)
+        replay = list(self._degraded[shard_id])
+        fresh.process(list(enumerate(replay)))
         self._shards[shard_id] = fresh
         del self._degraded[shard_id]
         self._degraded_reason.pop(shard_id, None)
         self._n_shard_restores += 1
-        return replayed
+        return len(replay)
 
     # ------------------------------------------------------------------
     # Durability
@@ -686,28 +626,22 @@ class RecommendationService:
     async def checkpoint(self) -> "CheckpointRecord":
         """Persist every observe shard's state to the attached store.
 
-        Each shard snapshots on its own executor thread (the only
-        thread that ever touches its state), so a checkpoint never
-        races an in-flight flush; ``snapshot_records`` is
-        non-destructive, so serving continues unchanged.  One store
-        transaction covers all shards.
+        The snapshots and the store write run on the loop between
+        flushes, so a checkpoint never races an in-flight flush;
+        ``snapshot_records`` is non-destructive, so serving continues
+        unchanged.  One store transaction covers all shards.
         """
         self._require_started()
         store = self._require_store()
-        loop = asyncio.get_running_loop()
         # Degraded shards are excluded: their in-memory state is the
         # very thing that failed, and checkpointing it would poison the
         # snapshots restore_shard rebuilds from.
-        shard_records = await asyncio.gather(
-            *(
-                loop.run_in_executor(executor, shard.snapshot_records)
-                for shard_id, (shard, executor) in enumerate(
-                    zip(self._shards, self._executors)
-                )
-                if shard_id not in self._degraded
-            )
-        )
-        records = [record for batch in shard_records for record in batch]
+        records = [
+            record
+            for shard_id, shard in enumerate(self._shards)
+            if shard_id not in self._degraded
+            for record in shard.snapshot_records()
+        ]
         self._n_checkpoints += 1
         return store.checkpoint(
             tick_id=self._n_checkpoints,
@@ -730,17 +664,10 @@ class RecommendationService:
             raise ValueError(f"max_resident must be >= 1, got {max_resident!r}")
         self._require_started()
         store = self._require_store()
-        loop = asyncio.get_running_loop()
-        listings = await asyncio.gather(
-            *(
-                loop.run_in_executor(executor, lambda s=shard: sorted(s.recommenders))
-                for shard, executor in zip(self._shards, self._executors)
-            )
-        )
         resident = [
             (self._last_observed.get(customer_id, 0), customer_id, shard_id)
-            for shard_id, customer_ids in enumerate(listings)
-            for customer_id in customer_ids
+            for shard_id, shard in enumerate(self._shards)
+            for customer_id in shard.recommenders
         ]
         excess = len(resident) - max_resident
         if excess <= 0:
@@ -751,10 +678,7 @@ class RecommendationService:
             by_shard.setdefault(shard_id, []).append(customer_id)
         for shard_id in sorted(by_shard):
             customer_ids = sorted(by_shard[shard_id])
-            shard = self._shards[shard_id]
-            records = await loop.run_in_executor(
-                self._executors[shard_id], shard.extract, customer_ids
-            )
+            records = self._shards[shard_id].extract(customer_ids)
             store.save_customer_states(records, tick_id=self._n_checkpoints)
             for customer_id in customer_ids:
                 store.append_event(
@@ -793,15 +717,39 @@ class RecommendationService:
             )
         return self.store
 
+    def _load_records(
+        self,
+        customer_ids: list[str],
+        quarantined: set[str],
+        corrupt: list[tuple[str, str]],
+    ) -> list:
+        """The stored state records of ``customer_ids``, in order.
+
+        A corrupt blob quarantines its customer (added to
+        ``quarantined`` and noted in ``corrupt``) instead of failing
+        the caller.
+        """
+        from ..store import StoreCorruptionError
+
+        store = self._require_store()
+        records = []
+        for customer_id in customer_ids:
+            try:
+                record = store.load_customer_state(customer_id)
+            except StoreCorruptionError as exc:
+                corrupt.append((customer_id, str(exc)))
+                quarantined.add(customer_id)
+                continue
+            if record is not None:
+                records.append(record)
+        return records
+
     async def _recommend_flush(self, customers: list[FleetCustomer]) -> list:
-        loop = asyncio.get_running_loop()
         lane = self._recommend_lane
         assert lane is not None
-        started = loop.time()
-        results = await loop.run_in_executor(
-            self._recommend_executor, self.fleet.recommend_batch, customers
-        )
-        lane.observe_flush(loop.time() - started, len(customers))
+        started = time.perf_counter()
+        results = self.fleet.recommend_batch(customers)
+        lane.observe_flush(time.perf_counter() - started, len(customers))
         return results
 
     def _require_started(self) -> None:

@@ -306,9 +306,9 @@ CREATE TABLE IF NOT EXISTS checkpoints (
 class FleetStore:
     """WAL-mode SQLite store for durable fleet state.
 
-    Thread-safe: the serving tier calls it from per-shard executor
-    threads, so the connection is opened with ``check_same_thread=False``
-    and all access is serialized behind one re-entrant lock.  WAL mode
+    Thread-safe: the connection is opened with
+    ``check_same_thread=False`` and all access is serialized behind one
+    re-entrant lock, so threads may share one store.  WAL mode
     makes concurrent *processes* safe too -- the crash-recovery smoke
     polls a store that a soon-to-be-SIGKILLed child is writing.
     """

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.catalog import DeploymentType, ServiceTier, SkuCatalog
-from repro.core import PricePerformanceModeler
+from repro.core import PricePerformanceModeler, throttling
+from repro.core.throttling import demand_matrix
 from repro.telemetry import PerfDimension, PerformanceTrace, TimeSeries
 
 from .conftest import full_trace, make_sku
@@ -157,3 +158,90 @@ class TestMiCurve:
         curve = ppm.build_curve(mi_trace(), DeploymentType.SQL_MI)
         assert len(curve) > 0
         assert all(p.sku.deployment is DeploymentType.SQL_MI for p in curve)
+
+
+class TestBuildCurveKernelLevels:
+    """``build_curve`` counts every candidate over the deployment's
+    memoized kernel levels (the MI Step-2 limit as the threshold row)
+    and indexes the fitted ones; the curve equals the one the kernel
+    gives over ``caps_with_gp_iops(...)[fitted]``, bit for bit."""
+
+    @staticmethod
+    def reference(ppm, trace, deployment):
+        state = ppm._deployment_state(deployment)
+        dims = ppm._curve_dimensions(trace, deployment)
+        plan = (
+            ppm.plan_mi_storage(trace) if deployment is DeploymentType.SQL_MI else None
+        )
+        caps = state.caps_with_gp_iops(dims, plan.layout.total_iops if plan else None)
+        return ppm._fitted_curve(
+            state,
+            trace,
+            plan,
+            lambda fitted: ppm.estimator.probabilities_from_caps(
+                demand_matrix(trace, dims), caps[fitted]
+            ),
+        )
+
+    def assert_matches_reference(self, ppm, trace, deployment):
+        curve = ppm.build_curve(trace, deployment)
+        expected = self.reference(ppm, trace, deployment)
+        assert [p.sku.name for p in curve] == [p.sku.name for p in expected]
+        assert curve.scores().tobytes() == expected.scores().tobytes()
+        assert [p.throttling_probability for p in curve] == [
+            p.throttling_probability for p in expected
+        ]
+        return curve
+
+    def test_db_curve_matches_reference(self, small_catalog):
+        ppm = PricePerformanceModeler(catalog=small_catalog)
+        for cpu_level in (0.8, 3.0, 9.0):
+            trace = full_trace(cpu_level=cpu_level, entity_id=f"db-{cpu_level}", rng=7)
+            self.assert_matches_reference(ppm, trace, DeploymentType.SQL_DB)
+
+    @pytest.mark.parametrize("iops_level", [300.0, 480.0, 3000.0])
+    def test_mi_curve_matches_reference(self, iops_level):
+        ppm = PricePerformanceModeler(catalog=mi_catalog())
+        trace = mi_trace(iops_level=iops_level, storage=100.0)
+        curve = self.assert_matches_reference(ppm, trace, DeploymentType.SQL_MI)
+        tiers = {point.sku.tier for point in curve}
+        assert (ServiceTier.GENERAL_PURPOSE in tiers) is (
+            ppm.plan_mi_storage(trace).gp_allowed
+        )
+
+    def test_mi_threshold_equal_to_a_demand_does_not_throttle(self):
+        """The Step-2 row is strict ``demand > limit`` like every level."""
+        ppm = PricePerformanceModeler(catalog=mi_catalog())
+        base = mi_trace(iops_level=400.0, storage=100.0)
+        limit = ppm.plan_mi_storage(base).layout.total_iops
+        n = base.n_samples
+        series = {dim: base[dim] for dim in base.dimensions}
+        for peak, expected in ((limit, 0.0), (np.nextafter(limit, np.inf), 29 / n)):
+            iops = np.full(n, 400.0)
+            iops[::10] = peak  # 29 of 288 samples
+            series[PerfDimension.IOPS] = TimeSeries(iops)
+            trace = PerformanceTrace(series=series, entity_id="at-limit")
+            assert ppm.plan_mi_storage(trace).gp_allowed
+            curve = self.assert_matches_reference(ppm, trace, DeploymentType.SQL_MI)
+            gp = [p for p in curve if p.sku.tier is ServiceTier.GENERAL_PURPOSE]
+            assert gp and all(p.throttling_probability == expected for p in gp)
+
+    def test_second_call_builds_no_levels(self, small_catalog, monkeypatch):
+        built = []
+        original = throttling._CapacityLevels.__init__
+
+        def counting_init(self, caps, *args, **kwargs):
+            built.append(caps.shape)
+            original(self, caps, *args, **kwargs)
+
+        monkeypatch.setattr(throttling._CapacityLevels, "__init__", counting_init)
+        for catalog, deployment, make in (
+            (small_catalog, DeploymentType.SQL_DB, lambda i: full_trace(rng=i)),
+            (mi_catalog(), DeploymentType.SQL_MI, lambda i: mi_trace(iops_level=300.0 + i)),
+        ):
+            ppm = PricePerformanceModeler(catalog=catalog)
+            ppm.build_curve(make(1), deployment)
+            assert len(built) == 1
+            ppm.build_curve(make(2), deployment)
+            assert len(built) == 1
+            built.clear()

@@ -407,7 +407,6 @@ class TestDegradedServing:
         config = ServeConfig(
             n_shards=1,
             max_batch=8,
-            max_delay_ms=2.0,
             queue_limit=4096,
             slo_ms=60_000.0,
             watch=self.WATCH,

@@ -2,7 +2,7 @@
 
 The load-bearing contract is the serving identity gate: a
 recommendation served through the asyncio tier -- microbatched into
-``recommend_batch`` on an executor -- must be byte-identical to the
+``recommend_batch`` on the event loop -- must be byte-identical to the
 same customer's result from a direct ``recommend_fleet`` pass, and an
 observe stream answered by the service must match the watch path's
 update stream sample for sample.  Everything else (backpressure,
@@ -16,8 +16,12 @@ No pytest-asyncio in the environment: coroutine scenarios run under
 from __future__ import annotations
 
 import asyncio
+import inspect
 import json
+import threading
+import warnings
 
+import numpy as np
 import pytest
 
 import repro
@@ -27,6 +31,7 @@ from repro.fleet import (
     FleetCustomer,
     FleetEngine,
     FleetLiveUpdate,
+    FleetSample,
     WatchConfig,
 )
 from repro.serve import (
@@ -40,25 +45,30 @@ from repro.serve import (
 )
 from repro.serve.http import _handle_one
 from repro.serve.service import _Lane
+from repro.store import FleetStore
 from repro.telemetry.serialize import trace_to_dict
 
 from .conftest import full_trace
-from .test_fleet_backends import canonical_updates, interleaved_feed
+from .test_fleet_backends import canonical_updates, interleaved_feed, live_samples
 
 #: Watch parameters small enough that refreshes happen within a short
 #: test feed; shared by every service in this module.
 WATCH = WatchConfig(window=16, min_refresh_samples=8)
 
-#: A service configuration that never rejects and flushes fast: the
-#: correctness tests want identity, not backpressure.
+#: A service configuration that never rejects: the correctness tests
+#: want identity, not backpressure.
 WIDE_OPEN = ServeConfig(
     n_shards=1,
     max_batch=8,
-    max_delay_ms=2.0,
     queue_limit=4096,
     slo_ms=60_000.0,
     watch=WATCH,
 )
+
+
+def _next_line() -> int:
+    """The line after the caller's: where a warning should point."""
+    return inspect.currentframe().f_back.f_lineno + 1
 
 
 def make_fleet(small_catalog) -> FleetEngine:
@@ -111,7 +121,6 @@ class TestServeConfig:
         [
             ("n_shards", 0, "n_shards must be >= 1"),
             ("max_batch", 0, "max_batch must be >= 1"),
-            ("max_delay_ms", -1.0, "max_delay_ms must be >= 0"),
             ("queue_limit", 0, "queue_limit must be >= 1"),
             ("slo_ms", 0.0, "slo_ms must be positive"),
             ("watch", "fast", "watch must be a WatchConfig"),
@@ -130,10 +139,59 @@ class TestServeConfig:
         with pytest.raises(ValueError, match="ServeConfig"):
             RecommendationService(make_fleet(small_catalog), {"n_shards": 2})
 
+    def test_max_delay_ms_is_deprecated_and_ignored(self, small_catalog):
+        """Construction and ``replace`` each warn once, at the caller's
+        line; the value is not even validated, and the service answers
+        the default config's stream."""
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            line = _next_line()
+            built = WIDE_OPEN.replace(n_shards=2, max_delay_ms=-1.0)
+            rebuilt = ServeConfig(max_delay_ms=5.0)
+        assert [(w.category, w.filename, w.lineno) for w in caught] == [
+            (DeprecationWarning, __file__, line),
+            (DeprecationWarning, __file__, line + 1),
+        ]
+        assert "max_delay_ms" in str(caught[0].message)
+        assert rebuilt == ServeConfig()
+        default = WIDE_OPEN.replace(n_shards=2)
+        assert built == default
+        feed = interleaved_feed(4, 10, seed=5)
+
+        def served(config):
+            async def scenario():
+                fleet = make_fleet(small_catalog)
+                async with RecommendationService(fleet, config) as service:
+                    return await asyncio.gather(*(service.observe(s) for s in feed))
+
+            return canonical_updates(asyncio.run(scenario()))
+
+        assert served(built) == served(default)
+
 
 # ----------------------------------------------------------------------
 # MicroBatcher
 # ----------------------------------------------------------------------
+def _forbid_timers(monkeypatch) -> None:
+    """Make timeout waits and the running loop's timers raise."""
+
+    def no_timer(*args, **kwargs):
+        raise AssertionError("the batcher asked for a timer")
+
+    monkeypatch.setattr(asyncio, "wait_for", no_timer)
+    monkeypatch.setattr(asyncio.get_running_loop(), "call_at", no_timer)
+
+
+async def _settle(awaitables, rounds: int = 10) -> list:
+    """Results of ``awaitables``, which must finish within ``rounds``
+    loop iterations (a task stuck on a timer never would)."""
+    tasks = [asyncio.ensure_future(awaitable) for awaitable in awaitables]
+    for _ in range(rounds):
+        await asyncio.sleep(0)
+    assert all(task.done() for task in tasks)
+    return [task.result() for task in tasks]
+
+
 class TestMicroBatcher:
     def test_size_trigger_flushes_full_batches(self):
         batches: list[list[int]] = []
@@ -143,7 +201,7 @@ class TestMicroBatcher:
             return [item * 2 for item in items]
 
         async def scenario():
-            batcher = MicroBatcher(flush, max_batch=4, max_delay=5.0)
+            batcher = MicroBatcher(flush, max_batch=4)
             batcher.start()
             results = await asyncio.gather(*(batcher.submit(i) for i in range(8)))
             await batcher.stop()
@@ -153,37 +211,112 @@ class TestMicroBatcher:
         assert results == [i * 2 for i in range(8)]
         assert batches == [[0, 1, 2, 3], [4, 5, 6, 7]]
 
-    def test_deadline_trigger_flushes_partial_batch(self):
+    def test_partial_batch_dispatches_without_a_timer(self, monkeypatch):
+        """A lone submission (and a short queue) dispatches at once: the
+        batcher never waits on a timeout or schedules a timer."""
+
         async def flush(items):
             return list(items)
 
         async def scenario():
-            batcher = MicroBatcher(flush, max_batch=100, max_delay=0.02)
+            _forbid_timers(monkeypatch)
+            batcher = MicroBatcher(flush, max_batch=100)
             batcher.start()
-            results = await asyncio.gather(*(batcher.submit(i) for i in range(3)))
-            stats = batcher.stats
+            assert await _settle([batcher.submit("lone")]) == ["lone"]
+            results = await _settle([batcher.submit(i) for i in range(3)])
             await batcher.stop()
-            return results, stats
+            return results, batcher.stats
 
         results, stats = asyncio.run(scenario())
         assert results == [0, 1, 2]
-        assert stats.n_deadline_flushes == 1
+        assert stats.n_flushes == 2
+        assert stats.n_deadline_flushes == 2
         assert stats.n_size_flushes == 0
         assert stats.max_batch == 3
 
-    def test_stats_split_size_vs_deadline(self):
-        """One full batch flushes on size, the 2-item remainder on deadline."""
+    def test_items_queued_during_a_flush_form_the_next_batch(self, monkeypatch):
+        """Batch while busy: what arrives while a flush awaits waits for
+        it, then dispatches in order, at most ``max_batch`` at a time,
+        with no timer in between."""
+        batches: list[list] = []
+        entered = asyncio.Event()
+        release = asyncio.Event()
+
+        async def flush(items):
+            batches.append(list(items))
+            if len(batches) == 1:
+                entered.set()
+                await release.wait()
+            return list(items)
+
+        async def scenario():
+            _forbid_timers(monkeypatch)
+            batcher = MicroBatcher(flush, max_batch=4)
+            batcher.start()
+            first = asyncio.ensure_future(batcher.submit("first"))
+            for _ in range(5):
+                await asyncio.sleep(0)
+            assert entered.is_set()
+            rest = [asyncio.ensure_future(batcher.submit(i)) for i in range(6)]
+            for _ in range(5):
+                await asyncio.sleep(0)
+            assert batches == [["first"]]  # nobody overtakes a running flush
+            assert batcher.depth == 6
+            release.set()
+            results = await _settle([first, *rest])
+            await batcher.stop()
+            return results
+
+        assert asyncio.run(scenario()) == ["first", 0, 1, 2, 3, 4, 5]
+        assert batches == [["first"], [0, 1, 2, 3], [4, 5]]
+
+    def test_deep_queue_drains_in_order_and_yields_between_batches(self):
+        batches: list[list[int]] = []
+        ticks_at_flush: list[int] = []
+        ticks = 0
+
+        async def ticker():
+            nonlocal ticks
+            while True:
+                ticks += 1
+                await asyncio.sleep(0)
+
+        async def flush(items):
+            batches.append(list(items))
+            ticks_at_flush.append(ticks)
+            return list(items)
+
+        async def scenario():
+            batcher = MicroBatcher(flush, max_batch=3)
+            batcher.start()
+            other_lane = asyncio.ensure_future(ticker())
+            results = await asyncio.gather(*(batcher.submit(i) for i in range(10)))
+            other_lane.cancel()
+            await batcher.stop()
+            return results
+
+        assert asyncio.run(scenario()) == list(range(10))
+        assert batches == [[0, 1, 2], [3, 4, 5], [6, 7, 8], [9]]
+        # Another task ran between every two back-to-back batches.
+        assert all(
+            later > earlier
+            for earlier, later in zip(ticks_at_flush, ticks_at_flush[1:])
+        )
+
+    def test_stats_split_full_vs_partial(self, monkeypatch):
+        """One full batch of ``max_batch``, then the 2-item remainder
+        at once."""
 
         async def flush(items):
             return list(items)
 
         async def scenario():
-            batcher = MicroBatcher(flush, max_batch=4, max_delay=0.02)
+            _forbid_timers(monkeypatch)
+            batcher = MicroBatcher(flush, max_batch=4)
             batcher.start()
-            await asyncio.gather(*(batcher.submit(i) for i in range(6)))
-            stats = batcher.stats
+            await _settle([batcher.submit(i) for i in range(6)])
             await batcher.stop()
-            return stats
+            return batcher.stats
 
         stats = asyncio.run(scenario())
         assert stats.n_size_flushes == 1
@@ -199,7 +332,7 @@ class TestMicroBatcher:
             return list(items)
 
         async def scenario():
-            batcher = MicroBatcher(flush, max_batch=2, max_delay=0.01)
+            batcher = MicroBatcher(flush, max_batch=2)
             batcher.start()
             failed = await asyncio.gather(
                 batcher.submit("boom"), batcher.submit("rider"), return_exceptions=True
@@ -217,7 +350,7 @@ class TestMicroBatcher:
             return []
 
         async def scenario():
-            batcher = MicroBatcher(flush, max_batch=1, max_delay=0.0)
+            batcher = MicroBatcher(flush, max_batch=1)
             batcher.start()
             try:
                 with pytest.raises(RuntimeError, match="flush returned 0 results"):
@@ -232,7 +365,7 @@ class TestMicroBatcher:
             return list(items)
 
         async def scenario():
-            batcher = MicroBatcher(flush, max_batch=2, max_delay=0.0)
+            batcher = MicroBatcher(flush, max_batch=2)
             with pytest.raises(RuntimeError, match="not running"):
                 await batcher.submit("early")
             batcher.start()
@@ -247,9 +380,36 @@ class TestMicroBatcher:
             return list(items)
 
         with pytest.raises(ValueError, match="max_batch"):
-            MicroBatcher(flush, max_batch=0, max_delay=1.0)
-        with pytest.raises(ValueError, match="max_delay"):
-            MicroBatcher(flush, max_batch=1, max_delay=-0.1)
+            MicroBatcher(flush, max_batch=0)
+
+    def test_max_delay_is_deprecated_and_ignored(self):
+        batches: list[list[int]] = []
+
+        async def flush(items):
+            batches.append(list(items))
+            return list(items)
+
+        async def scenario(make):
+            batcher = make()
+            batcher.start()
+            results = await asyncio.gather(*(batcher.submit(i) for i in range(6)))
+            await batcher.stop()
+            return results
+
+        def deprecated():
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                line = _next_line()
+                batcher = MicroBatcher(flush, 4, max_delay=-0.5)
+            assert [(w.category, w.filename, w.lineno) for w in caught] == [
+                (DeprecationWarning, __file__, line)
+            ]
+            assert "max_delay" in str(caught[0].message)
+            return batcher
+
+        assert asyncio.run(scenario(deprecated)) == list(range(6))
+        assert asyncio.run(scenario(lambda: MicroBatcher(flush, 4))) == list(range(6))
+        assert batches == [[0, 1, 2, 3], [4, 5]] * 2
 
 
 # ----------------------------------------------------------------------
@@ -280,8 +440,8 @@ class TestMetrics:
 
     def test_batch_stats_accounting(self):
         stats = BatchStats()
-        stats.record(4, "size")
-        stats.record(2, "deadline")
+        stats.record(4, full=True)
+        stats.record(2, full=False)
         assert stats.summary() == {
             "n_flushes": 2,
             "n_items": 6,
@@ -301,7 +461,7 @@ class TestLaneAdmission:
             return list(items)
 
         config = ServeConfig(queue_limit=2, slo_ms=100.0, watch=WATCH, **overrides)
-        return _Lane("observe[0]", MicroBatcher(flush, 4, 0.01), config)
+        return _Lane("observe[0]", MicroBatcher(flush, 4), config)
 
     def test_queue_bound_rejects_with_lane_name(self):
         lane = self.make_lane()
@@ -435,7 +595,6 @@ class TestBackpressure:
         config = ServeConfig(
             n_shards=1,
             max_batch=4,
-            max_delay_ms=30.0,
             queue_limit=2,
             slo_ms=60_000.0,
             watch=WATCH,
@@ -468,6 +627,64 @@ class TestBackpressure:
         assert stats["observe"]["n_rejected"] == len(rejected)
         assert stats["observe"]["latency"]["count"] == len(answered)
         assert isinstance(recovered, FleetLiveUpdate)
+
+
+# ----------------------------------------------------------------------
+# Execution: everything on the event loop
+# ----------------------------------------------------------------------
+class TestNoThreads:
+    def test_service_starts_no_thread(self, small_catalog, tmp_path, monkeypatch):
+        """Every serving path runs on the loop thread: start, observe,
+        recommend, checkpoint, eviction and store readmission, a
+        degraded shard's restore, an HTTP round trip and stop."""
+
+        def no_thread(thread):
+            raise AssertionError(f"the service started thread {thread.name!r}")
+
+        store = FleetStore(str(tmp_path / "threads.db"))
+        config = WIDE_OPEN.replace(watch=WatchConfig(window=8, min_refresh_samples=4))
+        rng = np.random.default_rng(4)
+        alpha, beta = (
+            [FleetSample(customer_id=name, values=v) for v in live_samples(8, rng)]
+            for name in ("alpha", "beta")
+        )
+        monkeypatch.setattr(threading.Thread, "start", no_thread)
+
+        async def scenario():
+            service = RecommendationService(make_fleet(small_catalog), config, store=store)
+            async with service:
+                for sample in alpha[:5] + beta[:5]:
+                    assert (await service.observe(sample)).ok
+                assert (await service.recommend(make_customers(1)[0])).ok
+                await service.checkpoint()
+                assert await service.evict_cold(1) == 1  # alpha goes cold
+                readmitted = await service.observe(alpha[5])
+                assert readmitted.ok and readmitted.update.n_seen == 6
+
+                def boom(batch):
+                    raise RuntimeError("injected shard failure")
+
+                service._shards[0].process = boom
+                assert (await service.observe(beta[5])).deferred
+                assert await service.restore_shard(0) == 1
+                assert (await service.observe(beta[6])).ok
+
+                server = await serve(service, port=0)
+                port = server.sockets[0].getsockname()[1]
+                try:
+                    status, _, document = await _http_request(
+                        port, "POST", "/observe", OBSERVE_BODY
+                    )
+                finally:
+                    server.close()
+                    await server.wait_closed()
+                assert status == 200 and document["ok"] is True
+                return service.stats()
+
+        stats = asyncio.run(scenario())
+        store.close()
+        assert stats["durability"]["n_evictions"] == 1
+        assert stats["degraded"]["n_shard_restores"] == 1
 
 
 # ----------------------------------------------------------------------
