@@ -31,7 +31,9 @@ numbers the paper's deployment story turns on:
 The two open loops and the HTTP loop each run three times, every run
 on a fresh service; each record is the run with the median p95, so a
 recorded ``p95_ms`` is the median of three runs and one scheduler stall
-moves one run, not the record.
+moves one run, not the record.  Each open-loop run prints its
+admitted p95, p99 and max; the record also holds the process's peak
+RSS (``peak_rss_mb``).
 
 Standalone script (not a pytest benchmark)::
 
@@ -58,6 +60,7 @@ import asyncio
 import itertools
 import json
 import platform
+import resource
 import sys
 import time
 from pathlib import Path
@@ -390,7 +393,8 @@ def main(argv: list[str] | None = None) -> int:
             print(
                 f"  {run['requests_per_sec']:>9.1f} req/s admitted"
                 f"   rejected {run['n_rejected']} ({run['rejection_rate']:.0%})"
-                f"   p95 {run['p95_ms']:.2f}ms   mean batch {run['mean_batch']:.2f}"
+                f"   p95 {run['p95_ms']:.2f}ms   p99 {run['p99_ms']:.2f}ms"
+                f"   max {run['max_ms']:.2f}ms   mean batch {run['mean_batch']:.2f}"
             )
             runs.append(run)
         return runs
@@ -431,6 +435,9 @@ def main(argv: list[str] | None = None) -> int:
         )
     diurnal_record = median_p95_run(diurnal_runs)
     flash_record = median_p95_run(flash_runs)
+    # Linux reports ru_maxrss in KiB: the whole run's high-water mark.
+    peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+    print(f"Peak RSS {peak_rss_mb:.1f} MB")
 
     record = {
         "benchmark": "serving",
@@ -445,6 +452,7 @@ def main(argv: list[str] | None = None) -> int:
         "observe_batches": [
             shard["batches"] for shard in capacity_stats["observe"]["shards"]
         ],
+        "peak_rss_mb": peak_rss_mb,
     }
     RESULTS_DIR.mkdir(exist_ok=True)
     JSON_PATH.write_text(json.dumps(record, indent=2) + "\n", encoding="utf-8")

@@ -30,8 +30,9 @@ Also benchmarks the process-sharded fleet watch
 (:meth:`~repro.fleet.engine.FleetEngine.watch_fleet` with
 ``backend="process"``): one interleaved feed over many customers,
 1 worker vs N workers, verifying the update stream stays
-byte-identical to the serial backend and (on machines with enough
-cores) that N workers deliver a real customers/s scaling.
+byte-identical to the serial backend -- at its default tick and at
+1-sample ticks, which never defer a refresh -- and (on machines with
+enough cores) that N workers deliver a real customers/s scaling.
 
 Emits a machine-readable perf record to
 ``benchmarks/results/BENCH_streaming.json`` (uploaded as a CI
@@ -67,8 +68,9 @@ Exit status: 1 when incremental and batch probabilities disagree,
 2 when the estimator speedup misses the threshold, 3 when streaming
 profiling diverges from the window re-scan, 4 when streaming
 profiling misses its O(1)/speedup contract (median per-pair speedup
-below 3x), 5 when the sharded watch
-diverges from the serial one or misses the scaling gate, 6 when the
+below 3x), 5 when the sharded watch or the
+1-sample-tick serial watch diverges from the serial one or the
+sharded watch misses the scaling gate, 6 when the
 skewed-feed run diverges from serial or rebalancing misses its
 speedup gate, 7 when the checkpointed watch diverges from the
 memory-only run, resume breaks byte-identity, or the checkpoint
@@ -359,28 +361,33 @@ def bench_watch_scaling(
 ) -> dict:
     """Process-sharded fleet watch: 1 worker vs N, against serial.
 
-    One feed drives ``n_customers`` concurrent live assessments three
-    times -- serial backend, process backend with one worker, process
-    backend with ``max_workers`` -- asserting all three emit
-    byte-identical update streams (the sticky-routing identity
-    contract) and recording customers/s for the scaling trajectory.
+    One feed drives ``n_customers`` concurrent live assessments four
+    times -- serial backend at its default tick, serial backend at
+    1-sample ticks (the reference that never defers a refresh: every
+    refresh runs as its sample arrives), process backend with one
+    worker, process backend with ``max_workers`` -- asserting all four
+    emit byte-identical update streams (the sticky-routing and
+    tick-batching identity contracts) and recording customers/s for
+    the scaling trajectory.
     """
     engine = DopplerEngine(catalog=SkuCatalog.default())
     fleet = FleetEngine(engine=engine, backend="serial")
     feed = make_fleet_feed(n_customers, samples_each, seed)
     watch_config = WatchConfig(window=window, min_refresh_samples=min(12, window))
 
-    def run(backend: str, workers: int | None) -> tuple[bytes, float]:
-        start = time.perf_counter()
-        updates = list(
-            fleet.watch_fleet(
-                feed, config=watch_config.replace(backend=backend, max_workers=workers)
-            )
+    def run(
+        backend: str, workers: int | None, tick_samples: int | None = None
+    ) -> tuple[bytes, float]:
+        config = watch_config.replace(
+            backend=backend, max_workers=workers, tick_samples=tick_samples
         )
+        start = time.perf_counter()
+        updates = list(fleet.watch_fleet(feed, config=config))
         seconds = time.perf_counter() - start
         return canonical_watch_bytes(updates), seconds
 
     serial_blob, serial_seconds = run("serial", None)
+    tick1_blob, tick1_seconds = run("serial", None, tick_samples=1)
     one_blob, one_seconds = run("process", 1)
     many_blob, many_seconds = run("process", max_workers)
     return {
@@ -389,9 +396,11 @@ def bench_watch_scaling(
         "window": window,
         "max_workers": max_workers,
         "serial_customers_per_sec": n_customers / serial_seconds,
+        "serial_1tick_customers_per_sec": n_customers / tick1_seconds,
         "process_1w_customers_per_sec": n_customers / one_seconds,
         "process_nw_customers_per_sec": n_customers / many_seconds,
         "scaling_vs_1w": one_seconds / many_seconds,
+        "identical_serial_1tick": tick1_blob == serial_blob,
         "identical_1w": one_blob == serial_blob,
         "identical_nw": many_blob == serial_blob,
     }
@@ -528,9 +537,9 @@ def bench_checkpoint_overhead(
     and checkpointing to a WAL-mode :class:`~repro.store.FleetStore`
     at the default cadence
     (:data:`~repro.fleet.config.DEFAULT_CHECKPOINT_EVERY_TICKS` drained
-    ticks of ``tick_samples`` each; 64 reproduces the parallel pools'
-    default watch tick on the serial backend, whose own tick is a
-    single sample), asserting the update streams are byte-identical
+    ticks of ``tick_samples`` each; 64 is the default watch tick of
+    both the serial and the process pools), asserting the update
+    streams are byte-identical
     (durability must be invisible in the output) and measuring the
     throughput cost.  The two variants run as ``pairs`` back-to-back
     pairs, alternating which goes first, each checkpointed run on a
@@ -764,12 +773,18 @@ def main(argv: list[str] | None = None) -> int:
         seed=args.seed,
         max_workers=watch_workers,
     )
+    watch_identical = (
+        watch_record["identical_serial_1tick"]
+        and watch_record["identical_1w"]
+        and watch_record["identical_nw"]
+    )
     print(
         f"  serial {watch_record['serial_customers_per_sec']:>8.1f} cust/s"
+        f"   serial@1-sample ticks {watch_record['serial_1tick_customers_per_sec']:>8.1f} cust/s"
         f"   process@1 {watch_record['process_1w_customers_per_sec']:>8.1f} cust/s"
         f"   process@{watch_workers} {watch_record['process_nw_customers_per_sec']:>8.1f} cust/s"
         f"   scaling {watch_record['scaling_vs_1w']:.2f}x"
-        f"   identical={watch_record['identical_1w'] and watch_record['identical_nw']}"
+        f"   identical={watch_identical}"
     )
 
     if args.smoke:
@@ -887,10 +902,11 @@ def main(argv: list[str] | None = None) -> int:
             file=sys.stderr,
         )
         return 3
-    if not (watch_record["identical_1w"] and watch_record["identical_nw"]):
+    if not watch_identical:
         print(
-            "FAIL: process-sharded watch_fleet diverges from the serial backend "
-            f"(identical@1w={watch_record['identical_1w']}, "
+            "FAIL: watch_fleet diverges from the serial backend at its default tick "
+            f"(serial@1-sample ticks={watch_record['identical_serial_1tick']}, "
+            f"identical@1w={watch_record['identical_1w']}, "
             f"identical@{watch_workers}w={watch_record['identical_nw']})",
             file=sys.stderr,
         )

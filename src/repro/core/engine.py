@@ -11,7 +11,7 @@ assessment that Section 5.1 describes for existing cloud customers.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -38,6 +38,14 @@ __all__ = ["DopplerEngine"]
 #: Price-rank slack past the cheapest full-performance point beyond
 #: which a customer counts as over-provisioned (DESIGN.md section 5).
 _OVERPROVISION_RANK_SLACK = 2
+
+
+def _profile_or_error(profiler: CustomerProfiler, trace: PerformanceTrace):
+    """One trace's profile, or the exception profiling it raised."""
+    try:
+        return profiler.profile(trace)
+    except Exception as exc:  # noqa: BLE001 - raised later, for its own trace
+        return exc
 
 
 @dataclass
@@ -82,6 +90,38 @@ class DopplerEngine:
     # ------------------------------------------------------------------
     def profiler_for(self, deployment: DeploymentType) -> CustomerProfiler:
         return self._profilers[deployment]
+
+    def profile_many(
+        self, items: Sequence[tuple[DeploymentType, PerformanceTrace]]
+    ) -> list:
+        """Batched negotiability profiles of ``(deployment, trace)`` items.
+
+        The one batched-profile path of the fleet's columnar batch and
+        the live watch's tick-batched refreshes.  Groups the items by
+        deployment (each deployment has its own profiler) and runs each
+        group through one
+        :meth:`~repro.core.profiler.CustomerProfiler.profile_batch`
+        call, which stacks same-length windows into one summarizer
+        broadcast.  If that call raises (a trace lacks a profiled
+        dimension, say), the group is profiled trace by trace instead,
+        so each failure stays with its own trace.  Results come back
+        aligned with ``items``: a profile, or the exception profiling
+        that trace raised.
+        """
+        by_deployment: dict[DeploymentType, list[int]] = {}
+        for index, (deployment, _) in enumerate(items):
+            by_deployment.setdefault(deployment, []).append(index)
+        profiles: list = [None] * len(items)
+        for deployment, indices in by_deployment.items():
+            profiler = self.profiler_for(deployment)
+            traces = [items[index][1] for index in indices]
+            try:
+                batch = profiler.profile_batch(traces)
+            except Exception:  # noqa: BLE001 - re-raised per trace below
+                batch = [_profile_or_error(profiler, trace) for trace in traces]
+            for index, profile in zip(indices, batch):
+                profiles[index] = profile
+        return profiles
 
     def fit(
         self,

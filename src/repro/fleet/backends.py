@@ -21,8 +21,11 @@ shard at a time, shards process their samples in feed order, and the
 parent reorders emissions by global sequence number before yielding.
 
 Streaming shards exchange *microbatches* ("ticks") with the parent
-rather than single samples, so queue/IPC overhead amortizes across
-:data:`WATCH_TICK_PER_WORKER` samples; up to
+rather than single samples, so per-tick overhead (queue/IPC for the
+process pool, bookkeeping for both) amortizes across
+:data:`WATCH_TICK_PER_WORKER` samples, and a shard runs the refreshes
+that come due within a tick together, with one batched profile per
+deployment (:meth:`_WatchShard.process`); up to
 :data:`WATCH_INFLIGHT_TICKS` ticks are in flight per watch, which
 pipelines parent-side routing against worker-side assessment without
 unbounded buffering.
@@ -335,6 +338,16 @@ class _WatchShard:
     ) -> "tuple[list[tuple[int, FleetLiveUpdate]], float]":
         """Assess one tick of (sequence number, sample) pairs.
 
+        The tick is the unit of refresh work.  Each sample is ingested
+        in feed order (:meth:`~repro.streaming.live.LiveRecommender.ingest`);
+        every refresh that comes due is deferred and the deferred ones
+        run together (:meth:`~repro.streaming.live.LiveRecommender.refresh_many`,
+        one batched profile per deployment) at the end of the tick --
+        or earlier, when a customer with a deferred refresh appears
+        again, so no customer ingests past its own refresh.  Each
+        refresh reads only its own customer's state, so the updates
+        equal a sample-by-sample ``observe`` loop's.
+
         Returns the emissions -- refresh events (or every sample when
         ``refreshes_only`` is off) and one-shot failure updates --
         tagged with their global sequence numbers so the parent can
@@ -347,34 +360,77 @@ class _WatchShard:
         config = self.config
         started = time.perf_counter()
         emissions: list[tuple[int, FleetLiveUpdate]] = []
+        # customer id -> (seq, recommender, drift) of its deferred refresh
+        due: dict[str, tuple[int, LiveRecommender, object]] = {}
         for seq, sample in batch:
-            if sample.customer_id in self.quarantined:
+            customer_id = sample.customer_id
+            if customer_id in due:
+                self._refresh_due(due, emissions)
+            if customer_id in self.quarantined:
                 continue
-            live = self.recommenders.get(sample.customer_id)
+            live = self.recommenders.get(customer_id)
             if live is None:
-                live = self._new_live(sample.customer_id, sample.deployment)
-                self.recommenders[sample.customer_id] = live
+                live = self._new_live(customer_id, sample.deployment)
+                self.recommenders[customer_id] = live
             try:
-                update = live.observe(sample.values)
+                refresh_due, drift = live.ingest(sample.values)
             except Exception as exc:  # noqa: BLE001 - one bad feed must not kill the fleet
-                self.quarantined.add(sample.customer_id)
-                self.recommenders.pop(sample.customer_id, None)
+                self._quarantine(seq, customer_id, exc, emissions)
+                continue
+            if refresh_due:
+                due[customer_id] = (seq, live, drift)
+            elif not config.refreshes_only:
                 emissions.append(
                     (
                         seq,
                         FleetLiveUpdate(
-                            customer_id=sample.customer_id,
-                            update=None,
-                            error=f"{type(exc).__name__}: {exc}",
+                            customer_id=customer_id,
+                            update=live.current_update(refreshed=False, drift=drift),
                         ),
                     )
                 )
-                continue
-            if update.refreshed or not config.refreshes_only:
-                emissions.append(
-                    (seq, FleetLiveUpdate(customer_id=sample.customer_id, update=update))
-                )
+        if due:
+            self._refresh_due(due, emissions)
         return emissions, time.perf_counter() - started
+
+    def _refresh_due(self, due: dict, emissions: list) -> None:
+        """Run the deferred refreshes together and emit their updates."""
+        from .engine import FleetLiveUpdate
+
+        outcomes = LiveRecommender.refresh_many([live for _, live, _ in due.values()])
+        for (customer_id, (seq, live, drift)), outcome in zip(due.items(), outcomes):
+            if isinstance(outcome, Exception):
+                self._quarantine(seq, customer_id, outcome, emissions)
+            else:
+                emissions.append(
+                    (
+                        seq,
+                        FleetLiveUpdate(
+                            customer_id=customer_id,
+                            update=live.current_update(refreshed=True, drift=drift),
+                        ),
+                    )
+                )
+        due.clear()
+
+    def _quarantine(
+        self, seq: int, customer_id: str, exc: Exception, emissions: list
+    ) -> None:
+        """Drop a failed customer's state and emit its one failure update."""
+        from .engine import FleetLiveUpdate
+
+        self.quarantined.add(customer_id)
+        self.recommenders.pop(customer_id, None)
+        emissions.append(
+            (
+                seq,
+                FleetLiveUpdate(
+                    customer_id=customer_id,
+                    update=None,
+                    error=f"{type(exc).__name__}: {exc}",
+                ),
+            )
+        )
 
     def snapshot_records(
         self, customer_ids: "Iterable[str] | None" = None
@@ -930,9 +986,11 @@ class _WatchPool(ABC):
     :meth:`fold`.
     """
 
-    #: Samples per shard per tick and reorder-buffer depth; the serial
-    #: pool shrinks both to 1 so it keeps its per-sample emission
-    #: cadence (the identity and latency baseline).
+    #: Samples per shard per tick (the unit of refresh work: a shard's
+    #: tick runs its due refreshes together, see
+    #: :meth:`_WatchShard.process`) and reorder-buffer depth.  Both
+    #: pools tick the same number of samples; the serial pool runs
+    #: each tick to completion, so it keeps a depth of 1.
     tick_per_shard: int = WATCH_TICK_PER_WORKER
     max_inflight: int = WATCH_INFLIGHT_TICKS
 
@@ -1097,12 +1155,15 @@ class _WatchPool(ABC):
 class _InlinePool(_WatchPool):
     """Serial execution: shards processed synchronously in the parent.
 
-    Rebalance support is pure bookkeeping -- state moves between
-    in-process shard objects -- which keeps the serial backend the
-    identity baseline for any migration schedule.
+    Ticks hold :data:`WATCH_TICK_PER_WORKER` samples per shard, as the
+    process pool's do, so a tick's refreshes share one batched profile
+    and its bookkeeping amortizes over the tick; each tick runs to
+    completion before the next is routed.  Rebalance support is pure
+    bookkeeping -- state moves between in-process shard objects --
+    which keeps the serial backend the identity baseline for any
+    migration schedule.
     """
 
-    tick_per_shard = 1
     max_inflight = 1
 
     def __init__(self, config: ShardAssessmentConfig, n_shards: int) -> None:
@@ -1969,10 +2030,15 @@ class ExecutionBackend(ABC):
         shards or resize the pool; ``on_rebalance`` observes each
         executed :class:`~repro.fleet.rebalance.RebalanceEvent`.  The
         emitted stream is byte-identical to the serial backend's
-        either way.  ``tick_samples`` overrides the per-shard
-        microbatch size (:data:`WATCH_TICK_PER_WORKER`): smaller ticks
-        bound emission latency tighter and give rebalance policies
-        finer decision boundaries, at more queue round-trips.
+        either way.  ``tick_samples`` overrides the per-shard tick
+        size (:data:`WATCH_TICK_PER_WORKER`, on the serial and the
+        process pools alike).  A tick is the unit of refresh work --
+        its due refreshes share one batched profile per deployment --
+        and an update is emitted when its tick completes, so smaller
+        ticks bound emission latency tighter and give rebalance
+        policies finer decision boundaries, at more per-tick
+        bookkeeping, more queue round-trips and smaller profile
+        batches.  The stream is byte-identical at every tick size.
 
         With a ``checkpoint`` config the watch persists shard state to
         the config's store at its tick cadence; with ``resume_from``

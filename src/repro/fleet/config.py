@@ -40,8 +40,9 @@ if TYPE_CHECKING:  # circular-import-free typing only
 __all__ = ["CheckpointConfig", "SupervisionConfig", "WatchConfig"]
 
 #: Ticks between checkpoints when a :class:`CheckpointConfig` does not
-#: say otherwise.  At the default watch tick (64 samples per shard)
-#: this checkpoints a serial watch roughly every 4k samples -- frequent
+#: say otherwise.  At the default watch tick (64 samples per shard, on
+#: the serial and the process pools alike) this checkpoints a serial
+#: watch every 4,096 samples -- frequent
 #: enough that a crash loses seconds of stream, rare enough that the
 #: measured throughput cost stays under the 10% budget gated in
 #: ``bench_streaming.py``.
@@ -151,7 +152,10 @@ class CheckpointConfig:
     Attributes:
         store: The :class:`~repro.store.FleetStore` receiving
             checkpoints, event history, and evicted customer state.
-        every_ticks: Checkpoint cadence in fully drained ticks.
+        every_ticks: Checkpoint cadence in fully drained ticks.  A
+            tick is ``tick_samples`` samples per shard (64 by default,
+            serial or process), so the cadence in samples scales with
+            the tick size and the shard count.
         max_resident: Cap on resident (in-process) customers.  After
             each checkpoint the least-recently-seen customers beyond
             the cap are evicted to the store and transparently
@@ -213,8 +217,14 @@ class WatchConfig:
             consulted at tick boundaries, or None for a static watch.
         on_rebalance: Callback observing each executed
             :class:`~repro.fleet.rebalance.RebalanceEvent`.
-        tick_samples: Samples per worker per streaming microbatch
-            (library default when None).
+        tick_samples: Samples per shard per streaming tick, the unit
+            of refresh work: a shard runs the refreshes that come due
+            within a tick together, with one batched profile per
+            deployment.  None means the library default (64, for the
+            serial and the process backends alike); the stream is
+            byte-identical at every size, and a sample's update waits
+            for its tick, so ``tick_samples=1`` answers every sample
+            as it arrives.
         checkpoint: A :class:`CheckpointConfig` that persists shard
             state to a durable store at tick boundaries, or None for a
             memory-only watch.

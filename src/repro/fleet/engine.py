@@ -28,7 +28,7 @@ from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
 from ..catalog.models import DeploymentType
 from ..core.engine import DopplerEngine
 from ..core.matching import GroupObservation, GroupScoreModel
-from ..core.profiler import CustomerProfiler, GroupKey
+from ..core.profiler import GroupKey
 from ..core.types import CloudCustomerRecord, DopplerRecommendation
 from ..streaming.drift import DEFAULT_DRIFT_THRESHOLD
 from ..streaming.live import DEFAULT_MIN_REFRESH_SAMPLES
@@ -212,14 +212,6 @@ class FleetFitReport:
     n_unbuildable: int = 0
 
 
-def _profile_or_error(profiler: CustomerProfiler, trace: PerformanceTrace):
-    """One trace's profile, or the exception profiling it raised."""
-    try:
-        return profiler.profile(trace)
-    except Exception as exc:  # noqa: BLE001 - raised later, for its own customer
-        return exc
-
-
 class _FleetRunner:
     """Batch execution state: the engine plus its curve cache.
 
@@ -380,7 +372,7 @@ class _FleetRunner:
             ):
                 continue
             survivors.append((record, point))
-        profiles = self._profiles(
+        profiles = self.engine.profile_many(
             [(record.deployment, record.trace) for record, _ in survivors]
         )
         observations = []
@@ -392,44 +384,14 @@ class _FleetRunner:
             )
         return observations, n_unbuildable
 
-    def _profiles(
-        self, items: list[tuple[DeploymentType, PerformanceTrace]]
-    ) -> list:
-        """Batched negotiability profiles of ``(deployment, trace)`` items.
-
-        Groups the items by deployment (each deployment has its own
-        profiler) and runs each group through one
-        :meth:`~repro.core.profiler.CustomerProfiler.profile_batch`
-        call, which stacks same-length windows into one summarizer
-        broadcast.  If that call raises (a trace lacks a profiled
-        dimension, say), the group is profiled trace by trace instead,
-        so each failure stays with its own trace.  Results come back
-        aligned with ``items``: a profile, or the exception profiling
-        that trace raised.
-        """
-        by_deployment: dict[DeploymentType, list[int]] = {}
-        for index, (deployment, _) in enumerate(items):
-            by_deployment.setdefault(deployment, []).append(index)
-        profiles: list = [None] * len(items)
-        for deployment, indices in by_deployment.items():
-            profiler = self.engine.profiler_for(deployment)
-            traces = [items[index][1] for index in indices]
-            try:
-                batch = profiler.profile_batch(traces)
-            except Exception:  # noqa: BLE001 - re-raised per trace below
-                batch = [_profile_or_error(profiler, trace) for trace in traces]
-            for index, profile in zip(indices, batch):
-                profiles[index] = profile
-        return profiles
-
     def recommend_chunk(self, chunk: list[FleetCustomer]) -> list[FleetRecommendation]:
         """Recommendations for one chunk, in chunk order.
 
         Columnar: one batched curve build (:meth:`build_curves`), one
         :meth:`~repro.core.profiler.CustomerProfiler.profile_batch`
         per deployment over the customers whose curve built
-        (:meth:`_profiles`), then per-customer selection on the
-        prebuilt curve and profile.  A failed curve or profile stays
+        (:meth:`~repro.core.engine.DopplerEngine.profile_many`), then
+        per-customer selection on the prebuilt curve and profile.  A failed curve or profile stays
         with its customer and surfaces as an error result with the
         text and precedence the per-customer path produces (a curve
         error wins over a profile error).
@@ -448,7 +410,9 @@ class _FleetRunner:
         profiles: list = [None] * len(chunk)
         for index, profile in zip(
             built,
-            self._profiles([(chunk[index].deployment, chunk[index].trace) for index in built]),
+            self.engine.profile_many(
+                [(chunk[index].deployment, chunk[index].trace) for index in built]
+            ),
         ):
             profiles[index] = profile
         return [

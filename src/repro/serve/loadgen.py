@@ -186,22 +186,23 @@ async def open_loop(
 ) -> LoadReport:
     """Fire ``submit`` at each schedule offset; never wait in between.
 
-    Late tasks fire immediately (the driver never *re-throttles* a
-    backlog -- that would close the loop); every request's latency is
-    measured from its actual dispatch.
+    One dispatcher walks the schedule in offset order, sleeps until
+    each offset and only then creates that request's task, so the loop
+    carries one timer and the requests in flight, not a sleeping task
+    per scheduled request.  Overdue requests are created at once, in
+    order (the driver never *re-throttles* a backlog -- that would
+    close the loop); every request's latency is measured from its
+    actual dispatch.
     """
     loop = asyncio.get_running_loop()
     latency = LatencyRecorder()
     started = loop.time()
     tasks: list[asyncio.Task] = []
-
-    async def fire_at(offset: float) -> str:
+    for offset in sorted(schedule):
         delay = started + offset - loop.time()
         if delay > 0:
             await asyncio.sleep(delay)
-        return await _timed_call(submit, latency)
-
-    tasks = [loop.create_task(fire_at(offset)) for offset in schedule]
+        tasks.append(loop.create_task(_timed_call(submit, latency)))
     outcomes = await asyncio.gather(*tasks)
     duration = loop.time() - started
     return LoadReport(

@@ -18,6 +18,14 @@ profile mode the refresh's window snapshot is one checked matrix copy
 and its profile one summarizer broadcast over the snapshot's rows
 (:meth:`~repro.core.profiler.CustomerProfiler.profile_batch`).
 
+:meth:`LiveRecommender.observe` is :meth:`~LiveRecommender.ingest`
+(append, vector update, drift check), then a refresh when one came
+due.  A fleet watch shard splits the two: it ingests a whole tick of
+samples in feed order and runs the refreshes that came due together
+(:meth:`LiveRecommender.refresh_many`), so every window of the tick is
+profiled in one ``profile_batch`` call per deployment, with the same
+bytes as refreshing each stream alone.
+
 The result is a recommendation stream whose freshness is bounded by
 the drift threshold while per-sample cost stays flat in the window
 length -- the property `benchmarks/bench_streaming.py` quantifies
@@ -27,7 +35,7 @@ against rebuild-per-sample.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Literal, Mapping
+from typing import Literal, Mapping, Sequence
 
 from ..catalog.models import DeploymentType
 from ..core.engine import DopplerEngine
@@ -42,6 +50,7 @@ from ..telemetry.streaming import (
     StreamingTraceBuilder,
 )
 from ..telemetry.timeseries import DEFAULT_SAMPLE_INTERVAL_MINUTES
+from ..telemetry.trace import PerformanceTrace
 from .drift import DEFAULT_DRIFT_THRESHOLD, DriftDetector, DriftReport
 
 __all__ = [
@@ -238,6 +247,10 @@ class LiveRecommender:
         self._recommendation: DopplerRecommendation | None = None
         self._n_refreshes = 0
         self._state_epoch = 0
+        # The window's snapshot and exact profile (or the error raised
+        # profiling it) staged by refresh_many for the next refresh;
+        # every ingested sample drops it.
+        self._staged: tuple[PerformanceTrace, object] | None = None
         self.profile_mode = profile_mode
         self._profile_columns: tuple[tuple[int, StreamingSeriesStats], ...] = ()
         self._profile_stats: dict[PerfDimension, StreamingSeriesStats] = {}
@@ -307,24 +320,78 @@ class LiveRecommender:
     def observe(self, sample: Mapping[PerfDimension, float]) -> LiveUpdate:
         """Ingest one sample; refresh the recommendation if it drifted.
 
-        Per-sample cost is O(n_skus * n_dims) unless a refresh fires.
+        :meth:`ingest`, then :meth:`refresh` when one came due, then
+        the update.  Per-sample cost is O(n_skus * n_dims) unless a
+        refresh fires.
+        """
+        due, drift = self.ingest(sample)
+        if due:
+            self.refresh()
+        return self.current_update(refreshed=due, drift=drift)
+
+    def ingest(
+        self, sample: Mapping[PerfDimension, float]
+    ) -> tuple[bool, DriftReport | None]:
+        """The first half of :meth:`observe`: append, vector update, drift check.
+
+        Returns ``(due, drift)``: whether a refresh is due now, and the
+        drift check that decided it (None while warming up and for the
+        first assessment).  The caller runs :meth:`refresh` when one is
+        due -- at once, as :meth:`observe` does, or later, as a watch
+        shard does at the end of its tick (:meth:`refresh_many`), so
+        long as this stream ingests nothing in between.
         """
         # The builder validates the sample once; the estimator takes
         # the parsed row directly (same dimension tuple by construction).
         row = self.builder.append(sample)
+        self._staged = None
         self.estimator.update_vector(row)
         for column, stats in self._profile_columns:
             stats.update(row[column])
         if self.builder.n_window < self.min_refresh_samples:
-            return self._update(refreshed=False, drift=None)
+            return False, None
         if self._recommendation is None:
-            self.refresh()
-            return self._update(refreshed=True, drift=None)
+            return True, None
         drift = self.detector.check_vector(self.estimator.probabilities())
-        if drift.drifted:
-            self.refresh()
-            return self._update(refreshed=True, drift=drift)
-        return self._update(refreshed=False, drift=drift)
+        return drift.drifted, drift
+
+    @staticmethod
+    def refresh_many(recommenders: "Sequence[LiveRecommender]") -> list:
+        """Refresh several streams together, with one profiling pass.
+
+        Each recommender's :meth:`refresh` runs as it would alone,
+        except that every ``exact``-mode window is snapshotted and
+        profiled up front in one
+        :meth:`~repro.core.engine.DopplerEngine.profile_many` call per
+        engine (one ``profile_batch`` per deployment), which profiles
+        byte-identically to one trace at a time.  A failure stays with
+        its own stream: the result, aligned with ``recommenders``,
+        holds each one's new recommendation or the exception its
+        refresh raised -- a curve error still wins over a profile
+        error, as in :meth:`refresh`.
+        """
+        by_engine: dict[int, list[tuple[LiveRecommender, PerformanceTrace]]] = {}
+        for live in recommenders:
+            if live.profile_mode != "exact":
+                continue  # streaming mode profiles from its window stats
+            try:
+                trace = live.builder.snapshot()
+            except Exception:  # noqa: BLE001 - its refresh raises it again
+                continue
+            by_engine.setdefault(id(live.engine), []).append((live, trace))
+        for group in by_engine.values():
+            profiles = group[0][0].engine.profile_many(
+                [(live.deployment, trace) for live, trace in group]
+            )
+            for (live, trace), profile in zip(group, profiles):
+                live._staged = (trace, profile)
+        outcomes: list = []
+        for live in recommenders:
+            try:
+                outcomes.append(live.refresh())
+            except Exception as exc:  # noqa: BLE001 - stays with its own stream
+                outcomes.append(exc)
+        return outcomes
 
     def refresh(self) -> DopplerRecommendation:
         """Run the full assessment on the current window, now.
@@ -341,9 +408,12 @@ class LiveRecommender:
         GP IOPS limit into the incremental estimator whenever the
         layout changed (MI streaming parity: drift detection and the
         curve see the same capacities, at the cost of one window
-        replay per layout change).
+        replay per layout change).  Under :meth:`refresh_many` the
+        window's snapshot and exact profile (or the error profiling
+        raised) come staged from the batched profiling pass.
         """
-        trace = self.builder.snapshot()
+        staged, self._staged = self._staged, None
+        trace, profile = staged if staged is not None else (self.builder.snapshot(), None)
         ppm = self.engine.ppm
         mi_plan = None
         if self.deployment is DeploymentType.SQL_MI:
@@ -358,7 +428,8 @@ class LiveRecommender:
             )
         else:
             curve = ppm.build_curve(trace, self.deployment, mi_plan=mi_plan)
-        profile = None
+        if isinstance(profile, Exception):
+            raise profile
         if self.profile_mode == "streaming":
             profile = self.engine.profiler_for(self.deployment).profile_streaming(
                 self._profile_stats, entity_id=self.builder.entity_id
@@ -447,6 +518,7 @@ class LiveRecommender:
             )
         self.builder.load_state(state.builder)
         self.builder.entity_id = state.entity_id
+        self._staged = None
         # Snapshots carry no violation ring: the estimator rebuilds it
         # from the window the builder now holds, so the builder goes first.
         self.estimator.load_state(
@@ -486,7 +558,8 @@ class LiveRecommender:
         """Migration epoch: restores adopted by this recommender so far."""
         return self._state_epoch
 
-    def _update(self, refreshed: bool, drift: DriftReport | None) -> LiveUpdate:
+    def current_update(self, refreshed: bool, drift: DriftReport | None) -> LiveUpdate:
+        """The :class:`LiveUpdate` reporting this stream as it stands now."""
         return LiveUpdate(
             n_seen=self.builder.n_seen,
             n_window=self.builder.n_window,

@@ -19,6 +19,7 @@ import asyncio
 import inspect
 import json
 import threading
+import time
 import warnings
 
 import numpy as np
@@ -44,6 +45,7 @@ from repro.serve import (
     serve,
 )
 from repro.serve.http import _handle_one
+from repro.serve.loadgen import open_loop
 from repro.serve.service import _Lane
 from repro.store import FleetStore
 from repro.telemetry.serialize import trace_to_dict
@@ -450,6 +452,65 @@ class TestMetrics:
             "mean_batch": 3.0,
             "max_batch": 4,
         }
+
+
+# ----------------------------------------------------------------------
+# Open-loop load driver
+# ----------------------------------------------------------------------
+class TestOpenLoop:
+    @staticmethod
+    def drive(schedule, submit):
+        """Run ``open_loop``; return its report, when it started, and
+        the loop time each task it created was created at."""
+
+        async def scenario():
+            loop = asyncio.get_running_loop()
+            created: list[float] = []
+            factory = loop.get_task_factory()
+
+            def recording_factory(loop, coro, **kwargs):
+                created.append(loop.time())
+                if factory is None:
+                    return asyncio.Task(coro, loop=loop, **kwargs)
+                return factory(loop, coro, **kwargs)
+
+            loop.set_task_factory(recording_factory)
+            started = loop.time()
+            report = await open_loop(submit, schedule)
+            loop.set_task_factory(factory)
+            return report, started, created
+
+        return asyncio.run(scenario())
+
+    def test_no_request_is_created_before_its_offset(self):
+        schedule = [0.0, 0.03, 0.06, 0.09, 0.12]
+
+        async def submit():
+            return None
+
+        report, started, created = self.drive(schedule, submit)
+        assert report.n_requests == report.n_ok == len(schedule)
+        assert len(created) == len(schedule)
+        for offset, at in zip(schedule, created):
+            assert at - started >= offset - 1e-3
+
+    def test_overdue_requests_are_created_at_once_in_order(self):
+        """A submit that blocks the loop leaves the rest overdue: they
+        dispatch back to back, in schedule order, without re-throttling."""
+        schedule = [0.0, 0.01, 0.02, 0.03]
+        calls: list[int] = []
+
+        async def submit():
+            calls.append(len(calls))
+            if len(calls) == 1:
+                time.sleep(0.1)  # hold the loop past every later offset
+
+        report, started, created = self.drive(schedule, submit)
+        assert report.n_ok == len(schedule)
+        assert calls == [0, 1, 2, 3]
+        assert created == sorted(created)
+        # The three overdue tasks are created together, right after the block.
+        assert created[-1] - created[1] < 0.05
 
 
 # ----------------------------------------------------------------------
