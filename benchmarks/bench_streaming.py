@@ -26,6 +26,11 @@ accuracy gate on the sketch's documented
 rank error, a 3x gate on the median per-pair speedup and an O(1)
 gate on the per-sample cost across window lengths.
 
+Also times one watch shard's ``_WatchShard.process`` over warmed
+customers at one-sample ticks (the serving tier's observe flushes) and
+at 64-sample ticks (the serial watch), three alternating runs each,
+recording each shape's median rate; the streams must be equal.
+
 Also benchmarks the process-sharded fleet watch
 (:meth:`~repro.fleet.engine.FleetEngine.watch_fleet` with
 ``backend="process"``): one interleaved feed over many customers,
@@ -69,8 +74,9 @@ Exit status: 1 when incremental and batch probabilities disagree,
 profiling diverges from the window re-scan, 4 when streaming
 profiling misses its O(1)/speedup contract (median per-pair speedup
 below 3x), 5 when the sharded watch or the
-1-sample-tick serial watch diverges from the serial one or the
-sharded watch misses the scaling gate, 6 when the
+1-sample-tick serial watch (or the shard at one-sample ticks)
+diverges from the serial one or the sharded watch misses the scaling
+gate, 6 when the
 skewed-feed run diverges from serial or rebalancing misses its
 speedup gate, 7 when the checkpointed watch diverges from the
 memory-only run, resume breaks byte-identity, or the checkpoint
@@ -678,6 +684,62 @@ def bench_zero_copy_watch(
     }
 
 
+def bench_shard_ticks(
+    n_customers: int, warm_each: int, timed_each: int, seed: int, runs: int = 3
+) -> dict:
+    """One watch shard's ``process`` at one-sample and at 64-sample ticks.
+
+    The serving tier's observe shards call ``_WatchShard.process`` with
+    about one sample per flush, a serial watch with 64; both shapes
+    run the same columnar tick.  Each run warms a fresh shard over
+    ``warm_each`` samples per customer (64-sample ticks, untimed,
+    window and warm-up at the serving defaults), then times its next
+    ``timed_each`` samples per customer at one tick size.  The two
+    sizes alternate for ``runs`` runs each and the record keeps each
+    one's median rate, so a slow stretch of the box moves one run;
+    the emitted streams must be equal at both sizes.
+    """
+    from repro.fleet.backends import _WatchShard
+
+    fleet = FleetEngine(engine=DopplerEngine(catalog=SkuCatalog.default()))
+    config = fleet._shard_config(WatchConfig(), refreshes_only=False)
+    feed = list(enumerate(make_fleet_feed(n_customers, warm_each + timed_each, seed)))
+    n_warm = n_customers * warm_each
+    warm, timed = feed[:n_warm], feed[n_warm:]
+
+    def run(tick: int) -> tuple[float, bytes]:
+        shard = _WatchShard(config)
+        for start in range(0, n_warm, 64):
+            shard.process(warm[start : start + 64])
+        emitted = []
+        started = time.perf_counter()
+        for start in range(0, len(timed), tick):
+            emitted.extend(shard.process(timed[start : start + tick])[0])
+        seconds = time.perf_counter() - started
+        emitted.sort(key=lambda pair: pair[0])
+        return len(timed) / seconds, canonical_watch_bytes(update for _, update in emitted)
+
+    rates: dict[int, list[float]] = {1: [], 64: []}
+    blobs: set[bytes] = set()
+    for index in range(runs):
+        for tick in (1, 64) if index % 2 == 0 else (64, 1):
+            rate, blob = run(tick)
+            rates[tick].append(rate)
+            blobs.add(blob)
+    return {
+        "n_customers": n_customers,
+        "warm_each": warm_each,
+        "timed_each": timed_each,
+        "runs": runs,
+        "one_sample_samples_per_sec": float(np.median(rates[1])),
+        "one_sample_us_per_call": 1e6 / float(np.median(rates[1])),
+        "one_sample_samples_per_sec_by_run": rates[1],
+        "tick64_samples_per_sec": float(np.median(rates[64])),
+        "tick64_samples_per_sec_by_run": rates[64],
+        "identical": len(blobs) == 1,
+    }
+
+
 def bench_live_loop(samples: list[dict[PerfDimension, float]], window: int) -> dict:
     """End-to-end LiveRecommender observe() throughput."""
     engine = DopplerEngine(catalog=SkuCatalog.default())
@@ -756,6 +818,22 @@ def main(argv: list[str] | None = None) -> int:
         f"   refreshes {live_record['n_refreshes']}"
     )
 
+    if args.smoke:
+        tick_customers, tick_timed = 32, 16
+    else:
+        tick_customers, tick_timed = 64, 32
+    print(
+        f"Watch shard ticks: {tick_customers} warmed customers x {tick_timed} samples, "
+        "one-sample vs 64-sample ticks, 3 alternating runs each ..."
+    )
+    tick_record = bench_shard_ticks(tick_customers, 96, tick_timed, seed=args.seed)
+    print(
+        f"  one-sample ticks {tick_record['one_sample_samples_per_sec']:>8.1f} samples/s"
+        f" ({tick_record['one_sample_us_per_call']:.1f} us per call)"
+        f"   64-sample ticks {tick_record['tick64_samples_per_sec']:>8.1f} samples/s"
+        f"   identical={tick_record['identical']}"
+    )
+
     cores = os.cpu_count() or 1
     if args.smoke:
         watch_customers, watch_samples_each = 40, 12
@@ -777,6 +855,7 @@ def main(argv: list[str] | None = None) -> int:
         watch_record["identical_serial_1tick"]
         and watch_record["identical_1w"]
         and watch_record["identical_nw"]
+        and tick_record["identical"]
     )
     print(
         f"  serial {watch_record['serial_customers_per_sec']:>8.1f} cust/s"
@@ -865,6 +944,7 @@ def main(argv: list[str] | None = None) -> int:
         "profiling": profiling_record,
         "profiling_scaling": scaling_record,
         "live_loop": live_record,
+        "shard_ticks": tick_record,
         "watch_scaling": watch_record,
         "rebalance_skew": skew_record,
         "zero_copy": zero_copy_record,
@@ -907,7 +987,8 @@ def main(argv: list[str] | None = None) -> int:
             "FAIL: watch_fleet diverges from the serial backend at its default tick "
             f"(serial@1-sample ticks={watch_record['identical_serial_1tick']}, "
             f"identical@1w={watch_record['identical_1w']}, "
-            f"identical@{watch_workers}w={watch_record['identical_nw']})",
+            f"identical@{watch_workers}w={watch_record['identical_nw']}, "
+            f"shard one-sample vs 64-sample ticks={tick_record['identical']})",
             file=sys.stderr,
         )
         return 5

@@ -222,6 +222,49 @@ class PricePerformanceCurve:
         )
 
     @classmethod
+    def from_price_ordered_rows(
+        cls,
+        candidates: Sequence[SkuSpec],
+        monthly_prices: Sequence[float],
+        probabilities: np.ndarray,
+        mask: np.ndarray,
+        entity_ids: Sequence[str],
+    ) -> "list[PricePerformanceCurve]":
+        """:meth:`from_price_ordered` for many curves over one candidate tuple.
+
+        Row ``i`` of ``probabilities`` holds a probability in
+        ``[0, 1]`` for every candidate, and row ``i`` of the boolean
+        ``mask`` picks curve ``i``'s SKUs (its ``index``, at least
+        one).  The running max of ``1 - P`` runs once over the whole
+        block -- candidates outside a row's mask held at ``-inf``, so
+        each running max sees only its own SKUs -- and each curve then
+        takes its row's slices, bit-identical to
+        :meth:`from_price_ordered` over them (whose clip leaves
+        in-range values as they are).  Curves align with
+        ``entity_ids``.
+        """
+        prices = np.asarray(monthly_prices, dtype=float)
+        scores = np.maximum.accumulate(
+            np.where(mask, 1.0 - probabilities, -np.inf), axis=1
+        )
+        curves = []
+        for row, row_scores, row_mask, entity_id in zip(
+            probabilities, scores, mask, entity_ids
+        ):
+            index = row_mask.nonzero()[0]
+            curves.append(
+                cls._from_fields(
+                    candidates,
+                    index,
+                    prices[index],
+                    row[index],
+                    row_scores[index],
+                    entity_id,
+                )
+            )
+        return curves
+
+    @classmethod
     def _assemble(
         cls,
         candidates: Sequence[SkuSpec],
@@ -230,7 +273,7 @@ class PricePerformanceCurve:
         probabilities: np.ndarray,
         entity_id: str,
     ) -> "PricePerformanceCurve":
-        """The one curve assembly: clip, then a running max of ``1 - P``."""
+        """The one-curve assembly: clip, then a running max of ``1 - P``."""
         if probabilities.size and (
             probabilities.min() < -1e-9 or probabilities.max() > 1.0 + 1e-9
         ):

@@ -20,7 +20,7 @@ realistic window size), which the streaming test suite pins to 1e-12.
 
 from __future__ import annotations
 
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -173,6 +173,56 @@ class IncrementalThrottlingEstimator:
             for column in self._latency_columns:
                 demand[column] = invert_latency(raw[column])
         self._apply_row((demand[:, None] > self._caps_by_dimension).any(axis=0))
+
+    @staticmethod
+    def update_rows(
+        estimators: "Sequence[IncrementalThrottlingEstimator]", raw: np.ndarray
+    ) -> None:
+        """Fold row ``i`` of ``raw`` into ``estimators[i]``, for every ``i``.
+
+        The block form of :meth:`update_vector`: the estimators share
+        one dimension tuple (the column layout of ``raw``, finite and
+        uninverted), their latency columns are inverted once for the
+        block, and each group of estimators over one capacity matrix
+        takes its violation rows from one broadcast compare against
+        the transposed ``(n_dims, n_skus)`` matrix -- the same
+        ``demand > capacity`` predicate, element for element, as one
+        row at a time.  Each estimator then retires its aged-out ring
+        row and adds its new one.
+        """
+        demand = raw
+        latency_columns = estimators[0]._latency_columns
+        if latency_columns:
+            demand = raw.copy()
+            for column in latency_columns:
+                demand[:, column] = invert_latency(raw[:, column])
+        by_caps: dict[int, list[int]] = {}
+        for index, estimator in enumerate(estimators):
+            by_caps.setdefault(id(estimator._caps), []).append(index)
+        for indices in by_caps.values():
+            rows = demand if len(indices) == len(estimators) else demand[indices]
+            violated = (rows[:, :, None] > estimators[indices[0]]._caps_by_dimension).any(
+                axis=1
+            )
+            for index, row in zip(indices, violated):
+                estimators[index]._apply_row(row)
+
+    @staticmethod
+    def probabilities_rows(
+        estimators: "Sequence[IncrementalThrottlingEstimator]",
+    ) -> np.ndarray:
+        """``(n_estimators, n_skus)`` :meth:`probabilities`, one row each.
+
+        The estimators share one SKU count; each row is its
+        estimator's ``counts / n_window``, element for element.  A
+        block whose windows hold equally many samples divides by one
+        scalar.
+        """
+        counts = np.array([estimator._counts for estimator in estimators])
+        n_window = [estimator.n_window for estimator in estimators]
+        if n_window.count(n_window[0]) == len(n_window):
+            return counts / n_window[0]
+        return counts / np.array(n_window)[:, None]
 
     def ingest_trace(self, trace: PerformanceTrace) -> None:
         """Fold a whole trace in chronological order (vectorized).

@@ -323,6 +323,63 @@ class PricePerformanceModeler:
             lambda fitted: probabilities[fitted],
         )
 
+    def build_curves_from_probabilities(
+        self,
+        traces: Sequence[PerformanceTrace],
+        deployment: DeploymentType,
+        probabilities: np.ndarray,
+        mi_plans: "Sequence[MiStoragePlan | None]",
+    ) -> list[PricePerformanceCurve | Exception]:
+        """:meth:`build_curve_from_probabilities` for many windows in one pass.
+
+        The live refresh path: row ``i`` of the
+        ``(n_traces, n_candidates)`` ``probabilities`` holds every
+        candidate's probability for ``traces[i]`` -- its window counts
+        over the window length, so each lies in ``[0, 1]``.  The
+        storage fit is one mask over the block, the assembly one
+        masked running max
+        (:meth:`~repro.core.curve.PricePerformanceCurve.from_price_ordered_rows`),
+        and each curve takes its own row's slices, so every curve
+        equals the one :meth:`build_curve_from_probabilities` builds
+        for its trace from the same probabilities.
+
+        Args:
+            traces: The assessed windows.
+            deployment: Target deployment type, shared by the block.
+            probabilities: Throttling probability per trace and
+                candidate, aligned with :meth:`candidates`.
+            mi_plans: The Step-1 plan of each trace (None outside
+                SQL MI).
+
+        Returns:
+            One entry per trace: its curve, or the ``ValueError``
+            :meth:`build_curve_from_probabilities` raises for it.
+        """
+        state = self._deployment_state(deployment)
+        footprints = [self._storage_footprint(trace) for trace in traces]
+        mask = state.max_data_size_gb >= np.array(footprints, dtype=float)[:, None]
+        results: list = [None] * len(traces)
+        fitted: list[int] = []
+        for index, (footprint, plan) in enumerate(zip(footprints, mi_plans)):
+            try:
+                self._restrict_fit(state, mask[index], footprint, plan)
+            except ValueError as exc:
+                results[index] = exc
+                continue
+            fitted.append(index)
+        if fitted:
+            rows = slice(None) if len(fitted) == len(traces) else fitted
+            curves = PricePerformanceCurve.from_price_ordered_rows(
+                state.skus,
+                state.monthly_prices,
+                probabilities[rows],
+                mask[rows],
+                [traces[index].entity_id for index in fitted],
+            )
+            for index, curve in zip(fitted, curves):
+                results[index] = curve
+        return results
+
     def build_curves_batch(
         self,
         traces: Sequence[PerformanceTrace],
@@ -548,12 +605,7 @@ class PricePerformanceModeler:
         """
         footprint = self._storage_footprint(trace)
         mask = state.max_data_size_gb >= footprint
-        if not mask.any():
-            raise ValueError(_no_storage_fit_message(footprint))
-        if plan is not None and not plan.gp_allowed:
-            mask &= state.bc_mask
-            if not mask.any():
-                raise ValueError("no MI SKU satisfies the storage requirement")
+        self._restrict_fit(state, mask, footprint, plan)
         fitted = np.flatnonzero(mask)
         return PricePerformanceCurve.from_price_ordered(
             state.skus,
@@ -562,6 +614,30 @@ class PricePerformanceModeler:
             entity_id=trace.entity_id,
             index=fitted,
         )
+
+    @staticmethod
+    def _restrict_fit(
+        state: _DeploymentCurveState,
+        mask: np.ndarray,
+        footprint: float,
+        plan: MiStoragePlan | None,
+    ) -> None:
+        """Narrow a storage-fit mask to the candidates a curve may hold.
+
+        ``mask`` (``max_data_size_gb >= footprint``, written in place)
+        loses the non-Business-Critical SKUs when the MI Step-1 layout
+        misses the IOPS coverage.
+
+        Raises:
+            ValueError: If no candidate holds the data, or none of the
+                Business Critical ones does.
+        """
+        if not mask.any():
+            raise ValueError(_no_storage_fit_message(footprint))
+        if plan is not None and not plan.gp_allowed:
+            mask &= state.bc_mask
+            if not mask.any():
+                raise ValueError("no MI SKU satisfies the storage requirement")
 
     @staticmethod
     def _storage_footprint(trace: PerformanceTrace) -> float:

@@ -23,9 +23,11 @@ parent reorders emissions by global sequence number before yielding.
 Streaming shards exchange *microbatches* ("ticks") with the parent
 rather than single samples, so per-tick overhead (queue/IPC for the
 process pool, bookkeeping for both) amortizes across
-:data:`WATCH_TICK_PER_WORKER` samples, and a shard runs the refreshes
-that come due within a tick together, with one batched profile per
-deployment (:meth:`_WatchShard.process`); up to
+:data:`WATCH_TICK_PER_WORKER` samples, and a shard folds each tick
+across its customers as arrays -- one block ingest per wave of
+samples, and one curve pass and one batched profile per deployment
+for the refreshes that come due in it (:meth:`_WatchShard.process`);
+up to
 :data:`WATCH_INFLIGHT_TICKS` ticks are in flight per watch, which
 pipelines parent-side routing against worker-side assessment without
 unbounded buffering.
@@ -297,11 +299,12 @@ class _WatchShard:
     """One worker's share of a fleet watch: live state plus quarantine.
 
     Owns every :class:`~repro.streaming.live.LiveRecommender` routed to
-    it and the per-customer quarantine set.  Processes its samples
-    strictly in feed order, so per-customer update sequences --
+    it and the per-customer quarantine set.  Keeps each customer's feed
+    order -- a tick is folded in waves across customers, with no order
+    kept between customers -- so per-customer update sequences --
     including the quarantine-after-failure containment contract -- are
     identical to the serial loop's regardless of how many shards a
-    watch runs.
+    watch runs or how many samples a tick holds.
 
     Implements the :class:`~repro.store.StatePersistence` protocol
     (shared with the serving tier's observe shards):
@@ -315,9 +318,12 @@ class _WatchShard:
     cache = _NoCurveCache()
 
     def __init__(self, config: ShardAssessmentConfig) -> None:
+        from .engine import FleetLiveUpdate  # the engine module imports this one
+
         self.config = config
         self.recommenders: dict[str, object] = {}
         self.quarantined: set[str] = set()
+        self._update_type = FleetLiveUpdate
 
     def _new_live(self, customer_id: str, deployment, dimensions=None):
         config = self.config
@@ -336,17 +342,23 @@ class _WatchShard:
     def process(
         self, batch: "list[tuple[int, FleetSample]]"
     ) -> "tuple[list[tuple[int, FleetLiveUpdate]], float]":
-        """Assess one tick of (sequence number, sample) pairs.
+        """Assess one tick of (sequence number, sample) pairs, as arrays.
 
-        The tick is the unit of refresh work.  Each sample is ingested
-        in feed order (:meth:`~repro.streaming.live.LiveRecommender.ingest`);
-        every refresh that comes due is deferred and the deferred ones
-        run together (:meth:`~repro.streaming.live.LiveRecommender.refresh_many`,
-        one batched profile per deployment) at the end of the tick --
-        or earlier, when a customer with a deferred refresh appears
-        again, so no customer ingests past its own refresh.  Each
-        refresh reads only its own customer's state, so the updates
-        equal a sample-by-sample ``observe`` loop's.
+        The tick is folded across its customers in *waves*: wave ``k``
+        holds the ``k``-th sample of every customer in the tick, in
+        feed order per customer.  A wave is ingested as one block
+        (:meth:`~repro.streaming.live.LiveRecommender.ingest_many`: one
+        parse, one violation compare per shared capacity matrix, one
+        drift pass), and the refreshes that come due in it run
+        together (:meth:`~repro.streaming.live.LiveRecommender.refresh_many`:
+        one curve pass and one batched profile per deployment) before
+        any of those customers' next sample.  Each customer still sees
+        its own samples and refreshes in feed order, and no state is
+        shared between customers, so the updates equal a
+        sample-by-sample ``observe`` loop's at any tick size.  A
+        one-sample tick (the serving tier's usual flush) is a wave of
+        one, which ``ingest_many`` hands to the one-row
+        :meth:`~repro.streaming.live.LiveRecommender.ingest`.
 
         Returns the emissions -- refresh events (or every sample when
         ``refreshes_only`` is off) and one-shot failure updates --
@@ -355,76 +367,88 @@ class _WatchShard:
         seconds this tick cost (the per-shard load signal rebalance
         policies act on).
         """
-        from .engine import FleetLiveUpdate
-
-        config = self.config
         started = time.perf_counter()
+        update_type = self._update_type
+        refreshes_only = self.config.refreshes_only
+        recommenders = self.recommenders
+        quarantined = self.quarantined
         emissions: list[tuple[int, FleetLiveUpdate]] = []
-        # customer id -> (seq, recommender, drift) of its deferred refresh
-        due: dict[str, tuple[int, LiveRecommender, object]] = {}
-        for seq, sample in batch:
-            customer_id = sample.customer_id
-            if customer_id in due:
-                self._refresh_due(due, emissions)
-            if customer_id in self.quarantined:
-                continue
-            live = self.recommenders.get(customer_id)
-            if live is None:
-                live = self._new_live(customer_id, sample.deployment)
-                self.recommenders[customer_id] = live
-            try:
-                refresh_due, drift = live.ingest(sample.values)
-            except Exception as exc:  # noqa: BLE001 - one bad feed must not kill the fleet
-                self._quarantine(seq, customer_id, exc, emissions)
-                continue
-            if refresh_due:
-                due[customer_id] = (seq, live, drift)
-            elif not config.refreshes_only:
-                emissions.append(
-                    (
-                        seq,
-                        FleetLiveUpdate(
-                            customer_id=customer_id,
-                            update=live.current_update(refreshed=False, drift=drift),
-                        ),
+        # Wave k holds the k-th sample of every customer in the tick.
+        waves: list[list[tuple[int, FleetSample]]] = []
+        depth: dict[str, int] = {}
+        for item in batch:
+            customer_id = item[1].customer_id
+            k = depth.get(customer_id, 0)
+            depth[customer_id] = k + 1
+            if k == len(waves):
+                waves.append([item])
+            else:
+                waves[k].append(item)
+        for wave in waves:
+            members: list[tuple[int, str]] = []
+            lives: list[LiveRecommender] = []
+            samples: list = []
+            for seq, sample in wave:
+                customer_id = sample.customer_id
+                if customer_id in quarantined:
+                    continue
+                live = recommenders.get(customer_id)
+                if live is None:
+                    live = self._new_live(customer_id, sample.deployment)
+                    recommenders[customer_id] = live
+                members.append((seq, customer_id))
+                lives.append(live)
+                samples.append(sample.values)
+            due: list[tuple[int, str, LiveRecommender, object]] = []
+            outcomes = LiveRecommender.ingest_many(lives, samples)
+            for (seq, customer_id), live, outcome in zip(members, lives, outcomes):
+                if isinstance(outcome, Exception):
+                    self._quarantine(seq, customer_id, outcome, emissions)
+                elif outcome[0]:
+                    due.append((seq, customer_id, live, outcome[1]))
+                elif not refreshes_only:
+                    emissions.append(
+                        (
+                            seq,
+                            update_type(
+                                customer_id=customer_id,
+                                update=live.current_update(
+                                    refreshed=False, drift=outcome[1]
+                                ),
+                            ),
+                        )
                     )
-                )
-        if due:
-            self._refresh_due(due, emissions)
+            if due:
+                self._refresh_due(due, emissions)
         return emissions, time.perf_counter() - started
 
-    def _refresh_due(self, due: dict, emissions: list) -> None:
-        """Run the deferred refreshes together and emit their updates."""
-        from .engine import FleetLiveUpdate
-
-        outcomes = LiveRecommender.refresh_many([live for _, live, _ in due.values()])
-        for (customer_id, (seq, live, drift)), outcome in zip(due.items(), outcomes):
+    def _refresh_due(self, due: list, emissions: list) -> None:
+        """Run a wave's due refreshes together and emit their updates."""
+        outcomes = LiveRecommender.refresh_many([live for _, _, live, _ in due])
+        for (seq, customer_id, live, drift), outcome in zip(due, outcomes):
             if isinstance(outcome, Exception):
                 self._quarantine(seq, customer_id, outcome, emissions)
             else:
                 emissions.append(
                     (
                         seq,
-                        FleetLiveUpdate(
+                        self._update_type(
                             customer_id=customer_id,
                             update=live.current_update(refreshed=True, drift=drift),
                         ),
                     )
                 )
-        due.clear()
 
     def _quarantine(
         self, seq: int, customer_id: str, exc: Exception, emissions: list
     ) -> None:
         """Drop a failed customer's state and emit its one failure update."""
-        from .engine import FleetLiveUpdate
-
         self.quarantined.add(customer_id)
         self.recommenders.pop(customer_id, None)
         emissions.append(
             (
                 seq,
-                FleetLiveUpdate(
+                self._update_type(
                     customer_id=customer_id,
                     update=None,
                     error=f"{type(exc).__name__}: {exc}",

@@ -218,13 +218,14 @@ class WatchConfig:
         on_rebalance: Callback observing each executed
             :class:`~repro.fleet.rebalance.RebalanceEvent`.
         tick_samples: Samples per shard per streaming tick, the unit
-            of refresh work: a shard runs the refreshes that come due
-            within a tick together, with one batched profile per
-            deployment.  None means the library default (64, for the
-            serial and the process backends alike); the stream is
-            byte-identical at every size, and a sample's update waits
-            for its tick, so ``tick_samples=1`` answers every sample
-            as it arrives.
+            a shard folds as arrays: each wave of the tick (one sample
+            per customer) is ingested as one block, and the refreshes
+            that come due in it share one curve pass and one batched
+            profile per deployment.  None means the library default
+            (64, for the serial and the process backends alike); the
+            stream is byte-identical at every size, and a sample's
+            update waits for its tick, so ``tick_samples=1`` answers
+            every sample as it arrives.
         checkpoint: A :class:`CheckpointConfig` that persists shard
             state to a durable store at tick boundaries, or None for a
             memory-only watch.

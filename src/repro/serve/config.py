@@ -3,8 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
-import warnings
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 
 from ..fleet.config import WatchConfig
 
@@ -48,10 +47,10 @@ class ServeConfig:
         host: Bind address for :func:`repro.serve.http.serve`.
         port: Bind port; 0 picks a free one.
 
-    ``max_delay_ms`` is deprecated and ignored (one
-    ``DeprecationWarning``): batches form while a lane is busy and no
-    request waits out a coalescing deadline
-    (:class:`~repro.serve.microbatch.MicroBatcher`).
+    Batches form while a lane is busy and no request waits out a
+    coalescing deadline (:class:`~repro.serve.microbatch.MicroBatcher`),
+    so there is no delay to configure: ``max_delay_ms`` raises
+    ``TypeError``.
     """
 
     n_shards: int = 2
@@ -62,11 +61,8 @@ class ServeConfig:
     watch: WatchConfig = field(default_factory=WatchConfig)
     host: str = "127.0.0.1"
     port: int = 0
-    max_delay_ms: InitVar[float | None] = None
 
-    def __post_init__(self, max_delay_ms: float | None) -> None:
-        if max_delay_ms is not None:
-            _warn_max_delay_ms(stacklevel=4)
+    def __post_init__(self) -> None:
         if self.n_shards < 1:
             raise ValueError(f"n_shards must be >= 1, got {self.n_shards!r}")
         if self.max_batch < 1:
@@ -82,15 +78,4 @@ class ServeConfig:
 
     def replace(self, **changes) -> "ServeConfig":
         """A copy of this config with the given fields replaced."""
-        if changes.pop("max_delay_ms", None) is not None:
-            _warn_max_delay_ms(stacklevel=3)
         return dataclasses.replace(self, **changes)
-
-
-def _warn_max_delay_ms(stacklevel: int) -> None:
-    warnings.warn(
-        "ServeConfig(max_delay_ms=...) is deprecated and ignored: batches "
-        "dispatch as soon as a lane is idle",
-        DeprecationWarning,
-        stacklevel=stacklevel,
-    )

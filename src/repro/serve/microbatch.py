@@ -24,7 +24,6 @@ the serve tier's byte-identity contract rests on.
 from __future__ import annotations
 
 import asyncio
-import warnings
 from typing import Awaitable, Callable, Generic, TypeVar
 
 from .metrics import BatchStats
@@ -45,23 +44,16 @@ class MicroBatcher(Generic[ItemT, ResultT]):
             batch (and only that batch).
         max_batch: The most items one batch takes; a deeper queue
             drains as consecutive batches, in order.
-        max_delay: Deprecated and ignored (one ``DeprecationWarning``):
-            batches no longer wait out a coalescing deadline.
+
+    A batch is dispatched as soon as the batcher is idle; there is no
+    coalescing deadline, and ``max_delay`` raises ``TypeError``.
     """
 
     def __init__(
         self,
         flush: Callable[[list[ItemT]], Awaitable[list[ResultT]]],
         max_batch: int,
-        max_delay: float | None = None,
     ) -> None:
-        if max_delay is not None:
-            warnings.warn(
-                "MicroBatcher(max_delay=...) is deprecated and ignored: "
-                "batches dispatch as soon as the batcher is idle",
-                DeprecationWarning,
-                stacklevel=2,
-            )
         if max_batch < 1:
             raise ValueError(f"max_batch must be >= 1, got {max_batch!r}")
         self._flush = flush

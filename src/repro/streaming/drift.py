@@ -118,6 +118,54 @@ class DriftDetector:
             threshold=self.threshold,
         )
 
+    @staticmethod
+    def check_rows(
+        detectors: "Sequence[DriftDetector]", values: np.ndarray
+    ) -> "list[DriftReport | Exception]":
+        """Check row ``i`` of ``values`` against ``detectors[i]``, for every ``i``.
+
+        The block form of :meth:`check_vector`, which the live loop
+        runs once per wave of samples: the divergences of all rows
+        whose detector holds a baseline of their width come from one
+        subtraction against the stacked baselines, each row's maximum
+        taken at its first argmax, so every report equals
+        :meth:`check_vector`'s for that row.  A detector without a
+        baseline reports no divergence.  Results align with
+        ``detectors``: a report, or the ``ValueError`` a row whose
+        width differs from its baseline's raises in
+        :meth:`check_vector`.
+        """
+        n_rows, width = values.shape
+        reports: list = [None] * n_rows
+        checked: list[int] = []
+        for index, detector in enumerate(detectors):
+            baseline = detector._baseline
+            if baseline is None or baseline.size == 0:
+                reports[index] = DriftReport(
+                    max_divergence=0.0, worst_sku=None, threshold=detector.threshold
+                )
+            elif baseline.shape != (width,):
+                reports[index] = ValueError(
+                    f"expected {baseline.shape[0]} values, got shape {(width,)}"
+                )
+            else:
+                checked.append(index)
+        if not checked:
+            return reports
+        if len(checked) < n_rows:
+            values = values[checked]
+        divergence = np.abs(values - np.array([detectors[i]._baseline for i in checked]))
+        worst = divergence.argmax(axis=1)
+        maxima = divergence[np.arange(len(checked)), worst].tolist()
+        for index, column, maximum in zip(checked, worst.tolist(), maxima):
+            detector = detectors[index]
+            reports[index] = DriftReport(
+                max_divergence=maximum,
+                worst_sku=detector._names[column],
+                threshold=detector.threshold,
+            )
+        return reports
+
     # ------------------------------------------------------------------
     # Snapshot / restore (worker handoff)
     # ------------------------------------------------------------------

@@ -2,29 +2,44 @@
 
 :class:`LiveRecommender` turns the one-shot Doppler assessment into a
 service loop.  Per sample it does only cheap work: the sample is
-parsed once into a row (:func:`~repro.telemetry.streaming.parse_sample`),
-written as one column of the builder's ``(n_dims, window)`` ring, and
-folded into the incremental estimate with one vector compare against
-the transposed capacity matrix -- O(n_skus * n_dims).  It re-runs the
-full pipeline (curve construction, profiling, group-matched
-selection) only when the incremental estimates have drifted from the
-ones the current recommendation was built on.  A refresh builds its
-curve from those same estimates -- the estimator's window counts
-divided by the window length, bit-for-bit the batch statistic -- so it
-never re-scans the window for throttling; it only fits the candidates
-to the window's storage footprint and assembles the curve, against
-capacities memoized once per engine and deployment.  In ``exact``
-profile mode the refresh's window snapshot is one checked matrix copy
-and its profile one summarizer broadcast over the snapshot's rows
+parsed into a row, written as one column of the builder's
+``(n_dims, window)`` ring, and folded into the incremental estimate
+with one compare against the capacity matrix -- O(n_skus * n_dims).
+It re-runs the full pipeline (curve construction, profiling,
+group-matched selection) only when the incremental estimates have
+drifted from the ones the current recommendation was built on.  A
+refresh builds its curve from those same estimates -- the estimator's
+window counts divided by the window length, bit-for-bit the batch
+statistic -- so it never re-scans the window for throttling; it only
+fits the candidates to the window's storage footprint and assembles
+the curve, against capacities memoized once per engine and
+deployment.  In ``exact`` profile mode the refresh's window snapshot
+is one checked matrix copy and its profile one summarizer broadcast
+over the snapshot's rows
 (:meth:`~repro.core.profiler.CustomerProfiler.profile_batch`).
 
-:meth:`LiveRecommender.observe` is :meth:`~LiveRecommender.ingest`
-(append, vector update, drift check), then a refresh when one came
-due.  A fleet watch shard splits the two: it ingests a whole tick of
-samples in feed order and runs the refreshes that came due together
-(:meth:`LiveRecommender.refresh_many`), so every window of the tick is
-profiled in one ``profile_batch`` call per deployment, with the same
-bytes as refreshing each stream alone.
+The loop is columnar across streams.  :meth:`LiveRecommender.ingest_many`
+takes one sample for each of several streams and ingests them as one
+block: one parse into a finite-checked ``(streams, n_dims)`` matrix
+(:func:`~repro.telemetry.streaming.parse_samples`), one violation
+compare per shared capacity matrix
+(:meth:`~repro.core.incremental.IncrementalThrottlingEstimator.update_rows`)
+and one drift pass over the stacked probabilities
+(:meth:`~repro.streaming.drift.DriftDetector.check_rows`).
+:meth:`LiveRecommender.refresh_many` refreshes several streams with
+one curve pass per engine and deployment
+(:meth:`~repro.core.ppm.PricePerformanceModeler.build_curves_from_probabilities`)
+and one batched profile.  A fleet watch shard feeds its tick through
+both, one wave at a time (wave ``k`` holds the ``k``-th sample of
+every customer in the tick).  A lone refresh runs the same block
+pass, with one row.  A lone sample does not: ingest has a second,
+size-selected path, :meth:`LiveRecommender.ingest`, which
+:meth:`LiveRecommender.observe` and a one-sample wave (the serving
+tier's usual flush) run.  Its one-row arithmetic gives the same
+values element for element in fewer numpy calls, and each block
+primitive is tested against its row twin, so
+:meth:`LiveRecommender.observe`, a one-sample tick and a 64-sample
+tick yield the same bytes.
 
 The result is a recommendation stream whose freshness is bounded by
 the drift threshold while per-sample cost stays flat in the window
@@ -40,7 +55,7 @@ from typing import Literal, Mapping, Sequence
 from ..catalog.models import DeploymentType
 from ..core.engine import DopplerEngine
 from ..core.incremental import IncrementalThrottlingEstimator
-from ..core.ppm import gp_iops_overrides
+from ..core.ppm import MiStoragePlan, gp_iops_overrides
 from ..core.throttling import EmpiricalThrottlingEstimator
 from ..core.types import DopplerRecommendation
 from ..telemetry.counters import DB_DIMENSIONS, MI_DIMENSIONS, PerfDimension
@@ -48,6 +63,7 @@ from ..telemetry.streaming import (
     DEFAULT_STREAM_WINDOW,
     StreamingSeriesStats,
     StreamingTraceBuilder,
+    parse_samples,
 )
 from ..telemetry.timeseries import DEFAULT_SAMPLE_INTERVAL_MINUTES
 from ..telemetry.trace import PerformanceTrace
@@ -236,6 +252,9 @@ class LiveRecommender:
         )
         self._candidates = candidates
         self._sku_names = tuple(sku.name for sku in candidates)
+        # Streams ingest as one block (ingest_many) when their samples
+        # parse alike and their estimates stack.
+        self._block_key = (dimensions, len(candidates))
         # The window counts are the curve's statistic only when the
         # engine estimates empirically over the same dimensions; any
         # other estimator, or a tracked dimension the curve leaves
@@ -247,10 +266,9 @@ class LiveRecommender:
         self._recommendation: DopplerRecommendation | None = None
         self._n_refreshes = 0
         self._state_epoch = 0
-        # The window's snapshot and exact profile (or the error raised
-        # profiling it) staged by refresh_many for the next refresh;
-        # every ingested sample drops it.
-        self._staged: tuple[PerformanceTrace, object] | None = None
+        # The next refresh's inputs (or the error taking the window
+        # raised), staged by _stage; every ingested sample drops them.
+        self._staged: tuple | Exception | None = None
         self.profile_mode = profile_mode
         self._profile_columns: tuple[tuple[int, StreamingSeriesStats], ...] = ()
         self._profile_stats: dict[PerfDimension, StreamingSeriesStats] = {}
@@ -337,9 +355,16 @@ class LiveRecommender:
         Returns ``(due, drift)``: whether a refresh is due now, and the
         drift check that decided it (None while warming up and for the
         first assessment).  The caller runs :meth:`refresh` when one is
-        due -- at once, as :meth:`observe` does, or later, as a watch
-        shard does at the end of its tick (:meth:`refresh_many`), so
-        long as this stream ingests nothing in between.
+        due -- at once, as :meth:`observe` does, or later together with
+        other streams' (:meth:`refresh_many`), so long as this stream
+        ingests nothing in between.  :meth:`ingest_many` runs this
+        for a lone sample.
+
+        Raises:
+            KeyError: If a declared dimension is missing from the
+                sample (nothing is ingested).
+            ValueError: If a declared value is non-finite (nothing is
+                ingested).
         """
         # The builder validates the sample once; the estimator takes
         # the parsed row directly (same dimension tuple by construction).
@@ -356,35 +381,107 @@ class LiveRecommender:
         return drift.drifted, drift
 
     @staticmethod
-    def refresh_many(recommenders: "Sequence[LiveRecommender]") -> list:
-        """Refresh several streams together, with one profiling pass.
+    def ingest_many(
+        recommenders: "Sequence[LiveRecommender]",
+        samples: Sequence[Mapping[PerfDimension, float]],
+    ) -> list:
+        """Ingest one sample into each of several streams, as arrays.
 
-        Each recommender's :meth:`refresh` runs as it would alone,
-        except that every ``exact``-mode window is snapshotted and
-        profiled up front in one
-        :meth:`~repro.core.engine.DopplerEngine.profile_many` call per
-        engine (one ``profile_batch`` per deployment), which profiles
-        byte-identically to one trace at a time.  A failure stays with
-        its own stream: the result, aligned with ``recommenders``,
-        holds each one's new recommendation or the exception its
-        refresh raised -- a curve error still wins over a profile
-        error, as in :meth:`refresh`.
+        The ingest primitive of every live path: ``samples[i]`` goes to
+        ``recommenders[i]``, and the recommenders must be distinct.
+        Streams sharing a dimension tuple and a candidate count form
+        one block: their samples are parsed into one finite-checked
+        matrix (:func:`~repro.telemetry.streaming.parse_samples`), each
+        row is written into its stream's ring buffer, the violation
+        rows come from one compare per shared capacity matrix
+        (:meth:`~repro.core.incremental.IncrementalThrottlingEstimator.update_rows`),
+        and the drift of every stream past warm-up with a
+        recommendation in force comes from one pass over the stacked
+        probabilities (:meth:`~repro.streaming.drift.DriftDetector.check_rows`).
+        A lone sample takes the second ingest path, :meth:`ingest`,
+        whose one-row arithmetic is the same element for element in
+        fewer numpy calls: the serving tier's flushes mostly hold one
+        sample, and a one-row block costs more per call.  Each stream
+        ends exactly where one :meth:`ingest` per sample leaves it.
+
+        Returns:
+            One entry per recommender: ``(due, drift)`` as
+            :meth:`ingest` returns it, or the exception :meth:`ingest`
+            raises for that stream's sample (a sample that fails to
+            parse leaves its stream untouched).
         """
-        by_engine: dict[int, list[tuple[LiveRecommender, PerformanceTrace]]] = {}
-        for live in recommenders:
-            if live.profile_mode != "exact":
-                continue  # streaming mode profiles from its window stats
+        if len(recommenders) == 1:
             try:
-                trace = live.builder.snapshot()
-            except Exception:  # noqa: BLE001 - its refresh raises it again
-                continue
-            by_engine.setdefault(id(live.engine), []).append((live, trace))
-        for group in by_engine.values():
-            profiles = group[0][0].engine.profile_many(
-                [(live.deployment, trace) for live, trace in group]
+                return [recommenders[0].ingest(samples[0])]
+            except Exception as exc:  # noqa: BLE001 - stays with its own stream
+                return [exc]
+        outcomes: list = [None] * len(recommenders)
+        blocks: dict[tuple, list[int]] = {}
+        for index, live in enumerate(recommenders):
+            blocks.setdefault(live._block_key, []).append(index)
+        for (dimensions, _), indices in blocks.items():
+            rows, parsed, failures = parse_samples(
+                [samples[index] for index in indices], dimensions
             )
-            for (live, trace), profile in zip(group, profiles):
-                live._staged = (trace, profile)
+            if failures:
+                for position, exc in failures.items():
+                    outcomes[indices[position]] = exc
+                indices = [indices[position] for position in parsed]
+                if not indices:
+                    continue
+            estimators = []
+            for index, row in zip(indices, rows):
+                live = recommenders[index]
+                live.builder.append_row(row)
+                live._staged = None
+                for column, stats in live._profile_columns:
+                    stats.update(row[column])
+                estimators.append(live.estimator)
+            IncrementalThrottlingEstimator.update_rows(estimators, rows)
+            checked: list[int] = []
+            estimators = []
+            detectors = []
+            for index in indices:
+                live = recommenders[index]
+                if live.builder.n_window < live.min_refresh_samples:
+                    outcomes[index] = (False, None)
+                elif live._recommendation is None:
+                    outcomes[index] = (True, None)
+                else:
+                    checked.append(index)
+                    estimators.append(live.estimator)
+                    detectors.append(live.detector)
+            if not checked:
+                continue
+            reports = DriftDetector.check_rows(
+                detectors, IncrementalThrottlingEstimator.probabilities_rows(estimators)
+            )
+            for index, report in zip(checked, reports):
+                outcomes[index] = (
+                    report if isinstance(report, Exception) else (report.drifted, report)
+                )
+        return outcomes
+
+    @staticmethod
+    def refresh_many(recommenders: "Sequence[LiveRecommender]") -> list:
+        """Refresh several streams together: one curve and one profile pass.
+
+        Each recommender's :meth:`refresh` runs as it would alone, on
+        inputs staged for all of them up front: every window is
+        snapshotted (and, for SQL MI, its file layout planned and
+        folded into the estimator), then per engine and deployment the
+        curves built from the window counts come from one
+        :meth:`~repro.core.ppm.PricePerformanceModeler.build_curves_from_probabilities`
+        pass over the stacked ``counts / n_window`` rows, and the
+        ``exact``-mode profiles from one
+        :meth:`~repro.core.engine.DopplerEngine.profile_many` call (one
+        ``profile_batch``), each byte-identical to one stream at a
+        time.  A failure stays with its own stream: the result,
+        aligned with ``recommenders``, holds each one's new
+        recommendation or the exception its refresh raised -- a curve
+        error still wins over a profile error, as in :meth:`refresh`.
+        """
+        LiveRecommender._stage(recommenders)
         outcomes: list = []
         for live in recommenders:
             try:
@@ -392,6 +489,71 @@ class LiveRecommender:
             except Exception as exc:  # noqa: BLE001 - stays with its own stream
                 outcomes.append(exc)
         return outcomes
+
+    @staticmethod
+    def _stage(recommenders: "Sequence[LiveRecommender]") -> None:
+        """Stage each recommender's next refresh: window, estimates, curve, profile.
+
+        Sets ``_staged`` on every recommender: the exception taking
+        its window raised, or ``(trace, probabilities, curve,
+        profile)``, where the curve or the profile may be the
+        exception building it raised and the profile is None in
+        ``streaming`` mode.
+        """
+        groups: dict[tuple[int, DeploymentType], list[tuple]] = {}
+        for live in recommenders:
+            try:
+                trace, plan = live._window()
+            except Exception as exc:  # noqa: BLE001 - its refresh raises it
+                live._staged = exc
+                continue
+            groups.setdefault((id(live.engine), live.deployment), []).append(
+                (live, trace, plan)
+            )
+        for (_, deployment), members in groups.items():
+            engine = members[0][0].engine
+            profiles: list = [None] * len(members)
+            exact = [i for i, member in enumerate(members) if member[0].profile_mode == "exact"]
+            if exact:
+                profiled = engine.profile_many([(deployment, members[i][1]) for i in exact])
+                for i, profile in zip(exact, profiled):
+                    profiles[i] = profile
+            probabilities = IncrementalThrottlingEstimator.probabilities_rows(
+                [live.estimator for live, _, _ in members]
+            )
+            curves: list = [None] * len(members)
+            counted = [i for i, member in enumerate(members) if member[0]._curve_from_counts]
+            if counted:
+                rows = slice(None) if len(counted) == len(members) else counted
+                built = engine.ppm.build_curves_from_probabilities(
+                    [members[i][1] for i in counted],
+                    deployment,
+                    probabilities[rows],
+                    [members[i][2] for i in counted],
+                )
+                for i, curve in zip(counted, built):
+                    curves[i] = curve
+            for i, (live, trace, plan) in enumerate(members):
+                if curves[i] is None:
+                    try:
+                        curves[i] = engine.ppm.build_curve(trace, deployment, mi_plan=plan)
+                    except Exception as exc:  # noqa: BLE001 - raised by its refresh
+                        curves[i] = exc
+                live._staged = (trace, probabilities[i], curves[i], profiles[i])
+
+    def _window(self) -> "tuple[PerformanceTrace, MiStoragePlan | None]":
+        """The window's snapshot and, for SQL MI, its Step-1 plan.
+
+        For MI the plan's GP IOPS limit is folded into the estimator
+        when the file layout changed, so the estimates a refresh reads
+        next see the curve's capacities.
+        """
+        trace = self.builder.snapshot()
+        plan = None
+        if self.deployment is DeploymentType.SQL_MI:
+            plan = self.engine.ppm.plan_mi_storage(trace)
+            self._sync_mi_overrides(trace, plan)
+        return trace, plan
 
     def refresh(self) -> DopplerRecommendation:
         """Run the full assessment on the current window, now.
@@ -409,25 +571,18 @@ class LiveRecommender:
         layout changed (MI streaming parity: drift detection and the
         curve see the same capacities, at the cost of one window
         replay per layout change).  Under :meth:`refresh_many` the
-        window's snapshot and exact profile (or the error profiling
-        raised) come staged from the batched profiling pass.
+        window, its estimates, curve and ``exact`` profile (or the
+        errors building them raised) come staged from the batched
+        passes; alone, the refresh stages them for itself.
         """
+        if self._staged is None:
+            LiveRecommender._stage((self,))
         staged, self._staged = self._staged, None
-        trace, profile = staged if staged is not None else (self.builder.snapshot(), None)
-        ppm = self.engine.ppm
-        mi_plan = None
-        if self.deployment is DeploymentType.SQL_MI:
-            # Plan Step-1 storage once per refresh: the override sync
-            # and the curve build below share the same plan.
-            mi_plan = ppm.plan_mi_storage(trace)
-            self._sync_mi_overrides(trace, mi_plan)
-        probabilities = self.estimator.probabilities()
-        if self._curve_from_counts:
-            curve = ppm.build_curve_from_probabilities(
-                trace, self.deployment, probabilities, mi_plan=mi_plan
-            )
-        else:
-            curve = ppm.build_curve(trace, self.deployment, mi_plan=mi_plan)
+        if isinstance(staged, Exception):
+            raise staged
+        trace, probabilities, curve, profile = staged
+        if isinstance(curve, Exception):
+            raise curve
         if isinstance(profile, Exception):
             raise profile
         if self.profile_mode == "streaming":

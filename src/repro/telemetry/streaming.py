@@ -22,7 +22,7 @@ from __future__ import annotations
 import copy
 import math
 from collections import deque
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -36,6 +36,7 @@ __all__ = [
     "StreamingTraceBuilder",
     "DEFAULT_STREAM_WINDOW",
     "parse_sample",
+    "parse_samples",
 ]
 
 #: One week of 10-minute samples -- the paper's minimum advised
@@ -74,6 +75,59 @@ def parse_sample(
             raise ValueError(f"non-finite {dim.name} sample: {value!r}")
         values.append(value)
     return np.array(values)
+
+
+def parse_samples(
+    samples: Sequence[Mapping[PerfDimension, float]],
+    dimensions: tuple[PerfDimension, ...],
+) -> tuple[np.ndarray, list[int], dict[int, Exception]]:
+    """Validate many samples into one ``(n_parsed, n_dims)`` block.
+
+    The block form of :func:`parse_sample`: every row is built with
+    one ``float`` per declared value, the rows become one array, and
+    the array is checked for non-finite values once.  A sample that
+    fails either step is handed to :func:`parse_sample`, whose
+    exception -- the same error text, and the same choice between
+    ``KeyError`` and ``ValueError`` when a sample has both faults --
+    is recorded against its index instead of raised.
+
+    Returns:
+        ``(block, parsed, failures)``: the parsed rows, the sample
+        index of each row, and the exception of every sample that
+        failed, by index.
+    """
+    rows: list[list[float]] = []
+    parsed: list[int] = []
+    failures: dict[int, Exception] = {}
+    for index, sample in enumerate(samples):
+        try:
+            rows.append([float(sample[dim]) for dim in dimensions])
+        except Exception:  # noqa: BLE001 - parse_sample names the fault
+            failures[index] = _parse_error(sample, dimensions)
+            continue
+        parsed.append(index)
+    if not rows:
+        return np.empty((0, len(dimensions))), parsed, failures
+    block = np.array(rows)
+    finite = np.isfinite(block)
+    if not finite.all():
+        finite = finite.all(axis=1)
+        for row in np.flatnonzero(~finite).tolist():
+            failures[parsed[row]] = _parse_error(samples[parsed[row]], dimensions)
+        block = block[finite]
+        parsed = [index for index, ok in zip(parsed, finite.tolist()) if ok]
+    return block, parsed, failures
+
+
+def _parse_error(
+    sample: Mapping[PerfDimension, float], dimensions: tuple[PerfDimension, ...]
+) -> Exception:
+    """The exception :func:`parse_sample` raises for a faulty sample."""
+    try:
+        parse_sample(sample, dimensions)
+    except Exception as exc:  # noqa: BLE001 - returned, raised by the caller
+        return exc
+    raise AssertionError("parse_samples rejected a sample parse_sample accepts")
 
 
 class StreamingSeriesStats:
@@ -373,9 +427,17 @@ class StreamingTraceBuilder:
             ValueError: If any declared value is non-finite.
         """
         row = parse_sample(sample, self.dimensions)
+        self.append_row(row)
+        return row
+
+    def append_row(self, row: np.ndarray) -> None:
+        """Absorb one parsed row (:func:`parse_samples`): one column write.
+
+        ``row`` must align with :attr:`dimensions` and hold finite
+        values; it is not checked again.
+        """
         self._ring[:, self._n_seen % self.window] = row
         self._n_seen += 1
-        return row
 
     def extend(self, samples: Iterable[Mapping[PerfDimension, float]]) -> None:
         """Absorb a batch of samples in arrival order."""

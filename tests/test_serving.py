@@ -16,11 +16,9 @@ No pytest-asyncio in the environment: coroutine scenarios run under
 from __future__ import annotations
 
 import asyncio
-import inspect
 import json
 import threading
 import time
-import warnings
 
 import numpy as np
 import pytest
@@ -66,11 +64,6 @@ WIDE_OPEN = ServeConfig(
     slo_ms=60_000.0,
     watch=WATCH,
 )
-
-
-def _next_line() -> int:
-    """The line after the caller's: where a warning should point."""
-    return inspect.currentframe().f_back.f_lineno + 1
 
 
 def make_fleet(small_catalog) -> FleetEngine:
@@ -141,34 +134,13 @@ class TestServeConfig:
         with pytest.raises(ValueError, match="ServeConfig"):
             RecommendationService(make_fleet(small_catalog), {"n_shards": 2})
 
-    def test_max_delay_ms_is_deprecated_and_ignored(self, small_catalog):
-        """Construction and ``replace`` each warn once, at the caller's
-        line; the value is not even validated, and the service answers
-        the default config's stream."""
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            line = _next_line()
-            built = WIDE_OPEN.replace(n_shards=2, max_delay_ms=-1.0)
-            rebuilt = ServeConfig(max_delay_ms=5.0)
-        assert [(w.category, w.filename, w.lineno) for w in caught] == [
-            (DeprecationWarning, __file__, line),
-            (DeprecationWarning, __file__, line + 1),
-        ]
-        assert "max_delay_ms" in str(caught[0].message)
-        assert rebuilt == ServeConfig()
-        default = WIDE_OPEN.replace(n_shards=2)
-        assert built == default
-        feed = interleaved_feed(4, 10, seed=5)
-
-        def served(config):
-            async def scenario():
-                fleet = make_fleet(small_catalog)
-                async with RecommendationService(fleet, config) as service:
-                    return await asyncio.gather(*(service.observe(s) for s in feed))
-
-            return canonical_updates(asyncio.run(scenario()))
-
-        assert served(built) == served(default)
+    def test_max_delay_ms_raises_type_error(self):
+        """The coalescing deadline is gone: construction and ``replace``
+        both reject the retired keyword, as ``zero_copy=`` is rejected."""
+        with pytest.raises(TypeError, match="max_delay_ms"):
+            ServeConfig(max_delay_ms=5.0)
+        with pytest.raises(TypeError, match="max_delay_ms"):
+            WIDE_OPEN.replace(n_shards=2, max_delay_ms=-1.0)
 
 
 # ----------------------------------------------------------------------
@@ -384,34 +356,14 @@ class TestMicroBatcher:
         with pytest.raises(ValueError, match="max_batch"):
             MicroBatcher(flush, max_batch=0)
 
-    def test_max_delay_is_deprecated_and_ignored(self):
-        batches: list[list[int]] = []
-
+    def test_max_delay_raises_type_error(self):
         async def flush(items):
-            batches.append(list(items))
             return list(items)
 
-        async def scenario(make):
-            batcher = make()
-            batcher.start()
-            results = await asyncio.gather(*(batcher.submit(i) for i in range(6)))
-            await batcher.stop()
-            return results
-
-        def deprecated():
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                line = _next_line()
-                batcher = MicroBatcher(flush, 4, max_delay=-0.5)
-            assert [(w.category, w.filename, w.lineno) for w in caught] == [
-                (DeprecationWarning, __file__, line)
-            ]
-            assert "max_delay" in str(caught[0].message)
-            return batcher
-
-        assert asyncio.run(scenario(deprecated)) == list(range(6))
-        assert asyncio.run(scenario(lambda: MicroBatcher(flush, 4))) == list(range(6))
-        assert batches == [[0, 1, 2, 3], [4, 5]] * 2
+        with pytest.raises(TypeError, match="max_delay"):
+            MicroBatcher(flush, 4, max_delay=0.5)
+        with pytest.raises(TypeError):
+            MicroBatcher(flush, 4, 0.5)
 
 
 # ----------------------------------------------------------------------

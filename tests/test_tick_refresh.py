@@ -1,13 +1,15 @@
-"""Tick-batched live refresh: a shard's tick is the unit of refresh work.
+"""Tick-batched live refresh: a shard folds its tick as arrays.
 
 Every watch path -- the serial watch at any tick size, the process
 watch and the serving tier's observe shards -- runs one
-``_WatchShard.process``: it ingests each sample in feed order, defers
-every refresh that comes due, and runs the deferred refreshes together
-at the end of the tick (or as soon as their customer appears again),
-profiled with one ``profile_batch`` call per deployment.  The emitted
-stream must equal a bare ``LiveRecommender.observe`` loop's on every
-``LiveUpdate`` field, failures and their error texts included.
+``_WatchShard.process``: it splits the tick into waves (the k-th
+sample of every customer), ingests each wave as one block, and runs
+the refreshes that come due in a wave together before those
+customers' next sample, profiled with one ``profile_batch`` call per
+deployment.  The emitted stream must equal a bare
+``LiveRecommender.observe`` loop's on every ``LiveUpdate`` field,
+failures and their error texts included (``tests/test_columnar_tick.py``
+checks both against an oracle that shares none of their code).
 """
 
 from __future__ import annotations
