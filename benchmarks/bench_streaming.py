@@ -16,16 +16,6 @@ Standalone script (not a pytest benchmark)::
     python benchmarks/bench_streaming.py           # 1000 samples x 50 SKUs
     python benchmarks/bench_streaming.py --smoke   # tiny CI-sized run
 
-Also benchmarks the streaming profiling path: per-dimension
-:class:`~repro.telemetry.streaming.StreamingSeriesStats` (windowed
-moments, extremes and quantile sketches maintained in O(1) per
-sample) against re-running the thresholding summarizer over the full
-window each sample, as three alternating pairs in smoke mode and five
-in full mode (rates and speedup are medians over the pairs), with an
-accuracy gate on the sketch's documented
-rank error, a 3x gate on the median per-pair speedup and an O(1)
-gate on the per-sample cost across window lengths.
-
 Also times one watch shard's ``_WatchShard.process`` over warmed
 customers at one-sample ticks (the serving tier's observe flushes) and
 at 64-sample ticks (the serial watch), three alternating runs each,
@@ -70,19 +60,16 @@ to serial and leave no shared-memory segment behind (it creates
 none).
 
 Exit status: 1 when incremental and batch probabilities disagree,
-2 when the estimator speedup misses the threshold, 3 when streaming
-profiling diverges from the window re-scan, 4 when streaming
-profiling misses its O(1)/speedup contract (median per-pair speedup
-below 3x), 5 when the sharded watch or the
-1-sample-tick serial watch (or the shard at one-sample ticks)
-diverges from the serial one or the sharded watch misses the scaling
-gate, 6 when the
-skewed-feed run diverges from serial or rebalancing misses its
-speedup gate, 7 when the checkpointed watch diverges from the
-memory-only run, resume breaks byte-identity, or the checkpoint
-overhead (median over pairs) exceeds the 10% budget, 8 when the
-process watch diverges from serial or a shared-memory segment
-appears.
+2 when the estimator speedup misses the threshold, 5 when the
+sharded watch or the 1-sample-tick serial watch (or the shard at
+one-sample ticks) diverges from the serial one or the sharded watch
+misses the scaling gate, 6 when the skewed-feed run diverges from
+serial or rebalancing misses its speedup gate, 7 when the
+checkpointed watch diverges from the memory-only run, resume breaks
+byte-identity, or the checkpoint overhead (median over pairs) exceeds
+the 10% budget, 8 when the process watch diverges from serial or a
+shared-memory segment appears.  (Exits 3 and 4 gated a streaming
+profile mode that no longer exists; their numbers stay unused.)
 """
 
 from __future__ import annotations
@@ -113,7 +100,7 @@ from repro import (
     StreamingTraceBuilder,
 )
 from repro.catalog import HardwareGeneration, ResourceLimits, ServiceTier, SkuSpec
-from repro.core import CustomerProfiler, EmpiricalThrottlingEstimator, ThresholdingSummarizer
+from repro.core import EmpiricalThrottlingEstimator
 from repro.fleet import (
     CheckpointConfig,
     FleetEngine,
@@ -123,8 +110,7 @@ from repro.fleet import (
     WatchConfig,
 )
 from repro.store import FleetStore
-from repro.telemetry import StreamingSeriesStats
-from repro.telemetry.counters import DB_DIMENSIONS, PROFILING_DB_DIMENSIONS
+from repro.telemetry.counters import DB_DIMENSIONS
 
 RESULTS_DIR = Path(__file__).parent / "results"
 JSON_PATH = RESULTS_DIR / "BENCH_streaming.json"
@@ -208,108 +194,6 @@ def bench_estimators(
         "rebuild_updates_per_sec": n / rebuild_seconds,
         "speedup": rebuild_seconds / incremental_seconds,
         "max_abs_diff": max_diff,
-    }
-
-
-def bench_profiling(
-    samples: list[dict[PerfDimension, float]], window: int, pairs: int = 1
-) -> dict:
-    """Streaming profiling refresh vs per-sample window re-scan.
-
-    Maintains one :class:`StreamingSeriesStats` per profiled dimension
-    (O(1) ingestion + O(1)-in-window summarizer evaluation) against
-    the batch path that re-runs the thresholding summarizer over the
-    full window on every sample.  Verifies the two paths agree on the
-    near-peak fraction within the sketch's documented rank error.
-    The two legs run as ``pairs`` back-to-back pairs, alternating
-    which goes first; the speedup is the median of the per-pair
-    ratios, so one slow stretch of the box moves one pair rather than
-    the verdict.
-    """
-    summarizer = ThresholdingSummarizer()
-    profiler = CustomerProfiler(
-        dimensions=PROFILING_DB_DIMENSIONS, summarizer=summarizer
-    )
-    dims = PROFILING_DB_DIMENSIONS
-    # Replay the feed twice so the sliding window saturates and the
-    # re-scan path pays its real full-window cost for half the run.
-    feed = samples + samples
-
-    def streaming_leg():
-        stats = {dim: StreamingSeriesStats(window=window) for dim in dims}
-        start = time.perf_counter()
-        for sample in feed:
-            for dim in dims:
-                stats[dim].update(sample[dim])
-            profile = profiler.profile_streaming(stats)
-        return time.perf_counter() - start, profile
-
-    def rescan_leg():
-        builder = StreamingTraceBuilder(dims, window=window)
-        start = time.perf_counter()
-        for sample in feed:
-            builder.append(sample)
-            profile = profiler.profile(builder.snapshot())
-        return time.perf_counter() - start, profile
-
-    seconds: dict = {streaming_leg: [], rescan_leg: []}
-    profiles: dict = {}
-    for pair in range(pairs):
-        legs = (streaming_leg, rescan_leg) if pair % 2 == 0 else (rescan_leg, streaming_leg)
-        for leg in legs:
-            elapsed, profiles[leg] = leg()
-            seconds[leg].append(elapsed)
-    streaming_seconds, rescan_seconds = seconds[streaming_leg], seconds[rescan_leg]
-    streaming_profile, rescan_profile = profiles[streaming_leg], profiles[rescan_leg]
-    pair_speedups = [
-        rescan / streaming for streaming, rescan in zip(streaming_seconds, rescan_seconds)
-    ]
-
-    # Accuracy: thresholding features carry only sketch rank error
-    # (plus the one-block coverage overhang); the bound below is the
-    # documented sketch tolerance with slack for the overhang.
-    max_feature_diff = float(
-        np.max(np.abs(streaming_profile.features - rescan_profile.features))
-    )
-    n = len(feed)
-    return {
-        "n_samples": n,
-        "window": window,
-        "n_dims": len(dims),
-        "pairs": pairs,
-        "streaming_updates_per_sec": n / float(np.median(streaming_seconds)),
-        "rescan_updates_per_sec": n / float(np.median(rescan_seconds)),
-        "speedup": float(np.median(pair_speedups)),
-        "pair_speedups": pair_speedups,
-        "max_feature_diff": max_feature_diff,
-        "group_keys_agree": streaming_profile.group_key == rescan_profile.group_key,
-    }
-
-
-def bench_profiling_scaling(seed: int, n_samples: int = 1200) -> dict:
-    """Per-sample profiling cost at two window lengths.
-
-    The O(1) evidence: quadrupling the window must not materially move
-    the streaming path's per-sample cost (the re-scan path's cost
-    grows linearly with the window by construction).
-    """
-    rng = np.random.default_rng(seed)
-    values = np.abs(rng.normal(10.0, 4.0, n_samples))
-    summarizer = ThresholdingSummarizer()
-    per_sample_seconds = {}
-    for window in (288, 1152):
-        stats = StreamingSeriesStats(window=window)
-        start = time.perf_counter()
-        for value in values:
-            stats.update(value)
-            summarizer.summarize_streaming(stats)
-        per_sample_seconds[window] = (time.perf_counter() - start) / n_samples
-    small, large = per_sample_seconds[288], per_sample_seconds[1152]
-    return {
-        "n_samples": n_samples,
-        "windows": [288, 1152],
-        "per_sample_us": {str(w): s * 1e6 for w, s in per_sample_seconds.items()},
-        "cost_ratio_4x_window": large / small if small else float("inf"),
     }
 
 
@@ -792,24 +676,6 @@ def main(argv: list[str] | None = None) -> int:
         f"   max|diff| {estimator_record['max_abs_diff']:.2e}"
     )
 
-    profile_window = min(n_samples, 1008)  # one week at the DMA cadence
-    print(f"Streaming profiling benchmark: window {profile_window} ...")
-    profiling_record = bench_profiling(
-        samples, window=profile_window, pairs=3 if args.smoke else 5
-    )
-    pair_speedups = ", ".join(f"{ratio:.1f}x" for ratio in profiling_record["pair_speedups"])
-    print(
-        f"  streaming {profiling_record['streaming_updates_per_sec']:>10.0f} profiles/s"
-        f"   re-scan {profiling_record['rescan_updates_per_sec']:>8.1f} profiles/s"
-        f"   speedup {profiling_record['speedup']:.1f}x (pairs {pair_speedups})"
-        f"   max|feature diff| {profiling_record['max_feature_diff']:.2e}"
-    )
-    scaling_record = bench_profiling_scaling(seed=args.seed)
-    print(
-        f"  per-sample cost at 4x window: {scaling_record['cost_ratio_4x_window']:.2f}x"
-        " (O(1) contract: should stay near 1x)"
-    )
-
     live_window = min(n_samples, 288)
     print(f"Live recommendation loop: window {live_window} over the default catalog ...")
     live_record = bench_live_loop(samples, window=live_window)
@@ -941,8 +807,6 @@ def main(argv: list[str] | None = None) -> int:
         "smoke": args.smoke,
         "min_speedup": args.min_speedup,
         "estimator": estimator_record,
-        "profiling": profiling_record,
-        "profiling_scaling": scaling_record,
         "live_loop": live_record,
         "shard_ticks": tick_record,
         "watch_scaling": watch_record,
@@ -968,20 +832,8 @@ def main(argv: list[str] | None = None) -> int:
             file=sys.stderr,
         )
         return 1
-    # Accuracy gates run in every mode; only timing gates are
-    # smoke-exempt.  Tolerance: the sketch's documented rank error
-    # (1/63) plus the one-block coverage overhang on a drifting feed.
-    if (
-        profiling_record["max_feature_diff"] > 0.05
-        or not profiling_record["group_keys_agree"]
-    ):
-        print(
-            f"FAIL: streaming profiling diverges from the window re-scan "
-            f"(max feature diff {profiling_record['max_feature_diff']:.3f}, "
-            f"group keys agree: {profiling_record['group_keys_agree']})",
-            file=sys.stderr,
-        )
-        return 3
+    # Agreement gates run in every mode; only timing gates are
+    # smoke-exempt.
     if not watch_identical:
         print(
             "FAIL: watch_fleet diverges from the serial backend at its default tick "
@@ -1038,17 +890,6 @@ def main(argv: list[str] | None = None) -> int:
             file=sys.stderr,
         )
         return 2
-    if (
-        profiling_record["speedup"] < 3.0
-        or scaling_record["cost_ratio_4x_window"] > 2.0
-    ):
-        print(
-            f"FAIL: streaming profiling is not O(1) per sample "
-            f"(median speedup {profiling_record['speedup']:.1f}x vs re-scan, "
-            f"4x-window cost ratio {scaling_record['cost_ratio_4x_window']:.2f}x)",
-            file=sys.stderr,
-        )
-        return 4
     # Sharded-watch scaling gate: like the fleet bench's parallel gate,
     # only meaningful with real cores behind the workers.
     if cores >= 4 and watch_record["scaling_vs_1w"] < 1.5:

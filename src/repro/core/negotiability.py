@@ -40,7 +40,6 @@ from ..ml.auc import ecdf_auc
 from ..ml.outliers import outlier_fraction
 from ..ml.scaling import max_scale, minmax_scale
 from ..ml.stl import stl_variance_score
-from ..telemetry.streaming import StreamingSeriesStats
 from ..telemetry.timeseries import TimeSeries
 
 __all__ = [
@@ -78,32 +77,6 @@ class NegotiabilitySummarizer(abc.ABC):
         simply calls both methods.
         """
         return self.features(series), self.is_negotiable(series)
-
-    #: Whether :meth:`summarize_streaming` is implemented.  All six
-    #: paper summarizers now advertise it: most reduce to windowed
-    #: moments, extremes and rank queries maintained in O(1) per
-    #: sample; the STL summarizer re-decomposes the materialized
-    #: window (O(window) per refresh, still never a feed re-scan).
-    supports_streaming: ClassVar[bool] = False
-
-    def summarize_streaming(
-        self, stats: StreamingSeriesStats
-    ) -> tuple[np.ndarray, bool]:
-        """``(features, is_negotiable)`` from incremental window state.
-
-        The streaming counterpart of :meth:`summarize`: instead of
-        re-scanning a series, evaluate the same statistic from a
-        :class:`~repro.telemetry.streaming.StreamingSeriesStats`
-        maintained in O(1) per sample.  Exact for the AUC, outlier
-        and STL summarizers; within the quantile sketch's documented
-        rank error for the thresholding algorithm.
-        """
-        raise NotImplementedError(
-            f"summarizer {self.name!r} has no streaming evaluation; "
-            "every built-in summarizer supports live profiling -- custom "
-            "summarizers must implement summarize_streaming (and set "
-            "supports_streaming) to opt in"
-        )
 
     #: Whether :meth:`summarize_batch` is implemented.  Batched
     #: profiling (the fleet fit path's columnar aggregation tail)
@@ -166,32 +139,6 @@ class ThresholdingSummarizer(NegotiabilitySummarizer):
         fraction = self.near_peak_fraction(series)
         return np.array([fraction]), fraction < self.rho
 
-    supports_streaming: ClassVar[bool] = True
-
-    def near_peak_fraction_streaming(self, stats: StreamingSeriesStats) -> float:
-        """Near-peak fraction from incremental window state.
-
-        Peak and spread are exact (monotonic deque / running moments);
-        the rank query runs on the window's quantile sketch and
-        inherits its two error terms: compression error (only
-        *upward* -- conservative, never negotiates away sustained
-        demand) and, transiently after a level shift, the
-        block-eviction coverage overhang, which can pull the fraction
-        toward the pre-shift level by up to ``block_size / window``
-        (~12.5 % at the adaptive default for windows >= 64 samples;
-        see :class:`StreamingSeriesStats`) until the stale block
-        expires.  Steady-state feeds see compression error only.
-        """
-        peak = stats.max
-        spread = stats.std
-        if spread == 0:
-            return 1.0
-        return stats.fraction_at_least(peak - self.window_sigmas * spread)
-
-    def summarize_streaming(self, stats: StreamingSeriesStats) -> tuple[np.ndarray, bool]:
-        fraction = self.near_peak_fraction_streaming(stats)
-        return np.array([fraction]), fraction < self.rho
-
     supports_batch: ClassVar[bool] = True
 
     def near_peak_fraction_batch(self, values: np.ndarray) -> np.ndarray:
@@ -238,24 +185,6 @@ class MinMaxAucSummarizer(NegotiabilitySummarizer):
 
     def summarize(self, series: TimeSeries) -> tuple[np.ndarray, bool]:
         auc = self.auc(series)
-        return np.array([auc]), auc > self.cutoff
-
-    supports_streaming: ClassVar[bool] = True
-
-    def auc_streaming(self, stats: StreamingSeriesStats) -> float:
-        """Closed-form windowed AUC: ``1 - (mean - min) / (max - min)``.
-
-        ``ecdf_auc(minmax_scale(x)) == 1 - mean((x - min)/(max - min))``,
-        which distributes over the running moments, so the streaming
-        value is exact up to running-sum float drift.
-        """
-        spread = stats.max - stats.min
-        if spread <= 0:
-            return 1.0  # constant window: minmax_scale maps to zeros
-        return 1.0 - (stats.mean - stats.min) / spread
-
-    def summarize_streaming(self, stats: StreamingSeriesStats) -> tuple[np.ndarray, bool]:
-        auc = self.auc_streaming(stats)
         return np.array([auc]), auc > self.cutoff
 
     supports_batch: ClassVar[bool] = True
@@ -311,31 +240,6 @@ class MaxAucSummarizer(NegotiabilitySummarizer):
 
     def summarize(self, series: TimeSeries) -> tuple[np.ndarray, bool]:
         auc = self.auc(series)
-        return np.array([auc]), auc > self.cutoff
-
-    supports_streaming: ClassVar[bool] = True
-
-    def auc_streaming(self, stats: StreamingSeriesStats) -> float:
-        """Closed-form windowed AUC: ``1 - mean / max``.
-
-        Matches ``ecdf_auc(max_scale(x))`` exactly for the
-        non-negative counter streams the collector emits; a window
-        containing negative samples raises, mirroring the batch
-        path's normalization check, so exact and streaming profile
-        modes never silently diverge.
-        """
-        peak = stats.max
-        if peak <= 0:
-            return 1.0  # all-idle window: max_scale maps to zeros
-        if stats.min < 0:
-            raise ValueError(
-                f"max-scale AUC needs non-negative samples; window min is "
-                f"{stats.min:.4g}"
-            )
-        return 1.0 - stats.mean / peak
-
-    def summarize_streaming(self, stats: StreamingSeriesStats) -> tuple[np.ndarray, bool]:
-        auc = self.auc_streaming(stats)
         return np.array([auc]), auc > self.cutoff
 
     supports_batch: ClassVar[bool] = True
@@ -399,31 +303,6 @@ class OutlierSummarizer(NegotiabilitySummarizer):
         fraction = outlier_fraction(series.values, n_sigma=self.n_sigma)
         return np.array([fraction]), fraction > self.cutoff
 
-    supports_streaming: ClassVar[bool] = True
-
-    def outlier_fraction_streaming(self, stats: StreamingSeriesStats) -> float:
-        """3-sigma upward-outlier share from incremental window state.
-
-        The batch statistic is a pure rank query -- the fraction of
-        samples at least ``mean + n_sigma * std`` (upward excursions
-        only, matching :func:`~repro.ml.outliers.outlier_fraction`'s
-        default) -- so it rides the window's quantile sketch directly:
-        mean and spread are exact running moments, and the rank query
-        inherits the sketch's documented error terms (compression
-        error under-counts ranks only, plus the transient one-block
-        coverage overhang after level shifts; see
-        :class:`~repro.telemetry.streaming.StreamingSeriesStats`).
-        A constant window has zero outliers, exactly as in batch.
-        """
-        spread = stats.std
-        if spread == 0:
-            return 0.0
-        return stats.fraction_at_least(stats.mean + self.n_sigma * spread)
-
-    def summarize_streaming(self, stats: StreamingSeriesStats) -> tuple[np.ndarray, bool]:
-        fraction = self.outlier_fraction_streaming(stats)
-        return np.array([fraction]), fraction > self.cutoff
-
     supports_batch: ClassVar[bool] = True
 
     def outlier_fraction_batch(self, values: np.ndarray) -> np.ndarray:
@@ -462,16 +341,6 @@ class StlSummarizer(NegotiabilitySummarizer):
     therefore additionally requires the residual to be *large* relative
     to the demand level (coefficient of variation above
     ``min_variation``) before calling the dimension negotiable.
-
-    Streaming evaluation materializes the ring buffer's window
-    (:meth:`~repro.telemetry.streaming.StreamingSeriesStats.window_values`)
-    and runs the same decomposition over it: the LOESS-style smoothing
-    couples *every* window sample to every other, so the statistic
-    cannot reduce to the O(1) moment/extreme/rank state the other
-    summarizers evaluate from.  The refresh is therefore O(window) --
-    bounded and re-scan-free (the window is already resident), just
-    not constant -- and byte-identical to batch profiling over the
-    same window.
 
     Attributes:
         period_samples: Seasonal period in samples (one day at the
@@ -519,19 +388,6 @@ class StlSummarizer(NegotiabilitySummarizer):
         )
         return np.array([score]), negotiable
 
-    supports_streaming: ClassVar[bool] = True
-
-    def summarize_streaming(self, stats: StreamingSeriesStats) -> tuple[np.ndarray, bool]:
-        """Decompose the materialized window: exact batch parity.
-
-        O(window) per refresh rather than O(1) -- the seasonal-trend
-        decomposition has no incremental form -- but the chronological
-        window copy comes straight from the ring buffer, so live
-        profiling still never re-scans the feed.
-        """
-        series = TimeSeries(values=stats.window_values())
-        return self.summarize(series)
-
 
 @dataclass(frozen=True)
 class CombinedSummarizer(NegotiabilitySummarizer):
@@ -557,16 +413,6 @@ class CombinedSummarizer(NegotiabilitySummarizer):
     def summarize(self, series: TimeSeries) -> tuple[np.ndarray, bool]:
         auc_features, auc_negotiable = self.auc.summarize(series)
         threshold_features, threshold_negotiable = self.thresholding.summarize(series)
-        return (
-            np.concatenate([auc_features, threshold_features]),
-            auc_negotiable and threshold_negotiable,
-        )
-
-    supports_streaming: ClassVar[bool] = True
-
-    def summarize_streaming(self, stats: StreamingSeriesStats) -> tuple[np.ndarray, bool]:
-        auc_features, auc_negotiable = self.auc.summarize_streaming(stats)
-        threshold_features, threshold_negotiable = self.thresholding.summarize_streaming(stats)
         return (
             np.concatenate([auc_features, threshold_features]),
             auc_negotiable and threshold_negotiable,

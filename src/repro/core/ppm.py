@@ -595,13 +595,15 @@ class PricePerformanceModeler:
     ) -> PricePerformanceCurve:
         """Fit the candidates to the trace, then assemble its curve.
 
-        The one assembly path of every curve builder (single trace,
-        columnar batch, live refresh): keep the candidates that hold
-        the data at 100 % (storage is never negotiable), restrict MI to
-        Business Critical when the Step-1 layout misses the IOPS
-        coverage, and assemble the survivors -- already in catalog
-        (price) order -- with the probabilities ``probabilities_of``
-        returns for their candidate indices.
+        The assembly path of :meth:`build_curve`,
+        :meth:`build_curve_from_probabilities` and the columnar
+        :meth:`build_curves_batch` (live refreshes assemble a whole
+        block at once in :meth:`build_curves_from_probabilities`): keep
+        the candidates that hold the data at 100 % (storage is never
+        negotiable), restrict MI to Business Critical when the Step-1
+        layout misses the IOPS coverage, and assemble the survivors --
+        already in catalog (price) order -- with the probabilities
+        ``probabilities_of`` returns for their candidate indices.
         """
         footprint = self._storage_footprint(trace)
         mask = state.max_data_size_gb >= footprint

@@ -18,14 +18,13 @@ the normative source because the group scores depend on it.)
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Literal, Mapping, Sequence
+from typing import Iterable, Literal, Sequence
 
 import numpy as np
 
 from ..ml.hierarchical import agglomerative
 from ..ml.kmeans import kmeans
 from ..telemetry.counters import PerfDimension
-from ..telemetry.streaming import StreamingSeriesStats
 from ..telemetry.trace import PerformanceTrace
 from .negotiability import NegotiabilitySummarizer, ThresholdingSummarizer
 
@@ -114,48 +113,6 @@ class CustomerProfiler:
                 dimensions.
         """
         return self.profile_batch((trace,))[0]
-
-    def profile_streaming(
-        self,
-        stats_by_dimension: Mapping[PerfDimension, StreamingSeriesStats],
-        entity_id: str = "stream",
-    ) -> CustomerProfile:
-        """Profile from incremental window state instead of a trace.
-
-        The O(1)-per-refresh profiling path of the live recommender:
-        each profiled dimension's summary comes from a
-        :class:`~repro.telemetry.streaming.StreamingSeriesStats`
-        maintained sample-by-sample, so no counter window is
-        re-scanned.  Accuracy follows the summarizer's
-        ``summarize_streaming`` contract (exact for the AUC, outlier
-        and STL summarizers, sketch rank error for thresholding).
-
-        Raises:
-            KeyError: If a profiled dimension has no streaming stats.
-            NotImplementedError: If the summarizer has no streaming
-                evaluation (``supports_streaming`` is False).
-        """
-        negotiable = []
-        features = []
-        for dim in self.dimensions:
-            try:
-                stats = stats_by_dimension[dim]
-            except KeyError:
-                raise KeyError(
-                    f"no streaming stats for profiled dimension {dim.name}; "
-                    f"available: {[d.name for d in stats_by_dimension]}"
-                ) from None
-            dim_features, dim_negotiable = self.summarizer.summarize_streaming(stats)
-            negotiable.append(dim_negotiable)
-            features.append(dim_features)
-        key = tuple(0 if flag else 1 for flag in negotiable)
-        return CustomerProfile(
-            entity_id=entity_id,
-            dimensions=self.dimensions,
-            negotiable=tuple(negotiable),
-            features=np.concatenate(features),
-            group_key=key,
-        )
 
     def profile_batch(
         self, traces: Sequence[PerformanceTrace]

@@ -242,7 +242,7 @@ class AssessmentPipeline:
         ingests one counter sample at a time and re-assesses only on
         drift.  Extra keyword arguments pass through to
         :class:`~repro.streaming.live.LiveRecommender` (drift
-        threshold, warm-up length, dimensions, profile mode).
+        threshold, warm-up length, dimensions).
         """
         return LiveRecommender(
             self.engine,
@@ -290,10 +290,9 @@ class AssessmentPipeline:
         routing over the consistent-hash shard ring, and refresh
         events stream back in feed order.  The whole watch surface
         (window, drift threshold, warm-up length, ``refreshes_only``,
-        ``profile_mode``, backend selection, the elastic
-        ``rebalance`` / ``on_rebalance`` / ``tick_samples`` knobs, and
-        durable checkpointing) rides in one
-        :class:`~repro.fleet.config.WatchConfig`.
+        backend selection, the elastic ``rebalance`` / ``on_rebalance``
+        / ``tick_samples`` knobs, and durable checkpointing) rides in
+        one :class:`~repro.fleet.config.WatchConfig`.
 
         Args:
             samples: The fleet-wide telemetry feed, in arrival order.

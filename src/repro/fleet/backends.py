@@ -268,17 +268,11 @@ class ShardAssessmentConfig:
     drift_threshold: float
     min_refresh_samples: int
     refreshes_only: bool
-    profile_mode: str
 
     def __post_init__(self) -> None:
         # LiveRecommender.validate_config is the single source of
         # truth for these constraints and their messages.
-        LiveRecommender.validate_config(
-            self.window,
-            self.min_refresh_samples,
-            self.profile_mode,
-            self.engine.summarizer,
-        )
+        LiveRecommender.validate_config(self.window, self.min_refresh_samples)
 
 
 class _NoCurveCache:
@@ -336,7 +330,6 @@ class _WatchShard:
             drift_threshold=config.drift_threshold,
             min_refresh_samples=config.min_refresh_samples,
             entity_id=customer_id,
-            profile_mode=config.profile_mode,
         )
 
     def process(

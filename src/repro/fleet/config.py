@@ -25,10 +25,11 @@ API surface.
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Literal
+from dataclasses import InitVar, dataclass
+from typing import TYPE_CHECKING, Callable
 
 from ..faults import FaultPlan
+from ..streaming.live import warn_profile_mode
 from ..telemetry.streaming import DEFAULT_STREAM_WINDOW
 from ..telemetry.timeseries import DEFAULT_SAMPLE_INTERVAL_MINUTES
 from .rebalance import RebalanceEvent, RebalancePolicy
@@ -206,8 +207,6 @@ class WatchConfig:
             recommendation (library default when None).
         refreshes_only: Yield only refresh events (the default) or
             every observed sample.
-        profile_mode: Per-customer profiling strategy on refresh; see
-            :class:`~repro.streaming.live.LiveRecommender`.
         backend: Execution backend for the watch (``serial`` or
             ``process``); None defers to the owning
             :class:`~repro.fleet.engine.FleetEngine`.
@@ -238,6 +237,10 @@ class WatchConfig:
     sample list and gets result columns back, both over its worker
     queues (:mod:`repro.fleet.arena`); state handoffs cross the same
     queues as plain pickles.
+
+    Every refresh profiles the window it holds.  ``profile_mode="exact"``
+    (here and in :meth:`replace`) is accepted for one release behind a
+    ``DeprecationWarning``; any other mode raises ``ValueError``.
     """
 
     window: int = DEFAULT_STREAM_WINDOW
@@ -245,7 +248,6 @@ class WatchConfig:
     drift_threshold: float | None = None
     min_refresh_samples: int | None = None
     refreshes_only: bool = True
-    profile_mode: Literal["exact", "streaming"] = "exact"
     backend: "FleetBackend | None" = None
     max_workers: int | None = None
     rebalance: RebalancePolicy | None = None
@@ -253,12 +255,15 @@ class WatchConfig:
     tick_samples: int | None = None
     checkpoint: CheckpointConfig | None = None
     supervision: SupervisionConfig | None = None
+    profile_mode: InitVar[str | None] = None
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, profile_mode: str | None) -> None:
+        if profile_mode is not None:
+            warn_profile_mode(profile_mode, stacklevel=4)
         # Engine-independent validation happens here so a bad config
         # fails where it is built; engine-dependent checks (backend
-        # name, window vs. warm-up, summarizer streaming support) stay
-        # in ``watch_fleet``, which has the engine in hand.
+        # name, window vs. warm-up) stay in ``watch_fleet``, which has
+        # the engine in hand.
         if self.rebalance is not None and not isinstance(self.rebalance, RebalancePolicy):
             raise ValueError(
                 f"rebalance must be a RebalancePolicy or None, got {self.rebalance!r}"
@@ -278,6 +283,9 @@ class WatchConfig:
 
     def replace(self, **changes) -> "WatchConfig":
         """A copy of this config with the given fields replaced."""
+        profile_mode = changes.pop("profile_mode", None)
+        if profile_mode is not None:
+            warn_profile_mode(profile_mode, stacklevel=3)
         return dataclasses.replace(self, **changes)
 
     @classmethod

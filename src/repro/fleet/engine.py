@@ -739,11 +739,11 @@ class FleetEngine:
         Library defaults for the drift threshold and warm-up length
         are filled in here; constructing the
         :class:`~repro.fleet.backends.ShardAssessmentConfig` also runs
-        the assessment-parameter validation (window vs. warm-up,
-        profile mode vs. summarizer), so both the watch and the
-        serving tier fail fast on a bad config.  ``refreshes_only``
-        overrides the config's flag when given (the serving tier
-        forces it off: every observe call needs an answer).
+        the assessment-parameter validation (window vs. warm-up), so
+        both the watch and the serving tier fail fast on a bad config.
+        ``refreshes_only`` overrides the config's flag when given (the
+        serving tier forces it off: every observe call needs an
+        answer).
         """
         drift_threshold = config.drift_threshold
         if drift_threshold is None:
@@ -760,7 +760,6 @@ class FleetEngine:
             refreshes_only=(
                 config.refreshes_only if refreshes_only is None else refreshes_only
             ),
-            profile_mode=config.profile_mode,
         )
 
     @staticmethod

@@ -38,12 +38,11 @@ class ServeConfig:
             Buffered samples replay through the rebuilt shard; beyond
             the bound observes are rejected with a retry-after.
         watch: Per-customer live-assessment parameters for the observe
-            path (window, cadence, drift threshold, warm-up,
-            ``profile_mode``).  Execution fields (``backend``,
-            ``max_workers``, the rebalance surface) and
-            ``refreshes_only`` are ignored: the service is its own
-            execution substrate, and every observe call answers with
-            that sample's outcome.
+            path (window, cadence, drift threshold, warm-up).
+            Execution fields (``backend``, ``max_workers``, the
+            rebalance surface) and ``refreshes_only`` are ignored: the
+            service is its own execution substrate, and every observe
+            call answers with that sample's outcome.
         host: Bind address for :func:`repro.serve.http.serve`.
         port: Bind port; 0 picks a free one.
 

@@ -1,11 +1,11 @@
 """Request-level metrics for the serving tier.
 
 Percentile tracking rides the repo's own
-:class:`~repro.ml.sketch.MergingQuantileSketch` (whole-stream mode)
-instead of keeping every latency sample: a serving process answering
-millions of requests must account for its tail in O(compressed
-blocks) memory, and the sketch's rank error is far below the
-run-to-run noise of any latency measurement.
+:class:`~repro.ml.sketch.MergingQuantileSketch` instead of keeping
+every latency sample: a serving process answering millions of
+requests must account for its tail in O(compressed blocks) memory,
+and the sketch's rank error is far below the run-to-run noise of any
+latency measurement.
 
 Everything here is synchronous and lock-free on purpose: recorders
 are only touched from the event-loop thread, so plain attributes are
@@ -32,7 +32,7 @@ class LatencyRecorder:
     """Streaming latency percentiles, recorded in seconds, read in ms."""
 
     def __init__(self) -> None:
-        self._sketch = MergingQuantileSketch(window=None)
+        self._sketch = MergingQuantileSketch()
         self.count = 0
         self.total_seconds = 0.0
         self.max_seconds = 0.0

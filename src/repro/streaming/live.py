@@ -13,9 +13,8 @@ window counts divided by the window length, bit-for-bit the batch
 statistic -- so it never re-scans the window for throttling; it only
 fits the candidates to the window's storage footprint and assembles
 the curve, against capacities memoized once per engine and
-deployment.  In ``exact`` profile mode the refresh's window snapshot
-is one checked matrix copy and its profile one summarizer broadcast
-over the snapshot's rows
+deployment.  The refresh's window snapshot is one checked matrix copy
+and its profile one summarizer broadcast over the snapshot's rows
 (:meth:`~repro.core.profiler.CustomerProfiler.profile_batch`).
 
 The loop is columnar across streams.  :meth:`LiveRecommender.ingest_many`
@@ -49,8 +48,9 @@ against rebuild-per-sample.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
-from typing import Literal, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from ..catalog.models import DeploymentType
 from ..core.engine import DopplerEngine
@@ -59,12 +59,7 @@ from ..core.ppm import MiStoragePlan, gp_iops_overrides
 from ..core.throttling import EmpiricalThrottlingEstimator
 from ..core.types import DopplerRecommendation
 from ..telemetry.counters import DB_DIMENSIONS, MI_DIMENSIONS, PerfDimension
-from ..telemetry.streaming import (
-    DEFAULT_STREAM_WINDOW,
-    StreamingSeriesStats,
-    StreamingTraceBuilder,
-    parse_samples,
-)
+from ..telemetry.streaming import DEFAULT_STREAM_WINDOW, StreamingTraceBuilder, parse_samples
 from ..telemetry.timeseries import DEFAULT_SAMPLE_INTERVAL_MINUTES
 from ..telemetry.trace import PerformanceTrace
 from .drift import DEFAULT_DRIFT_THRESHOLD, DriftDetector, DriftReport
@@ -117,12 +112,12 @@ class LiveAssessmentState:
     restores, checkpoints and resumes -- which it crosses as a plain
     pickle.  It holds everything one customer's assessment has
     accumulated that cannot be derived -- the window's samples,
-    per-SKU violation counts, the drift rebase point, streaming
-    profile stats, the recommendation in force -- *without* the engine
-    it runs against.  A receiving worker constructs an identically
-    configured :class:`LiveRecommender` around its own engine and
-    calls :meth:`LiveRecommender.restore_state`; the restored loop
-    continues the stream exactly where the source left off.
+    per-SKU violation counts, the drift rebase point, the
+    recommendation in force -- *without* the engine it runs against.
+    A receiving worker constructs an identically configured
+    :class:`LiveRecommender` around its own engine and calls
+    :meth:`LiveRecommender.restore_state`; the restored loop continues
+    the stream exactly where the source left off.
 
     Derivable state stays out: the estimator's violation ring is
     rebuilt on restore from the window samples and the capacity
@@ -130,6 +125,12 @@ class LiveAssessmentState:
     curve pickles its candidate SKUs by catalog reference.  Reading a
     snapshot therefore needs an engine over the same catalog in the
     reading process.
+
+    Snapshots stored by code that still had a streaming profile mode
+    decode too.  A restore reads none of their sliding profile stats:
+    the restored loop profiles the window it holds from its next
+    refresh on, and the stored recommendation stays in force until
+    then.
 
     The sharded fleet watch does not ship state in steady operation
     (sticky routing keeps each customer on one worker for a watch's
@@ -143,15 +144,10 @@ class LiveAssessmentState:
             check).
         window: Assessment window length (check).
         dimensions: Ingested counter dimensions, in ring order (check).
-        profile_mode: Profiling strategy (check; streaming profile
-            stats only exist in ``streaming`` mode).
         entity_id: The assessed customer.
         builder: :meth:`~repro.telemetry.streaming.StreamingTraceBuilder.state_dict`.
         estimator: :meth:`~repro.core.incremental.IncrementalThrottlingEstimator.state_dict`.
         detector: :meth:`~repro.streaming.drift.DriftDetector.state_dict`.
-        profile_stats: Per-dimension
-            :meth:`~repro.telemetry.streaming.StreamingSeriesStats.state_dict`
-            snapshots (empty in ``exact`` mode).
         recommendation: The recommendation in force, if any.
         n_refreshes: Full re-assessments performed so far.
         epoch: Migration epoch of the source recommender at snapshot
@@ -164,12 +160,10 @@ class LiveAssessmentState:
     deployment_value: str
     window: int
     dimensions: tuple[PerfDimension, ...]
-    profile_mode: str
     entity_id: str
     builder: dict
     estimator: dict
     detector: dict
-    profile_stats: tuple[tuple[PerfDimension, dict], ...]
     recommendation: DopplerRecommendation | None
     n_refreshes: int
     epoch: int = 0
@@ -203,14 +197,11 @@ class LiveRecommender:
         detector: The drift detector gating refreshes.
         min_refresh_samples: Warm-up length before the first
             recommendation.
-        profile_mode: ``exact`` re-profiles the window snapshot on
-            every refresh (the batch path's summarizers, O(window));
-            ``streaming`` profiles from per-dimension
-            :class:`~repro.telemetry.streaming.StreamingSeriesStats`
-            maintained in O(1) per sample -- exact for the AUC
-            summarizers, within the quantile sketch's documented rank
-            error for thresholding.  Requires a summarizer with
-            ``supports_streaming``.
+
+    Every refresh profiles the window snapshot it holds, through the
+    batch path's summarizers.  ``profile_mode="exact"`` is accepted
+    for one release behind a ``DeprecationWarning``; any other mode
+    raises ``ValueError``.
     """
 
     def __init__(
@@ -223,9 +214,11 @@ class LiveRecommender:
         drift_threshold: float = DEFAULT_DRIFT_THRESHOLD,
         min_refresh_samples: int = DEFAULT_MIN_REFRESH_SAMPLES,
         entity_id: str = "live",
-        profile_mode: Literal["exact", "streaming"] = "exact",
+        profile_mode: str | None = None,
     ) -> None:
-        self.validate_config(window, min_refresh_samples, profile_mode, engine.summarizer)
+        if profile_mode is not None:
+            warn_profile_mode(profile_mode, stacklevel=3)
+        self.validate_config(window, min_refresh_samples)
         curve_dimensions = (
             DB_DIMENSIONS if deployment is DeploymentType.SQL_DB else MI_DIMENSIONS
         )
@@ -269,28 +262,9 @@ class LiveRecommender:
         # The next refresh's inputs (or the error taking the window
         # raised), staged by _stage; every ingested sample drops them.
         self._staged: tuple | Exception | None = None
-        self.profile_mode = profile_mode
-        self._profile_columns: tuple[tuple[int, StreamingSeriesStats], ...] = ()
-        self._profile_stats: dict[PerfDimension, StreamingSeriesStats] = {}
-        if profile_mode == "streaming":
-            profiled = engine.profiler_for(deployment).dimensions
-            self._profile_stats = {
-                dim: StreamingSeriesStats(window=window)
-                for dim in profiled
-                if dim in dimensions
-            }
-            self._profile_columns = tuple(
-                (dimensions.index(dim), stats)
-                for dim, stats in self._profile_stats.items()
-            )
 
     @staticmethod
-    def validate_config(
-        window: int,
-        min_refresh_samples: int,
-        profile_mode: str,
-        summarizer=None,
-    ) -> None:
+    def validate_config(window: int, min_refresh_samples: int) -> None:
         """Validate live-assessment parameters; the single source of truth.
 
         Shared between the constructor and fleet-watch configuration
@@ -302,9 +276,6 @@ class LiveRecommender:
             window: Sliding assessment window, in samples.
             min_refresh_samples: Warm-up length before the first
                 recommendation.
-            profile_mode: ``exact`` or ``streaming``.
-            summarizer: When given and ``profile_mode`` is
-                ``streaming``, must advertise ``supports_streaming``.
 
         Raises:
             ValueError: On any violated constraint.
@@ -313,23 +284,12 @@ class LiveRecommender:
             raise ValueError(
                 f"min_refresh_samples must be >= 1, got {min_refresh_samples!r}"
             )
-        if profile_mode not in ("exact", "streaming"):
-            raise ValueError(f"unknown profile mode {profile_mode!r}")
         if window < min_refresh_samples:
             # The warm-up gate compares against n_window, which never
             # exceeds the window: a smaller window would wait forever.
             raise ValueError(
                 f"window ({window}) must be >= min_refresh_samples "
                 f"({min_refresh_samples}), or no recommendation is ever issued"
-            )
-        if (
-            profile_mode == "streaming"
-            and summarizer is not None
-            and not getattr(summarizer, "supports_streaming", False)
-        ):
-            raise ValueError(
-                f"summarizer {summarizer.name!r} has no streaming "
-                "evaluation; use profile_mode='exact'"
             )
 
     # ------------------------------------------------------------------
@@ -371,8 +331,6 @@ class LiveRecommender:
         row = self.builder.append(sample)
         self._staged = None
         self.estimator.update_vector(row)
-        for column, stats in self._profile_columns:
-            stats.update(row[column])
         if self.builder.n_window < self.min_refresh_samples:
             return False, None
         if self._recommendation is None:
@@ -434,8 +392,6 @@ class LiveRecommender:
                 live = recommenders[index]
                 live.builder.append_row(row)
                 live._staged = None
-                for column, stats in live._profile_columns:
-                    stats.update(row[column])
                 estimators.append(live.estimator)
             IncrementalThrottlingEstimator.update_rows(estimators, rows)
             checked: list[int] = []
@@ -473,7 +429,7 @@ class LiveRecommender:
         curves built from the window counts come from one
         :meth:`~repro.core.ppm.PricePerformanceModeler.build_curves_from_probabilities`
         pass over the stacked ``counts / n_window`` rows, and the
-        ``exact``-mode profiles from one
+        profiles from one
         :meth:`~repro.core.engine.DopplerEngine.profile_many` call (one
         ``profile_batch``), each byte-identical to one stream at a
         time.  A failure stays with its own stream: the result,
@@ -497,8 +453,7 @@ class LiveRecommender:
         Sets ``_staged`` on every recommender: the exception taking
         its window raised, or ``(trace, probabilities, curve,
         profile)``, where the curve or the profile may be the
-        exception building it raised and the profile is None in
-        ``streaming`` mode.
+        exception building it raised.
         """
         groups: dict[tuple[int, DeploymentType], list[tuple]] = {}
         for live in recommenders:
@@ -512,12 +467,7 @@ class LiveRecommender:
             )
         for (_, deployment), members in groups.items():
             engine = members[0][0].engine
-            profiles: list = [None] * len(members)
-            exact = [i for i, member in enumerate(members) if member[0].profile_mode == "exact"]
-            if exact:
-                profiled = engine.profile_many([(deployment, members[i][1]) for i in exact])
-                for i, profile in zip(exact, profiled):
-                    profiles[i] = profile
+            profiles = engine.profile_many([(deployment, trace) for _, trace, _ in members])
             probabilities = IncrementalThrottlingEstimator.probabilities_rows(
                 [live.estimator for live, _, _ in members]
             )
@@ -571,9 +521,9 @@ class LiveRecommender:
         layout changed (MI streaming parity: drift detection and the
         curve see the same capacities, at the cost of one window
         replay per layout change).  Under :meth:`refresh_many` the
-        window, its estimates, curve and ``exact`` profile (or the
-        errors building them raised) come staged from the batched
-        passes; alone, the refresh stages them for itself.
+        window, its estimates, curve and profile (or the errors
+        building them raised) come staged from the batched passes;
+        alone, the refresh stages them for itself.
         """
         if self._staged is None:
             LiveRecommender._stage((self,))
@@ -585,10 +535,6 @@ class LiveRecommender:
             raise curve
         if isinstance(profile, Exception):
             raise profile
-        if self.profile_mode == "streaming":
-            profile = self.engine.profiler_for(self.deployment).profile_streaming(
-                self._profile_stats, entity_id=self.builder.entity_id
-            )
         self._recommendation = self.engine.recommend(
             trace, self.deployment, curve=curve, profile=profile
         )
@@ -618,14 +564,10 @@ class LiveRecommender:
             deployment_value=self.deployment.value,
             window=self.builder.window,
             dimensions=self.builder.dimensions,
-            profile_mode=self.profile_mode,
             entity_id=self.builder.entity_id,
             builder=self.builder.state_dict(),
             estimator=self.estimator.state_dict(),
             detector=self.detector.state_dict(),
-            profile_stats=tuple(
-                (dim, stats.state_dict()) for dim, stats in self._profile_stats.items()
-            ),
             recommendation=self._recommendation,
             n_refreshes=self._n_refreshes,
             epoch=self._state_epoch,
@@ -635,9 +577,9 @@ class LiveRecommender:
         """Adopt a :meth:`snapshot_state` snapshot; the inverse operation.
 
         The receiving recommender must be constructed with the same
-        deployment, window, dimensions and profile mode as the source
-        (the snapshot carries them for verification); the engine is
-        this instance's own.
+        deployment, window and dimensions as the source (the snapshot
+        carries them for verification); the engine is this instance's
+        own.
 
         Restores are additionally *epoch-guarded* for migration
         safety: each restore leaves this recommender one epoch past
@@ -656,7 +598,6 @@ class LiveRecommender:
                 ("deployment", state.deployment_value, self.deployment.value),
                 ("window", state.window, self.builder.window),
                 ("dimensions", state.dimensions, self.builder.dimensions),
-                ("profile_mode", state.profile_mode, self.profile_mode),
             )
             if theirs != ours
         ]
@@ -680,17 +621,6 @@ class LiveRecommender:
             state.estimator, self.builder.snapshot() if self.builder.n_seen else None
         )
         self.detector.load_state(state.detector)
-        if self.profile_mode == "streaming":
-            snapshot_stats = dict(state.profile_stats)
-            if set(snapshot_stats) != set(self._profile_stats):
-                raise ValueError(
-                    "live state snapshot profiles "
-                    f"{sorted(dim.name for dim in snapshot_stats)}; this "
-                    "recommender profiles "
-                    f"{sorted(dim.name for dim in self._profile_stats)}"
-                )
-            for dim, stats in self._profile_stats.items():
-                stats.load_state(snapshot_stats[dim])
         self._recommendation = state.recommendation
         self._n_refreshes = state.n_refreshes
         self._state_epoch = state.epoch + 1
@@ -738,23 +668,39 @@ def unflatten_state(skeleton: dict, arrays: list) -> LiveAssessmentState:
     calls this for the blobs stores already hold, in both the layout
     that carries the estimator's violation ring and the ring-free one.
     Every array is copied out, so the rebuilt state owns its buffers.
+    The sliding profile stats of a streaming-mode skeleton are not
+    read: the restored loop profiles its window.
     """
     return LiveAssessmentState(
         deployment_value=skeleton["deployment_value"],
         window=skeleton["window"],
         dimensions=skeleton["dimensions"],
-        profile_mode=skeleton["profile_mode"],
         entity_id=skeleton["entity_id"],
         builder=StreamingTraceBuilder.state_from_arrays(skeleton["builder"], arrays),
         estimator=IncrementalThrottlingEstimator.state_from_arrays(
             skeleton["estimator"], arrays
         ),
         detector=DriftDetector.state_from_arrays(skeleton["detector"], arrays),
-        profile_stats=tuple(
-            (dim, StreamingSeriesStats.state_from_arrays(stats_skeleton, arrays))
-            for dim, stats_skeleton in skeleton["profile_stats"]
-        ),
         recommendation=skeleton["recommendation"],
         n_refreshes=skeleton["n_refreshes"],
         epoch=skeleton["epoch"],
+    )
+
+
+def warn_profile_mode(profile_mode: str, stacklevel: int) -> None:
+    """The one-release shim of the removed ``profile_mode=`` keyword.
+
+    ``"exact"``, the only mode left, is accepted behind a
+    ``DeprecationWarning``; any other mode raises.
+    """
+    if profile_mode != "exact":
+        raise ValueError(
+            f"profile mode {profile_mode!r} was removed: every refresh "
+            "profiles the window it holds"
+        )
+    warnings.warn(
+        "profile_mode= is deprecated and ignored: every refresh profiles "
+        "the window it holds",
+        DeprecationWarning,
+        stacklevel=stacklevel,
     )

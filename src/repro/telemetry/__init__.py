@@ -24,7 +24,7 @@ from .serialize import (
     trace_to_csv,
     trace_to_dict,
 )
-from .streaming import DEFAULT_STREAM_WINDOW, StreamingSeriesStats, StreamingTraceBuilder
+from .streaming import DEFAULT_STREAM_WINDOW, StreamingTraceBuilder
 from .timeseries import DEFAULT_SAMPLE_INTERVAL_MINUTES, TimeSeries
 from .trace import PerformanceTrace
 
@@ -52,7 +52,6 @@ __all__ = [
     "trace_to_dict",
     "DEFAULT_SAMPLE_INTERVAL_MINUTES",
     "DEFAULT_STREAM_WINDOW",
-    "StreamingSeriesStats",
     "StreamingTraceBuilder",
     "TimeSeries",
     "PerformanceTrace",

@@ -11,20 +11,35 @@ stream.
   its recommendation's curve pickles the deployment's 276 candidate
   SKUs by value.  Written by commit 1884422, the last one with that
   format.
-* ``tests/data/live_state_w24_dsf1_exact.bin`` and
-  ``live_state_w24_dsf1_streaming.bin`` (``exact``, ``streaming``): the
-  ring-free ``DSF1`` blobs stored after that and before blobs became
-  plain pickles, one per ``profile_mode``.  No violation ring, and the
-  curve pickles its candidates by catalog reference.  Written by
-  commit fb15a56, the last one with that format.
+* ``tests/data/live_state_w24_dsf1_exact.bin`` (``exact``): the
+  ring-free ``DSF1`` blob stored after that and before blobs became
+  plain pickles.  No violation ring, and the curve pickles its
+  candidates by catalog reference.  Written by commit fb15a56, the
+  last one with that format.
+* ``tests/data/live_state_w24_dsf1_streaming.bin``: the same format,
+  written by commit fb15a56 in the streaming profile mode (the blob
+  carries the sliding profile stats and quantile sketches that mode
+  kept).
+* ``tests/data/live_state_w24_pickle_streaming.bin``: a plain pickle
+  written in the streaming profile mode by commit 54b9a98, the last
+  one with that mode.
 
-Regenerate a fixture only with the code that wrote it::
+This script regenerates only the two exact-mode fixtures, each with
+the code that wrote it::
 
     mkdir -p /tmp/repro-1884422 /tmp/repro-fb15a56
     git archive 1884422 src | tar -x -C /tmp/repro-1884422
     git archive fb15a56 src | tar -x -C /tmp/repro-fb15a56
     PYTHONPATH=/tmp/repro-1884422/src python tests/legacy_state_fixture.py legacy
-    PYTHONPATH=/tmp/repro-fb15a56/src python tests/legacy_state_fixture.py exact streaming
+    PYTHONPATH=/tmp/repro-fb15a56/src python tests/legacy_state_fixture.py exact
+
+The streaming-mode fixtures need this script as of commit 54b9a98,
+whose ``fixture_recommender`` still passed ``profile_mode``.  From a
+``git archive 54b9a98 src tests`` checkout, the ``DSF1`` one is
+``PYTHONPATH=/tmp/repro-fb15a56/src python tests/legacy_state_fixture.py
+streaming``, and the plain pickle is that checkout's own
+``encode_state`` of ``fixture_recommender(engine, "streaming")`` after
+``fixture_feed()[:N_HEAD]``.
 """
 
 from __future__ import annotations
@@ -42,10 +57,12 @@ from repro.telemetry import PerfDimension
 
 DATA = Path(__file__).resolve().parent / "data"
 FIXTURE = DATA / "live_state_w24_legacy.bin"
-#: The ring-free ``DSF1`` fixtures, by profile mode.
-RING_FREE_FIXTURES = {
-    "exact": DATA / "live_state_w24_dsf1_exact.bin",
-    "streaming": DATA / "live_state_w24_dsf1_streaming.bin",
+#: The ring-free ``DSF1`` fixture, written in exact profile mode.
+RING_FREE_FIXTURE = DATA / "live_state_w24_dsf1_exact.bin"
+#: Blobs written in the removed streaming profile mode, by format.
+STREAMING_FIXTURES = {
+    "dsf1": DATA / "live_state_w24_dsf1_streaming.bin",
+    "pickle": DATA / "live_state_w24_pickle_streaming.bin",
 }
 WINDOW = 24
 #: Samples observed before the snapshot: past the window, so the ring
@@ -72,29 +89,25 @@ def fixture_feed() -> list[dict[PerfDimension, float]]:
     return samples
 
 
-def fixture_recommender(
-    engine: DopplerEngine, profile_mode: str = "exact"
-) -> LiveRecommender:
+def fixture_recommender(engine: DopplerEngine) -> LiveRecommender:
     return LiveRecommender(
         engine,
         DeploymentType.SQL_DB,
         window=WINDOW,
         min_refresh_samples=8,
-        profile_mode=profile_mode,
         entity_id="legacy-cust",
     )
 
 
 def main(argv: list[str]) -> None:
-    paths = {"legacy": FIXTURE, **RING_FREE_FIXTURES}
+    paths = {"legacy": FIXTURE, "exact": RING_FREE_FIXTURE}
     names = argv or ["legacy"]
     unknown = sorted(set(names) - set(paths))
     if unknown:
         raise SystemExit(f"unknown fixture {unknown}; choose from {sorted(paths)}")
     engine = DopplerEngine(catalog=SkuCatalog.default())
     for name in names:
-        profile_mode = "exact" if name == "legacy" else name
-        live = fixture_recommender(engine, profile_mode)
+        live = fixture_recommender(engine)
         for sample in fixture_feed()[:N_HEAD]:
             live.observe(sample)
         path = paths[name]

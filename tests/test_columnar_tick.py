@@ -150,7 +150,6 @@ def watch_lines(engine, feed, streams, window, min_refresh, tick) -> list[str]:
             drift_threshold=DEFAULT_DRIFT_THRESHOLD,
             min_refresh_samples=min_refresh,
             refreshes_only=False,
-            profile_mode="exact",
         )
     )
     shard.restore_records(

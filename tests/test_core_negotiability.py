@@ -123,3 +123,13 @@ class TestRegistry:
         for ts in (SPIKY, PLATEAU, DIURNAL):
             features = summarizer.features(ts)
             assert np.all(np.isfinite(features))
+
+    def test_summarize_one_pass_matches_two_pass_for_all_summarizers(self):
+        from repro.core.negotiability import ALL_SUMMARIZERS
+
+        rng = np.random.default_rng(13)
+        series = TimeSeries(values=np.abs(rng.normal(5.0, 3.0, 300)))
+        for summarizer in ALL_SUMMARIZERS:
+            features, negotiable = summarizer.summarize(series)
+            np.testing.assert_array_equal(features, summarizer.features(series))
+            assert negotiable == summarizer.is_negotiable(series)

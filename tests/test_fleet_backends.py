@@ -26,7 +26,6 @@ from repro.core.negotiability import (
     CombinedSummarizer,
     MaxAucSummarizer,
     MinMaxAucSummarizer,
-    OutlierSummarizer,
     StlSummarizer,
     ThresholdingSummarizer,
 )
@@ -45,7 +44,6 @@ from repro.simulation import FleetConfig, simulate_fleet
 from repro.streaming import LiveRecommender
 from repro.telemetry import PerfDimension, TimeSeries
 from repro.telemetry.counters import PROFILING_DB_DIMENSIONS
-from repro.telemetry.streaming import StreamingSeriesStats
 
 from .conftest import full_trace
 
@@ -177,25 +175,6 @@ class TestBackendSelection:
             fleet.watch_fleet([], config=WatchConfig(window=4, min_refresh_samples=12))
         with pytest.raises(ValueError, match="profile mode"):
             fleet.watch_fleet([], config=WatchConfig(profile_mode="psychic"))
-
-    def test_streaming_profile_mode_checked_against_summarizer(self, small_catalog):
-        class OpaqueSummarizer(StlSummarizer):
-            name = "opaque"
-            supports_streaming = False
-
-        engine = DopplerEngine(catalog=small_catalog, summarizer=OpaqueSummarizer())
-        fleet = FleetEngine(engine=engine, backend="serial")
-        with pytest.raises(ValueError, match="no streaming"):
-            fleet.watch_fleet([], config=WatchConfig(profile_mode="streaming"))
-
-    def test_stl_summarizer_accepted_in_streaming_mode(self, small_catalog):
-        # Incremental STL landed: all six paper summarizers stream.
-        engine = DopplerEngine(catalog=small_catalog, summarizer=StlSummarizer())
-        fleet = FleetEngine(engine=engine, backend="serial")
-        assert (
-            list(fleet.watch_fleet([], config=WatchConfig(profile_mode="streaming")))
-            == []
-        )
 
 
 # ----------------------------------------------------------------------
@@ -410,10 +389,7 @@ class TestLiveStateHandoff:
             for update in updates
         ]
 
-    @pytest.mark.parametrize("profile_mode", ["exact", "streaming"])
-    def test_restored_assessment_continues_identically(
-        self, profile_mode, small_catalog
-    ):
+    def test_restored_assessment_continues_identically(self, small_catalog):
         engine = DopplerEngine(catalog=small_catalog)
         rng = np.random.default_rng(70)
         feed = live_samples(16, rng) + live_samples(16, rng, scale=4.0)
@@ -424,7 +400,6 @@ class TestLiveStateHandoff:
                 DeploymentType.SQL_DB,
                 window=16,
                 min_refresh_samples=8,
-                profile_mode=profile_mode,
             )
 
         reference = fresh()
@@ -502,15 +477,6 @@ class TestLiveStateHandoff:
         )
         with pytest.raises(ValueError, match="window"):
             other_window.restore_state(state)
-        other_mode = LiveRecommender(
-            engine,
-            DeploymentType.SQL_DB,
-            window=16,
-            min_refresh_samples=8,
-            profile_mode="streaming",
-        )
-        with pytest.raises(ValueError, match="profile_mode"):
-            other_mode.restore_state(state)
 
     def test_whole_recommender_pickles(self, small_catalog):
         engine = DopplerEngine(catalog=small_catalog)
@@ -690,60 +656,6 @@ class TestProfileBatch:
             assert other.count == stats.count
             assert other.p_mean == stats.p_mean
         assert columnar_model.fallback.p_mean == reference_model.fallback.p_mean
-
-
-# ----------------------------------------------------------------------
-# Streaming outlier summarizer
-# ----------------------------------------------------------------------
-class TestOutlierStreaming:
-    def test_supports_streaming_flag(self):
-        # Since the incremental STL evaluation landed, every built-in
-        # summarizer streams.
-        for summarizer in (
-            OutlierSummarizer,
-            StlSummarizer,
-            ThresholdingSummarizer,
-            MaxAucSummarizer,
-            MinMaxAucSummarizer,
-            CombinedSummarizer,
-        ):
-            assert summarizer.supports_streaming, summarizer.name
-
-    def test_matches_batch_within_sketch_tolerance(self):
-        rng = np.random.default_rng(80)
-        window = 512
-        values = np.abs(rng.normal(10.0, 2.0, size=window))
-        values[rng.choice(window, size=6, replace=False)] *= 5.0  # spikes
-        summarizer = OutlierSummarizer()
-        stats = StreamingSeriesStats(window=window)
-        stats.extend(values)
-        series = TimeSeries(values=values, interval_minutes=10.0)
-        batch_features, batch_negotiable = summarizer.summarize(series)
-        stream_features, stream_negotiable = summarizer.summarize_streaming(stats)
-        # Documented sketch rank error (1/63) plus block overhang slack.
-        assert abs(stream_features[0] - batch_features[0]) < 0.05
-        assert stream_negotiable == batch_negotiable
-
-    def test_constant_window_has_zero_outliers(self):
-        stats = StreamingSeriesStats(window=64)
-        stats.extend(np.full(64, 3.5))
-        summarizer = OutlierSummarizer()
-        features, negotiable = summarizer.summarize_streaming(stats)
-        assert features[0] == 0.0
-        assert not negotiable
-
-    def test_drives_live_streaming_profile_mode(self, small_catalog):
-        engine = DopplerEngine(catalog=small_catalog, summarizer=OutlierSummarizer())
-        live = LiveRecommender(
-            engine,
-            DeploymentType.SQL_DB,
-            window=16,
-            min_refresh_samples=8,
-            profile_mode="streaming",
-        )
-        rng = np.random.default_rng(81)
-        updates = [live.observe(sample) for sample in live_samples(16, rng)]
-        assert updates[-1].recommendation is not None
 
 
 # ----------------------------------------------------------------------

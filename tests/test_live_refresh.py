@@ -11,8 +11,10 @@ tuple rather than per customer and per refresh.
 
 from __future__ import annotations
 
+import asyncio
 import pickle
 import sys
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -24,6 +26,7 @@ from repro.core import throttling
 from repro.fleet import FleetEngine, FleetSample, WatchConfig
 from repro.fleet.backends import ShardAssessmentConfig, _WatchShard
 from repro.fleet.cache import CurveCacheStats
+from repro.serve import RecommendationService
 from repro.streaming import LiveRecommender
 from repro.telemetry import PerfDimension, TimeSeries
 from repro.telemetry.counters import DB_DIMENSIONS, MI_DIMENSIONS
@@ -279,7 +282,6 @@ class TestNonFiniteWindowAfterLoad:
             drift_threshold=0.02,
             min_refresh_samples=8,
             refreshes_only=False,
-            profile_mode="exact",
         )
         feeds = {"poisoned": db_feed(12, seed=41), "healthy": db_feed(12, seed=42)}
 
@@ -325,7 +327,6 @@ class TestCapacityBuilds:
             drift_threshold=0.02,
             min_refresh_samples=8,
             refreshes_only=False,
-            profile_mode="exact",
         )
         streams = {}
         for index in range(16):
@@ -388,3 +389,49 @@ class TestDeprecations:
         engine = DopplerEngine(catalog=small_catalog)
         with pytest.raises(TypeError, match="cache"):
             LiveRecommender(engine, DB, window=16, min_refresh_samples=8, cache=object())
+
+    def profile_mode_spellings(self, small_catalog, mode):
+        engine = DopplerEngine(catalog=small_catalog)
+        return {
+            "WatchConfig": lambda: WatchConfig(profile_mode=mode),
+            "WatchConfig.replace": lambda: WatchConfig().replace(profile_mode=mode),
+            "LiveRecommender": lambda: LiveRecommender(
+                engine, DB, window=16, min_refresh_samples=8, profile_mode=mode
+            ),
+        }
+
+    def test_profile_mode_exact_warns_once_per_spelling(self, small_catalog):
+        for name, spell in self.profile_mode_spellings(small_catalog, "exact").items():
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                built = spell()
+            assert [warning.category for warning in caught] == [DeprecationWarning], name
+            assert "profile_mode" in str(caught[0].message), name
+            assert caught[0].filename == __file__, name  # the caller's line
+            if isinstance(built, WatchConfig):
+                assert built == WatchConfig()
+
+    @pytest.mark.parametrize("mode", ["streaming", "bogus"])
+    def test_profile_mode_other_than_exact_raises(self, small_catalog, mode):
+        for name, spell in self.profile_mode_spellings(small_catalog, mode).items():
+            with pytest.raises(ValueError, match=f"profile mode '{mode}' was removed"):
+                spell()
+
+    def test_library_defaults_pass_no_profile_mode(self, small_catalog):
+        """A default recommender, serial watch and service never warn."""
+        feed = [
+            FleetSample(f"cust-{index % 3}", sample)
+            for index, sample in enumerate(live_samples(48, np.random.default_rng(8)))
+        ]
+        fleet = FleetEngine(engine=DopplerEngine(catalog=small_catalog), backend="serial")
+
+        async def serve():
+            async with RecommendationService(fleet) as service:
+                return [await service.observe(sample) for sample in feed]
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            live = LiveRecommender(fleet.engine, DB)
+            assert any(live.observe(sample.values).refreshed for sample in feed)
+            assert list(fleet.watch_fleet(feed))
+            assert len(asyncio.run(serve())) == len(feed)

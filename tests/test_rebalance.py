@@ -232,34 +232,6 @@ class TestMigrationParity:
         assert stats.n_resizes == 2
         assert stats.n_migrations > 0
 
-    @pytest.mark.parametrize("backend,workers", BACKENDS)
-    def test_streaming_profile_mode_survives_migration(
-        self, backend, workers, small_catalog
-    ):
-        """Migrated `StreamingSeriesStats` keep profiling identically."""
-        fleet = FleetEngine(engine=DopplerEngine(catalog=small_catalog), backend="serial")
-        feed = interleaved_feed(5, 20, seed=98)
-        config = WATCH_CONFIG.replace(profile_mode="streaming")
-        serial = canonical_updates(fleet.watch_fleet(feed, config=config))
-        schedule = {
-            3: RebalanceDecision(resize_to=max(2, workers or 2)),
-            6: RebalanceDecision(
-                migrations=(Migration("cust-0", 1), Migration("cust-3", 0))
-            ),
-        }
-        sharded = canonical_updates(
-            fleet.watch_fleet(
-                feed,
-                config=config.replace(
-                    backend=backend,
-                    max_workers=workers,
-                    rebalance=ScheduledRebalancePolicy(schedule=schedule),
-                    tick_samples=4,
-                ),
-            )
-        )
-        assert sharded == serial
-
     def test_unconsumed_watch_spawns_no_workers(self, small_catalog):
         """Creating (and abandoning) a watch generator is free.
 

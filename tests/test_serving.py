@@ -876,7 +876,6 @@ class TestWatchConfigShim:
             "rebalance",
             "on_rebalance",
             "tick_samples",
-            "profile_mode",
         ):
             assert legacy in names
 

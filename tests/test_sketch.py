@@ -1,4 +1,4 @@
-"""Quantile sketches and streaming series stats: documented error bounds."""
+"""The merging quantile sketch: documented error bounds."""
 
 from __future__ import annotations
 
@@ -7,14 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.negotiability import (
-    MaxAucSummarizer,
-    MinMaxAucSummarizer,
-    StlSummarizer,
-    ThresholdingSummarizer,
-)
 from repro.ml.sketch import MergingQuantileSketch
-from repro.telemetry import StreamingSeriesStats, TimeSeries
 
 
 def rank_tolerance(sketch: MergingQuantileSketch) -> float:
@@ -27,18 +20,17 @@ class TestMergingQuantileSketch:
     @given(
         seed=st.integers(min_value=0, max_value=2**32 - 1),
         n=st.integers(min_value=1, max_value=3000),
-        window=st.one_of(st.none(), st.integers(min_value=16, max_value=1200)),
         scale=st.floats(min_value=1e-3, max_value=1e6, allow_nan=False),
     )
-    def test_cdf_within_documented_bound(self, seed, n, window, scale):
+    def test_cdf_within_documented_bound(self, seed, n, scale):
         rng = np.random.default_rng(seed)
         stream = rng.lognormal(0.0, 1.0, n) * scale
-        sketch = MergingQuantileSketch(window=window)
+        sketch = MergingQuantileSketch()
         sketch.extend(stream)
-        covered = stream[-sketch.n :]
+        assert sketch.n == n
         bound = rank_tolerance(sketch) + 1e-12
-        for threshold in np.quantile(covered, [0.0, 0.1, 0.5, 0.9, 0.99, 1.0]):
-            exact = float(np.mean(covered <= threshold))
+        for threshold in np.quantile(stream, [0.0, 0.1, 0.5, 0.9, 0.99, 1.0]):
+            exact = float(np.mean(stream <= threshold))
             assert abs(sketch.cdf(threshold) - exact) <= bound
 
     @settings(max_examples=30, deadline=None)
@@ -60,15 +52,6 @@ class TestMergingQuantileSketch:
         # the sketch tolerance.
         assert rank_below - bound <= q <= rank_at_or_below + bound
 
-    def test_window_coverage_bounds(self):
-        sketch = MergingQuantileSketch(window=100, block_size=64)
-        for index in range(1000):
-            sketch.update(float(index))
-            if index + 1 >= 100:
-                assert 100 <= sketch.n <= 100 + 64 - 1
-        # Coverage is the newest samples: nothing below the horizon.
-        assert sketch.cdf(1000 - sketch.n - 1) <= rank_tolerance(sketch)
-
     def test_fraction_at_least_is_conservative(self):
         rng = np.random.default_rng(7)
         stream = rng.normal(0.0, 1.0, 2000)
@@ -88,8 +71,6 @@ class TestMergingQuantileSketch:
         assert sketch.n == 0  # nothing was absorbed
 
     def test_validation(self):
-        with pytest.raises(ValueError, match="window"):
-            MergingQuantileSketch(window=0)
         with pytest.raises(ValueError, match="block_size"):
             MergingQuantileSketch(block_size=1)
         with pytest.raises(ValueError, match="compression"):
@@ -102,137 +83,3 @@ class TestMergingQuantileSketch:
         sketch.update(1.0)
         with pytest.raises(ValueError, match="quantile"):
             sketch.quantile(1.5)
-
-
-class TestStreamingSeriesStats:
-    def exact_window(self, stream: np.ndarray, window: int) -> np.ndarray:
-        return stream[-window:]
-
-    @settings(max_examples=25, deadline=None)
-    @given(
-        seed=st.integers(min_value=0, max_value=2**32 - 1),
-        n=st.integers(min_value=1, max_value=2500),
-        window=st.integers(min_value=8, max_value=600),
-    )
-    def test_moments_and_extremes_match_window_exactly(self, seed, n, window):
-        rng = np.random.default_rng(seed)
-        stream = np.abs(rng.normal(10.0, 5.0, n))
-        stats = StreamingSeriesStats(window=window)
-        stats.extend(stream)
-        exact = self.exact_window(stream, window)
-        assert stats.n == len(exact)
-        assert stats.max == exact.max()
-        assert stats.min == exact.min()
-        np.testing.assert_allclose(stats.mean, exact.mean(), rtol=1e-9)
-        np.testing.assert_allclose(stats.std, exact.std(), rtol=0, atol=1e-7)
-
-    def test_near_peak_fraction_within_sketch_bound(self):
-        rng = np.random.default_rng(3)
-        window = 500
-        stream = np.abs(rng.normal(10.0, 5.0, 2000))
-        stats = StreamingSeriesStats(window=window)
-        summarizer = ThresholdingSummarizer()
-        stats.extend(stream)
-        exact_series = TimeSeries(values=self.exact_window(stream, window))
-        exact = summarizer.near_peak_fraction(exact_series)
-        streamed = summarizer.near_peak_fraction_streaming(stats)
-        # Sketch rank error plus the one-block coverage overhang.
-        assert abs(streamed - exact) <= 1.0 / 63 + 0.02
-
-    def test_auc_summarizers_match_exactly(self):
-        rng = np.random.default_rng(11)
-        window = 400
-        stream = np.abs(rng.normal(5.0, 3.0, 1500))
-        stats = StreamingSeriesStats(window=window)
-        stats.extend(stream)
-        series = TimeSeries(values=self.exact_window(stream, window))
-        for summarizer in (MinMaxAucSummarizer(), MaxAucSummarizer()):
-            features, negotiable = summarizer.summarize_streaming(stats)
-            exact_features, exact_negotiable = summarizer.summarize(series)
-            np.testing.assert_allclose(features, exact_features, rtol=1e-9)
-            assert negotiable == exact_negotiable
-
-    def test_constant_series_edge_cases(self):
-        stats = StreamingSeriesStats(window=64)
-        stats.extend(np.full(32, 7.0))
-        assert ThresholdingSummarizer().near_peak_fraction_streaming(stats) == 1.0
-        assert MinMaxAucSummarizer().auc_streaming(stats) == 1.0
-        zero_stats = StreamingSeriesStats(window=64)
-        zero_stats.extend(np.zeros(16))
-        assert MaxAucSummarizer().auc_streaming(zero_stats) == 1.0
-
-    def test_validation(self):
-        with pytest.raises(ValueError, match="window"):
-            StreamingSeriesStats(window=0)
-        stats = StreamingSeriesStats(window=8)
-        with pytest.raises(ValueError, match="non-finite"):
-            stats.update(float("nan"))
-        with pytest.raises(ValueError, match="no samples"):
-            _ = stats.mean
-
-    def test_unsupported_summarizer_raises(self):
-        from repro.core.negotiability import NegotiabilitySummarizer
-
-        # All six built-ins stream now (STL was the last holdout), so
-        # the unsupported path needs a custom summarizer.
-        class OpaqueSummarizer(NegotiabilitySummarizer):
-            name = "opaque"
-
-            def features(self, series):  # pragma: no cover - unused
-                return np.zeros(1)
-
-            def is_negotiable(self, series):  # pragma: no cover - unused
-                return True
-
-        assert StlSummarizer.supports_streaming
-        assert not OpaqueSummarizer.supports_streaming
-        stats = StreamingSeriesStats(window=16)
-        stats.update(1.0)
-        with pytest.raises(NotImplementedError, match="streaming"):
-            OpaqueSummarizer().summarize_streaming(stats)
-
-    def test_block_size_adapts_to_window(self):
-        assert StreamingSeriesStats(window=1008)._sketch.block_size == 126
-        assert StreamingSeriesStats(window=64)._sketch.block_size == 8
-        assert StreamingSeriesStats(window=16)._sketch.block_size == 8
-        assert StreamingSeriesStats(window=10_000)._sketch.block_size == 256
-        assert StreamingSeriesStats(window=500, sketch_block_size=32)._sketch.block_size == 32
-
-    def test_summarize_one_pass_matches_two_pass_for_all_summarizers(self):
-        from repro.core.negotiability import ALL_SUMMARIZERS
-
-        rng = np.random.default_rng(13)
-        series = TimeSeries(values=np.abs(rng.normal(5.0, 3.0, 300)))
-        for summarizer in ALL_SUMMARIZERS:
-            features, negotiable = summarizer.summarize(series)
-            np.testing.assert_array_equal(features, summarizer.features(series))
-            assert negotiable == summarizer.is_negotiable(series)
-
-    def test_supports_streaming_is_not_a_dataclass_field(self):
-        """ClassVar regression: the flag must not enter init/eq/repr."""
-        import dataclasses
-
-        for summarizer_type in (
-            ThresholdingSummarizer,
-            MinMaxAucSummarizer,
-            MaxAucSummarizer,
-        ):
-            field_names = {f.name for f in dataclasses.fields(summarizer_type)}
-            assert "supports_streaming" not in field_names
-
-    def test_max_auc_streaming_rejects_negatives_like_batch(self):
-        """Parity regression: both profile paths fail on negative samples."""
-        values = np.array([-1.0, 2.0, 5.0])
-        stats = StreamingSeriesStats(window=8)
-        stats.extend(values)
-        summarizer = MaxAucSummarizer()
-        with pytest.raises(ValueError):
-            summarizer.auc(TimeSeries(values=values))
-        with pytest.raises(ValueError, match="non-negative"):
-            summarizer.auc_streaming(stats)
-        # All-negative windows map to zeros in both paths (no error).
-        all_negative = np.array([-3.0, -1.0])
-        negative_stats = StreamingSeriesStats(window=8)
-        negative_stats.extend(all_negative)
-        assert summarizer.auc(TimeSeries(values=all_negative)) == 1.0
-        assert summarizer.auc_streaming(negative_stats) == 1.0

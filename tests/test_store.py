@@ -642,6 +642,29 @@ def stream_outcome(update):
     )
 
 
+def update_outcome(update):
+    """Every field of a live update, the recommendation's profile included."""
+    rec = update.recommendation
+    drift = update.drift
+    return (
+        update.n_seen,
+        update.n_window,
+        update.refreshed,
+        None if drift is None else (repr(drift.max_divergence), drift.worst_sku, drift.drifted),
+        None
+        if rec is None
+        else (
+            rec.sku.name,
+            rec.strategy,
+            repr(rec.expected_throttling),
+            repr(rec.target_probability),
+            rec.profile.group_key,
+            rec.profile.features.tobytes(),
+            rec.curve.points,
+        ),
+    )
+
+
 class TestDerivableState:
     def test_blob_holds_no_ring_and_references_the_catalog(self, small_catalog):
         from repro.store.persistence import encode_state
@@ -699,17 +722,14 @@ class TestDerivableState:
 
         assert len(encode_state(restored.snapshot_state())) < len(blob) // 2
 
-    @pytest.mark.parametrize("profile_mode", ["exact", "streaming"])
-    def test_ring_free_dsf1_blob_restores_and_continues_identically(
-        self, profile_mode, default_catalog
-    ):
+    def test_ring_free_dsf1_blob_restores_and_continues_identically(self, default_catalog):
         """A ring-free array-framed blob still decodes and resumes exactly.
 
-        ``tests/data/live_state_w24_dsf1_{exact,streaming}.bin`` were
-        written by commit fb15a56, the last one whose ``encode_state``
-        framed arrays (``DSF1``).  Unlike ``live_state_w24_legacy.bin``
-        they carry no ring and pickle curves by catalog reference;
-        ``tests/legacy_state_fixture.py`` says how to regenerate them.
+        ``tests/data/live_state_w24_dsf1_exact.bin`` was written by
+        commit fb15a56, the last one whose ``encode_state`` framed
+        arrays (``DSF1``).  Unlike ``live_state_w24_legacy.bin`` it
+        carries no ring and pickles curves by catalog reference;
+        ``tests/legacy_state_fixture.py`` says how to regenerate it.
         """
         import dataclasses
 
@@ -717,47 +737,34 @@ class TestDerivableState:
 
         from .legacy_state_fixture import (
             N_HEAD,
-            RING_FREE_FIXTURES,
+            RING_FREE_FIXTURE,
             WINDOW,
             fixture_feed,
             fixture_recommender,
         )
 
-        blob = RING_FREE_FIXTURES[profile_mode].read_bytes()
+        blob = RING_FREE_FIXTURE.read_bytes()
         assert blob[:4] == STATE_FRAME_MAGIC
         assert b"has_ring" not in blob and b"_from_reference" in blob
         engine = DopplerEngine(catalog=default_catalog)
         state = decode_state(blob, customer_id="legacy-cust")
-        assert state.window == WINDOW and state.profile_mode == profile_mode
+        assert state.window == WINDOW
         assert "ring" not in state.estimator
-        assert bool(state.profile_stats) == (profile_mode == "streaming")
         assert state.recommendation is not None
 
         feed = fixture_feed()
-        reference = fixture_recommender(engine, profile_mode)
+        reference = fixture_recommender(engine)
         expected = [stream_outcome(reference.observe(sample)) for sample in feed]
         # The blob holds what this code snapshots at the same point.
-        head = fixture_recommender(engine, profile_mode)
+        head = fixture_recommender(engine)
         for sample in feed[:N_HEAD]:
             head.observe(sample)
         fresh = head.snapshot_state()
-
-        def field_bytes(snapshot, name):
-            value = getattr(snapshot, name)
-            if name == "profile_stats":
-                # Per value, by key: whole-tuple bytes differ by memo
-                # sharing and dict order alone.
-                value = [
-                    (dim, sorted((key, pickle.dumps(item)) for key, item in stats.items()))
-                    for dim, stats in value
-                ]
-            return pickle.dumps(value)
-
         for field in dataclasses.fields(state):
-            assert field_bytes(state, field.name) == field_bytes(fresh, field.name), (
-                field.name
-            )
-        restored = fixture_recommender(engine, profile_mode)
+            assert pickle.dumps(getattr(state, field.name)) == pickle.dumps(
+                getattr(fresh, field.name)
+            ), field.name
+        restored = fixture_recommender(engine)
         restored.restore_state(state)
         assert restored.builder.n_seen == N_HEAD
         tail = [stream_outcome(restored.observe(sample)) for sample in feed[N_HEAD:]]
@@ -765,8 +772,70 @@ class TestDerivableState:
         with pytest.raises(StoreCorruptionError, match="legacy-cust"):
             decode_state(blob[: len(blob) // 2], customer_id="legacy-cust")
 
-    @pytest.mark.parametrize("profile_mode", ["exact", "streaming"])
-    def test_identical_streams_encode_identical_bytes(self, profile_mode, small_catalog):
+    @pytest.mark.parametrize("fixture", ["dsf1", "pickle"])
+    def test_streaming_mode_blob_resumes_in_exact_mode(self, fixture, default_catalog):
+        """A blob stored in the removed streaming profile mode still resumes.
+
+        ``tests/data/live_state_w24_dsf1_streaming.bin`` (commit
+        fb15a56, array-framed) and ``live_state_w24_pickle_streaming.bin``
+        (commit 54b9a98, a plain pickle) also carry the sliding profile
+        stats that mode kept.  Both modes refresh on the same samples,
+        so each blob decodes to what an exact-mode loop snapshots at
+        the same point, bar the recommendation, which was profiled
+        from those stats.  Restored, that recommendation stays in force
+        until the next refresh, and from then on the stream is the
+        exact-mode one.
+        """
+        from repro.store.persistence import STATE_FRAME_MAGIC, decode_state
+
+        from .legacy_state_fixture import (
+            N_HEAD,
+            STREAMING_FIXTURES,
+            fixture_feed,
+            fixture_recommender,
+        )
+
+        blob = STREAMING_FIXTURES[fixture].read_bytes()
+        assert (blob[:4] == STATE_FRAME_MAGIC) == (fixture == "dsf1")
+        assert b"profile_stats" in blob
+        engine = DopplerEngine(catalog=default_catalog)
+        state = decode_state(blob, customer_id="legacy-cust")
+        assert state.recommendation is not None
+
+        feed = fixture_feed()
+        head = fixture_recommender(engine)
+        for sample in feed[:N_HEAD]:
+            head.observe(sample)
+        fresh = head.snapshot_state()
+        for name in (
+            "deployment_value",
+            "window",
+            "dimensions",
+            "entity_id",
+            "builder",
+            "estimator",
+            "detector",
+            "epoch",
+            "n_refreshes",
+        ):
+            assert pickle.dumps(getattr(state, name)) == pickle.dumps(
+                getattr(fresh, name)
+            ), name
+
+        reference = fixture_recommender(engine)
+        expected = [update_outcome(reference.observe(sample)) for sample in feed]
+        restored = fixture_recommender(engine)
+        restored.restore_state(state)
+        assert restored.recommendation is state.recommendation
+        updates = [restored.observe(sample) for sample in feed[N_HEAD:]]
+        first = next(index for index, update in enumerate(updates) if update.refreshed)
+        assert all(update.recommendation is state.recommendation for update in updates[:first])
+        tail = [update_outcome(update) for update in updates[first:]]
+        assert tail == expected[N_HEAD + first :]
+        with pytest.raises(StoreCorruptionError, match="legacy-cust"):
+            decode_state(blob[: len(blob) // 2], customer_id="legacy-cust")
+
+    def test_identical_streams_encode_identical_bytes(self, small_catalog):
         """A partly filled window stores no leftover heap bytes.
 
         Window slots no sample reached yet are zeros, so two
@@ -788,7 +857,6 @@ class TestDerivableState:
                 DB,
                 window=64,
                 min_refresh_samples=8,
-                profile_mode=profile_mode,
             )
             for sample in feed:
                 live.observe(sample)

@@ -7,7 +7,7 @@ import pickle
 import numpy as np
 import pytest
 
-from repro.catalog import DeploymentType, ServiceTier
+from repro.catalog import DeploymentType, ServiceTier, SkuCatalog
 from repro.core import DopplerEngine, EmpiricalThrottlingEstimator
 from repro.core.incremental import IncrementalThrottlingEstimator
 from repro.core.throttling import (
@@ -28,7 +28,7 @@ from repro.telemetry import (
 from repro.telemetry.counters import DB_DIMENSIONS, MI_DIMENSIONS
 from repro.telemetry.streaming import parse_sample
 
-from .conftest import make_sku
+from .conftest import make_sku, make_trace
 
 CPU = PerfDimension.CPU
 MEMORY = PerfDimension.MEMORY
@@ -852,3 +852,92 @@ class TestUpdateVectorMatchesViolationRows:
             samples, MI_DIMENSIONS, capacity_matrix(skus, MI_DIMENSIONS, iops_overrides=overrides)
         )
         np.testing.assert_array_equal(target._ring[: len(samples)], expected)
+
+
+def db_sample(rng, index: int, scale: float = 1.0):
+    return {
+        PerfDimension.CPU: float(scale * abs(rng.normal(2.0, 0.8))),
+        PerfDimension.MEMORY: float(scale * abs(rng.normal(8.0, 2.0))),
+        PerfDimension.IOPS: float(scale * abs(rng.normal(300.0, 120.0))),
+        PerfDimension.IO_LATENCY: float(abs(rng.normal(6.0, 1.0)) + 0.3),
+        PerfDimension.LOG_RATE: float(scale * abs(rng.normal(2.5, 0.8))),
+        PerfDimension.STORAGE: 120.0 + index * 0.1,
+    }
+
+
+class TestMiStreamingParity:
+    def test_refresh_folds_layout_override_into_estimator(self, small_catalog=None):
+        catalog = SkuCatalog.default()
+        engine = DopplerEngine(catalog=catalog)
+        rng = np.random.default_rng(2)
+        live = LiveRecommender(
+            engine, DeploymentType.SQL_MI, window=128, min_refresh_samples=12
+        )
+        for index in range(48):
+            live.observe(db_sample(rng, index))
+        assert live.n_refreshes >= 1
+        overrides = live.estimator.iops_overrides
+        assert overrides, "MI refresh must install the layout's GP IOPS override"
+        candidates = list(catalog.for_deployment(DeploymentType.SQL_MI))
+        gp_names = {
+            sku.name for sku in candidates if sku.tier is ServiceTier.GENERAL_PURPOSE
+        }
+        assert set(overrides) == gp_names
+
+    def test_incremental_matches_batch_estimator_with_overrides(self):
+        """The ROADMAP regression test: parity against the batch path."""
+        catalog = SkuCatalog.default()
+        engine = DopplerEngine(catalog=catalog)
+        rng = np.random.default_rng(4)
+        live = LiveRecommender(
+            engine, DeploymentType.SQL_MI, window=96, min_refresh_samples=12
+        )
+        for index in range(72):
+            live.observe(db_sample(rng, index, scale=1.0 + index / 24.0))
+        trace = live.builder.snapshot()
+        candidates = list(catalog.for_deployment(DeploymentType.SQL_MI))
+        batch = EmpiricalThrottlingEstimator().probabilities(
+            trace,
+            candidates,
+            MI_DIMENSIONS,
+            iops_overrides=live.estimator.iops_overrides,
+        )
+        np.testing.assert_allclose(
+            live.estimator.probabilities(), batch, rtol=0, atol=1e-12
+        )
+
+    def test_rebase_capacity_equals_fresh_construction(self):
+        skus = [make_sku(2, name="a"), make_sku(8, name="b")]
+        dims = (PerfDimension.CPU, PerfDimension.MEMORY, PerfDimension.IOPS)
+        rng = np.random.default_rng(6)
+        n = 40
+        trace = make_trace(
+            np.abs(rng.normal(2.0, 1.0, n)),
+            memory_gb=np.abs(rng.normal(8.0, 3.0, n)),
+            data_iops=np.abs(rng.normal(500.0, 200.0, n)),
+            entity_id="rebase",
+        )
+        estimator = IncrementalThrottlingEstimator.from_trace(
+            trace, skus, dims, window=32
+        )
+        overrides = {"a": 120.0, "b": 5000.0}
+        estimator.rebase_capacity(overrides, trace)
+        fresh = IncrementalThrottlingEstimator.from_trace(
+            trace, skus, dims, window=32, iops_overrides=overrides
+        )
+        np.testing.assert_array_equal(
+            estimator.probabilities(), fresh.probabilities()
+        )
+        assert estimator.iops_overrides == overrides
+
+    def test_rebase_without_trace_rejected_once_ingested(self):
+        skus = [make_sku(2, name="a")]
+        dims = (PerfDimension.CPU,)
+        estimator = IncrementalThrottlingEstimator(skus, dims, window=8)
+        estimator.update({PerfDimension.CPU: 1.0})
+        with pytest.raises(ValueError, match="rebase_capacity"):
+            estimator.rebase_capacity({"a": 10.0})
+        # Before any ingestion a trace-less rebase is fine.
+        fresh = IncrementalThrottlingEstimator(skus, dims, window=8)
+        fresh.rebase_capacity({"a": 10.0})
+        assert fresh.iops_overrides == {"a": 10.0}

@@ -142,7 +142,7 @@ def fitted_engine(catalog) -> DopplerEngine:
     return engine
 
 
-def new_live(engine, customer_id: str, profile_mode: str) -> LiveRecommender:
+def new_live(engine, customer_id: str) -> LiveRecommender:
     deployment, dimensions = RESTORED[customer_id]
     return LiveRecommender(
         engine,
@@ -151,11 +151,10 @@ def new_live(engine, customer_id: str, profile_mode: str) -> LiveRecommender:
         dimensions=dimensions,
         min_refresh_samples=MIN_REFRESH,
         entity_id=customer_id,
-        profile_mode=profile_mode,
     )
 
 
-def seeded_store(path, engine, profile_mode: str, n_shards: int) -> FleetStore:
+def seeded_store(path, engine, n_shards: int) -> FleetStore:
     """A store whose checkpoint (nothing consumed yet) holds the
     restored customers' fresh state."""
     store = FleetStore(str(path))
@@ -167,7 +166,7 @@ def seeded_store(path, engine, profile_mode: str, n_shards: int) -> FleetStore:
         overrides={},
         records=[
             CustomerStateRecord(
-                customer_id, new_live(engine, customer_id, profile_mode).snapshot_state()
+                customer_id, new_live(engine, customer_id).snapshot_state()
             )
             for customer_id in sorted(RESTORED)
         ],
@@ -210,7 +209,7 @@ def fleet_lines(updates) -> list[str]:
     ]
 
 
-def bare_lines(engine, feed, profile_mode: str, refreshes_only: bool) -> list[str]:
+def bare_lines(engine, feed, refreshes_only: bool) -> list[str]:
     """The reference: one ``LiveRecommender.observe`` per sample."""
     lives: dict[str, LiveRecommender] = {}
     quarantined: set[str] = set()
@@ -222,7 +221,7 @@ def bare_lines(engine, feed, profile_mode: str, refreshes_only: bool) -> list[st
         live = lives.get(customer_id)
         if live is None:
             if customer_id in RESTORED:
-                live = new_live(engine, customer_id, profile_mode)
+                live = new_live(engine, customer_id)
             else:
                 live = LiveRecommender(
                     engine,
@@ -230,7 +229,6 @@ def bare_lines(engine, feed, profile_mode: str, refreshes_only: bool) -> list[st
                     window=WINDOW,
                     min_refresh_samples=MIN_REFRESH,
                     entity_id=customer_id,
-                    profile_mode=profile_mode,
                 )
             lives[customer_id] = live
         try:
@@ -245,22 +243,16 @@ def bare_lines(engine, feed, profile_mode: str, refreshes_only: bool) -> list[st
 
 
 class TestTickIdentity:
-    @pytest.mark.parametrize(
-        ("profile_mode", "refreshes_only"),
-        [("exact", True), ("exact", False), ("streaming", True), ("streaming", False)],
-    )
-    def test_every_watch_path_equals_the_bare_loop(
-        self, default_catalog, tmp_path, profile_mode, refreshes_only
-    ):
+    @pytest.mark.parametrize("refreshes_only", [True, False])
+    def test_every_watch_path_equals_the_bare_loop(self, default_catalog, tmp_path, refreshes_only):
         engine = fitted_engine(default_catalog)
         fleet = FleetEngine(engine=engine, backend="serial")
         feed = identity_feed()
-        expected = bare_lines(engine, feed, profile_mode, refreshes_only)
+        expected = bare_lines(engine, feed, refreshes_only)
         config = WatchConfig(
             window=WINDOW,
             min_refresh_samples=MIN_REFRESH,
             refreshes_only=refreshes_only,
-            profile_mode=profile_mode,
         )
         variants = {
             "serial": (config, 1),
@@ -269,7 +261,7 @@ class TestTickIdentity:
             "process-2": (config.replace(backend="process", max_workers=2), 2),
         }
         for name, (variant, n_shards) in variants.items():
-            store = seeded_store(tmp_path / f"{name}.db", engine, profile_mode, n_shards)
+            store = seeded_store(tmp_path / f"{name}.db", engine, n_shards)
             try:
                 got = fleet_lines(fleet.watch_fleet(feed, config=variant, resume_from=store))
             finally:
@@ -281,7 +273,7 @@ class TestTickIdentity:
         feed = identity_feed()
         errors = {
             line.split("|")[0]: line.split("|", 2)[2]
-            for line in bare_lines(engine, feed, "exact", True)
+            for line in bare_lines(engine, feed, True)
             if "|ERROR|" in line
         }
         assert set(errors) == {"db-nofit", "db-nolog", "db-nolog-nofit", "db-nan"}
@@ -312,7 +304,7 @@ class TestTickIdentity:
 
         # The MI layout moves mid-stream: the estimator is rebased onto
         # at least two different GP IOPS caps between refreshes.
-        live = new_live(engine, "mi-layout", "exact")
+        live = new_live(engine, "mi-layout")
         caps = []
         original = live.estimator.rebase_capacity
 
@@ -356,7 +348,6 @@ class TestBatchedProfiles:
                 drift_threshold=DEFAULT_DRIFT_THRESHOLD,
                 min_refresh_samples=MIN_REFRESH,
                 refreshes_only=True,
-                profile_mode="exact",
             )
         )
         rng = np.random.default_rng(3)
